@@ -43,7 +43,6 @@ func main() {
 		load     = flag.Float64("load", 0, "with -run: offered load in requests per kilocycle for the open-loop service workloads (0 = workload default)")
 		traceOut = flag.String("trace", "", "with -run: write a Chrome-trace JSON of the run to this file")
 		clusters = flag.Int("clusters", 0, "with -run or -sweep: cluster count (0 = derived from the topology, 1 = flat)")
-		queue    = flag.String("queue", "wheel", `with -run or -sweep: event-queue implementation, "wheel" or "heap" (results identical)`)
 
 		sweepApps = flag.String("sweep", "", `comma-separated workloads to sweep ("splash" = radiosity,raytrace,volrend; "all" = every workload)`)
 		backends  = flag.String("backends", "nocc,swcc,dsm,spm", "with -sweep: comma-separated backend axis")
@@ -59,10 +58,6 @@ func main() {
 	// spins up: a bad value is a usage error (exit 2), not a run failure.
 	if err := checkClusters(*clusters, *tiles); err != nil {
 		fail(err)
-	}
-	qkind, err := pmc.ParseEventQueue(*queue)
-	if err != nil {
-		fail(usagef(`bad -queue %q (valid: wheel, heap)`, *queue))
 	}
 	placement, err := parsePlacement(*place)
 	if err != nil {
@@ -81,12 +76,12 @@ func main() {
 		}
 		return
 	case *sweepApps != "":
-		if err := runSweep(*sweepApps, *backends, *tileList, *topo, *scale, *clusters, qkind, *parallel, *jsonOut, *csvOut); err != nil {
+		if err := runSweep(*sweepApps, *backends, *tileList, *topo, *scale, *clusters, *parallel, *jsonOut, *csvOut); err != nil {
 			fail(err)
 		}
 		return
 	case *runApp != "":
-		if err := runWorkload(*runApp, *backend, *tiles, *topo, *clusters, qkind, *load, *traceOut, placement); err != nil {
+		if err := runWorkload(*runApp, *backend, *tiles, *topo, *clusters, *load, *traceOut, placement); err != nil {
 			fail(err)
 		}
 		return
@@ -152,7 +147,7 @@ func knownExperiment(id string) bool {
 
 // runSweep expands the flag grid into a SweepSpec, runs it, and emits the
 // requested tables.
-func runSweep(apps, backends, tileList, topo, scale string, clusters int, qkind pmc.EventQueueKind, parallel int, jsonOut, csvOut string) error {
+func runSweep(apps, backends, tileList, topo, scale string, clusters, parallel int, jsonOut, csvOut string) error {
 	if err := checkScale(scale); err != nil {
 		return err
 	}
@@ -208,7 +203,6 @@ func runSweep(apps, backends, tileList, topo, scale string, clusters int, qkind 
 	}
 	base := pmc.DefaultConfig()
 	base.Clusters = clusters
-	base.EventQueue = qkind
 	for _, t := range spec.Tiles {
 		if need := pmc.MinSDRAMBytes(t); need > base.SDRAMBytes {
 			base.SDRAMBytes = need
@@ -279,7 +273,6 @@ func emit(path string, write func(w io.Writer) error) error {
 	return f.Close()
 }
 
-// runWorkload executes one workload, optionally exporting a Chrome trace.
 // parsePlacement parses the -place flag ("obj=backend,obj2=backend2") and
 // validates every backend name at flag-parse time: a typo is a usage error
 // (exit 2) before any simulation spins up.
@@ -304,7 +297,8 @@ func parsePlacement(s string) (map[string]string, error) {
 	return place, nil
 }
 
-func runWorkload(name, backend string, tiles int, topo string, clusters int, qkind pmc.EventQueueKind, load float64, traceOut string, place map[string]string) error {
+// runWorkload executes one workload, optionally exporting a Chrome trace.
+func runWorkload(name, backend string, tiles int, topo string, clusters int, load float64, traceOut string, place map[string]string) error {
 	app, ok := pmc.AppByName(name)
 	if !ok {
 		return usagef("unknown workload %q (have %s)", name, strings.Join(pmc.AppNames(), ", "))
@@ -333,7 +327,6 @@ func runWorkload(name, backend string, tiles int, topo string, clusters int, qki
 	}
 	cfg.NoC.Topology = tp
 	cfg.Clusters = clusters
-	cfg.EventQueue = qkind
 	if need := pmc.MinSDRAMBytes(cfg.Tiles); need > cfg.SDRAMBytes {
 		cfg.SDRAMBytes = need
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"pmc/internal/noc"
-	"pmc/internal/sim"
 	"pmc/internal/soc"
 	"pmc/internal/sweep"
 	"pmc/internal/workloads"
@@ -17,9 +16,8 @@ import (
 // swept over offered load × backend × cluster shape, reporting the exact
 // p50/p99 latency and saturation throughput per cell. The same grid is the
 // determinism artifact for the measurement layer: the emitted table must be
-// byte-identical for any worker count and for both event-queue
-// implementations, which pins the whole latency histogram, not just the
-// makespan.
+// byte-identical for any worker count, which pins the whole latency
+// histogram, not just the makespan.
 
 func init() {
 	register(Experiment{
@@ -136,38 +134,21 @@ func runSweepServices(w io.Writer, o Options) error {
 
 	// Determinism of the measurement layer itself: the serialized table —
 	// including the latency-derived columns — must be byte-identical when
-	// the sweep runs sequentially, on a full worker pool, and on the
-	// binary-heap event queue instead of the timing wheel.
-	detSpec := func(workers int, q sim.QueueKind) sweep.Spec {
+	// the sweep runs sequentially and on a full worker pool.
+	var det [2]bytes.Buffer
+	for i, workers := range []int{1, 0} {
 		s := serviceSpec(o, svcShapes[0], topos[0], loads[0])
 		s.Workers = workers
-		s.Configure = func(_ sweep.Cell, cfg *soc.Config) { cfg.EventQueue = q }
-		return s
-	}
-	variants := []struct {
-		name    string
-		workers int
-		queue   sim.QueueKind
-	}{
-		{"1 worker / wheel", 1, sim.QueueWheel},
-		{"N workers / wheel", 0, sim.QueueWheel},
-		{"1 worker / heap", 1, sim.QueueHeap},
-	}
-	var ref bytes.Buffer
-	for i, v := range variants {
-		table, err := sweep.Run(detSpec(v.workers, v.queue))
+		table, err := sweep.Run(s)
 		if err != nil {
 			return err
 		}
-		var buf bytes.Buffer
-		if err := table.WriteJSON(&buf); err != nil {
+		if err := table.WriteJSON(&det[i]); err != nil {
 			return err
 		}
-		if i == 0 {
-			ref = buf
-		} else if !bytes.Equal(ref.Bytes(), buf.Bytes()) {
-			return fmt.Errorf("sweep-services: emitted table differs between %q and %q", variants[0].name, v.name)
-		}
+	}
+	if !bytes.Equal(det[0].Bytes(), det[1].Bytes()) {
+		return fmt.Errorf("sweep-services: emitted table differs between 1 worker and N workers")
 	}
 
 	fmt.Fprintf(w, "%d cells: %v × loads %v req/kcycle × shapes", cells, serviceApps, loads)
@@ -175,7 +156,7 @@ func runSweepServices(w io.Writer, o Options) error {
 		fmt.Fprintf(w, " %dt/%s", sh.tiles, sh.topo)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "latency table emitted byte-identically across %d worker-count/event-queue variants\n", len(variants))
+	fmt.Fprintln(w, "latency table emitted byte-identically by 1 worker and by N workers")
 
 	for _, app := range serviceApps {
 		first := tables[0][0].Rows

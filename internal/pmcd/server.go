@@ -2,6 +2,7 @@ package pmcd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -314,12 +315,22 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxJobSpecBytes bounds a POST /v1/jobs body. Real job specs are a few
+// hundred bytes; the bound keeps a hostile client from making the decoder
+// buffer an unbounded body.
+const maxJobSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("pmcd: bad job spec: %w", err))
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Errorf("pmcd: bad job spec: %w", err))
 		return
 	}
 	st, err := s.Submit(spec)

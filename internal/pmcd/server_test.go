@@ -217,6 +217,27 @@ func TestServerRejects(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field submitted with HTTP %d", resp.StatusCode)
 	}
+	// Oversized bodies are cut off at the size bound with 413, while a
+	// normal spec on the same endpoint is still accepted.
+	huge := append([]byte(`{"litmus": {"prog": "`), bytes.Repeat([]byte("x"), maxJobSpecBytes)...)
+	huge = append(huge, `"}}`...)
+	resp, err = http.Post(c.Base+"/v1/jobs", "application/json", bytes.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body answered HTTP %d, want 413", resp.StatusCode)
+	}
+	resp, err = http.Post(c.Base+"/v1/jobs", "application/json",
+		bytes.NewReader([]byte(`{"litmus": {"prog": "sb-drf"}}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("normal spec answered HTTP %d, want 202", resp.StatusCode)
+	}
 	// Non-fingerprint result paths are rejected before touching the store.
 	resp, err = http.Get(c.Base + "/v1/results/NOT-A-FINGERPRINT")
 	if err != nil {

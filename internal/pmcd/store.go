@@ -318,7 +318,8 @@ func (c *Cache) Dedups() int64 { return c.dedups.Load() }
 // stores the body while concurrent callers for the same key wait and
 // share it (hit=true for them too — they did not pay for a simulation).
 // Failed computes are not stored; the error is shared with attached
-// callers and the next Do retries.
+// callers and the next Do retries. A panicking compute fails its flight
+// the same way, so it neither kills the caller nor strands the waiters.
 func (c *Cache) Do(key string, compute func() ([]byte, error)) (body []byte, hit bool, err error) {
 	if err := validKey(key); err != nil {
 		return nil, false, err
@@ -338,12 +339,19 @@ func (c *Cache) Do(key string, compute func() ([]byte, error)) (body []byte, hit
 		}
 		return f.body, true, nil
 	}
+	// A leader may have stored its body and retired its flight between the
+	// lookup above and taking the lock; electing a second leader then
+	// would compute the same key twice.
+	if body, ok, err := c.store.Get(key); err != nil || ok {
+		c.mu.Unlock()
+		return body, ok, err
+	}
 	f := &flight{done: make(chan struct{})}
 	c.inflight[key] = f
 	c.mu.Unlock()
 
 	c.sims.Add(1)
-	f.body, f.err = compute()
+	f.body, f.err = computeSafely(compute)
 	if f.err == nil {
 		f.err = c.store.Put(key, f.body)
 	}
@@ -352,4 +360,14 @@ func (c *Cache) Do(key string, compute func() ([]byte, error)) (body []byte, hit
 	c.mu.Unlock()
 	close(f.done)
 	return f.body, false, f.err
+}
+
+// computeSafely runs compute, turning a panic into the flight's error.
+func computeSafely(compute func() ([]byte, error)) (body []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			body, err = nil, fmt.Errorf("pmcd: compute panicked: %v", r)
+		}
+	}()
+	return compute()
 }

@@ -280,3 +280,45 @@ func TestCacheFailedComputeRetries(t *testing.T) {
 		t.Fatalf("retry after failure: body=%q hit=%v err=%v", b, hit, err)
 	}
 }
+
+// TestCachePanicFailsFlight: a panicking compute becomes the flight's error
+// for the leader and for a waiter attached to it, and the key is not left
+// in flight — the next Do computes afresh.
+func TestCachePanicFailsFlight(t *testing.T) {
+	store, err := Open("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(store)
+	key := hexKey(9)
+	leading := make(chan struct{})
+	waiterErr := make(chan error, 1)
+	go func() {
+		<-leading
+		_, _, err := c.Do(key, func() ([]byte, error) {
+			t.Error("waiter computed while the leader was in flight")
+			return nil, nil
+		})
+		waiterErr <- err
+	}()
+	_, _, err = c.Do(key, func() ([]byte, error) {
+		close(leading)
+		for c.Dedups() == 0 { // hold the flight until the waiter attaches
+			time.Sleep(time.Millisecond)
+		}
+		panic("engine exploded")
+	})
+	if err == nil || !strings.Contains(err.Error(), "engine exploded") {
+		t.Fatalf("leader: err = %v, want the panic as an error", err)
+	}
+	if err := <-waiterErr; err == nil || !strings.Contains(err.Error(), "engine exploded") {
+		t.Fatalf("waiter: err = %v, want the leader's panic as an error", err)
+	}
+	b, hit, err := c.Do(key, func() ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || hit || string(b) != "ok" {
+		t.Fatalf("retry after panic: body=%q hit=%v err=%v", b, hit, err)
+	}
+	if n := c.Simulations(); n != 2 {
+		t.Fatalf("Simulations() = %d, want 2 (the panicked compute and the retry)", n)
+	}
+}

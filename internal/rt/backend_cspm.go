@@ -108,7 +108,7 @@ func (b cspmBackend) Write32(c *Ctx, o *Object, off int, v uint32) {
 func (b cspmBackend) ReadRange(c *Ctx, o *Object, off int, dst []uint32) {
 	s, ok := c.scopes[o]
 	if !ok {
-		ReadRangeByWords(b, c, o, off, dst)
+		readRangeByWords(b, c, o, off, dst)
 		return
 	}
 	readClusterRange(c, s.spmAddr+mem.Addr(off), dst)
@@ -118,7 +118,7 @@ func (b cspmBackend) ReadRange(c *Ctx, o *Object, off int, dst []uint32) {
 func (b cspmBackend) WriteRange(c *Ctx, o *Object, off int, src []uint32) {
 	s, ok := c.scopes[o]
 	if !ok {
-		WriteRangeByWords(b, c, o, off, src)
+		writeRangeByWords(b, c, o, off, src)
 		return
 	}
 	writeClusterRange(c, s.spmAddr+mem.Addr(off), src)

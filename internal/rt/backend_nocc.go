@@ -63,10 +63,10 @@ func (noccBackend) Write32(c *Ctx, o *Object, off int, v uint32) {
 // burst mode (that asymmetry against the cached and local-memory backends
 // is exactly what the bulk-ablation experiment measures).
 func (b noccBackend) ReadRange(c *Ctx, o *Object, off int, dst []uint32) {
-	ReadRangeByWords(b, c, o, off, dst)
+	readRangeByWords(b, c, o, off, dst)
 }
 
 // WriteRange loops the uncached (posted) word path.
 func (b noccBackend) WriteRange(c *Ctx, o *Object, off int, src []uint32) {
-	WriteRangeByWords(b, c, o, off, src)
+	writeRangeByWords(b, c, o, off, src)
 }

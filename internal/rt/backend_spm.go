@@ -112,7 +112,7 @@ func (b spmBackend) Write32(c *Ctx, o *Object, off int, v uint32) {
 func (b spmBackend) ReadRange(c *Ctx, o *Object, off int, dst []uint32) {
 	s, ok := c.scopes[o]
 	if !ok {
-		ReadRangeByWords(b, c, o, off, dst)
+		readRangeByWords(b, c, o, off, dst)
 		return
 	}
 	readLocalRange(c, s.spmAddr+mem.Addr(off), dst)
@@ -122,7 +122,7 @@ func (b spmBackend) ReadRange(c *Ctx, o *Object, off int, dst []uint32) {
 func (b spmBackend) WriteRange(c *Ctx, o *Object, off int, src []uint32) {
 	s, ok := c.scopes[o]
 	if !ok {
-		WriteRangeByWords(b, c, o, off, src)
+		writeRangeByWords(b, c, o, off, src)
 		return
 	}
 	writeLocalRange(c, s.spmAddr+mem.Addr(off), src)

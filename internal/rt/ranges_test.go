@@ -68,33 +68,41 @@ func TestBlockRoundTripAllBackends(t *testing.T) {
 
 // TestOneWordBlockEquivalence pins the API v2 compatibility claim: a
 // one-word ReadBlock/WriteBlock returns the same data as Read32/Write32
-// and costs the same sim-cycles on every backend.
+// and costs the same sim-cycles on every backend. On nocc, whose ranged
+// path lowers to the word path, an 8-word block must also match the
+// explicit 8-word loop in data and cycles.
 func TestOneWordBlockEquivalence(t *testing.T) {
-	const iters = 16
-	run := func(t *testing.T, name string, block bool) sim.Time {
+	const iters, objWords = 16, 12
+	run := func(t *testing.T, name string, width int, block bool) (sim.Time, []uint32) {
 		b, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sys := testSys(t, 2)
 		r := New(sys, b)
-		o := r.Alloc("obj", 12*4)
-		var sum uint32
+		o := r.Alloc("obj", (objWords+width-1)*4)
 		r.Spawn(0, "w", func(c *Ctx) {
 			c.SetCodeFootprint(1024)
+			buf := make([]uint32, width)
 			for i := 0; i < iters; i++ {
-				off := 4 * (i % 12)
+				off := 4 * (i % objWords)
 				c.EntryX(o)
 				if block {
-					var buf [1]uint32
-					c.ReadBlock(o, off, buf[:])
-					buf[0] += uint32(i)
-					c.WriteBlock(o, off, buf[:])
-					sum += buf[0]
+					c.ReadBlock(o, off, buf)
 				} else {
-					v := c.Read32(o, off) + uint32(i)
-					c.Write32(o, off, v)
-					sum += v
+					for k := range buf {
+						buf[k] = c.Read32(o, off+4*k)
+					}
+				}
+				for k := range buf {
+					buf[k] += uint32(i + k)
+				}
+				if block {
+					c.WriteBlock(o, off, buf)
+				} else {
+					for k, v := range buf {
+						c.Write32(o, off+4*k, v)
+					}
 				}
 				c.ExitX(o)
 			}
@@ -102,61 +110,33 @@ func TestOneWordBlockEquivalence(t *testing.T) {
 		if err := r.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return sys.K.Now()
+		data := make([]uint32, o.WordCount())
+		for k := range data {
+			data[k] = r.ReadObjectWord(o, k)
+		}
+		return sys.K.Now(), data
 	}
-	for _, name := range []string{"nocc", "swcc", "dsm", "spm"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			word := run(t, name, false)
-			blk := run(t, name, true)
-			if word != blk {
-				t.Fatalf("one-word block path costs %d cycles, word path %d", blk, word)
+	for _, tc := range []struct {
+		name    string
+		backend string
+		width   int
+	}{
+		{"nocc", "nocc", 1}, {"swcc", "swcc", 1}, {"dsm", "dsm", 1}, {"spm", "spm", 1},
+		{"nocc-8words", "nocc", 8},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			wordCycles, wordData := run(t, tc.backend, tc.width, false)
+			blkCycles, blkData := run(t, tc.backend, tc.width, true)
+			if wordCycles != blkCycles {
+				t.Fatalf("%d-word block path costs %d cycles, word path %d", tc.width, blkCycles, wordCycles)
 			}
-		})
-	}
-}
-
-// TestWordBackendAdapter checks the v1 compatibility adapter: a backend
-// that only implements the word-granular surface runs ranged programs via
-// the lowering, with identical data and identical cost to the explicit
-// word loop.
-func TestWordBackendAdapter(t *testing.T) {
-	run := func(t *testing.T, b Backend, block bool) (sim.Time, []uint32) {
-		sys := testSys(t, 2)
-		r := New(sys, b)
-		o := r.Alloc("obj", 8*4)
-		src := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
-		got := make([]uint32, 8)
-		r.Spawn(0, "w", func(c *Ctx) {
-			c.SetCodeFootprint(1024)
-			c.EntryX(o)
-			if block {
-				c.WriteBlock(o, 0, src)
-				c.ReadBlock(o, 0, got)
-			} else {
-				for i, v := range src {
-					c.Write32(o, 4*i, v)
-				}
-				for i := range got {
-					got[i] = c.Read32(o, 4*i)
+			for k := range wordData {
+				if wordData[k] != blkData[k] {
+					t.Fatalf("data mismatch at word %d: word path %v, block path %v", k, wordData, blkData)
 				}
 			}
-			c.ExitX(o)
 		})
-		if err := r.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return sys.K.Now(), got
-	}
-	wordCycles, wordData := run(t, AdaptWordBackend(NoCC()), false)
-	blkCycles, blkData := run(t, AdaptWordBackend(NoCC()), true)
-	if wordCycles != blkCycles {
-		t.Fatalf("adapter block path %d cycles, word path %d", blkCycles, wordCycles)
-	}
-	for i := range wordData {
-		if wordData[i] != blkData[i] || blkData[i] != uint32(i+1) {
-			t.Fatalf("data mismatch at %d: word %v block %v", i, wordData, blkData)
-		}
 	}
 }
 

@@ -90,12 +90,20 @@ func (o *Object) Backend() string { return o.route.Name() }
 // WriteRange move [off, off+4·len) in one operation, and Read32/Write32
 // are the one-word special case kept as distinct methods so their
 // instruction sequence — and therefore their sim-cycle cost — is pinned
-// exactly to the historical word path. A word-granular backend can be
-// lifted to the full interface with AdaptWordBackend.
+// exactly to the historical word path.
 type Backend interface {
-	// WordBackend is the v1 surface: annotations plus the word-granular
-	// accesses.
-	WordBackend
+	Name() string
+	// Init is called once after the runtime is assembled, before any
+	// worker runs (e.g. DSM replica setup, lock transfer hooks).
+	Init(rt *Runtime)
+	EntryX(c *Ctx, o *Object)
+	ExitX(c *Ctx, o *Object)
+	EntryRO(c *Ctx, o *Object)
+	ExitRO(c *Ctx, o *Object)
+	Fence(c *Ctx)
+	Flush(c *Ctx, o *Object)
+	Read32(c *Ctx, o *Object, off int) uint32
+	Write32(c *Ctx, o *Object, off int, v uint32)
 	// ReadRange reads len(dst) words starting at byte offset off.
 	ReadRange(c *Ctx, o *Object, off int, dst []uint32)
 	// WriteRange writes len(src) words starting at byte offset off.
@@ -147,49 +155,16 @@ func writeLocalRange(c *Ctx, base mem.Addr, src []uint32) {
 	}
 }
 
-// WordBackend is the v1 word-granular backend surface. Existing backends
-// that only speak one 32-bit word at a time keep working through
-// AdaptWordBackend, which lowers the ranged operations onto the word path.
-type WordBackend interface {
-	Name() string
-	// Init is called once after the runtime is assembled, before any
-	// worker runs (e.g. DSM replica setup, lock transfer hooks).
-	Init(rt *Runtime)
-	EntryX(c *Ctx, o *Object)
-	ExitX(c *Ctx, o *Object)
-	EntryRO(c *Ctx, o *Object)
-	ExitRO(c *Ctx, o *Object)
-	Fence(c *Ctx)
-	Flush(c *Ctx, o *Object)
-	Read32(c *Ctx, o *Object, off int) uint32
-	Write32(c *Ctx, o *Object, off int, v uint32)
-}
-
-// AdaptWordBackend lifts a word-granular backend to the ranged Backend
-// interface by lowering ReadRange/WriteRange to one Read32/Write32 per
-// word — the compatibility path: semantics and per-word cost are exactly
-// the v1 loop an application would have written.
-func AdaptWordBackend(b WordBackend) Backend { return &wordAdapter{WordBackend: b} }
-
-type wordAdapter struct{ WordBackend }
-
-func (a *wordAdapter) ReadRange(c *Ctx, o *Object, off int, dst []uint32) {
-	ReadRangeByWords(a.WordBackend, c, o, off, dst)
-}
-
-func (a *wordAdapter) WriteRange(c *Ctx, o *Object, off int, src []uint32) {
-	WriteRangeByWords(a.WordBackend, c, o, off, src)
-}
-
-// ReadRangeByWords lowers a ranged read onto a backend's word path.
-func ReadRangeByWords(b WordBackend, c *Ctx, o *Object, off int, dst []uint32) {
+// readRangeByWords lowers a ranged read onto a backend's word path: one
+// Read32 per word, the exact cost of the loop an application would write.
+func readRangeByWords(b Backend, c *Ctx, o *Object, off int, dst []uint32) {
 	for i := range dst {
 		dst[i] = b.Read32(c, o, off+4*i)
 	}
 }
 
-// WriteRangeByWords lowers a ranged write onto a backend's word path.
-func WriteRangeByWords(b WordBackend, c *Ctx, o *Object, off int, src []uint32) {
+// writeRangeByWords lowers a ranged write onto a backend's word path.
+func writeRangeByWords(b Backend, c *Ctx, o *Object, off int, src []uint32) {
 	for i, v := range src {
 		b.Write32(c, o, off+4*i, v)
 	}

@@ -35,42 +35,18 @@ type event struct {
 	at  Time
 	seq uint64
 	fn  func()
-	// next links events within one timing-wheel slot (unused by the
-	// heap).
+	// next links events within one timing-wheel slot.
 	next *event
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
 }
 
 // Kernel is a discrete-event simulation engine. The zero value is not
 // usable; call New.
 type Kernel struct {
 	now Time
-	// Exactly one of wheel/heapq is non-nil (selected by NewWithQueue).
-	// The kernel branches on the concrete type instead of holding an
-	// eventQueue interface because the per-Wait queue peek is the hottest
-	// load in the simulator and must stay inlinable — dynamic dispatch
-	// there costs double-digit percent on whole-simulation time.
+	// wheel is the pending-event queue, called through its concrete type
+	// because the per-Wait peek (nextAt) is the hottest load in the
+	// simulator and must stay inlinable.
 	wheel *wheelQueue
-	heapq *heapQueue
 	seq   uint64
 
 	procs   []*Proc
@@ -90,60 +66,17 @@ type Kernel struct {
 	MaxTime Time
 }
 
-// New returns a ready-to-run kernel with the default event queue
-// (QueueWheel).
+// New returns a ready-to-run kernel.
 func New() *Kernel {
-	return NewWithQueue(QueueWheel)
-}
-
-// NewWithQueue returns a kernel using the selected event-queue
-// implementation. Dispatch order — and therefore every simulation result —
-// is identical across kinds; the choice only affects host performance.
-func NewWithQueue(kind QueueKind) *Kernel {
-	k := &Kernel{}
-	if kind == QueueHeap {
-		k.heapq = &heapQueue{}
-	} else {
-		k.wheel = &wheelQueue{}
-	}
-	return k
-}
-
-func (k *Kernel) qpush(e *event) {
-	if k.wheel != nil {
-		k.wheel.push(e)
-	} else {
-		k.heapq.push(e)
-	}
-}
-
-func (k *Kernel) qpop() *event {
-	if k.wheel != nil {
-		return k.wheel.pop()
-	}
-	return k.heapq.pop()
-}
-
-func (k *Kernel) qlen() int {
-	if k.wheel != nil {
-		return k.wheel.len()
-	}
-	return k.heapq.len()
+	return &Kernel{wheel: &wheelQueue{}}
 }
 
 // eventBefore reports whether any pending event is scheduled at or before
-// t. It is the WaitUntil fast-path check and inlines fully in the common
-// cases (cached wheel minimum, or a heap peek).
+// t. It is the WaitUntil fast-path check; in the common case the peek is
+// one load of the wheel's cached minimum.
 func (k *Kernel) eventBefore(t Time) bool {
-	if w := k.wheel; w != nil {
-		if w.minValid {
-			return w.minAt <= t
-		}
-		at, ok := w.nextAtSlow()
-		return ok && at <= t
-	}
-	h := k.heapq.h
-	return len(h) > 0 && h[0].at <= t
+	at, ok := k.wheel.nextAt()
+	return ok && at <= t
 }
 
 // Now returns the current simulated time.
@@ -169,7 +102,7 @@ func (k *Kernel) ScheduleAt(t Time, fn func()) {
 	} else {
 		e = &event{at: t, seq: k.seq, fn: fn}
 	}
-	k.qpush(e)
+	k.wheel.push(e)
 }
 
 // Spawn creates a process running body in its own coroutine. The process
@@ -196,8 +129,8 @@ func (k *Kernel) Procs() []*Proc { return k.procs }
 // It returns an error on deadlock: the queue drained while unfinished
 // processes remain parked.
 func (k *Kernel) Run() error {
-	for k.qlen() > 0 && !k.stopped {
-		e := k.qpop()
+	for k.wheel.len() > 0 && !k.stopped {
+		e := k.wheel.pop()
 		if k.MaxTime != 0 && e.at > k.MaxTime {
 			return fmt.Errorf("sim: watchdog: time %d exceeds MaxTime %d", e.at, k.MaxTime)
 		}

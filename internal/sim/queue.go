@@ -1,79 +1,9 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/bits"
 )
-
-// QueueKind selects the kernel's pending-event queue implementation. Both
-// implementations dispatch events in exactly the same (time, seq) order, so
-// a simulation's results are identical under either; the wheel is the
-// default because its push/pop cost stays O(1)-ish as the event population
-// grows with the tile count, where the binary heap's log n comparisons
-// became the kernel bottleneck at 1024 processes.
-type QueueKind uint8
-
-const (
-	// QueueWheel is the hierarchical timing wheel (the default).
-	QueueWheel QueueKind = iota
-	// QueueHeap is the binary-heap reference implementation, kept
-	// selectable for differential testing and as the readable
-	// specification of the dispatch order.
-	QueueHeap
-)
-
-// String names the queue kind.
-func (q QueueKind) String() string {
-	if q == QueueHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// ParseQueue converts a queue name ("wheel" or "heap") to a QueueKind.
-func ParseQueue(s string) (QueueKind, error) {
-	switch s {
-	case "wheel":
-		return QueueWheel, nil
-	case "heap":
-		return QueueHeap, nil
-	}
-	return 0, fmt.Errorf("sim: unknown event queue %q (valid: wheel, heap)", s)
-}
-
-// eventQueue is the kernel's pending-event store. Implementations must pop
-// events in (at, seq) order; push is only ever called with at >= the last
-// popped event's time (the kernel never schedules in the past).
-type eventQueue interface {
-	push(e *event)
-	pop() *event // nil when empty
-	// nextAt returns the earliest pending time without dequeuing.
-	nextAt() (Time, bool)
-	len() int
-}
-
-// heapQueue is the reference implementation: a plain binary heap ordered by
-// (at, seq).
-type heapQueue struct{ h eventHeap }
-
-func (q *heapQueue) push(e *event) { heap.Push(&q.h, e) }
-
-func (q *heapQueue) pop() *event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return heap.Pop(&q.h).(*event)
-}
-
-func (q *heapQueue) nextAt() (Time, bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].at, true
-}
-
-func (q *heapQueue) len() int { return len(q.h) }
 
 // Timing-wheel geometry: wheelLevels levels of wheelSlots slots. A level-0
 // slot covers exactly one cycle; a level-l slot covers wheelSlots^l cycles.
@@ -102,6 +32,10 @@ const (
 // optimistically advanced curr would land in a slot the wheel never
 // rescans. The kernel's WaitUntil fast path advances the clock without
 // touching the wheel, which is safe: curr is a lower bound, not the clock.
+//
+// The dispatch order is specified by a plain binary heap ordered by
+// (at, seq); queue_test.go keeps that heap as the oracle the wheel is
+// checked against operation by operation.
 type wheelQueue struct {
 	curr Time // lower bound on every queued event's time
 	n    int

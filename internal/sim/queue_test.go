@@ -1,94 +1,182 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
+	"math/bits"
+	"math/rand/v2"
 	"testing"
 )
 
-// TestQueueKindStrings pins the names ParseQueue accepts.
-func TestQueueKindStrings(t *testing.T) {
-	for _, tc := range []struct {
-		s    string
-		kind QueueKind
-	}{{"wheel", QueueWheel}, {"heap", QueueHeap}} {
-		got, err := ParseQueue(tc.s)
-		if err != nil || got != tc.kind {
-			t.Errorf("ParseQueue(%q) = %v, %v", tc.s, got, err)
-		}
-		if tc.kind.String() != tc.s {
-			t.Errorf("%v.String() = %q, want %q", tc.kind, tc.kind.String(), tc.s)
-		}
+// heapQueue is the reference specification of the kernel's dispatch order:
+// a plain binary heap of pending events ordered by (at, seq). The timing
+// wheel must be indistinguishable from it through every queue operation.
+type heapQueue []*event
+
+func (h heapQueue) Len() int { return len(h) }
+func (h heapQueue) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
 	}
-	if _, err := ParseQueue("fifo"); err == nil {
-		t.Error("ParseQueue accepted an unknown kind")
-	}
+	return h[i].seq < h[j].seq
+}
+func (h heapQueue) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *heapQueue) Push(x any)   { *h = append(*h, x.(*event)) }
+func (h *heapQueue) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return e
 }
 
-// storm drives a kernel through a deterministic pseudo-random event storm —
-// nested schedules, long jumps that cross wheel-level boundaries, clustered
-// same-cycle events — and records the dispatch order as "time:id" strings.
-func storm(kind QueueKind) []string {
-	k := NewWithQueue(kind)
-	var order []string
-	rng := uint32(0x1234567)
-	next := func(n uint32) uint32 {
-		rng ^= rng << 13
-		rng ^= rng >> 17
-		rng ^= rng << 5
-		return rng % n
+func (h *heapQueue) push(e *event) { heap.Push(h, e) }
+
+func (h *heapQueue) pop() *event {
+	if len(*h) == 0 {
+		return nil
 	}
-	id := 0
-	var schedule func(depth int)
-	schedule = func(depth int) {
-		n := int(next(4)) + 1
-		for i := 0; i < n; i++ {
-			id++
-			myID := id
-			var delay Time
-			switch next(5) {
-			case 0:
-				delay = 0 // same cycle
-			case 1:
-				delay = Time(next(8)) // same level-0 window, mostly
-			case 2:
-				delay = Time(next(1 << 10)) // crosses level 0→1
-			case 3:
-				delay = Time(next(1 << 20)) // crosses level 1→2
-			default:
-				delay = Time(next(1 << 28)) // deep levels
-			}
-			d := depth
-			k.Schedule(delay, func() {
-				order = append(order, fmt.Sprintf("%d:%d", k.Now(), myID))
-				if id < 4000 {
-					schedule(d + 1)
-				}
-			})
-		}
-	}
-	schedule(0)
-	if err := k.Run(); err != nil {
-		panic(err)
-	}
-	return order
+	return heap.Pop(h).(*event)
 }
 
-// TestWheelMatchesHeapOrder is the kernel-level differential test: the
-// timing wheel must dispatch a complex event storm in exactly the heap's
-// (time, seq) order.
+func (h *heapQueue) nextAt() (Time, bool) {
+	if len(*h) == 0 {
+		return 0, false
+	}
+	return (*h)[0].at, true
+}
+
+func (h *heapQueue) len() int { return len(*h) }
+
+// eventQueue is the set of operations the kernel performs on its queue.
+type eventQueue interface {
+	push(e *event)
+	pop() *event // nil when empty
+	nextAt() (Time, bool)
+	len() int
+}
+
+// wheelLevel is the wheel level an event at time at files into when the
+// wheel's floor is curr: the level of the highest bit where the two differ.
+// wheelLevels stands for the overflow list.
+func wheelLevel(at, curr Time) int {
+	n := bits.Len64(uint64(at ^ curr))
+	if n == 0 {
+		return 0
+	}
+	return min((n-1)/wheelBits, wheelLevels)
+}
+
+// TestWheelMatchesHeapOrder is the queue-interface differential: a seeded
+// stream of push, pop and nextAt operations goes to the timing wheel and to
+// the heap oracle, and every result must agree — the same event (by
+// identity) from each pop, the same earliest time from each peek, the same
+// length after every step. The stream also replays the kernel's WaitUntil
+// fast path: the clock jumps forward without a pop whenever eventBefore
+// says nothing is due by the target time, and every later push lands at or
+// after the new clock. Pushes span every wheel level and the 2^48-cycle
+// overflow.
 func TestWheelMatchesHeapOrder(t *testing.T) {
-	want := storm(QueueHeap)
-	got := storm(QueueWheel)
-	if len(got) != len(want) {
-		t.Fatalf("wheel dispatched %d events, heap %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dispatch order diverges at event %d: wheel %s, heap %s", i, got[i], want[i])
+	const opsPerSeed = 5000
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
+		wheel, ref := &wheelQueue{}, &heapQueue{}
+		k := &Kernel{wheel: wheel}
+		var now Time
+		var seq uint64
+		var levels [wheelLevels + 1]int
+		overflowed := map[*event]bool{}
+		var pushes, pops, overflowPops, peeks, fast int
+		push := func(at Time) {
+			seq++
+			e := &event{at: at, seq: seq}
+			lvl := wheelLevel(at, wheel.curr)
+			levels[lvl]++
+			overflowed[e] = lvl == wheelLevels
+			wheel.push(e)
+			ref.push(e)
+			pushes++
 		}
-	}
-	if len(want) < 1000 {
-		t.Fatalf("storm too small to be meaningful: %d events", len(want))
+		delay := func() Time {
+			switch lvl := rng.IntN(wheelLevels + 2); {
+			case lvl == 0:
+				return 0 // same cycle
+			case lvl <= wheelLevels:
+				return Time(rng.Uint64N(1 << (wheelBits * lvl)))
+			default:
+				return 1<<48 + Time(rng.Uint64N(1<<48)) // overflow
+			}
+		}
+		for op := 0; op < opsPerSeed; op++ {
+			// Alternate filling and draining phases so the queue
+			// empties (and the overflow list is rebased) mid-stream.
+			pushShare := 45
+			if op/250%2 == 1 {
+				pushShare = 15
+			}
+			switch r := rng.IntN(100); {
+			case r < pushShare:
+				push(now + delay())
+			case r < 75:
+				got, want := wheel.pop(), ref.pop()
+				if got != want {
+					t.Fatalf("seed %d op %d: pop: wheel %v, heap %v", seed, op, got, want)
+				}
+				if want != nil {
+					now = want.at
+					if overflowed[want] {
+						overflowPops++
+					}
+				}
+				pops++
+			case r < 85:
+				gotAt, gotOK := wheel.nextAt()
+				wantAt, wantOK := ref.nextAt()
+				if gotAt != wantAt || gotOK != wantOK {
+					t.Fatalf("seed %d op %d: nextAt: wheel (%d, %v), heap (%d, %v)",
+						seed, op, gotAt, gotOK, wantAt, wantOK)
+				}
+				peeks++
+			default:
+				// WaitUntil(target): advance in place when nothing is
+				// due by target, otherwise schedule the wake-up.
+				target := now + delay()
+				at, ok := ref.nextAt()
+				due := ok && at <= target
+				if got := k.eventBefore(target); got != due {
+					t.Fatalf("seed %d op %d: eventBefore(%d) = %v, heap says %v", seed, op, target, got, due)
+				}
+				if due {
+					push(target)
+				} else {
+					now = target
+					fast++
+				}
+			}
+			if wheel.len() != ref.len() {
+				t.Fatalf("seed %d op %d: len: wheel %d, heap %d", seed, op, wheel.len(), ref.len())
+			}
+		}
+		for ref.len() > 0 {
+			if got, want := wheel.pop(), ref.pop(); got != want {
+				t.Fatalf("seed %d drain: wheel %v, heap %v", seed, got, want)
+			}
+		}
+		if e := wheel.pop(); e != nil {
+			t.Fatalf("seed %d: wheel pops %v after the heap drained", seed, e)
+		}
+		for lvl, n := range levels {
+			if n == 0 {
+				t.Errorf("seed %d: no push filed at level %d (%d = overflow)", seed, lvl, wheelLevels)
+			}
+		}
+		if pops == 0 || overflowPops == 0 || peeks == 0 || fast == 0 {
+			t.Errorf("seed %d: stream missed an operation: %d pushes, %d pops (%d from overflow), %d peeks, %d fast-path advances",
+				seed, pushes, pops, overflowPops, peeks, fast)
+		}
+		t.Logf("seed %d: %d ops: %d pushes (per level %v), %d pops (%d from overflow), %d peeks, %d fast-path advances",
+			seed, opsPerSeed, pushes, levels, pops, overflowPops, peeks, fast)
 	}
 }
 
@@ -96,7 +184,7 @@ func TestWheelMatchesHeapOrder(t *testing.T) {
 // scheduling order, including events filed into an already-cascaded slot
 // and events scheduled from within that cycle.
 func TestWheelSameTimestampOrder(t *testing.T) {
-	k := NewWithQueue(QueueWheel)
+	k := New()
 	var order []int
 	at := Time(1000)
 	for i := 0; i < 10; i++ {
@@ -132,26 +220,23 @@ func TestWheelSameTimestampOrder(t *testing.T) {
 }
 
 // TestWheelMaxTime: the watchdog must fire on the first event strictly past
-// MaxTime, and events exactly at MaxTime must still run — same boundary the
-// heap kernel has always had.
+// MaxTime, and events exactly at MaxTime must still run.
 func TestWheelMaxTime(t *testing.T) {
-	for _, kind := range []QueueKind{QueueWheel, QueueHeap} {
-		k := NewWithQueue(kind)
-		k.MaxTime = 100
-		ran := 0
-		k.ScheduleAt(100, func() { ran++ })
-		if err := k.Run(); err != nil {
-			t.Fatalf("%v: event at MaxTime aborted: %v", kind, err)
-		}
-		if ran != 1 {
-			t.Fatalf("%v: event at MaxTime did not run", kind)
-		}
-		k2 := NewWithQueue(kind)
-		k2.MaxTime = 100
-		k2.ScheduleAt(101, func() { t.Fatalf("%v: event past MaxTime ran", kind) })
-		if err := k2.Run(); err == nil {
-			t.Fatalf("%v: watchdog did not fire past MaxTime", kind)
-		}
+	k := New()
+	k.MaxTime = 100
+	ran := 0
+	k.ScheduleAt(100, func() { ran++ })
+	if err := k.Run(); err != nil {
+		t.Fatalf("event at MaxTime aborted: %v", err)
+	}
+	if ran != 1 {
+		t.Fatal("event at MaxTime did not run")
+	}
+	k2 := New()
+	k2.MaxTime = 100
+	k2.ScheduleAt(101, func() { t.Fatal("event past MaxTime ran") })
+	if err := k2.Run(); err == nil {
+		t.Fatal("watchdog did not fire past MaxTime")
 	}
 }
 
@@ -159,7 +244,7 @@ func TestWheelMaxTime(t *testing.T) {
 // one cycle further aborts. Exercises the WaitUntil fast path against the
 // wheel's nextAt.
 func TestWheelMaxTimeFastPath(t *testing.T) {
-	k := NewWithQueue(QueueWheel)
+	k := New()
 	k.MaxTime = 500
 	k.Spawn("sleeper", func(p *Proc) { p.Wait(500) })
 	if err := k.Run(); err != nil {
@@ -168,7 +253,7 @@ func TestWheelMaxTimeFastPath(t *testing.T) {
 	if k.Now() != 500 {
 		t.Fatalf("now = %d, want 500", k.Now())
 	}
-	k2 := NewWithQueue(QueueWheel)
+	k2 := New()
 	k2.MaxTime = 500
 	k2.Spawn("sleeper", func(p *Proc) { p.Wait(501) })
 	if err := k2.Run(); err == nil {
@@ -179,7 +264,7 @@ func TestWheelMaxTimeFastPath(t *testing.T) {
 // TestWheelOverflowHorizon: events beyond the wheel's 48-bit window must
 // survive in the overflow list and come back in correct order.
 func TestWheelOverflowHorizon(t *testing.T) {
-	k := NewWithQueue(QueueWheel)
+	k := New()
 	var order []Time
 	far := Time(1) << 50
 	times := []Time{far + 3, 10, far, far + 3, 1 << 49, 2}
@@ -202,7 +287,7 @@ func TestWheelOverflowHorizon(t *testing.T) {
 // process waits far ahead (peeking the queue on the way), then an event
 // scheduled back near the present must still be dispatched.
 func TestWheelPeekDoesNotLoseEvents(t *testing.T) {
-	k := NewWithQueue(QueueWheel)
+	k := New()
 	hit := false
 	k.Spawn("waiter", func(p *Proc) {
 		p.Wait(1 << 20) // fast path peeks nextAt
@@ -218,26 +303,32 @@ func TestWheelPeekDoesNotLoseEvents(t *testing.T) {
 }
 
 func BenchmarkQueuePushPop(b *testing.B) {
-	for _, kind := range []QueueKind{QueueHeap, QueueWheel} {
+	for _, impl := range []struct {
+		name string
+		q    func() eventQueue
+	}{
+		{"heap", func() eventQueue { return &heapQueue{} }},
+		{"wheel", func() eventQueue { return &wheelQueue{} }},
+	} {
 		for _, population := range []int{32, 1024} {
-			b.Run(fmt.Sprintf("%v/%d", kind, population), func(b *testing.B) {
-				k := NewWithQueue(kind)
-				nop := func() {}
+			b.Run(fmt.Sprintf("%s/%d", impl.name, population), func(b *testing.B) {
+				q := impl.q()
+				var seq uint64
 				for i := 0; i < population; i++ {
-					k.qpush(&event{at: Time(i * 7), seq: k.seq, fn: nop})
-					k.seq++
+					seq++
+					q.push(&event{at: Time(i * 7), seq: seq})
 				}
 				rng := uint32(1)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					e := k.qpop()
+					e := q.pop()
 					rng ^= rng << 13
 					rng ^= rng >> 17
 					rng ^= rng << 5
 					e.at += Time(rng % 1024)
-					k.seq++
-					e.seq = k.seq
-					k.qpush(e)
+					seq++
+					e.seq = seq
+					q.push(e)
 				}
 			})
 		}

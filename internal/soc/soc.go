@@ -75,10 +75,6 @@ type Config struct {
 	Clusters int
 	// ClusterBytes is each cluster scratch memory's size (0 = 256 KiB).
 	ClusterBytes int
-	// EventQueue selects the simulation kernel's pending-event queue;
-	// the zero value is the timing wheel, sim.QueueHeap the reference
-	// binary heap. Results are identical; see sim.QueueKind.
-	EventQueue sim.QueueKind
 }
 
 // clusters returns the normalized cluster count: an explicit Clusters
@@ -209,7 +205,7 @@ func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	k := sim.NewWithQueue(cfg.EventQueue)
+	k := sim.New()
 	k.MaxTime = cfg.MaxCycles
 	s := &System{K: k, Cfg: cfg}
 	s.SDRAM = mem.NewSDRAM(k, SDRAMBase, cfg.SDRAMBytes, cfg.SDRAM)

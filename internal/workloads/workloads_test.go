@@ -1,11 +1,9 @@
 package workloads
 
 import (
-	"reflect"
 	"testing"
 
 	"pmc/internal/rt"
-	"pmc/internal/sim"
 	"pmc/internal/soc"
 )
 
@@ -65,46 +63,6 @@ func TestAllAppsAllBackends(t *testing.T) {
 				if res.Checksum != want {
 					t.Errorf("%s on %s: checksum %#x, want %#x (backends must agree)",
 						app.Name(), backend, res.Checksum, want)
-				}
-			}
-		})
-	}
-}
-
-// TestQueueDifferential is the event-kernel equivalence proof at workload
-// level: every workload on every backend must be bit-identical — makespan,
-// checksum and NoC traffic — whether the kernel runs on the binary heap or
-// the hierarchical timing wheel. Any ordering divergence between the two
-// queues shows up here as a cycle drift.
-func TestQueueDifferential(t *testing.T) {
-	for _, app := range smallApps() {
-		app := app
-		t.Run(app.Name(), func(t *testing.T) {
-			for _, backend := range rt.Backends {
-				var want *Result
-				for _, q := range []sim.QueueKind{sim.QueueHeap, sim.QueueWheel} {
-					cfg := smallCfg(4)
-					cfg.EventQueue = q
-					res, err := Run(freshLike(app), cfg, backend)
-					if err != nil {
-						t.Fatalf("%s on %s (%v): %v", app.Name(), backend, q, err)
-					}
-					if want == nil {
-						want = res
-						continue
-					}
-					if res.Cycles != want.Cycles || res.Checksum != want.Checksum ||
-						res.FlitHops != want.FlitHops {
-						t.Errorf("%s on %s: heap (%d cyc, %#x sum, %d hops) != wheel (%d cyc, %#x sum, %d hops)",
-							app.Name(), backend, want.Cycles, want.Checksum, want.FlitHops,
-							res.Cycles, res.Checksum, res.FlitHops)
-					}
-					// Service workloads: the full latency histogram and
-					// time-series must also be identical across queue kinds.
-					if !reflect.DeepEqual(res.Service, want.Service) {
-						t.Errorf("%s on %s: service metrics differ between queue kinds:\nheap:  %+v\nwheel: %+v",
-							app.Name(), backend, want.Service, res.Service)
-					}
 				}
 			}
 		})

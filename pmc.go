@@ -40,7 +40,6 @@
 package pmc
 
 import (
-	"fmt"
 	"io"
 
 	"pmc/internal/conform"
@@ -55,7 +54,6 @@ import (
 	"pmc/internal/sim"
 	"pmc/internal/soc"
 	"pmc/internal/spec"
-	"pmc/internal/stats"
 	"pmc/internal/sweep"
 	"pmc/internal/trace"
 	"pmc/internal/workloads"
@@ -63,37 +61,8 @@ import (
 
 // ---- Formal model (Section IV) ----
 
-// Model types: operations, orderings, executions.
-type (
-	// Execution is a growing PMC dependency graph (Definition 1).
-	Execution = core.Execution
-	// Op is one issued memory operation.
-	Op = core.Op
-	// OpKind is read/write/acquire/release/fence.
-	OpKind = core.Kind
-	// Ord is one of the four ordering relations.
-	Ord = core.Ord
-	// ProcID identifies a model process.
-	ProcID = core.ProcID
-	// Loc identifies a model location.
-	Loc = core.Loc
-	// Value is a model value.
-	Value = core.Value
-)
-
-// Model operation kinds and ordering relations.
-const (
-	KRead    = core.KRead
-	KWrite   = core.KWrite
-	KAcquire = core.KAcquire
-	KRelease = core.KRelease
-	KFence   = core.KFence
-
-	OrdLocal   = core.OrdLocal
-	OrdProgram = core.OrdProgram
-	OrdSync    = core.OrdSync
-	OrdFence   = core.OrdFence
-)
+// Execution is a growing PMC dependency graph (Definition 1).
+type Execution = core.Execution
 
 // NewExecution returns an initialized, empty execution.
 func NewExecution() *Execution { return core.NewExecution() }
@@ -106,10 +75,6 @@ func RenderTableI() string { return core.RenderTableI() }
 type (
 	// LitmusProgram is a small annotated multi-threaded program.
 	LitmusProgram = litmus.Program
-	// LitmusThread is one thread of a litmus program.
-	LitmusThread = litmus.Thread
-	// LitmusInstr is one litmus instruction.
-	LitmusInstr = litmus.Instr
 	// LitmusResult is the outcome set of an exhaustive exploration.
 	LitmusResult = litmus.Result
 	// LitmusExplorer is a configurable exploration: set Workers (0 =
@@ -132,41 +97,9 @@ func LitmusCatalog() []LitmusProgram { return litmus.Catalog() }
 // LitmusByName looks up a cataloged program.
 func LitmusByName(name string) (LitmusProgram, bool) { return litmus.ByName(name) }
 
-// LitmusFenceOn returns a location-scoped fence instruction (§IV-D).
-func LitmusFenceOn(loc string) LitmusInstr { return litmus.FenceOn(loc) }
-
-// LitmusReadBlock returns a ranged read of a (possibly multi-word)
-// location's whole width: word k is observed in register "reg@k" (word 0
-// keeps reg). Declare widths in LitmusProgram.Widths; the explorer lowers
-// block operations to per-word model operations.
-func LitmusReadBlock(loc, reg string) LitmusInstr { return litmus.ReadBlock(loc, reg) }
-
-// LitmusWriteBlock returns a ranged write of a location's whole width:
-// word k receives val+k, so torn or partial transfers are observable.
-func LitmusWriteBlock(loc string, val Value) LitmusInstr { return litmus.WriteBlock(loc, val) }
-
-// LitmusFingerprint returns the canonical fingerprint of a program,
-// invariant under renaming of the program, its locations and registers.
-func LitmusFingerprint(p LitmusProgram) string { return litmus.Fingerprint(p) }
-
-// LitmusExploreFingerprint extends the program fingerprint with the
-// engine configuration that reaches reported results (memoization, state
-// budget); the worker count is excluded because every worker count
-// produces identical results. It is the cache identity pmcd uses for
-// exploration jobs.
-func LitmusExploreFingerprint(p LitmusProgram, memoize bool, maxStates int) string {
-	return litmus.ExploreFingerprint(p, memoize, maxStates)
-}
-
 // ---- Conformance and fuzzing ----
 
 type (
-	// ConformReport is the result of checking one litmus program on one
-	// backend against the model.
-	ConformReport = conform.Report
-	// ConformOptions configures a conformance check (tiles, runs, the
-	// reported perturbation seed, backend construction).
-	ConformOptions = conform.Options
 	// FuzzConfig drives a seeded differential fuzzing campaign.
 	FuzzConfig = fuzz.Config
 	// FuzzGenConfig bounds the random litmus program generator.
@@ -175,18 +108,9 @@ type (
 	FuzzMode = fuzz.Mode
 	// FuzzSummary is the result of a campaign.
 	FuzzSummary = fuzz.Summary
-	// FuzzViolation is one program whose outcomes escaped the model.
-	FuzzViolation = fuzz.Violation
 	// FaultSet selects runtime protocol steps to disable (fault
 	// injection).
 	FaultSet = rt.FaultSet
-)
-
-// Fuzz generation modes.
-const (
-	FuzzDRF   = fuzz.ModeDRF
-	FuzzRacy  = fuzz.ModeRacy
-	FuzzMixed = fuzz.ModeMixed
 )
 
 // MixedBackend is the pseudo-backend name conformance checks and fuzz
@@ -195,24 +119,10 @@ const (
 // on nocc).
 const MixedBackend = conform.MixedBackend
 
-// ConformCheck explores prog under the model and executes it on the named
-// backend under timing perturbations; observed outcomes must be a subset
-// of the model's.
-func ConformCheck(prog LitmusProgram, backend string, opt ConformOptions) (*ConformReport, error) {
-	return conform.CheckOpts(prog, backend, opt)
-}
-
 // FuzzRun executes a seeded differential fuzzing campaign: generated
 // programs are explored under the model and executed on every configured
 // backend; violating programs are shrunk to minimal counterexamples.
 func FuzzRun(cfg FuzzConfig) (*FuzzSummary, error) { return fuzz.Run(cfg) }
-
-// GenerateLitmus builds the seeded random litmus program with the given
-// bounds — program i of a campaign with base seed s is seed s+i.
-func GenerateLitmus(seed int64, cfg FuzzGenConfig) LitmusProgram { return fuzz.Generate(seed, cfg) }
-
-// RenderLitmus prints a program one thread per line.
-func RenderLitmus(p LitmusProgram) string { return fuzz.Render(p) }
 
 // ParseFuzzMode converts "drf", "racy" or "mixed".
 func ParseFuzzMode(s string) (FuzzMode, error) { return fuzz.ParseMode(s) }
@@ -230,10 +140,6 @@ type (
 	// OrderingSpec is one backend's declarative ordering specification:
 	// which Table I edges each of its protocol steps commits, as data.
 	OrderingSpec = spec.Spec
-	// SpecStep names one protocol mechanism of a backend implementation.
-	SpecStep = spec.Step
-	// SpecObligation is one Table I cell a conforming backend must commit.
-	SpecObligation = spec.Obligation
 	// SpecPlatform names the deployment a conformance result certifies;
 	// the check's work never depends on it.
 	SpecPlatform = spec.Platform
@@ -241,20 +147,10 @@ type (
 	SpecCheckOptions = spec.CheckOptions
 	// SpecResult is the outcome of checking one backend against its spec.
 	SpecResult = spec.Result
-	// SpecDivergence is one way a backend (or its spec) departed from the
-	// model.
-	SpecDivergence = spec.Divergence
 )
 
 // SpecForBackend returns the authored ordering spec of a backend.
 func SpecForBackend(name string) (OrderingSpec, error) { return spec.ForBackend(name) }
-
-// AllSpecs returns the authored specs of every selectable backend.
-func AllSpecs() []OrderingSpec { return spec.All() }
-
-// SpecVsModel checks a spec against Table I (sound and complete); it
-// returns one problem per defect.
-func SpecVsModel(s *OrderingSpec) []string { return spec.VsModel(s) }
 
 // SpecCheckBackend drives the backend at fixed interface scale against
 // its spec — the compositional half of backend-vs-model conformance,
@@ -263,19 +159,6 @@ func SpecCheckBackend(s OrderingSpec, platform SpecPlatform, opt SpecCheckOption
 	return spec.CheckBackend(s, platform, opt)
 }
 
-// SpecCheckTrace attributes every edge of a recorded execution to an
-// obligation committed by at least one of the given specs.
-func SpecCheckTrace(exec *Execution, specs ...OrderingSpec) []string {
-	return spec.CheckTrace(exec, specs...)
-}
-
-// SpecFaultFor maps a protocol step to the injectable fault that
-// disables it, when the fault harness models one.
-func SpecFaultFor(st SpecStep) (FaultSet, bool) { return spec.FaultFor(st) }
-
-// SpecInterfacePrograms is the default litmus matrix of the spec checker.
-func SpecInterfacePrograms() []LitmusProgram { return spec.InterfacePrograms() }
-
 // ---- Simulated system (Section V-B) ----
 
 type (
@@ -283,22 +166,8 @@ type (
 	Config = soc.Config
 	// System is an assembled simulated SoC.
 	System = soc.System
-	// Tile is one processing element.
-	Tile = soc.Tile
-	// TileStats are the per-core stall counters of Fig. 8.
-	TileStats = soc.TileStats
 	// Time is simulated cycles.
 	Time = sim.Time
-	// EventQueueKind selects the simulation kernel's pending-event
-	// queue (Config.EventQueue): the hierarchical timing wheel or the
-	// reference binary heap. Results are identical either way.
-	EventQueueKind = sim.QueueKind
-)
-
-// Event-queue implementations for Config.EventQueue.
-const (
-	QueueWheel = sim.QueueWheel
-	QueueHeap  = sim.QueueHeap
 )
 
 // MaxClusters is the largest cluster count the address map supports.
@@ -306,10 +175,6 @@ const MaxClusters = soc.MaxClusters
 
 // DefaultConfig is the paper's 32-tile system.
 func DefaultConfig() Config { return soc.DefaultConfig() }
-
-// ParseEventQueue converts an event-queue name ("wheel" or "heap") to an
-// EventQueueKind.
-func ParseEventQueue(s string) (EventQueueKind, error) { return sim.ParseQueue(s) }
 
 // MinSDRAMBytes returns the smallest Config.SDRAMBytes whose memory map
 // holds the per-tile private heaps of a system with the given tile count;
@@ -331,35 +196,21 @@ type (
 	// Backend implements the annotations for one architecture,
 	// including the ranged data path (ReadRange/WriteRange).
 	Backend = rt.Backend
-	// WordBackend is the v1 word-granular backend surface; lift it to
-	// Backend with AdaptWordBackend.
-	WordBackend = rt.WordBackend
-	// Recorder verifies a run against the formal model.
-	Recorder = rt.Recorder
 	// ScopeRO is the Fig. 10 scoped read-only helper.
 	ScopeRO = rt.ScopeRO
 	// ScopeX is the Fig. 10 scoped exclusive helper.
 	ScopeX = rt.ScopeX
 	// Trace records runtime events for CSV/Chrome-trace export.
 	Trace = trace.Trace
-	// TraceEvent is one recorded runtime event.
-	TraceEvent = trace.Event
 )
 
 // NewRuntime assembles a runtime over sys with the given backend.
 func NewRuntime(sys *System, b Backend) *Runtime { return rt.New(sys, b) }
 
-// Backend constructors, one per column of Table II.
+// Backend constructors; BackendByName reaches every backend.
 var (
-	// NoCC keeps shared data uncached (the Fig. 8 baseline and the SC
-	// reference).
-	NoCC = rt.NoCC
 	// SWCC is software cache coherency with eager release.
 	SWCC = rt.SWCC
-	// SWCCLazy is software cache coherency with lazy release.
-	SWCCLazy = rt.SWCCLazy
-	// DSM is distributed shared memory over the write-only NoC.
-	DSM = rt.DSM
 	// SPM is scratch-pad staging.
 	SPM = rt.SPM
 )
@@ -369,18 +220,6 @@ func BackendNames() []string { return append([]string(nil), rt.Backends...) }
 
 // BackendByName returns a backend by name.
 func BackendByName(name string) (Backend, error) { return rt.ByName(name) }
-
-// AdaptWordBackend lifts a word-granular backend to the ranged Backend
-// interface: ReadRange/WriteRange lower to one Read32/Write32 per word,
-// so v1 backends keep working unchanged under the v2 annotation API.
-func AdaptWordBackend(b WordBackend) Backend { return rt.AdaptWordBackend(b) }
-
-// NewRecorder attaches a model recorder to r (call before Alloc).
-func NewRecorder(r *Runtime) *Recorder { return rt.NewRecorder(r) }
-
-// NewTrace returns an event trace; assign it to Runtime.Tracer before
-// spawning workers, then export with WriteCSV or WriteChrome.
-func NewTrace(limit int) *Trace { return trace.New(limit) }
 
 // NewScopeRO opens a read-only scope (entry_ro); close with Close.
 func NewScopeRO(c *Ctx, o *Object) ScopeRO { return rt.NewScopeRO(c, o) }
@@ -395,37 +234,18 @@ type (
 	App = workloads.App
 	// Result is one measured run.
 	Result = workloads.Result
-	// ServiceMetrics are the open-loop measurements of a service workload
-	// run (Result.Service): offered/completed requests, the exact latency
-	// histogram, and the per-interval time-series.
-	ServiceMetrics = stats.Service
-	// LatencyHist is the exact deterministic latency histogram backing
-	// ServiceMetrics: fixed log-spaced buckets, integer counts, quantile
-	// extraction with a bounded relative error.
-	LatencyHist = stats.Hist
 	// Experiment is one table/figure reproduction.
 	Experiment = exp.Experiment
 	// ExpOptions selects experiment scale.
 	ExpOptions = exp.Options
 )
 
-// Workload constructors at the paper's evaluation sizes.
+// Workload constructors at the paper's evaluation sizes; AppByName
+// reaches every workload.
 var (
-	NewRadiosity = workloads.DefaultRadiosity
-	NewRaytrace  = workloads.DefaultRaytrace
-	NewVolrend   = workloads.DefaultVolrend
 	NewMFifo     = workloads.DefaultMFifo
 	NewMotionEst = workloads.DefaultMotionEst
 	NewMsgPass   = workloads.DefaultMsgPass
-	// NewBulkCopy is the transfer-granularity microbenchmark of the
-	// bulk-ablation experiment (block-granular; set Chunk to 1 for the
-	// word-granular twin).
-	NewBulkCopy = workloads.DefaultBulkCopy
-	// Open-loop service scenarios: deterministic Poisson arrivals at a
-	// configurable offered load, measured by Result.Service.
-	NewServer  = workloads.DefaultServer
-	NewKVStore = workloads.DefaultKVStore
-	NewStream  = workloads.DefaultStream
 )
 
 // SetOfferedLoad overrides the offered load (requests per kilocycle) on a
@@ -465,39 +285,24 @@ type (
 	SweepSpec = sweep.Spec
 	// SweepCell identifies one grid point.
 	SweepCell = sweep.Cell
-	// SweepRow is one measured cell, flattened for JSON/CSV emission.
-	SweepRow = sweep.Row
 	// SweepTable is a completed sweep; WriteJSON and WriteCSV emit it.
 	SweepTable = sweep.Table
 	// NoCTopology selects the interconnect shape of a swept system.
 	NoCTopology = noc.Topology
 )
 
-// NoC topologies for SweepSpec.Topos. Cluster topologies are built with
-// ClusterTopo or parsed from "cluster:<local>x<global>" specs.
+// NoC topologies for SweepSpec.Topos. Cluster topologies are parsed by
+// ParseTopology from "cluster:<local>x<global>" specs.
 var (
 	TopoRing = noc.TopoRing
 	TopoMesh = noc.TopoMesh
 )
-
-// ClusterTopo returns the hierarchical NoC topology: crossbar clusters of
-// local tiles each, joined by a global ring ("ring") or mesh ("mesh")
-// backbone.
-func ClusterTopo(local int, global string) (NoCTopology, error) {
-	return noc.ParseTopology(fmt.Sprintf("cluster:%dx%s", local, global))
-}
 
 // Sweep runs every cell of the grid on a worker pool (Workers=0 means
 // GOMAXPROCS) and returns the merged table. The emitted bytes are
 // identical for any worker count: each cell's simulation is deterministic
 // and rows are merged by grid index.
 func Sweep(spec SweepSpec) (*SweepTable, error) { return sweep.Run(spec) }
-
-// SweepSpecHash returns the stable content hash of a declarative sweep
-// grid (defaults expanded, so equivalent spellings collide); specs that
-// carry code (Make or Configure hooks) are not content-addressable and
-// return an error.
-func SweepSpecHash(spec SweepSpec) (string, error) { return spec.Hash() }
 
 // ParseTopology converts "ring", "mesh" or "cluster:<local>x<global>" to a
 // NoCTopology.
@@ -514,24 +319,12 @@ type (
 	// entries spanning sim workloads, litmus exploration and fuzz
 	// campaigns, with repetition control.
 	BenchSpec = perf.Spec
-	// BenchEntry is one benchmark of a suite.
-	BenchEntry = perf.Entry
 	// BenchReport is a completed benchmark run — the versioned
 	// BENCH.json payload.
 	BenchReport = perf.Report
-	// BenchMeasurement is the measured result of one entry.
-	BenchMeasurement = perf.Measurement
-	// BenchMetric is one named measurement: exact (deterministic,
-	// compared exactly) or host (noisy, compared by threshold).
-	BenchMetric = perf.Metric
 	// BenchComparison is a report diff with per-metric classifications.
 	BenchComparison = perf.Comparison
-	// BenchDelta is the comparison of one metric of one entry.
-	BenchDelta = perf.Delta
 )
-
-// BenchSchema is the BENCH.json schema version.
-const BenchSchema = perf.Schema
 
 // BenchRun executes every entry of the suite and returns the aggregated
 // report: host ns/op, allocs/op and bytes/op (min/median/stddev over the
@@ -578,19 +371,11 @@ type (
 	PmcdLitmusJob = pmcd.LitmusJob
 	// PmcdFuzzJob declares a seeded differential fuzz campaign job.
 	PmcdFuzzJob = pmcd.FuzzJob
-	// PmcdBenchJob declares a benchmark-entry job (exact metrics only).
-	PmcdBenchJob = pmcd.BenchJob
 	// PmcdJobStatus is the externally visible state of a job.
 	PmcdJobStatus = pmcd.JobStatus
-	// PmcdStats is the service-wide counter snapshot.
-	PmcdStats = pmcd.Stats
 	// PmcdStore is the two-tier (memory LRU over content-addressed disk)
 	// result store.
 	PmcdStore = pmcd.Store
-	// PmcdStoreStats are the store's hit/miss counters.
-	PmcdStoreStats = pmcd.StoreStats
-	// PmcdGCStats summarizes one Store.GC pass over the disk tier.
-	PmcdGCStats = pmcd.GCStats
 	// BenchCacheStats counts cache effectiveness of a cache-backed
 	// benchmark run.
 	BenchCacheStats = pmcd.BenchCacheStats
@@ -604,17 +389,6 @@ func NewPmcdServer(cfg PmcdConfig) (*PmcdServer, error) { return pmcd.New(cfg) }
 // (e.g. "http://localhost:8433").
 func NewPmcdClient(base string) *PmcdClient { return pmcd.NewClient(base) }
 
-// PmcdCodeVersion returns the build's code-version fingerprint component:
-// the VCS revision stamp, or "dev" without one.
-func PmcdCodeVersion() string { return pmcd.CodeVersion() }
-
-// PmcdFingerprint returns the content address of a job's result — the
-// hex SHA-256 over the canonical (default-expanded, naming-invariant)
-// job spec and the code version.
-func PmcdFingerprint(spec PmcdJobSpec, codeVersion string) (string, error) {
-	return pmcd.Fingerprint(spec, codeVersion)
-}
-
 // OpenPmcdStore opens a result store over dir ("" = memory-only) with an
 // in-memory LRU tier of memEntries results (0 = 128).
 func OpenPmcdStore(dir string, memEntries int) (*PmcdStore, error) {
@@ -624,8 +398,9 @@ func OpenPmcdStore(dir string, memEntries int) (*PmcdStore, error) {
 // BenchRunCached is BenchRun with a content-addressed result cache:
 // entries whose (spec, reps, cacheKey) address is stored are served from
 // cache — exact metrics identical to a fresh run by determinism — and
-// fresh measurements populate the store. cacheKey defaults to
-// PmcdCodeVersion(); CI passes a source-content hash.
+// fresh measurements populate the store. cacheKey defaults to the build's
+// code version (its VCS revision stamp, or "dev"); CI passes a
+// source-content hash.
 func BenchRunCached(spec BenchSpec, store *PmcdStore, cacheKey string) (*BenchReport, BenchCacheStats, error) {
 	return pmcd.BenchCached(spec, store, cacheKey)
 }
@@ -640,17 +415,3 @@ func RunExperiment(w io.Writer, id string, o ExpOptions) error {
 
 // RunAllExperiments reproduces every table and figure.
 func RunAllExperiments(w io.Writer, o ExpOptions) error { return exp.RunAll(w, o) }
-
-// RenderFig8 prints the stacked breakdown chart for grouped results.
-func RenderFig8(w io.Writer, groups map[string][]*Result, order []string) {
-	samples := make(map[string][]stats.Sample, len(groups))
-	for app, rs := range groups {
-		for _, r := range rs {
-			samples[app] = append(samples[app], r.Sample())
-		}
-	}
-	stats.RenderFig8(w, samples, order)
-}
-
-// Speedup returns b's execution-time improvement over a in percent.
-func Speedup(a, b *Result) float64 { return stats.Speedup(a.Cycles, b.Cycles) }
