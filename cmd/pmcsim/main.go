@@ -56,6 +56,9 @@ func main() {
 
 	// Platform-shape flags are validated here, before any simulation
 	// spins up: a bad value is a usage error (exit 2), not a run failure.
+	if *tiles < 0 {
+		fail(usagef("-tiles must be non-negative, got %d", *tiles))
+	}
 	if err := checkClusters(*clusters, *tiles); err != nil {
 		fail(err)
 	}

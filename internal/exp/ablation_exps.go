@@ -26,13 +26,50 @@ func init() {
 		ID:    "ablation-release",
 		Title: "eager vs lazy release (exit_x flush policy)",
 		Paper: "Section V-A: exit_x may keep modifications local until another process acquires",
-		Run:   runAblationRelease,
+		Run: declare(func(o Options) grid {
+			// makeScaled shrinks Reacquire to the CI iteration count at small scale.
+			return grid{
+				apps: []string{"reacquire"}, backends: []string{"swcc", "swcc-lazy"}, tiles: []int{o.tiles(8)},
+				portable: true, // lazy release must not lose data
+				cols: []field{backendCol, cyclesCol,
+					{"flushes", 10, func(c cell) string { return fmt.Sprint(c.FlushInstrs) }},
+					{"writebacks", 12, func(c cell) string { return fmt.Sprint(c.FlushStall) }},
+					checksumCol,
+					{"gain", 8, func(c cell) string {
+						return fmt.Sprintf("%.1f%%", stats.Speedup(c.peer("swcc", c.Tiles).Result.Cycles, c.Result.Cycles))
+					}}},
+				note: "lazy release wins (gain over eager swcc) on this re-acquire-heavy pattern: data\n" +
+					"stays cached across scopes of the same tile and is flushed only on real\n" +
+					"ownership transfer.",
+			}
+		}),
 	})
 	register(Experiment{
 		ID:    "ablation-scaling",
 		Title: "core-count scaling of noCC vs SWCC",
 		Paper: "hardware coherency limits scalability (Section VI-A); SWCC's advantage grows with cores",
-		Run:   runAblationScaling,
+		Run: declare(func(o Options) grid {
+			return grid{
+				apps: []string{"raytrace"}, backends: []string{"nocc", "swcc"},
+				tiles: o.scaled([]int{1, 4, 8}, []int{1, 2, 4, 8, 16, 32}),
+				make: func(c sweep.Cell) (workloads.App, error) {
+					// Work grows with the tile count (weak scaling): the
+					// per-core share stays constant while bus contention
+					// grows.
+					ray := workloads.DefaultRaytrace()
+					ray.Cells, ray.Rays, ray.StepsPerRay = 48, 16*c.Tiles, 4
+					return ray, nil
+				},
+				pivots: []field{
+					{"cycles:", 10, cycles},
+					{"gain over nocc:", 10, func(c cell) string {
+						return fmt.Sprintf("%.1f%%", 100*(1-float64(c.Cycles)/float64(c.peer("nocc", c.Tiles).Cycles)))
+					}},
+				},
+				note: "uncached shared reads all contend on the single bus, so the noCC penalty\n" +
+					"grows with the core count while SWCC converts them into per-scope line fills.",
+			}
+		}),
 	})
 	register(Experiment{
 		ID:    "ablation-dcache",
@@ -50,7 +87,7 @@ func init() {
 		ID:    "bulk-ablation",
 		Title: "transfer granularity: v1 word loops vs v2 ranged block transfers",
 		Paper: "the runtime layer is block-oriented (staging, write sets, line flushes); the access API should be too",
-		Run:   runBulkAblation,
+		Run:   declare(bulkAblation),
 	})
 }
 
@@ -88,56 +125,6 @@ func runAblationLocks(w io.Writer, o Options) error {
 	return nil
 }
 
-func runAblationRelease(w io.Writer, o Options) error {
-	tiles := o.tiles(8)
-	// makeScaled shrinks Reacquire to the CI iteration count at small scale.
-	table, err := sweep.Run(gridSpec(o, []string{"reacquire"}, []string{"swcc", "swcc-lazy"}, []int{tiles}))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-10s %10s %10s %12s %10s\n", "policy", "cycles", "flushes", "writebacks", "checksum")
-	for _, r := range table.Rows {
-		fmt.Fprintf(w, "%-10s %10d %10d %12d %#10x\n",
-			r.Backend, r.Cycles, r.FlushInstrs, r.FlushStall, r.Checksum)
-	}
-	if table.Rows[0].Checksum != table.Rows[1].Checksum {
-		return fmt.Errorf("ablation-release: checksums differ — lazy release lost data")
-	}
-	fmt.Fprintf(w, "\nlazy release wins %.1f%% on this re-acquire-heavy pattern: data stays cached\n",
-		stats.Speedup(table.Rows[0].Result.Cycles, table.Rows[1].Result.Cycles))
-	fmt.Fprintln(w, "across scopes of the same tile and is flushed only on real ownership transfer.")
-	return nil
-}
-
-func runAblationScaling(w io.Writer, o Options) error {
-	counts := []int{1, 2, 4, 8, 16, 32}
-	if !o.full() {
-		counts = []int{1, 4, 8}
-	}
-	spec := gridSpec(o, []string{"raytrace"}, []string{"nocc", "swcc"}, counts)
-	spec.Make = func(c sweep.Cell) (workloads.App, error) {
-		// Work grows with the tile count (weak scaling): the per-core
-		// share stays constant while bus contention grows.
-		ray := workloads.DefaultRaytrace()
-		ray.Cells, ray.Rays, ray.StepsPerRay = 48, 16*c.Tiles, 4
-		return ray, nil
-	}
-	table, err := sweep.Run(spec)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-6s %12s %12s %10s\n", "tiles", "nocc cycles", "swcc cycles", "swcc gain")
-	for _, tiles := range counts {
-		no := table.Find("raytrace", "nocc", tiles, noc.TopoRing)
-		sw := table.Find("raytrace", "swcc", tiles, noc.TopoRing)
-		fmt.Fprintf(w, "%-6d %12d %12d %9.1f%%\n",
-			tiles, no.Cycles, sw.Cycles, 100*(1-float64(sw.Cycles)/float64(no.Cycles)))
-	}
-	fmt.Fprintln(w, "\nuncached shared reads all contend on the single bus, so the noCC penalty")
-	fmt.Fprintln(w, "grows with the core count while SWCC converts them into per-scope line fills.")
-	return nil
-}
-
 func runAblationDCache(w io.Writer, o Options) error {
 	tiles := o.tiles(8)
 	me := workloads.DefaultMotionEst()
@@ -166,90 +153,71 @@ func runAblationDCache(w io.Writer, o Options) error {
 	return nil
 }
 
-// runBulkAblation sweeps the transfer granularity of the bulkcopy stream
+// bulkAblation sweeps the transfer granularity of the bulkcopy stream
 // kernel — 1 word (the v1 Read32/Write32 loop) up to whole-object ranged
 // transfers — across all four backends. Identical data movement at every
 // granularity (the grid-wide checksum assertion), different sim-cycles:
 // the block path must win on DSM and SPM, whose local-memory DMA overlaps
 // the read and write ports.
-func runBulkAblation(w io.Writer, o Options) error {
-	tiles := o.tiles(8)
+func bulkAblation(o Options) grid {
 	grans := []int{1, 2, 4, 8, 16, 32, 64}
 	slotWords := 64
 	if !o.full() {
 		grans = []int{1, 4, 32}
 		slotWords = 32
 	}
-	backends := []string{"nocc", "swcc", "dsm", "spm"}
 	apps := make([]string, len(grans))
 	for i, g := range grans {
 		apps[i] = fmt.Sprintf("bulk-g%d", g)
 	}
-	spec := gridSpec(o, apps, backends, []int{tiles})
-	spec.Make = func(c sweep.Cell) (workloads.App, error) {
-		var g int
-		if _, err := fmt.Sscanf(c.App, "bulk-g%d", &g); err != nil {
-			return nil, fmt.Errorf("bulk-ablation: bad cell app %q: %w", c.App, err)
-		}
-		b := workloads.DefaultBulkCopy()
-		b.SlotWords = slotWords
-		if !o.full() {
-			b.Rounds = 2
-		}
-		b.Chunk = g
-		return b, nil
-	}
-	table, err := sweep.Run(spec)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "cycles by transfer granularity (words per operation), %d tiles, %d-word objects:\n\n", tiles, slotWords)
-	fmt.Fprintf(w, "%-10s", "gran")
-	for _, b := range backends {
-		fmt.Fprintf(w, " %10s", b)
-	}
-	fmt.Fprintln(w)
-	var checksum uint32
-	for i, g := range grans {
-		fmt.Fprintf(w, "%-10d", g)
-		for _, b := range backends {
-			r := table.Find(apps[i], b, tiles, noc.TopoRing)
-			if r == nil {
-				return fmt.Errorf("bulk-ablation: missing cell %s/%s", apps[i], b)
+	tiles := o.tiles(8)
+	return grid{
+		apps: apps, backends: []string{"nocc", "swcc", "dsm", "spm"}, tiles: []int{tiles},
+		make: func(c sweep.Cell) (workloads.App, error) {
+			var g int
+			if _, err := fmt.Sscanf(c.App, "bulk-g%d", &g); err != nil {
+				return nil, fmt.Errorf("bulk-ablation: bad cell app %q: %w", c.App, err)
 			}
-			if r.Err != "" {
-				return fmt.Errorf("bulk-ablation: %s/%s: %s", apps[i], b, r.Err)
+			b := workloads.DefaultBulkCopy()
+			b.SlotWords = slotWords
+			if !o.full() {
+				b.Rounds = 2
 			}
-			if i == 0 && b == backends[0] {
-				checksum = r.Checksum
-			} else if r.Checksum != checksum {
-				return fmt.Errorf("bulk-ablation: checksum diverged at %s/%s: %#x != %#x — a granularity changed the computation",
-					apps[i], b, r.Checksum, checksum)
+			b.Chunk = g
+			return b, nil
+		},
+		pivots: []field{{fmt.Sprintf("cycles by transfer granularity (bulk-gN: N words per operation), %d-word objects:", slotWords),
+			10, cycles}},
+		check: func(w io.Writer, t *sweep.Table) error {
+			// The labels name one computation, so the checksum must
+			// agree grid-wide, not just per label.
+			for _, r := range t.Rows {
+				if r.Checksum != t.Rows[0].Checksum {
+					return fmt.Errorf("bulk-ablation: checksum diverged at %s/%s: %#x != %#x — a granularity changed the computation",
+						r.App, r.Backend, r.Checksum, t.Rows[0].Checksum)
+				}
 			}
-			fmt.Fprintf(w, " %10d", r.Cycles)
-		}
-		fmt.Fprintln(w)
+			// Whole-object transfers must beat word loops on the
+			// local-memory backends.
+			for _, b := range []string{"dsm", "spm"} {
+				word := t.Find(apps[0], b, tiles, noc.TopoRing)
+				block := t.Find(apps[len(apps)-1], b, tiles, noc.TopoRing)
+				if block.Cycles >= word.Cycles {
+					return fmt.Errorf("bulk-ablation: block transfers (%d cycles) do not beat word loops (%d) on %s",
+						block.Cycles, word.Cycles, b)
+				}
+				fmt.Fprintf(w, "\n%s: block transfers win %.1f%% over word loops", b,
+					100*(1-float64(block.Cycles)/float64(word.Cycles)))
+			}
+			fmt.Fprintln(w)
+			return nil
+		},
+		note: "every granularity moves identical data (checksums equal grid-wide); the cycle\n" +
+			"deltas are pure transfer mechanics: burst line fills and full-line installs on\n" +
+			"swcc, overlapped dual-port DMA on dsm/spm. spm's margin comes entirely from the\n" +
+			"in-scope copies: entry/exit staging already moves the whole object as one burst\n" +
+			"at every granularity, so it shrinks as scope overhead grows with scale.",
 	}
-	// The acceptance assertion: whole-object transfers beat word loops on
-	// the local-memory backends.
-	wordApp, blockApp := apps[0], apps[len(apps)-1]
-	for _, b := range []string{"dsm", "spm"} {
-		word := table.Find(wordApp, b, tiles, noc.TopoRing)
-		block := table.Find(blockApp, b, tiles, noc.TopoRing)
-		if block.Cycles >= word.Cycles {
-			return fmt.Errorf("bulk-ablation: block transfers (%d cycles) do not beat word loops (%d) on %s",
-				block.Cycles, word.Cycles, b)
-		}
-		fmt.Fprintf(w, "\n%s: block transfers win %.1f%% over word loops", b,
-			100*(1-float64(block.Cycles)/float64(word.Cycles)))
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "\nevery granularity moves identical data (checksums equal grid-wide); the cycle")
-	fmt.Fprintln(w, "deltas are pure transfer mechanics: burst line fills and full-line installs on")
-	fmt.Fprintln(w, "swcc, overlapped dual-port DMA on dsm/spm. spm's margin comes entirely from the")
-	fmt.Fprintln(w, "in-scope copies: entry/exit staging already moves the whole object as one burst")
-	fmt.Fprintln(w, "at every granularity, so it shrinks as scope overhead grows with scale.")
-	return nil
 }
 
 // runAblationGranularity compares one entry/exit pair around a batch of

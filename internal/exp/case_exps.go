@@ -31,42 +31,94 @@ func init() {
 		ID:    "fig8",
 		Title: "execution-time breakdown: uncached shared data vs software cache coherency",
 		Paper: "SWCC improves execution time 22% on average; RADIOSITY utilization 38%→70%; flush instruction overhead 0.66/0.00/0.01%",
-		Run:   runFig8,
+		Run: declare(func(o Options) grid {
+			return grid{
+				apps: splashApps, backends: []string{"nocc", "swcc"}, tiles: []int{o.tiles(32)},
+				portable: true, check: fig8Report,
+			}
+		}),
 	})
 	register(Experiment{
 		ID:    "fig9",
 		Title: "multi-reader/multi-writer FIFO on distributed shared memory",
 		Paper: "pointers are polled only from local memory; the FIFO behaves correctly on all architectures",
-		Run:   runFig9,
+		Run: declare(func(o Options) grid {
+			fifo := workloads.DefaultMFifo()
+			if o.full() {
+				fifo.Items = 256
+				fifo.Readers, fifo.Writers = 3, 3
+			}
+			items := fifo.Writers * fifo.Items
+			return grid{
+				apps: []string{"mfifo"}, backends: rt.Backends, tiles: []int{o.tiles(8)},
+				make: clone(fifo),
+				cols: []field{backendCol, cyclesCol,
+					{"cycles/item", 12, func(c cell) string {
+						return fmt.Sprintf("%.0f", float64(c.Cycles)/float64(items))
+					}},
+					nocMsgsCol,
+					{"noc bytes", 10, func(c cell) string { return fmt.Sprint(c.NoCBytes) }},
+					// The per-reader stream agreement is asserted by the
+					// test suite (TestMFifoDeliversEverywhere); here a zero
+					// content digest would mean no data flowed at all.
+					{"verified", 8, func(c cell) string {
+						if c.Checksum == 0 {
+							return "NO DATA"
+						}
+						return "yes"
+					}}},
+				note: fmt.Sprintf("DSM property: NoC traffic scales with items (%d), not poll iterations —\n"+
+					"read/write pointers are polled from local memory only (Section VI-B).", items),
+			}
+		}),
 	})
 	register(Experiment{
 		ID:    "fig10",
 		Title: "motion estimation on scratch-pad memories",
 		Paper: "significant performance increase using SPMs compared to the software cache coherency setup",
-		Run:   runFig10,
+		Run: declare(func(o Options) grid {
+			me := workloads.DefaultMotionEst()
+			if o.full() {
+				me.BlocksX, me.BlocksY, me.Search = 8, 6, 4
+			}
+			return grid{
+				apps: []string{"motionest"}, backends: []string{"nocc", "swcc", "spm"}, tiles: []int{o.tiles(8)},
+				make: clone(me),
+				cols: []field{backendCol, cyclesCol,
+					{"speedup", 10, func(c cell) string {
+						return fmt.Sprintf("%.2fx", float64(c.peer("nocc", c.Tiles).Cycles)/float64(c.Cycles))
+					}},
+					{"copy%", 10, func(c cell) string {
+						copyPct := 0.0
+						if tot := float64(c.Result.Total.Total()); tot > 0 {
+							copyPct = 100 * float64(c.CopyStall) / tot
+						}
+						return fmt.Sprintf("%.1f%%", copyPct)
+					}}},
+				note: "spm > swcc: the SPM copy is paid once per scope while the search re-reads\n" +
+					"the window hundreds of times, and read-only scopes stay concurrent (the SPM\n" +
+					"lock is held only during the copy, Table II).",
+			}
+		}),
 	})
 }
 
-// runMsgPassMatrix runs the annotated message-passing program on every
-// backend (one parallel sweep) and reports delivery. Shared by fig6 and
-// table2.
-func runMsgPassMatrix(w io.Writer, o Options) error {
-	tiles := o.tiles(4)
-	table, err := sweep.Run(gridSpec(o, []string{"msgpass"}, rt.Backends, []int{tiles}))
-	if err != nil {
-		return err
+// msgPassGrid runs the annotated message-passing program on every backend
+// of Table II and reports delivery. table2 and fig6 both end with it.
+func msgPassGrid(o Options) grid {
+	want := workloads.DefaultMsgPass().Expected()
+	return grid{
+		apps: []string{"msgpass"}, backends: rt.Backends, tiles: []int{o.tiles(4)},
+		cols: []field{backendCol, cyclesCol,
+			{"result", 8, func(c cell) string {
+				if c.Checksum != want {
+					return "WRONG"
+				}
+				return "42 ok"
+			}},
+			nocMsgsCol,
+			{"flushes", 8, func(c cell) string { return fmt.Sprint(c.FlushInstrs) }}},
 	}
-	expected := workloads.DefaultMsgPass().Expected()
-	fmt.Fprintf(w, "%-10s %10s %8s %10s %8s\n", "backend", "cycles", "result", "noc msgs", "flushes")
-	for _, r := range table.Rows {
-		verdict := "42 ok"
-		if r.Checksum != expected {
-			verdict = "WRONG"
-		}
-		fmt.Fprintf(w, "%-10s %10d %8s %10d %8d\n",
-			r.Backend, r.Cycles, verdict, r.NoCMessages, r.FlushInstrs)
-	}
-	return nil
 }
 
 func runTable2(w io.Writer, o Options) error {
@@ -83,7 +135,7 @@ flush        nullified              flush+invalidate lines       broadcast objec
                                                                  other local memories
 
 measured effects of the same annotated program on each backend:`)
-	return runMsgPassMatrix(w, o)
+	return msgPassGrid(o).run(w, o)
 }
 
 func runFig7(w io.Writer, o Options) error {
@@ -102,121 +154,28 @@ func runFig7(w io.Writer, o Options) error {
 	return nil
 }
 
-func runFig8(w io.Writer, o Options) error {
-	tiles := o.tiles(32)
-	table, err := sweep.Run(gridSpec(o, splashApps, []string{"nocc", "swcc"}, []int{tiles}))
-	if err != nil {
-		return err
-	}
-	groups := make(map[string][]*workloads.Result)
+// fig8Report renders the Fig. 8 breakdown of a grid whose rows pair each
+// SPLASH substitute's nocc run with its swcc run.
+func fig8Report(w io.Writer, t *sweep.Table) error {
 	samples := make(map[string][]stats.Sample)
-	var order []string
-	var results []stats.Sample
-	type pair struct{ no, sw *workloads.Result }
-	pairs := make(map[string]pair)
-	for _, r := range table.Rows {
-		res := r.Result
-		if len(groups[r.App]) == 0 {
-			order = append(order, r.App)
-		}
-		groups[r.App] = append(groups[r.App], res)
-		samples[r.App] = append(samples[r.App], res.Sample())
-		results = append(results, res.Sample())
-		p := pairs[r.App]
-		if r.Backend == "nocc" {
-			p.no = res
-		} else {
-			p.sw = res
-		}
-		pairs[r.App] = p
+	var all []stats.Sample
+	for _, r := range t.Rows {
+		samples[r.App] = append(samples[r.App], r.Result.Sample())
+		all = append(all, r.Result.Sample())
 	}
-	// Checksum agreement between the two runs of each app.
-	for _, name := range order {
-		rs := groups[name]
-		if rs[0].Checksum != rs[1].Checksum {
-			return fmt.Errorf("fig8: %s checksum differs between backends", name)
-		}
-	}
-	stats.RenderFig8(w, samples, order)
 	fmt.Fprintln(w)
-	stats.RenderExtended(w, results)
+	stats.RenderFig8(w, samples, splashApps)
+	fmt.Fprintln(w)
+	stats.RenderExtended(w, all)
 	fmt.Fprintln(w)
 	var sum float64
-	for _, name := range order {
-		p := pairs[name]
-		sp := stats.Speedup(p.no.Cycles, p.sw.Cycles)
+	for i := 0; i < len(t.Rows); i += 2 {
+		no, sw := t.Rows[i].Result, t.Rows[i+1].Result
+		sp := stats.Speedup(no.Cycles, sw.Cycles)
 		sum += sp
 		fmt.Fprintf(w, "%-10s exec time improvement: %5.1f%%   utilization %4.1f%% -> %4.1f%%   flush instr overhead %.2f%%\n",
-			name, sp, 100*p.no.Utilization(), 100*p.sw.Utilization(), p.sw.FlushOverheadPct())
+			no.App, sp, 100*no.Utilization(), 100*sw.Utilization(), sw.FlushOverheadPct())
 	}
-	fmt.Fprintf(w, "average improvement: %.1f%%   (paper: 22%%)\n", sum/float64(len(order)))
-	return nil
-}
-
-func runFig9(w io.Writer, o Options) error {
-	tiles := o.tiles(8)
-	proto := workloads.DefaultMFifo()
-	if o.full() {
-		proto.Items = 256
-		proto.Readers, proto.Writers = 3, 3
-	}
-	items := proto.Writers * proto.Items
-	spec := gridSpec(o, []string{"mfifo"}, rt.Backends, []int{tiles})
-	spec.Make = func(sweep.Cell) (workloads.App, error) {
-		f := *proto
-		return &f, nil
-	}
-	table, err := sweep.Run(spec)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-10s %10s %12s %12s %10s %8s\n",
-		"backend", "cycles", "cycles/item", "noc msgs", "noc bytes", "verified")
-	for _, r := range table.Rows {
-		// The per-reader stream agreement is asserted by the test
-		// suite (TestMFifoDeliversEverywhere); here a zero content
-		// digest would mean no data flowed at all.
-		verified := "yes"
-		if r.Checksum == 0 {
-			verified = "NO DATA"
-		}
-		fmt.Fprintf(w, "%-10s %10d %12.0f %12d %10d %8s\n",
-			r.Backend, r.Cycles, float64(r.Cycles)/float64(items),
-			r.NoCMessages, r.NoCBytes, verified)
-	}
-	fmt.Fprintf(w, "\nDSM property: NoC traffic scales with items (%d), not poll iterations —\n", items)
-	fmt.Fprintf(w, "read/write pointers are polled from local memory only (Section VI-B).\n")
-	return nil
-}
-
-func runFig10(w io.Writer, o Options) error {
-	tiles := o.tiles(8)
-	proto := workloads.DefaultMotionEst()
-	if o.full() {
-		proto.BlocksX, proto.BlocksY, proto.Search = 8, 6, 4
-	}
-	spec := gridSpec(o, []string{"motionest"}, []string{"nocc", "swcc", "spm"}, []int{tiles})
-	spec.Make = func(sweep.Cell) (workloads.App, error) {
-		m := *proto
-		return &m, nil
-	}
-	table, err := sweep.Run(spec)
-	if err != nil {
-		return err
-	}
-	base := table.Rows[0].Cycles
-	fmt.Fprintf(w, "%-10s %10s %10s %10s\n", "backend", "cycles", "speedup", "copy%")
-	for _, r := range table.Rows {
-		tot := float64(r.Result.Total.Total())
-		copyPct := 0.0
-		if tot > 0 {
-			copyPct = 100 * float64(r.CopyStall) / tot
-		}
-		fmt.Fprintf(w, "%-10s %10d %9.2fx %9.1f%%\n",
-			r.Backend, r.Cycles, float64(base)/float64(r.Cycles), copyPct)
-	}
-	fmt.Fprintln(w, "\nspm > swcc: the SPM copy is paid once per scope while the search re-reads")
-	fmt.Fprintln(w, "the window hundreds of times, and read-only scopes stay concurrent (the SPM")
-	fmt.Fprintln(w, "lock is held only during the copy, Table II).")
+	fmt.Fprintf(w, "average improvement: %.1f%%   (paper: 22%%)\n", sum/float64(len(t.Rows)/2))
 	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"pmc/internal/rt"
 	"pmc/internal/soc"
 	"pmc/internal/sweep"
-	"pmc/internal/workloads"
 )
 
 // This file registers the cluster-scaling experiment: the hierarchical
@@ -23,131 +22,45 @@ func init() {
 		ID:    "sweep-clusters",
 		Title: "cluster scaling: hierarchical platform to 1024 tiles, flat vs cluster-aware backends",
 		Paper: "extends the 32-tile flat evaluation: cluster topologies, per-cluster memory, dsm/spm vs cdsm/cspm",
-		Run:   runSweepClusters,
+		Run: declare(func(o Options) grid {
+			tiles := o.scaled([]int{64, 256}, []int{64, 256, 1024})
+			g := grid{
+				// Each flat backend next to its cluster-aware variant.
+				apps: []string{"radiosity"}, backends: []string{"nocc", "dsm", "cdsm", "cspm"}, tiles: tiles,
+				topos:    []noc.Topology{noc.ClusterTopo(8, noc.KindRing), noc.ClusterTopo(16, noc.KindMesh)},
+				base:     kilotileSDRAM,
+				portable: true,
+				pivots: []field{
+					{fmt.Sprintf("makespan speedup over the %d-tile run of the same backend/shape:", tiles[0]), 8, speedupOver(tiles[0])},
+					{"NoC flit-hops, split local crossbar / global backbone (cluster-aware\n" +
+						"backends keep coherence traffic off the backbone):", 19, hopSplit},
+				},
+				note: "cdsm turns dsm's per-tile replica broadcasts into per-cluster ones (the fan\n" +
+					"degree drops from tiles to clusters) and cspm stages scopes in the shared\n" +
+					"cluster scratch; the local/global split shows how much coherence traffic the\n" +
+					"hierarchy keeps off the backbone as the tile count grows.",
+			}
+			if !o.full() {
+				// At small scale the grid stops at 256 tiles to stay
+				// CI-sized, so run the kilotile system as a dedicated cell
+				// pair (cluster-aware backends only — a flat dsm flush at
+				// 1024 tiles fans to 1023 replicas) held to the same
+				// portability bar.
+				g.check = func(w io.Writer, _ *sweep.Table) error {
+					fmt.Fprintln(w, "\n1024-tile smoke (cluster:32xmesh):")
+					return grid{
+						apps: g.apps, backends: []string{"cdsm", "cspm"}, tiles: []int{1024},
+						topos: []noc.Topology{noc.ClusterTopo(32, noc.KindMesh)}, base: kilotileSDRAM, portable: true,
+						cols: []field{backendCol, cyclesCol,
+							{"local/global hops", 19, hopSplit}, checksumCol},
+					}.run(w, o)
+				}
+			}
+			return g
+		}),
 	})
 }
 
-// clusterBackends compares each flat backend with its cluster-aware
-// variant on the same hierarchical topology.
-var clusterBackends = []string{"nocc", "dsm", "cdsm", "cspm"}
-
-// clusterShapes are the swept cluster topologies (tiles-per-cluster ×
-// backbone kind).
-var clusterShapes = []string{"cluster:8xring", "cluster:16xmesh"}
-
-func runSweepClusters(w io.Writer, o Options) error {
-	tiles := []int{64, 256, 1024}
-	if !o.full() {
-		tiles = []int{64, 256}
-	}
-	topos := make([]noc.Topology, len(clusterShapes))
-	for i, s := range clusterShapes {
-		t, err := noc.ParseTopology(s)
-		if err != nil {
-			return err
-		}
-		topos[i] = t
-	}
-	const app = "radiosity"
-	spec := gridSpec(o, []string{app}, clusterBackends, tiles)
-	spec.Topos = topos
-	// The default 32 MiB SDRAM map stops fitting per-tile private heaps
-	// beyond 48 tiles; scale it with the largest system in the grid.
-	spec.Base.SDRAMBytes = rt.MinSDRAMBytes(1024)
-	table, err := sweep.Run(spec)
-	if err != nil {
-		return err
-	}
-
-	// Portability check across the whole grid: at fixed tile count every
-	// backend and cluster shape must agree on the checksum.
-	for _, tl := range tiles {
-		want := table.Find(app, clusterBackends[0], tl, topos[0]).Checksum
-		for _, b := range clusterBackends {
-			for _, topo := range topos {
-				if got := table.Find(app, b, tl, topo).Checksum; got != want {
-					return fmt.Errorf("sweep-clusters: %s@%dt on %s/%s checksum %#x != %#x",
-						app, tl, b, topo, got, want)
-				}
-			}
-		}
-	}
-
-	fmt.Fprintf(w, "%d cells: %s × %v × tiles%v × %v\n",
-		len(table.Rows), app, clusterBackends, tiles, clusterShapes)
-	fmt.Fprintf(w, "\nmakespan speedup over the %d-tile run of the same backend/shape:\n", tiles[0])
-	fmt.Fprintf(w, "%-8s %-16s", "backend", "shape")
-	for _, tl := range tiles {
-		fmt.Fprintf(w, " %8s", fmt.Sprintf("%dt", tl))
-	}
-	fmt.Fprintln(w)
-	for _, b := range clusterBackends {
-		for _, topo := range topos {
-			fmt.Fprintf(w, "%-8s %-16s", b, topo)
-			base := table.Find(app, b, tiles[0], topo).Cycles
-			for _, tl := range tiles {
-				r := table.Find(app, b, tl, topo)
-				fmt.Fprintf(w, " %7.2fx", float64(base)/float64(r.Cycles))
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	fmt.Fprintln(w, "\nNoC flit-hops, split local crossbar / global backbone (cluster-aware")
-	fmt.Fprintln(w, "backends keep coherence traffic off the backbone):")
-	fmt.Fprintf(w, "%-8s %-16s", "backend", "shape")
-	for _, tl := range tiles {
-		fmt.Fprintf(w, " %19s", fmt.Sprintf("%dt local/global", tl))
-	}
-	fmt.Fprintln(w)
-	for _, b := range clusterBackends {
-		for _, topo := range topos {
-			fmt.Fprintf(w, "%-8s %-16s", b, topo)
-			for _, tl := range tiles {
-				r := table.Find(app, b, tl, topo)
-				var lo, gl uint64
-				if r.Result != nil {
-					lo, gl = r.Result.LocalFlitHops, r.Result.GlobalFlitHops
-				}
-				fmt.Fprintf(w, " %11d/%7d", lo, gl)
-			}
-			fmt.Fprintln(w)
-		}
-	}
-
-	// The 1024-tile point: at small scale the grid stops at 256 tiles to
-	// stay CI-sized, so run the kilotile system as a dedicated cell pair
-	// (cluster-aware backends only — a flat dsm flush at 1024 tiles fans
-	// to 1023 replicas) and hold them to the same portability bar.
-	if !o.full() {
-		fmt.Fprintln(w, "\n1024-tile smoke (cluster:32xmesh):")
-		topo, err := noc.ParseTopology("cluster:32xmesh")
-		if err != nil {
-			return err
-		}
-		var want uint32
-		for i, b := range []string{"cdsm", "cspm"} {
-			cfg := soc.DefaultConfig()
-			cfg.Tiles = 1024
-			cfg.SDRAMBytes = rt.MinSDRAMBytes(1024)
-			cfg.NoC.Topology = topo
-			a, _ := workloads.Scaled(app, true)
-			res, err := workloads.Run(a, cfg, b)
-			if err != nil {
-				return fmt.Errorf("sweep-clusters: 1024t %s: %w", b, err)
-			}
-			fmt.Fprintf(w, "  %-5s %12d cycles, flit-hops %d local / %d global, checksum %#x\n",
-				b, res.Cycles, res.LocalFlitHops, res.GlobalFlitHops, res.Checksum)
-			if i == 0 {
-				want = res.Checksum
-			} else if res.Checksum != want {
-				return fmt.Errorf("sweep-clusters: 1024t checksum %#x != %#x", res.Checksum, want)
-			}
-		}
-	}
-
-	fmt.Fprintln(w, "\ncdsm turns dsm's per-tile replica broadcasts into per-cluster ones (the fan")
-	fmt.Fprintln(w, "degree drops from tiles to clusters) and cspm stages scopes in the shared")
-	fmt.Fprintln(w, "cluster scratch; the local/global split shows how much coherence traffic the")
-	fmt.Fprintln(w, "hierarchy keeps off the backbone as the tile count grows.")
-	return nil
-}
+// kilotileSDRAM sizes the SDRAM for 1024 tiles: the default 32 MiB map
+// stops fitting per-tile private heaps beyond 48 tiles.
+func kilotileSDRAM(c *soc.Config) { c.SDRAMBytes = rt.MinSDRAMBytes(1024) }

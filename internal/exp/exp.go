@@ -1,7 +1,8 @@
 // Package exp contains one runnable experiment per table and figure of the
 // paper, plus the ablations DESIGN.md calls out. Every experiment writes a
 // self-describing report (measured numbers next to the paper's reference
-// values) so EXPERIMENTS.md can be regenerated from `pmcsim all`.
+// values); `pmcsim -all` prints them all. Experiments that are one sweep
+// grid plus assertions are declared as a grid (grid.go); the rest are code.
 package exp
 
 import (
@@ -10,8 +11,6 @@ import (
 	"sort"
 
 	"pmc/internal/soc"
-	"pmc/internal/sweep"
-	"pmc/internal/workloads"
 )
 
 // Options selects the experiment scale.
@@ -31,10 +30,14 @@ type Options struct {
 // scaleNames are the accepted Options.Scale values ("" meaning full).
 var scaleNames = []string{"small", "full"}
 
-// validate rejects unknown scale names: "full" used to be the silent
-// fallback for any string, so a typo like "smalll" ran the expensive
-// paper-scale configuration.
+// validate rejects unknown scale names and negative tile counts: "full"
+// used to be the silent fallback for any string, so a typo like "smalll"
+// ran the expensive paper-scale configuration, and a negative tile count
+// silently ran the default.
 func (o Options) validate() error {
+	if o.Tiles < 0 {
+		return fmt.Errorf("exp: tile count %d must not be negative (0 = experiment default)", o.Tiles)
+	}
 	switch o.Scale {
 	case "", "small", "full":
 		return nil
@@ -49,6 +52,14 @@ func (o Options) tiles(def int) int {
 		return o.Tiles
 	}
 	return def
+}
+
+// scaled picks a grid's tile sweep by scale; sweeps ignore Tiles.
+func (o Options) scaled(small, full []int) []int {
+	if o.full() {
+		return full
+	}
+	return small
 }
 
 // Experiment is one reproducible artifact.
@@ -98,15 +109,6 @@ func sysConfig(tiles int) soc.Config {
 	return cfg
 }
 
-// header prints the experiment banner.
-func header(w io.Writer, e Experiment) {
-	fmt.Fprintf(w, "=== %s: %s ===\n", e.ID, e.Title)
-	if e.Paper != "" {
-		fmt.Fprintf(w, "paper: %s\n", e.Paper)
-	}
-	fmt.Fprintln(w)
-}
-
 // RunByID runs one experiment, printing its banner first.
 func RunByID(w io.Writer, id string, o Options) error {
 	if err := o.validate(); err != nil {
@@ -116,7 +118,11 @@ func RunByID(w io.Writer, id string, o Options) error {
 	if !ok {
 		return fmt.Errorf("exp: unknown experiment %q (have %v)", id, IDs())
 	}
-	header(w, e)
+	fmt.Fprintf(w, "=== %s: %s ===\n", e.ID, e.Title)
+	if e.Paper != "" {
+		fmt.Fprintf(w, "paper: %s\n", e.Paper)
+	}
+	fmt.Fprintln(w)
 	return e.Run(w, o)
 }
 
@@ -126,8 +132,7 @@ func RunAll(w io.Writer, o Options) error {
 		return err
 	}
 	for _, e := range registry {
-		header(w, e)
-		if err := e.Run(w, o); err != nil {
+		if err := RunByID(w, e.ID, o); err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		fmt.Fprintln(w)
@@ -137,28 +142,3 @@ func RunAll(w io.Writer, o Options) error {
 
 // splashApps are the three SPLASH-2 substitutes of Fig. 8.
 var splashApps = []string{"radiosity", "raytrace", "volrend"}
-
-// makeScaled is the sweep app factory honoring the experiment scale.
-func makeScaled(o Options) func(sweep.Cell) (workloads.App, error) {
-	return func(c sweep.Cell) (workloads.App, error) {
-		app, ok := workloads.Scaled(c.App, !o.full())
-		if !ok {
-			return nil, fmt.Errorf("unknown app %q", c.App)
-		}
-		return app, nil
-	}
-}
-
-// gridSpec starts a sweep over the experiment system template. Callers
-// override Make for workloads needing per-cell parameters.
-func gridSpec(o Options, apps, backends []string, tiles []int) sweep.Spec {
-	base := soc.DefaultConfig()
-	return sweep.Spec{
-		Apps:     apps,
-		Backends: backends,
-		Tiles:    tiles,
-		Base:     &base,
-		Make:     makeScaled(o),
-		Workers:  o.Workers,
-	}
-}

@@ -8,7 +8,6 @@ import (
 	"pmc/internal/litmus"
 	"pmc/internal/noc"
 	"pmc/internal/rt"
-	"pmc/internal/sweep"
 	"pmc/internal/workloads"
 )
 
@@ -21,7 +20,16 @@ func init() {
 		ID:    "ext-stencil",
 		Title: "bulk-synchronous halo exchange with a PMC-annotated barrier",
 		Paper: "streaming/dataflow context of refs [20, 21]; barrier built from annotations only",
-		Run:   runExtStencil,
+		Run: declare(func(o Options) grid {
+			return grid{
+				apps: []string{"stencil"}, backends: rt.Backends, tiles: []int{o.tiles(8)},
+				portable: true,
+				cols:     []field{backendCol, cyclesCol, checksumCol, nocMsgsCol},
+				note: "the barrier is ordinary annotated code (entry_x counter, flushed sense word,\n" +
+					"entry_ro polling), so the same bulk-synchronous program runs on all backends\n" +
+					"with identical results; on dsm the barrier polls stay in tile-local memory.",
+			}
+		}),
 	})
 	register(Experiment{
 		ID:    "ext-pc",
@@ -33,7 +41,27 @@ func init() {
 		ID:    "ext-mesh",
 		Title: "NoC topology: bidirectional ring vs 2-D mesh",
 		Paper: "ref [16] evaluates the connectionless NoC; topology is a free parameter of the PMC approach",
-		Run:   runExtMesh,
+		Run: declare(func(o Options) grid {
+			tiles := o.tiles(32)
+			fifo := workloads.DefaultMFifo()
+			roles := min(3, tiles/2)
+			fifo.Readers, fifo.Writers = roles, roles
+			fifo.Items = 24
+			if o.full() {
+				fifo.Items = 128
+			}
+			return grid{
+				apps: []string{"mfifo"}, backends: []string{"dsm"}, tiles: []int{tiles},
+				topos: []noc.Topology{noc.TopoRing, noc.TopoMesh},
+				make:  clone(fifo),
+				cols: []field{
+					{"topology", 8, func(c cell) string { return c.Topology }},
+					cyclesCol, nocMsgsCol,
+					{"flit-hops", 12, func(c cell) string { return fmt.Sprint(c.FlitHops) }}},
+				note: "the mesh halves the worst-case hop count at 32 tiles, which shortens DSM\n" +
+					"flush broadcasts and lock handoffs; the PMC annotations are untouched.",
+			}
+		}),
 	})
 	register(Experiment{
 		ID:    "ext-scoped-fence",
@@ -41,26 +69,6 @@ func init() {
 		Paper: "Section IV-D: 'one could offer more complex fences on specific locations for optimization purposes'",
 		Run:   runExtScopedFence,
 	})
-}
-
-func runExtStencil(w io.Writer, o Options) error {
-	tiles := o.tiles(8)
-	table, err := sweep.Run(gridSpec(o, []string{"stencil"}, rt.Backends, []int{tiles}))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-10s %10s %10s %12s\n", "backend", "cycles", "checksum", "noc msgs")
-	want := table.Rows[0].Checksum
-	for _, r := range table.Rows {
-		if r.Checksum != want {
-			return fmt.Errorf("ext-stencil: %s checksum %#x != %#x", r.Backend, r.Checksum, want)
-		}
-		fmt.Fprintf(w, "%-10s %10d %#10x %12d\n", r.Backend, r.Cycles, r.Checksum, r.NoCMessages)
-	}
-	fmt.Fprintln(w, "\nthe barrier is ordinary annotated code (entry_x counter, flushed sense word,")
-	fmt.Fprintln(w, "entry_ro polling), so the same bulk-synchronous program runs on all backends")
-	fmt.Fprintln(w, "with identical results; on dsm the barrier polls stay in tile-local memory.")
-	return nil
 }
 
 // runExtPC counts the globally agreed orderings (≺G pairs) the model
@@ -120,38 +128,6 @@ func runExtPC(w io.Writer, o Options) error {
 	}
 	fmt.Fprintln(w, "\nboth variants guarantee the read returns 42; the extra orderings are the")
 	fmt.Fprintln(w, "freedom PC gives up — the flexibility PMC preserves for the hardware.")
-	return nil
-}
-
-func runExtMesh(w io.Writer, o Options) error {
-	tiles := o.tiles(32)
-	proto := workloads.DefaultMFifo()
-	roles := 3
-	if tiles/2 < roles {
-		roles = tiles / 2
-	}
-	proto.Readers, proto.Writers = roles, roles
-	if o.full() {
-		proto.Items = 128
-	} else {
-		proto.Items = 24
-	}
-	spec := gridSpec(o, []string{"mfifo"}, []string{"dsm"}, []int{tiles})
-	spec.Topos = []noc.Topology{noc.TopoRing, noc.TopoMesh}
-	spec.Make = func(sweep.Cell) (workloads.App, error) {
-		f := *proto
-		return &f, nil
-	}
-	table, err := sweep.Run(spec)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "mfifo on dsm, %d tiles:\n%-8s %10s %12s %12s\n", tiles, "topology", "cycles", "noc msgs", "flit-hops")
-	for _, r := range table.Rows {
-		fmt.Fprintf(w, "%-8s %10d %12d %12d\n", r.Topology, r.Cycles, r.NoCMessages, r.FlitHops)
-	}
-	fmt.Fprintln(w, "\nthe mesh halves the worst-case hop count at 32 tiles, which shortens DSM")
-	fmt.Fprintln(w, "flush broadcasts and lock handoffs; the PMC annotations are untouched.")
 	return nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"pmc/internal/noc"
 	"pmc/internal/sweep"
 	"pmc/internal/workloads"
 )
@@ -14,7 +13,7 @@ func init() {
 		ID:    "mixed-ablation",
 		Title: "adaptive per-object protocol migration vs every pure backend",
 		Paper: "Section VI picks one architecture per system; per-object routing lets each object get the protocol its access pattern wants",
-		Run:   runMixedAblation,
+		Run:   declare(mixedAblation),
 	})
 }
 
@@ -22,68 +21,53 @@ func init() {
 // single-protocol architectures.
 var mixedPure = []string{"nocc", "swcc", "dsm", "spm"}
 
-// runMixedAblation runs every workload on the four pure backends and on
-// the adaptive router, asserts the checksums agree grid-wide (migration is
-// a protocol change, never a data change), and reports where the adaptive
+// mixedAblation runs every workload on the four pure backends and on the
+// adaptive router, asserts the checksums agree grid-wide (migration is a
+// protocol change, never a data change), and reports where the adaptive
 // policy lands against the best and worst pure choice per app.
-func runMixedAblation(w io.Writer, o Options) error {
-	tiles := o.tiles(8)
-	backends := append(append([]string{}, mixedPure...), "adaptive")
-	table, err := sweep.Run(gridSpec(o, workloads.Names, backends, []int{tiles}))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "cycles by backend, %d tiles (adaptive = per-object migration at scope boundaries):\n\n", tiles)
-	fmt.Fprintf(w, "%-14s", "app")
-	for _, b := range backends {
-		fmt.Fprintf(w, " %10s", b)
-	}
-	fmt.Fprintf(w, " %10s %9s\n", "best pure", "adaptive")
-	beatsBest, beatsDefault := 0, 0
-	for _, app := range workloads.Names {
-		fmt.Fprintf(w, "%-14s", app)
-		var checksum uint32
-		bestPure, bestCycles := "", uint64(0)
-		var adaptive, defCycles uint64
-		for i, b := range backends {
-			r := table.Find(app, b, tiles, noc.TopoRing)
-			if r == nil {
-				return fmt.Errorf("mixed-ablation: missing cell %s/%s", app, b)
-			}
-			if r.Err != "" {
-				return fmt.Errorf("mixed-ablation: %s/%s: %s", app, b, r.Err)
-			}
-			if i == 0 {
-				checksum = r.Checksum
-				defCycles = r.Cycles
-			} else if r.Checksum != checksum {
-				return fmt.Errorf("mixed-ablation: checksum diverged at %s/%s: %#x != %#x — migration changed the computation",
-					app, b, r.Checksum, checksum)
-			}
-			fmt.Fprintf(w, " %10d", r.Cycles)
-			if b == "adaptive" {
-				adaptive = r.Cycles
-			} else if bestPure == "" || r.Cycles < bestCycles {
-				bestPure, bestCycles = b, r.Cycles
-			}
+func mixedAblation(o Options) grid {
+	// bestPure is the fewest cycles any pure backend takes on c's app.
+	bestPure := func(c cell) uint64 {
+		best := c.peer(mixedPure[0], c.Tiles).Cycles
+		for _, b := range mixedPure[1:] {
+			best = min(best, c.peer(b, c.Tiles).Cycles)
 		}
-		vs := 100 * (float64(adaptive)/float64(bestCycles) - 1)
-		fmt.Fprintf(w, " %10s %+8.1f%%\n", bestPure, vs)
-		if adaptive <= bestCycles {
-			beatsBest++
-		}
-		if adaptive < defCycles {
-			beatsDefault++
-		}
+		return best
 	}
-	fmt.Fprintf(w, "\nadaptive matches or beats the best pure backend on %d/%d apps and improves on\n",
-		beatsBest, len(workloads.Names))
-	fmt.Fprintf(w, "the uniform %s default on %d/%d; checksums agree grid-wide, so every migration\n",
-		mixedPure[0], beatsDefault, len(workloads.Names))
-	fmt.Fprintln(w, "was a pure protocol change at a consistent cut. the gap to the best pure")
-	fmt.Fprintln(w, "backend is the warmup (objects start on nocc until the pattern shows) plus")
-	fmt.Fprintln(w, "migrations the consistent cut forbids; the payoff is choosing per object,")
-	fmt.Fprintln(w, "online, without the pure pathologies (nocc serializing hot read-only objects,")
-	fmt.Fprintln(w, "swcc flushing rewritten data, spm staging whole objects for one-word reads).")
-	return nil
+	return grid{
+		apps: workloads.Names, backends: append(append([]string{}, mixedPure...), "adaptive"),
+		tiles:    []int{o.tiles(8)},
+		portable: true,
+		cols: []field{
+			{"app", 14, func(c cell) string { return c.App }},
+			backendCol, cyclesCol,
+			{"vs best pure", 12, func(c cell) string {
+				return fmt.Sprintf("%+.1f%%", 100*(float64(c.Cycles)/float64(bestPure(c))-1))
+			}}},
+		check: func(w io.Writer, t *sweep.Table) error {
+			beatsBest, beatsDefault := 0, 0
+			for i := range t.Rows {
+				c := cell{&t.Rows[i], t}
+				if c.Backend != "adaptive" {
+					continue
+				}
+				if c.Cycles <= bestPure(c) {
+					beatsBest++
+				}
+				if c.Cycles < c.peer(mixedPure[0], c.Tiles).Cycles {
+					beatsDefault++
+				}
+			}
+			fmt.Fprintf(w, "\nadaptive (per-object migration at scope boundaries) matches or beats the best\n"+
+				"pure backend on %d/%d apps and improves on the uniform %s default on %d/%d;\n"+
+				"checksums agree grid-wide, so every migration was a pure protocol change at\n"+
+				"a consistent cut.\n", beatsBest, len(workloads.Names), mixedPure[0], beatsDefault, len(workloads.Names))
+			return nil
+		},
+		note: "the gap to the best pure backend is the warmup (objects start on nocc until\n" +
+			"the pattern shows) plus migrations the consistent cut forbids; the payoff is\n" +
+			"choosing per object, online, without the pure pathologies (nocc serializing\n" +
+			"hot read-only objects, swcc flushing rewritten data, spm staging whole objects\n" +
+			"for one-word reads).",
+	}
 }

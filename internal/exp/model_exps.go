@@ -145,5 +145,5 @@ func runFig6(w io.Writer, o Options) error {
 		fmt.Fprintf(w, "%s outcomes (%d states explored):\n%s\n", prog.Name, res.States, res)
 	}
 	fmt.Fprintln(w, "portability check: the annotated program on every backend of Table II:")
-	return runMsgPassMatrix(w, o)
+	return msgPassGrid(o).run(w, o)
 }

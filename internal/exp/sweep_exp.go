@@ -2,10 +2,8 @@ package exp
 
 import (
 	"fmt"
-	"io"
 
 	"pmc/internal/noc"
-	"pmc/internal/sweep"
 )
 
 // This file registers the scaling-sweep experiment: the three SPLASH-2
@@ -18,81 +16,20 @@ func init() {
 		ID:    "sweep-scaling",
 		Title: "scaling sweep: SPLASH substitutes × backends × tiles × topology",
 		Paper: "extends Fig. 8 beyond the fixed 32-tile point: backend rankings vs system size, ring vs mesh",
-		Run:   runSweepScaling,
+		Run: declare(func(o Options) grid {
+			tiles := o.scaled([]int{2, 4, 8}, []int{2, 4, 8, 16, 32, 64})
+			return grid{
+				apps: splashApps, backends: []string{"nocc", "swcc", "dsm", "spm"}, tiles: tiles,
+				topos:    []noc.Topology{noc.TopoRing, noc.TopoMesh},
+				portable: true,
+				pivots: []field{
+					{fmt.Sprintf("makespan speedup over the %d-tile run of the same backend/topology:", tiles[0]), 8, speedupOver(tiles[0])},
+					{"NoC flit-hops (link occupancy; mesh shortens routes, dsm pays broadcasts):", 8, flitHops},
+				},
+				note: "speedup saturating (or regressing) with tiles shows each backend's scaling\n" +
+					"bottleneck: nocc saturates the shared bus first, swcc defers it, dsm trades\n" +
+					"bus pressure for NoC flit-hops, and the mesh relieves dsm at high tile counts.",
+			}
+		}),
 	})
-}
-
-// sweepBackends is the backend axis of the scaling sweep.
-var sweepBackends = []string{"nocc", "swcc", "dsm", "spm"}
-
-func runSweepScaling(w io.Writer, o Options) error {
-	tiles := []int{2, 4, 8, 16, 32, 64}
-	if !o.full() {
-		tiles = []int{2, 4, 8}
-	}
-	topos := []noc.Topology{noc.TopoRing, noc.TopoMesh}
-	spec := gridSpec(o, splashApps, sweepBackends, tiles)
-	spec.Topos = topos
-	table, err := sweep.Run(spec)
-	if err != nil {
-		return err
-	}
-
-	// Portability check across the whole grid: at fixed (app, tiles) every
-	// backend and topology must agree on the checksum.
-	for _, app := range splashApps {
-		for _, t := range tiles {
-			want := table.Find(app, sweepBackends[0], t, topos[0]).Checksum
-			for _, b := range sweepBackends {
-				for _, topo := range topos {
-					if got := table.Find(app, b, t, topo).Checksum; got != want {
-						return fmt.Errorf("sweep-scaling: %s@%dt on %s/%s checksum %#x != %#x",
-							app, t, b, topo, got, want)
-					}
-				}
-			}
-		}
-	}
-
-	fmt.Fprintf(w, "%d cells: %v × %v × tiles%v × {ring, mesh}\n",
-		len(table.Rows), splashApps, sweepBackends, tiles)
-	for _, app := range splashApps {
-		fmt.Fprintf(w, "\n--- %s ---\n", app)
-		fmt.Fprintf(w, "makespan speedup over the %d-tile run of the same backend/topology:\n", tiles[0])
-		fmt.Fprintf(w, "%-8s %-6s", "backend", "topo")
-		for _, t := range tiles {
-			fmt.Fprintf(w, " %8s", fmt.Sprintf("%dt", t))
-		}
-		fmt.Fprintln(w)
-		for _, b := range sweepBackends {
-			for _, topo := range topos {
-				fmt.Fprintf(w, "%-8s %-6s", b, topo)
-				base := table.Find(app, b, tiles[0], topo).Cycles
-				for _, t := range tiles {
-					r := table.Find(app, b, t, topo)
-					fmt.Fprintf(w, " %7.2fx", float64(base)/float64(r.Cycles))
-				}
-				fmt.Fprintln(w)
-			}
-		}
-		fmt.Fprintln(w, "NoC flit-hops (link occupancy; mesh shortens routes, dsm pays broadcasts):")
-		fmt.Fprintf(w, "%-8s %-6s", "backend", "topo")
-		for _, t := range tiles {
-			fmt.Fprintf(w, " %8s", fmt.Sprintf("%dt", t))
-		}
-		fmt.Fprintln(w)
-		for _, b := range sweepBackends {
-			for _, topo := range topos {
-				fmt.Fprintf(w, "%-8s %-6s", b, topo)
-				for _, t := range tiles {
-					fmt.Fprintf(w, " %8d", table.Find(app, b, t, topo).FlitHops)
-				}
-				fmt.Fprintln(w)
-			}
-		}
-	}
-	fmt.Fprintln(w, "\nspeedup saturating (or regressing) with tiles shows each backend's scaling")
-	fmt.Fprintln(w, "bottleneck: nocc saturates the shared bus first, swcc defers it, dsm trades")
-	fmt.Fprintln(w, "bus pressure for NoC flit-hops, and the mesh relieves dsm at high tile counts.")
-	return nil
 }

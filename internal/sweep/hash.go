@@ -19,8 +19,8 @@ import (
 //
 // Canonicalization expands defaults: a nil Backends axis and an explicit
 // list of every backend hash identically, because they run identically.
-// Specs carrying code (Make, Configure) are not content-addressable and
-// are refused — a closure's behavior is invisible to any encoding of the
+// Specs carrying code (a Make hook) are not content-addressable and are
+// refused — a closure's behavior is invisible to any encoding of the
 // struct, and hashing the rest would silently conflate different grids.
 
 // CanonicalSpec is the declarative identity of a sweep grid with every
@@ -32,20 +32,17 @@ type CanonicalSpec struct {
 	Tiles    []int    `json:"tiles"`
 	Topos    []string `json:"topos"`
 	// Base is the full system-configuration template (defaults expanded),
-	// included because any knob on it — cache sizes, SDRAM timing, event
-	// queue — can change the measured cycles.
+	// included because any knob on it — cache sizes, SDRAM timing, lock
+	// kind — can change the measured cycles.
 	Base soc.Config `json:"base"`
 }
 
 // Canonical returns the spec's canonical declarative form, or an error for
-// specs that carry code: a Make or Configure hook makes the grid's
-// behavior invisible to any encoding, so such specs have no stable hash.
+// specs that carry code: a Make hook makes the grid's behavior invisible
+// to any encoding, so such specs have no stable hash.
 func (s *Spec) Canonical() (*CanonicalSpec, error) {
 	if s.Make != nil {
 		return nil, fmt.Errorf("sweep: spec with a Make hook is not content-addressable")
-	}
-	if s.Configure != nil {
-		return nil, fmt.Errorf("sweep: spec with a Configure hook is not content-addressable")
 	}
 	cs := &CanonicalSpec{
 		Apps:     append([]string(nil), s.Apps...),

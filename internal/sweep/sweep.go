@@ -51,9 +51,6 @@ type Spec struct {
 	// workloads.ByName(cell.App). Every cell must get a fresh instance:
 	// App values carry per-run state.
 	Make func(Cell) (workloads.App, error)
-	// Configure optionally tweaks the cell's system config after the grid
-	// axes are applied (e.g. cache sizing studies).
-	Configure func(Cell, *soc.Config)
 	// Workers caps concurrent simulations: 0 means GOMAXPROCS, 1 is
 	// sequential. Results are identical for any value.
 	Workers int
@@ -285,9 +282,6 @@ func runCell(spec *Spec, c Cell) (row Row) {
 	cfg := spec.base()
 	cfg.Tiles = c.Tiles
 	cfg.NoC.Topology = c.Topo
-	if spec.Configure != nil {
-		spec.Configure(c, &cfg)
-	}
 	res, err := workloads.Run(app, cfg, c.Backend)
 	if err != nil {
 		row.Err = err.Error()
@@ -326,6 +320,29 @@ func (t *Table) Find(app, backend string, tiles int, topo noc.Topology) *Row {
 		r := &t.Rows[i]
 		if r.App == app && r.Backend == backend && r.Tiles == tiles && r.Topology == topo.String() {
 			return r
+		}
+	}
+	return nil
+}
+
+// CheckPortable returns an error naming the first row whose checksum
+// differs from the first row with the same app and tile count: the PMC
+// portability claim that one annotated program computes the same result
+// on every backend and topology.
+func (t *Table) CheckPortable() error {
+	type key struct {
+		app   string
+		tiles int
+	}
+	first := make(map[key]*Row)
+	for i := range t.Rows {
+		r := &t.Rows[i]
+		f, ok := first[key{r.App, r.Tiles}]
+		if !ok {
+			first[key{r.App, r.Tiles}] = r
+		} else if r.Checksum != f.Checksum {
+			return fmt.Errorf("sweep: %s/%s/%dt/%s checksum %#x differs from %#x on %s/%s",
+				r.App, r.Backend, r.Tiles, r.Topology, r.Checksum, f.Checksum, f.Backend, f.Topology)
 		}
 	}
 	return nil

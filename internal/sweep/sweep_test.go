@@ -83,20 +83,24 @@ func TestSweepDeterminism(t *testing.T) {
 
 // TestSweepChecksumPortability: at a fixed (app, tiles), every backend and
 // topology must compute the same checksum — the PMC portability claim, now
-// checked across the whole grid.
+// checked across the whole grid. The check must also fail: one corrupted
+// checksum is reported by name.
 func TestSweepChecksumPortability(t *testing.T) {
 	table, err := Run(smallSpec(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]uint32{}
-	for _, r := range table.Rows {
-		key := fmt.Sprintf("%s/%d", r.App, r.Tiles)
-		if prev, ok := want[key]; !ok {
-			want[key] = r.Checksum
-		} else if prev != r.Checksum {
-			t.Errorf("%s on %s/%s: checksum %#x != %#x", key, r.Backend, r.Topology, r.Checksum, prev)
-		}
+	if err := table.CheckPortable(); err != nil {
+		t.Fatal(err)
+	}
+	bad := table.Find("raytrace", "dsm", 4, noc.TopoMesh)
+	bad.Checksum ^= 1
+	err = table.CheckPortable()
+	if err == nil {
+		t.Fatal("corrupted checksum not reported")
+	}
+	if !strings.Contains(err.Error(), "raytrace/dsm/4t/mesh") {
+		t.Fatalf("error does not name the corrupted cell: %v", err)
 	}
 }
 
