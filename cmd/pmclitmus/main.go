@@ -204,6 +204,14 @@ func main() {
 		maxBlock  = flag.Int("maxblock", 4, "fuzz: max words of multi-word locations exercised by block reads/writes (1 = word-only)")
 	)
 	flag.Parse()
+	// Engine budgets are validated before any exploration: a negative
+	// value is a usage error (exit 2), not a silent run at the default.
+	if *maxStates < 0 {
+		fail(usagef("-maxstates must be non-negative, got %d", *maxStates))
+	}
+	if *workers < 0 {
+		fail(usagef("-workers must be non-negative, got %d", *workers))
+	}
 	opts := engineOpts{workers: *workers, memoize: *memoize, symmetry: *symmetry, maxStates: *maxStates, stats: *stats}
 
 	switch {

@@ -5,7 +5,9 @@ import "fmt"
 // Execution is the model of a program's state at one moment in time
 // (Definition 1): E = (P, V, O, ≺). P and V grow implicitly as operations
 // and locations appear; O and ≺ grow by Exec, which applies the Table I
-// transition rules (Definition 4). Orderings are never removed.
+// transition rules (Definition 4). Orderings between issued operations are
+// never removed; Undo only retracts the newest operation as a whole, for
+// search that backtracks.
 type Execution struct {
 	locNames []string
 	ops      []*Op
@@ -51,74 +53,6 @@ func NewExecution() *Execution {
 	}
 }
 
-// Clone returns a copy of the execution that can grow independently — the
-// litmus explorer branches the state space on it. Op values are shared
-// (they are immutable once issued), and so are the backing arrays of the
-// index lists and edge lists: the copy's slice headers are capacity-
-// clipped, so an append through the clone always reallocates instead of
-// writing into shared backing, and an in-place append by the original
-// lands beyond every clipped header's capacity. List contents below the
-// clip point are never mutated by either side, which makes sharing safe
-// across goroutines too. This is what keeps state branching cheap: a
-// clone costs one header copy per structure instead of a deep copy of
-// every index list.
-func (e *Execution) Clone() *Execution {
-	c := &Execution{
-		locNames:   clip(e.locNames),
-		ops:        clip(e.ops),
-		out:        make([][]Edge, len(e.out)),
-		in:         make([][]Edge, len(e.in)),
-		readsPL:    clonePLMap(e.readsPL),
-		writesPL:   clonePLMap(e.writesPL),
-		acquiresPL: clonePLMap(e.acquiresPL),
-		releasesPL: clonePLMap(e.releasesPL),
-		releasesL:  cloneLocMap(e.releasesL),
-		readsP:     cloneProcMap(e.readsP),
-		writesP:    cloneProcMap(e.writesP),
-		acquiresP:  cloneProcMap(e.acquiresP),
-		releasesP:  cloneProcMap(e.releasesP),
-		fencesP:    cloneProcMap(e.fencesP),
-		fencesPL:   clonePLMap(e.fencesPL),
-		initOf:     make(map[Loc]int, len(e.initOf)),
-	}
-	for i := range e.out {
-		c.out[i] = clip(e.out[i])
-		c.in[i] = clip(e.in[i])
-	}
-	for k, v := range e.initOf {
-		c.initOf[k] = v
-	}
-	return c
-}
-
-// clip returns s with its capacity clipped to its length: a header-only
-// copy whose backing array is shared but can never be appended into.
-func clip[S ~[]E, E any](s S) S { return s[:len(s):len(s)] }
-
-func clonePLMap(m map[procLoc][]int) map[procLoc][]int {
-	c := make(map[procLoc][]int, len(m))
-	for k, v := range m {
-		c[k] = clip(v)
-	}
-	return c
-}
-
-func cloneLocMap(m map[Loc][]int) map[Loc][]int {
-	c := make(map[Loc][]int, len(m))
-	for k, v := range m {
-		c[k] = clip(v)
-	}
-	return c
-}
-
-func cloneProcMap(m map[ProcID][]int) map[ProcID][]int {
-	c := make(map[ProcID][]int, len(m))
-	for k, v := range m {
-		c[k] = clip(v)
-	}
-	return c
-}
-
 // AddLoc introduces a shared location with the given display name and
 // issues its initial operation, which behaves like a write and release by
 // the pseudo-process ⊥ (Definition 3), so reads and acquires always have a
@@ -135,8 +69,8 @@ func (e *Execution) AddLoc(name string) Loc {
 		Label:  fmt.Sprintf("init: %s=⊥", name),
 	}
 	e.ops = append(e.ops, op)
-	e.out = append(e.out, nil)
-	e.in = append(e.in, nil)
+	e.out = growEdgeLists(e.out)
+	e.in = growEdgeLists(e.in)
 	e.initOf[v] = op.ID
 	// The init op participates in the write and release patterns for
 	// every process; record it in the per-location lists consulted with
@@ -184,21 +118,34 @@ func (e *Execution) addEdge(from, to int, ord Ord) {
 	e.in[to] = append(e.in[to], ed)
 }
 
-// earlierMatching returns the IDs of issued operations matching the rule's
-// Earlier pattern for a new operation by proc p on loc v (NoLoc for
-// global fences). The initial operation of a location matches the write and
-// release patterns for any process (Definition 3).
+// growEdgeLists extends lists by one empty edge list for a newly issued
+// op, reusing the backing array an Undo left beyond the length.
+func growEdgeLists(lists [][]Edge) [][]Edge {
+	n := len(lists)
+	if n == cap(lists) {
+		return append(lists, nil)
+	}
+	lists = lists[:n+1]
+	lists[n] = lists[n][:0]
+	return lists
+}
+
+// eachEarlier calls visit with the ID of every issued operation matching
+// the rule's Earlier pattern for a new operation by proc p on loc v (NoLoc
+// for global fences), in edge-insertion order. The initial operation of a
+// location matches the write and release patterns for any process
+// (Definition 3); for writes it comes first.
 //
 // Location-scoped fences (the optimization Section IV-D mentions: "one
 // could offer more complex fences on specific locations") carry a location
 // and match only operations on it; a plain fence (NoLoc) spans all
 // locations. A location fence in the history likewise only constrains
 // operations on its own location.
-func (e *Execution) earlierMatching(r Rule, p ProcID, v Loc) []int {
+func (e *Execution) eachEarlier(r Rule, p ProcID, v Loc, visit func(id int)) {
 	// The fence column/row widens matching to all locations only for
 	// location-less fences.
 	globalFence := (r.Earlier == KFence || r.New == KFence) && v == NoLoc
-	var ids []int
+	var ids, more []int
 	switch r.Earlier {
 	case KRead:
 		if globalFence {
@@ -210,11 +157,10 @@ func (e *Execution) earlierMatching(r Rule, p ProcID, v Loc) []int {
 		if globalFence {
 			ids = e.writesP[p]
 		} else {
-			ids = e.writesPL[procLoc{p, v}]
 			if init, ok := e.initOf[v]; ok && r.New != KFence {
-				// Prepend the init write (matches any proc).
-				ids = append([]int{init}, ids...)
+				visit(init) // the init write matches any proc
 			}
+			ids = e.writesPL[procLoc{p, v}]
 		}
 	case KAcquire:
 		if globalFence {
@@ -232,15 +178,19 @@ func (e *Execution) earlierMatching(r Rule, p ProcID, v Loc) []int {
 			ids = e.releasesPL[procLoc{p, v}]
 		}
 	case KFence:
-		if v == NoLoc {
-			ids = e.fencesP[p]
-		} else {
+		ids = e.fencesP[p]
+		if v != NoLoc {
 			// Both plain fences and same-location fences order
 			// the new operation on v.
-			ids = append(append([]int(nil), e.fencesP[p]...), e.fencesPL[procLoc{p, v}]...)
+			more = e.fencesPL[procLoc{p, v}]
 		}
 	}
-	return ids
+	for _, id := range ids {
+		visit(id)
+	}
+	for _, id := range more {
+		visit(id)
+	}
 }
 
 // Exec issues a new operation and applies the Table I rules, returning it
@@ -261,11 +211,11 @@ func (e *Execution) Exec(k Kind, p ProcID, v Loc, val Value, label string) *Op {
 	}
 	op := &Op{ID: len(e.ops), Kind: k, Proc: p, Loc: v, Val: val, Label: label}
 	e.ops = append(e.ops, op)
-	e.out = append(e.out, nil)
-	e.in = append(e.in, nil)
+	e.out = growEdgeLists(e.out)
+	e.in = growEdgeLists(e.in)
 
 	for _, r := range RulesFor(k) {
-		for _, from := range e.earlierMatching(r, p, v) {
+		e.eachEarlier(r, p, v, func(from int) {
 			ord := r.Ord
 			// Edges out of the initial operation are globally
 			// visible: every process agrees on the initial state.
@@ -273,32 +223,73 @@ func (e *Execution) Exec(k Kind, p ProcID, v Loc, val Value, label string) *Op {
 				ord = OrdProgram
 			}
 			e.addEdge(from, op.ID, ord)
-		}
+		})
 	}
+	e.index(op, false)
+	return op
+}
 
-	// Update the pattern indexes.
-	switch k {
+// Undo removes the newest operation, restoring the execution exactly to
+// its state before that operation's Exec: the same Ops, the same Edges in
+// the same order, the same answers to every query. It is what lets the
+// litmus explorer branch on one mutable execution (apply, explore, undo)
+// instead of copying it per successor. The newest op has no out-edges, and
+// each of its in-edges is the last entry of its predecessor's out-list, so
+// undoing is a pop per edge and per pattern-index list. Edge lists
+// returned by In/Out before an Undo may be overwritten by a later Exec.
+// Undo panics when only the locations' initial operations remain.
+func (e *Execution) Undo() {
+	id := len(e.ops) - 1
+	if id < 0 || e.ops[id].IsInit {
+		panic("core: Undo with no issued operation")
+	}
+	for _, ed := range e.in[id] {
+		out := e.out[ed.From]
+		e.out[ed.From] = out[:len(out)-1]
+	}
+	e.index(e.ops[id], true)
+	e.ops[id] = nil
+	e.ops = e.ops[:id]
+	e.out = e.out[:id]
+	e.in = e.in[:id]
+}
+
+// index appends op to the pattern-index lists of its kind, or pops it off
+// them when undo is set (op is then the last entry of each).
+func (e *Execution) index(op *Op, undo bool) {
+	p, v, pl := op.Proc, op.Loc, procLoc{op.Proc, op.Loc}
+	switch op.Kind {
 	case KRead:
-		e.readsPL[procLoc{p, v}] = append(e.readsPL[procLoc{p, v}], op.ID)
-		e.readsP[p] = append(e.readsP[p], op.ID)
+		update(e.readsPL, pl, op.ID, undo)
+		update(e.readsP, p, op.ID, undo)
 	case KWrite:
-		e.writesPL[procLoc{p, v}] = append(e.writesPL[procLoc{p, v}], op.ID)
-		e.writesP[p] = append(e.writesP[p], op.ID)
+		update(e.writesPL, pl, op.ID, undo)
+		update(e.writesP, p, op.ID, undo)
 	case KAcquire:
-		e.acquiresPL[procLoc{p, v}] = append(e.acquiresPL[procLoc{p, v}], op.ID)
-		e.acquiresP[p] = append(e.acquiresP[p], op.ID)
+		update(e.acquiresPL, pl, op.ID, undo)
+		update(e.acquiresP, p, op.ID, undo)
 	case KRelease:
-		e.releasesL[v] = append(e.releasesL[v], op.ID)
-		e.releasesP[p] = append(e.releasesP[p], op.ID)
-		e.releasesPL[procLoc{p, v}] = append(e.releasesPL[procLoc{p, v}], op.ID)
+		update(e.releasesL, v, op.ID, undo)
+		update(e.releasesP, p, op.ID, undo)
+		update(e.releasesPL, pl, op.ID, undo)
 	case KFence:
 		if v == NoLoc {
-			e.fencesP[p] = append(e.fencesP[p], op.ID)
+			update(e.fencesP, p, op.ID, undo)
 		} else {
-			e.fencesPL[procLoc{p, v}] = append(e.fencesPL[procLoc{p, v}], op.ID)
+			update(e.fencesPL, pl, op.ID, undo)
 		}
 	}
-	return op
+}
+
+// update appends id to m[key], or pops the list's last entry when undo is
+// set.
+func update[K comparable](m map[K][]int, key K, id int, undo bool) {
+	l := m[key]
+	if undo {
+		m[key] = l[:len(l)-1]
+	} else {
+		m[key] = append(l, id)
+	}
 }
 
 // Convenience issue helpers.

@@ -114,7 +114,7 @@ func (e *Execution) maximalWrites(visibleWrites []int, viewer ProcID) []int {
 // LastWritesAt returns W for a hypothetical read of v by p issued against
 // the current execution, without mutating it. It is equivalent to
 //
-//	op := e.Clone().Read(p, v, 0); LastWrites(op.ID)
+//	op := e.Read(p, v, 0); w := e.LastWrites(op.ID); e.Undo()
 //
 // but touches no state: the read's would-be in-edges are computed from the
 // Table I read rules, and the backward search starts from those
@@ -129,12 +129,12 @@ func (e *Execution) LastWritesAt(p ProcID, v Loc) []int {
 	seen := make([]bool, len(e.ops))
 	var queue []int
 	for _, r := range RulesFor(KRead) {
-		for _, from := range e.earlierMatching(r, p, v) {
+		e.eachEarlier(r, p, v, func(from int) {
 			if !seen[from] {
 				seen[from] = true
 				queue = append(queue, from)
 			}
-		}
+		})
 	}
 	var visibleWrites []int
 	for len(queue) > 0 {
@@ -175,9 +175,9 @@ func (e *Execution) ReadableFrom(o int) []int {
 
 // ReadableAt returns the writes a read of v by p could return if it were
 // issued against the current execution (Definition 12), computed without
-// mutating it. It matches Clone-plus-probe-read followed by ReadableFrom;
+// mutating it. It matches a probe read followed by ReadableFrom and Undo;
 // the litmus explorer uses it to enumerate read candidates on the live
-// graph instead of deep-cloning per probe.
+// graph before it applies any of them.
 func (e *Execution) ReadableAt(p ProcID, v Loc) []int {
 	return e.readableFromW(e.LastWritesAt(p, v), v, p, -1)
 }

@@ -55,21 +55,21 @@ func buildHistories() map[string]*Execution {
 }
 
 // TestReadableAtMatchesProbe: the read-only query path must agree with the
-// reference clone-plus-probe computation for every process and location of
-// every history shape.
+// reference probe computation — issue the read, query it, undo it — for
+// every process and location of every history shape.
 func TestReadableAtMatchesProbe(t *testing.T) {
 	for name, e := range buildHistories() {
 		for p := ProcID(0); p < 3; p++ {
 			for v := Loc(0); int(v) < e.NumLocs(); v++ {
-				probe := e.Clone()
-				op := probe.Read(p, v, 0)
-				want := probe.ReadableFrom(op.ID)
+				op := e.Read(p, v, 0)
+				want := e.ReadableFrom(op.ID)
+				wantW := e.LastWrites(op.ID)
+				e.Undo()
 				got := e.ReadableAt(p, v)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: ReadableAt(p%d, %s) = %v, probe = %v",
 						name, p, e.LocName(v), got, want)
 				}
-				wantW := probe.LastWrites(op.ID)
 				gotW := e.LastWritesAt(p, v)
 				if !reflect.DeepEqual(gotW, wantW) {
 					t.Errorf("%s: LastWritesAt(p%d, %s) = %v, probe = %v",

@@ -59,15 +59,25 @@ var TableI = []Rule{
 	{Earlier: KFence, New: KAcquire, Ord: OrdFence},
 }
 
-// RulesFor returns the Table I rules triggered by a new operation of kind k.
-func RulesFor(k Kind) []Rule {
-	var out []Rule
+// rulesByNew indexes TableI by the new operation's kind, in table order.
+// It is built once, so the per-operation rule lookup in Exec and
+// LastWritesAt allocates nothing.
+var rulesByNew = func() [KFence + 1][]Rule {
+	var idx [KFence + 1][]Rule
 	for _, r := range TableI {
-		if r.New == k {
-			out = append(out, r)
-		}
+		idx[r.New] = append(idx[r.New], r)
 	}
-	return out
+	return idx
+}()
+
+// RulesFor returns the Table I rules triggered by a new operation of kind
+// k, in table order. The slice is shared; treat it as read-only.
+func RulesFor(k Kind) []Rule {
+	if int(k) >= len(rulesByNew) {
+		return nil
+	}
+	rs := rulesByNew[k]
+	return rs[:len(rs):len(rs)]
 }
 
 // RenderTableI prints the rule table in the paper's row/column layout.

@@ -7,6 +7,7 @@ import (
 // benchExplore runs p under the given engine configuration.
 func benchExplore(b *testing.B, p Program, workers int, memoize bool) {
 	b.Helper()
+	b.ReportAllocs()
 	var states int
 	for i := 0; i < b.N; i++ {
 		x := NewExplorer(p)
@@ -49,6 +50,7 @@ func BenchmarkLitmusExploreStress(b *testing.B) {
 // default engine — the workload internal/conform and internal/exp impose
 // on the explorer.
 func BenchmarkLitmusCatalogDefault(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, p := range Catalog() {
 			if _, err := Explore(p); err != nil {

@@ -24,6 +24,12 @@ import (
 //     scheduling. A shared memo table additionally dedupes states across
 //     subtrees (two frontier subtrees can converge).
 //
+// Every mode explores in place: one mutable state per goroutine, branched
+// by applying a move, exploring, and undoing the move (litmus.go), so no
+// state or execution is ever copied. Frontier entries are therefore move
+// paths from the root; each worker replays an entry's path onto a root
+// state of its own, explores, and rewinds.
+//
 // Determinism of Result.States: without memoization every tree node is
 // counted exactly once (frontier interiors during expansion, the rest by
 // the recursive walk). With memoization the count is the number of
@@ -183,10 +189,11 @@ func (g *engine) claimState() bool {
 }
 
 // expandState classifies one claimed state: a completed execution (done,
-// with its canonical outcome), or its successor states (empty = stuck).
-// Both the recursive walk and the frontier expansion go through here so
-// terminal-state and stepping semantics live in one place.
-func (g *engine) expandState(s *state) (outcome string, done bool, succs []*state, err error) {
+// with its canonical outcome), or its enabled moves appended to ms (none =
+// stuck), all computed on s before any is applied. Both the recursive walk
+// and the frontier expansion go through here so terminal-state and
+// stepping semantics live in one place.
+func (g *engine) expandState(ms []move, s *state) (outcome string, done bool, _ []move, err error) {
 	allDone := true
 	for t := range g.x.prog.Threads {
 		if s.pcs[t] < len(g.x.prog.Threads[t]) {
@@ -195,37 +202,40 @@ func (g *engine) expandState(s *state) (outcome string, done bool, succs []*stat
 		}
 	}
 	if allDone {
-		return g.x.canonical(s.regs), true, nil, nil
+		return g.x.canonical(s.regs), true, ms, nil
 	}
 	for t := range g.x.prog.Threads {
-		ns, err := g.x.step(s, t)
-		if err != nil {
+		if ms, err = g.x.moves(ms, s, t); err != nil {
 			return "", false, nil, err
 		}
-		succs = append(succs, ns...)
 	}
-	return "", false, succs, nil
+	return "", false, ms, nil
 }
 
 // compute walks one state: claims a slot of the state budget, emits the
-// outcome for complete states, recurses into successors otherwise.
+// outcome for complete states, and otherwise explores each successor by
+// applying its move to s, recursing, and undoing the move — s is back to
+// its entry value when compute returns, error or not.
 func (g *engine) compute(s *state) (*subResult, error) {
 	if !g.claimState() {
 		return emptySub, nil
 	}
-	outcome, done, succs, err := g.expandState(s)
+	var buf [8]move // most states' moves fit, so ms stays on the stack
+	outcome, done, ms, err := g.expandState(buf[:0], s)
 	if err != nil {
 		return nil, err
 	}
 	if done {
 		return &subResult{outcomes: map[string]int{outcome: 1}}, nil
 	}
-	if len(succs) == 0 {
+	if len(ms) == 0 {
 		return &subResult{stuck: 1}, nil
 	}
 	res := newSubResult()
-	for _, n := range succs {
-		sub, err := g.explore(n)
+	for _, m := range ms {
+		tr := g.x.apply(s, m)
+		sub, err := g.explore(s)
+		g.x.undo(s, m, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -258,12 +268,29 @@ func (g *engine) claimFrontier(s *state) bool {
 	return true
 }
 
-// frontierEntry is one root of a parallel subtree; mult is the number of
-// distinct prefix paths that reached it (always 1 without memoization,
-// where duplicates stay separate entries).
+// frontierEntry is one root of a parallel subtree, named by the moves
+// that lead to it from the initial state; mult is the number of distinct
+// prefix paths that reached it (always 1 without memoization, where
+// duplicates stay separate entries).
 type frontierEntry struct {
-	s    *state
+	path []move
 	mult int
+}
+
+// replay applies path to s and returns the trails that rewind needs.
+func (g *engine) replay(s *state, path []move) []trail {
+	trs := make([]trail, len(path))
+	for i, m := range path {
+		trs[i] = g.x.apply(s, m)
+	}
+	return trs
+}
+
+// rewind undoes a replayed path, newest move first.
+func (g *engine) rewind(s *state, path []move, trs []trail) {
+	for i := len(path) - 1; i >= 0; i-- {
+		g.x.undo(s, path[i], trs[i])
+	}
 }
 
 // runParallel expands the root breadth-first until the frontier offers
@@ -272,9 +299,14 @@ type frontierEntry struct {
 // workers goroutines. With memoization the frontier is deduplicated by
 // fingerprint, carrying path multiplicities, which keeps the distinct-
 // state count identical to a sequential memoized run.
+//
+// Frontier entries are move paths, not states: expansion replays each
+// path onto root and rewinds it, and every worker replays its entries
+// onto a root of its own (newRoot), so states are never copied and no two
+// goroutines touch one state.
 func (g *engine) runParallel(root *state, workers int) (*subResult, error) {
 	res := newSubResult()
-	frontier := []frontierEntry{{s: root, mult: 1}}
+	frontier := []frontierEntry{{mult: 1}}
 	target := workers * 4
 	for len(frontier) > 0 && len(frontier) < target {
 		var next []frontierEntry
@@ -283,33 +315,13 @@ func (g *engine) runParallel(root *state, workers int) (*subResult, error) {
 			nextIdx = make(map[fingerprint]int)
 		}
 		for _, en := range frontier {
-			if !g.claimFrontier(en.s) {
-				return res, nil
-			}
-			outcome, done, succs, err := g.expandState(en.s)
-			if err != nil {
+			var stop bool
+			var err error
+			if next, stop, err = g.expandEntry(root, en, res, next, nextIdx); err != nil {
 				return nil, err
 			}
-			if done {
-				res.outcomes[outcome] += en.mult
-				continue
-			}
-			if len(succs) == 0 {
-				res.stuck += en.mult
-				continue
-			}
-			for _, n := range succs {
-				if g.memoize {
-					fp := g.x.fingerprint(n)
-					if i, ok := nextIdx[fp]; ok {
-						next[i].mult += en.mult
-						continue
-					}
-					nextIdx[fp] = len(next)
-					next = append(next, frontierEntry{s: n, mult: en.mult})
-				} else {
-					next = append(next, frontierEntry{s: n, mult: 1})
-				}
+			if stop {
+				return res, nil
 			}
 		}
 		frontier = next
@@ -328,19 +340,23 @@ func (g *engine) runParallel(root *state, workers int) (*subResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			s := g.x.newRoot()
 			for {
 				i := int(nextIdx.Add(1)) - 1
 				if i >= len(frontier) {
 					return
 				}
-				sub, err := g.explore(frontier[i].s)
+				en := frontier[i]
+				trs := g.replay(s, en.path)
+				sub, err := g.explore(s)
+				g.rewind(s, en.path, trs)
 				mu.Lock()
 				if err != nil {
 					if firstErr == nil {
 						firstErr = err
 					}
 				} else {
-					res.add(sub, frontier[i].mult)
+					res.add(sub, en.mult)
 				}
 				mu.Unlock()
 			}
@@ -351,4 +367,43 @@ func (g *engine) runParallel(root *state, workers int) (*subResult, error) {
 		return nil, firstErr
 	}
 	return res, nil
+}
+
+// expandEntry replays the frontier entry en onto the root state s and
+// expands it: a completed or stuck state folds into res, otherwise each
+// successor's path is appended to next (deduplicated through nextIdx when
+// memoizing). s is rewound on return; stop reports an exhausted budget.
+func (g *engine) expandEntry(s *state, en frontierEntry, res *subResult, next []frontierEntry, nextIdx map[fingerprint]int) (_ []frontierEntry, stop bool, err error) {
+	trs := g.replay(s, en.path)
+	defer g.rewind(s, en.path, trs)
+	if !g.claimFrontier(s) {
+		return next, true, nil
+	}
+	outcome, done, ms, err := g.expandState(nil, s)
+	if err != nil {
+		return next, false, err
+	}
+	if done {
+		res.outcomes[outcome] += en.mult
+		return next, false, nil
+	}
+	if len(ms) == 0 {
+		res.stuck += en.mult
+		return next, false, nil
+	}
+	for _, m := range ms {
+		if g.memoize {
+			tr := g.x.apply(s, m)
+			fp := g.x.fingerprint(s)
+			g.x.undo(s, m, tr)
+			if i, ok := nextIdx[fp]; ok {
+				next[i].mult += en.mult
+				continue
+			}
+			nextIdx[fp] = len(next)
+		}
+		path := append(en.path[:len(en.path):len(en.path)], m)
+		next = append(next, frontierEntry{path: path, mult: en.mult})
+	}
+	return next, false, nil
 }

@@ -305,9 +305,12 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// state is one node of the exploration tree. Its layout is flat — one
-// backing array per field, no nested slices or maps — because clone runs
-// once per exploration step and is the engine's hottest allocation site.
+// state is the explorer's position in the exploration tree. There is one
+// mutable state per exploring goroutine: the engine branches by applying a
+// move, exploring, and undoing the move (apply/undo below; the execution
+// pops the op with core.Execution.Undo), so no step copies the execution
+// or these slices. The layout is flat — one backing array per field — so
+// fingerprinting walks it without chasing pointers.
 type state struct {
 	exec *core.Execution
 	pcs  []int
@@ -327,14 +330,22 @@ type regVal struct {
 	Set bool
 }
 
-func (s *state) clone() *state {
-	return &state{
-		exec:       s.exec.Clone(),
-		pcs:        append([]int(nil), s.pcs...),
-		lockHolder: append([]int(nil), s.lockHolder...),
-		lastRead:   append([]int(nil), s.lastRead...),
-		regs:       append([]regVal(nil), s.regs...),
-	}
+// move is one enabled exploration step: thread t executes its next
+// instruction. For reads and awaits, rf is the op ID of the write read
+// from and val the value returned; otherwise rf is -1. Op IDs are
+// deterministic, so a move list recorded on one state replays onto any
+// state built the same way (the parallel frontier relies on this).
+type move struct {
+	t   int
+	rf  int
+	val core.Value
+}
+
+// trail is what apply overwrote and undo restores beyond the pc and lock
+// holder (which undo recomputes): the read's lastRead slot and register.
+type trail struct {
+	lastRead int
+	reg      regVal
 }
 
 // Explorer runs exhaustive exploration of a program.
@@ -429,10 +440,9 @@ func (x *Explorer) prepare() (*state, error) {
 	// Wide locations and block instructions lower to per-word model
 	// operations first; word-granular programs pass through untouched.
 	x.prog = LowerWide(x.prog)
-	exec := core.NewExecution()
 	x.locIdx = make(map[string]core.Loc, len(x.prog.Locs))
-	for _, name := range x.prog.Locs {
-		x.locIdx[name] = exec.AddLoc(name)
+	for i, name := range x.prog.Locs {
+		x.locIdx[name] = core.Loc(i) // AddLoc order, see newRoot
 	}
 	if err := x.validate(); err != nil {
 		return nil, err
@@ -456,6 +466,17 @@ func (x *Explorer) prepare() (*state, error) {
 	if x.Symmetry && !x.Memoize {
 		return nil, fmt.Errorf("litmus %s: Symmetry requires Memoize (orbit results live in the memo table)", x.prog.Name)
 	}
+	return x.newRoot(), nil
+}
+
+// newRoot builds the initial state of the prepared program: every
+// location initialized, no thread started. Each call returns an
+// independent state with identical op IDs.
+func (x *Explorer) newRoot() *state {
+	exec := core.NewExecution()
+	for _, name := range x.prog.Locs {
+		exec.AddLoc(name)
+	}
 	s := &state{
 		exec:       exec,
 		pcs:        make([]int, len(x.prog.Threads)),
@@ -469,7 +490,7 @@ func (x *Explorer) prepare() (*state, error) {
 	for i := range s.lastRead {
 		s.lastRead[i] = -1
 	}
-	return s, nil
+	return s
 }
 
 // Run executes the exploration.
@@ -509,8 +530,8 @@ func (x *Explorer) Run() (*Result, error) {
 
 // readCandidates returns the write op IDs a read of loc by thread t may
 // return in state s, honoring Definition 12 and read monotonicity. The
-// readable set is computed against the live execution (core.ReadableAt);
-// no clone is taken.
+// readable set is computed against the live execution (core.ReadableAt)
+// without issuing a probe read.
 func (x *Explorer) readCandidates(s *state, t int, loc core.Loc) []int {
 	cands := s.exec.ReadableAt(core.ProcID(t), loc)
 	last := s.lastRead[t*len(x.prog.Locs)+int(loc)]
@@ -528,62 +549,31 @@ func (x *Explorer) readCandidates(s *state, t int, loc core.Loc) []int {
 	return out
 }
 
-// step returns the successor states of s for thread t, or nil if t is
-// blocked (or finished). Malformed programs (a release by a non-holder)
-// surface as an error; validate catches them statically before exploration,
-// so this path is defense in depth.
-func (x *Explorer) step(s *state, t int) ([]*state, error) {
+// moves appends to ms the enabled moves of thread t in s, in successor
+// order (one per read candidate for reads and awaits), and returns the
+// extended list; none are appended when t is blocked or finished.
+// Malformed programs (a release by a non-holder) surface as an error;
+// validate catches them statically before exploration, so this path is
+// defense in depth.
+func (x *Explorer) moves(ms []move, s *state, t int) ([]move, error) {
 	th := x.prog.Threads[t]
 	if s.pcs[t] >= len(th) {
-		return nil, nil
+		return ms, nil
 	}
 	in := th[s.pcs[t]]
-	p := core.ProcID(t)
 	switch in.Kind {
-	case IWrite:
-		n := s.clone()
-		n.exec.Write(p, x.locIdx[in.Loc], in.Val)
-		n.pcs[t]++
-		return []*state{n}, nil
-	case IFence:
-		n := s.clone()
-		if in.Loc != "" {
-			n.exec.FenceLoc(p, x.locIdx[in.Loc])
-		} else {
-			n.exec.Fence(p)
-		}
-		n.pcs[t]++
-		return []*state{n}, nil
-	case IFlush:
-		n := s.clone()
-		n.pcs[t]++
-		return []*state{n}, nil
+	case IWrite, IFence, IFlush:
 	case IAcquire:
-		loc := x.locIdx[in.Loc]
-		if s.lockHolder[loc] != -1 {
-			return nil, nil // blocked
+		if s.lockHolder[x.locIdx[in.Loc]] != -1 {
+			return ms, nil // blocked
 		}
-		n := s.clone()
-		n.exec.Acquire(p, loc)
-		n.lockHolder[loc] = t
-		n.pcs[t]++
-		return []*state{n}, nil
 	case IRelease:
-		loc := x.locIdx[in.Loc]
-		if s.lockHolder[loc] != t {
-			return nil, fmt.Errorf("litmus %s: thread %d releases %s without holding it",
+		if s.lockHolder[x.locIdx[in.Loc]] != t {
+			return ms, fmt.Errorf("litmus %s: thread %d releases %s without holding it",
 				x.prog.Name, t, in.Loc)
 		}
-		n := s.clone()
-		n.exec.Release(p, loc)
-		n.lockHolder[loc] = -1
-		n.pcs[t]++
-		return []*state{n}, nil
 	case IRead, IAwaitEq:
-		loc := x.locIdx[in.Loc]
-		cands := x.readCandidates(s, t, loc)
-		var succs []*state
-		for _, b := range cands {
+		for _, b := range x.readCandidates(s, t, x.locIdx[in.Loc]) {
 			val := s.exec.Op(b).Val
 			if s.exec.Op(b).IsInit {
 				val = 0
@@ -591,18 +581,71 @@ func (x *Explorer) step(s *state, t int) ([]*state, error) {
 			if in.Kind == IAwaitEq && val != in.Val {
 				continue
 			}
-			n := s.clone()
-			n.exec.Read(p, loc, val)
-			n.lastRead[t*len(x.prog.Locs)+int(loc)] = b
-			if in.Reg != "" {
-				n.regs[x.regIdx[in.Reg]] = regVal{Val: val, Set: true}
-			}
-			n.pcs[t]++
-			succs = append(succs, n)
+			ms = append(ms, move{t: t, rf: b, val: val})
 		}
-		return succs, nil // empty = blocked (await not yet satisfiable)
+		return ms, nil // none = blocked (await not yet satisfiable)
+	default:
+		return ms, fmt.Errorf("litmus %s: unknown instruction kind %d", x.prog.Name, in.Kind)
 	}
-	return nil, fmt.Errorf("litmus %s: unknown instruction kind %d", x.prog.Name, in.Kind)
+	return append(ms, move{t: t, rf: -1}), nil
+}
+
+// apply performs move m on s in place and returns what undo needs to
+// reverse it.
+func (x *Explorer) apply(s *state, m move) trail {
+	in := x.prog.Threads[m.t][s.pcs[m.t]]
+	p := core.ProcID(m.t)
+	var tr trail
+	switch in.Kind {
+	case IWrite:
+		s.exec.Write(p, x.locIdx[in.Loc], in.Val)
+	case IFence:
+		if in.Loc != "" {
+			s.exec.FenceLoc(p, x.locIdx[in.Loc])
+		} else {
+			s.exec.Fence(p)
+		}
+	case IAcquire:
+		loc := x.locIdx[in.Loc]
+		s.exec.Acquire(p, loc)
+		s.lockHolder[loc] = m.t
+	case IRelease:
+		loc := x.locIdx[in.Loc]
+		s.exec.Release(p, loc)
+		s.lockHolder[loc] = -1
+	case IRead, IAwaitEq:
+		loc := x.locIdx[in.Loc]
+		s.exec.Read(p, loc, m.val)
+		slot := m.t*len(x.prog.Locs) + int(loc)
+		tr.lastRead, s.lastRead[slot] = s.lastRead[slot], m.rf
+		if in.Reg != "" {
+			r := x.regIdx[in.Reg]
+			tr.reg, s.regs[r] = s.regs[r], regVal{Val: m.val, Set: true}
+		}
+	}
+	s.pcs[m.t]++
+	return tr
+}
+
+// undo reverses apply(s, m), which must be the latest move applied to s.
+func (x *Explorer) undo(s *state, m move, tr trail) {
+	s.pcs[m.t]--
+	in := x.prog.Threads[m.t][s.pcs[m.t]]
+	switch in.Kind {
+	case IFlush:
+		return // issued no op
+	case IAcquire:
+		s.lockHolder[x.locIdx[in.Loc]] = -1
+	case IRelease:
+		s.lockHolder[x.locIdx[in.Loc]] = m.t
+	case IRead, IAwaitEq:
+		loc := x.locIdx[in.Loc]
+		s.lastRead[m.t*len(x.prog.Locs)+int(loc)] = tr.lastRead
+		if in.Reg != "" {
+			s.regs[x.regIdx[in.Reg]] = tr.reg
+		}
+	}
+	s.exec.Undo()
 }
 
 // canonical renders a register assignment deterministically. regOrder is
