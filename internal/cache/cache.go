@@ -11,6 +11,13 @@
 // paper calls this restriction out and the SWCC protocol is designed around
 // it.
 //
+// A cache is used in one of two ways, never both. A data cache (the
+// D-cache) moves real bytes through Read32, Write32, the range operations
+// and the fills behind them; its line-data slab is allocated by the first
+// fill, so a cache that never fills costs only its tags. A fetch cache (the
+// I-cache) keeps tags only: Install makes a line resident without moving
+// data, since the simulated cores fetch no instruction bytes.
+//
 // The cache is a pure data/state machine: methods report what bus traffic an
 // access implies (miss fill, victim writeback) and move data to/from the
 // backing store, but charge no simulated time. The tile (internal/soc) is
@@ -18,6 +25,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"pmc/internal/mem"
@@ -27,14 +35,14 @@ import (
 type Config struct {
 	Size     int // total bytes
 	Ways     int // associativity; 1 = direct-mapped
-	LineSize int // bytes per line (power of two)
+	LineSize int // bytes per line (power of two, at least one 4-byte word)
 }
 
 // Valid reports whether the geometry is internally consistent.
 func (c Config) Valid() error {
 	switch {
-	case c.LineSize <= 0 || c.LineSize&(c.LineSize-1) != 0:
-		return fmt.Errorf("cache: line size %d not a positive power of two", c.LineSize)
+	case c.LineSize < 4 || c.LineSize&(c.LineSize-1) != 0:
+		return fmt.Errorf("cache: line size %d not a power of two of at least one word", c.LineSize)
 	case c.Ways <= 0:
 		return fmt.Errorf("cache: ways %d", c.Ways)
 	case c.Size <= 0 || c.Size%(c.LineSize*c.Ways) != 0:
@@ -55,7 +63,6 @@ type line struct {
 	valid bool
 	dirty bool
 	lru   uint64 // larger = more recently used
-	data  []byte
 }
 
 // Stats counts cache events since construction.
@@ -73,7 +80,13 @@ type Stats struct {
 type Cache struct {
 	cfg     Config
 	backing mem.Block
-	sets    [][]line
+	// lines holds every way: set i is lines[i*Ways : (i+1)*Ways].
+	lines []line
+	// data is the line-data slab, way i's bytes at [i*LineSize,
+	// (i+1)*LineSize). It stays nil until the first fill.
+	data []byte
+	// tagOnly is set by the first Install; such a cache never moves data.
+	tagOnly bool
 	tick    uint64
 	stats   Stats
 
@@ -87,19 +100,10 @@ func New(cfg Config, backing mem.Block) *Cache {
 	if err := cfg.Valid(); err != nil {
 		panic(err)
 	}
-	// One backing array and one way array for the whole cache, subsliced
-	// per set/line: a system builds two caches per tile, and thousands of
-	// tiny line buffers were a measurable slice of sweep allocation.
-	nSets := cfg.Sets()
-	ways := make([]line, nSets*cfg.Ways)
-	data := make([]byte, len(ways)*cfg.LineSize)
-	for w := range ways {
-		ways[w].data = data[w*cfg.LineSize : (w+1)*cfg.LineSize : (w+1)*cfg.LineSize]
-	}
-	sets := make([][]line, nSets)
-	for i := range sets {
-		sets[i] = ways[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-	}
+	// One flat tag array for the whole cache and no line data yet: a
+	// system builds two caches per tile, the I-cache never moves data and
+	// most D-caches of a large system never fill, so the data slab is
+	// allocated by the first fill (see slab).
 	setShift := uint32(0)
 	for 1<<setShift < cfg.LineSize {
 		setShift++
@@ -107,7 +111,7 @@ func New(cfg Config, backing mem.Block) *Cache {
 	return &Cache{
 		cfg:      cfg,
 		backing:  backing,
-		sets:     sets,
+		lines:    make([]line, cfg.Sets()*cfg.Ways),
 		lineMask: uint32(cfg.LineSize - 1),
 		setShift: setShift,
 		setMask:  uint32(cfg.Sets() - 1),
@@ -133,16 +137,50 @@ func (c *Cache) tag(addr mem.Addr) uint32 {
 	return uint32(addr) >> c.setShift
 }
 
-// lookup returns the resident line for addr, or nil.
-func (c *Cache) lookup(addr mem.Addr) *line {
-	set := c.sets[c.setIndex(addr)]
+// set returns the index of addr's set's first way and the set's lines.
+func (c *Cache) set(addr mem.Addr) (int, []line) {
+	first := int(c.setIndex(addr)) * c.cfg.Ways
+	return first, c.lines[first : first+c.cfg.Ways]
+}
+
+// lookup returns the way index of addr's resident line, or -1.
+func (c *Cache) lookup(addr mem.Addr) int {
+	first, set := c.set(addr)
 	tag := c.tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return &set[i]
+	for w := range set {
+		if set[w].valid && set[w].tag == tag {
+			return first + w
 		}
 	}
-	return nil
+	return -1
+}
+
+// slab returns the line-data slab, allocating it on first use. A cache
+// that has installed tag-only lines holds no data to move.
+func (c *Cache) slab() []byte {
+	if c.data == nil {
+		if c.tagOnly {
+			panic("cache: data access on a tag-only cache (Install was used)")
+		}
+		c.data = make([]byte, len(c.lines)*c.cfg.LineSize)
+	}
+	return c.data
+}
+
+// lineData returns way i's bytes.
+func (c *Cache) lineData(i int) []byte {
+	ls := c.cfg.LineSize
+	return c.slab()[i*ls : (i+1)*ls : (i+1)*ls]
+}
+
+// word returns the little-endian word at addr inside way i.
+func (c *Cache) word(i int, addr mem.Addr) uint32 {
+	return binary.LittleEndian.Uint32(c.lineData(i)[uint32(addr)&c.lineMask:])
+}
+
+// setWord stores the little-endian word v at addr inside way i.
+func (c *Cache) setWord(i int, addr mem.Addr, v uint32) {
+	binary.LittleEndian.PutUint32(c.lineData(i)[uint32(addr)&c.lineMask:], v)
 }
 
 // Traffic describes the bus transactions an access caused. Fill is true if
@@ -158,23 +196,25 @@ type Traffic struct {
 }
 
 // victim picks the LRU way of addr's set, writing it back if dirty, and
-// returns it ready for (re)fill.
-func (c *Cache) victim(addr mem.Addr) (*line, Traffic) {
-	set := c.sets[c.setIndex(addr)]
-	var v *line
-	for i := range set {
-		if !set[i].valid {
-			v = &set[i]
+// returns its index ready for (re)fill.
+func (c *Cache) victim(addr mem.Addr) (int, Traffic) {
+	first, set := c.set(addr)
+	vw := -1
+	for w := range set {
+		if !set[w].valid {
+			vw = w
 			break
 		}
-		if v == nil || set[i].lru < v.lru {
-			v = &set[i]
+		if vw < 0 || set[w].lru < set[vw].lru {
+			vw = w
 		}
 	}
+	vi := first + vw
+	v := &set[vw]
 	var tr Traffic
 	if v.valid && v.dirty {
 		tr.WritebackAddr = mem.Addr(v.tag << c.setShift)
-		c.writebackLine(v)
+		c.writebackLine(vi)
 		tr.Writeback = true
 	}
 	if v.valid {
@@ -182,73 +222,95 @@ func (c *Cache) victim(addr mem.Addr) (*line, Traffic) {
 	}
 	v.valid = false
 	v.dirty = false
-	return v, tr
+	return vi, tr
 }
 
-func (c *Cache) writebackLine(l *line) {
-	base := mem.Addr(l.tag << c.setShift)
-	c.backing.WriteBlock(base, l.data)
+func (c *Cache) writebackLine(i int) {
+	base := mem.Addr(c.lines[i].tag << c.setShift)
+	c.backing.WriteBlock(base, c.lineData(i))
 	c.stats.Writebacks++
 }
 
-func (c *Cache) fill(addr mem.Addr) (*line, Traffic) {
-	v, tr := c.victim(addr)
-	base := c.LineBase(addr)
-	c.backing.ReadBlock(base, v.data)
-	v.tag = c.tag(addr)
-	v.valid = true
-	v.dirty = false
-	tr.Fill = true
-	c.stats.Fills++
-	return v, tr
+// install marks way i as holding addr's line, clean.
+func (c *Cache) install(i int, addr mem.Addr) {
+	l := &c.lines[i]
+	l.tag = c.tag(addr)
+	l.valid = true
+	l.dirty = false
 }
 
-func (c *Cache) touch(l *line) {
+func (c *Cache) fill(addr mem.Addr) (int, Traffic) {
+	c.slab() // a tag-only cache refuses before any state changes
+	vi, tr := c.victim(addr)
+	c.backing.ReadBlock(c.LineBase(addr), c.lineData(vi))
+	c.install(vi, addr)
+	tr.Fill = true
+	c.stats.Fills++
+	return vi, tr
+}
+
+func (c *Cache) touch(i int) {
 	c.tick++
-	l.lru = c.tick
+	c.lines[i].lru = c.tick
 }
 
 // Read32 reads the little-endian word at addr through the cache,
 // allocating on miss.
 func (c *Cache) Read32(addr mem.Addr) (v uint32, tr Traffic) {
-	l := c.lookup(addr)
-	if l == nil {
+	i := c.lookup(addr)
+	if i < 0 {
 		c.stats.Misses++
-		l, tr = c.fill(addr)
+		i, tr = c.fill(addr)
 	} else {
 		c.stats.Hits++
 	}
-	c.touch(l)
-	off := uint32(addr) & c.lineMask
-	d := l.data[off:]
-	return uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24, tr
+	c.touch(i)
+	return c.word(i, addr), tr
+}
+
+// Install makes addr's line resident without moving any data: the
+// tag-only miss install of a fetch cache. Victim choice, LRU update and
+// the Hits/Misses/Fills/Invalidated counts are exactly those of Read32.
+// A cache that uses Install never moves data: Install panics on a cache
+// that holds a data slab, and the data paths panic once Install was used,
+// so a tag-only line can never be read back as zeros.
+func (c *Cache) Install(addr mem.Addr) {
+	if c.data != nil {
+		panic("cache: Install on a cache that holds data")
+	}
+	c.tagOnly = true
+	i := c.lookup(addr)
+	if i < 0 {
+		c.stats.Misses++
+		i, _ = c.victim(addr) // tag-only lines are never dirty
+		c.install(i, addr)
+		c.stats.Fills++
+	} else {
+		c.stats.Hits++
+	}
+	c.touch(i)
 }
 
 // Write32 writes the word at addr through the cache (write-back,
 // write-allocate): the line is fetched on miss and marked dirty.
 func (c *Cache) Write32(addr mem.Addr, v uint32) (tr Traffic) {
-	l := c.lookup(addr)
-	if l == nil {
+	i := c.lookup(addr)
+	if i < 0 {
 		c.stats.Misses++
-		l, tr = c.fill(addr)
+		i, tr = c.fill(addr)
 	} else {
 		c.stats.Hits++
 	}
-	c.touch(l)
-	l.dirty = true
-	off := uint32(addr) & c.lineMask
-	d := l.data[off:]
-	d[0] = byte(v)
-	d[1] = byte(v >> 8)
-	d[2] = byte(v >> 16)
-	d[3] = byte(v >> 24)
+	c.touch(i)
+	c.setWord(i, addr, v)
+	c.lines[i].dirty = true
 	return tr
 }
 
 // Probe reports whether addr's line is resident, without touching LRU state.
 func (c *Cache) Probe(addr mem.Addr) (resident, dirty bool) {
-	if l := c.lookup(addr); l != nil {
-		return true, l.dirty
+	if i := c.lookup(addr); i >= 0 {
+		return true, c.lines[i].dirty
 	}
 	return false, false
 }
@@ -257,13 +319,14 @@ func (c *Cache) Probe(addr mem.Addr) (resident, dirty bool) {
 // reports the traffic (Writeback set if data moved). This is the
 // MicroBlaze "wdc.flush" analogue.
 func (c *Cache) FlushLine(addr mem.Addr) (tr Traffic) {
-	l := c.lookup(addr)
-	if l == nil {
+	i := c.lookup(addr)
+	if i < 0 {
 		return
 	}
+	l := &c.lines[i]
 	if l.dirty {
 		tr.WritebackAddr = mem.Addr(l.tag << c.setShift)
-		c.writebackLine(l)
+		c.writebackLine(i)
 		tr.Writeback = true
 	}
 	l.valid = false
@@ -276,10 +339,11 @@ func (c *Cache) FlushLine(addr mem.Addr) (tr Traffic) {
 // dirty — the MicroBlaze "wdc" analogue. Discarding dirty data loses
 // writes; the SWCC protocol only uses it where that is sound.
 func (c *Cache) InvalidateLine(addr mem.Addr) {
-	l := c.lookup(addr)
-	if l == nil {
+	i := c.lookup(addr)
+	if i < 0 {
 		return
 	}
+	l := &c.lines[i]
 	if l.dirty {
 		c.stats.DirtyLost++
 	}
@@ -301,13 +365,13 @@ func (c *Cache) FillRange(addr mem.Addr, size int) (fills int, wbs []mem.Addr) {
 	first := c.LineBase(addr)
 	last := c.LineBase(addr + mem.Addr(size-1))
 	for a := first; ; a += mem.Addr(c.cfg.LineSize) {
-		if l := c.lookup(a); l != nil {
+		if i := c.lookup(a); i >= 0 {
 			c.stats.Hits++
-			c.touch(l)
+			c.touch(i)
 		} else {
 			c.stats.Misses++
-			l, tr := c.fill(a)
-			c.touch(l)
+			i, tr := c.fill(a)
+			c.touch(i)
 			if tr.Writeback {
 				wbs = append(wbs, tr.WritebackAddr)
 			}
@@ -327,15 +391,13 @@ func (c *Cache) FillRange(addr mem.Addr, size int) (fills int, wbs []mem.Addr) {
 // any covered line is absent (a range so large it evicted its own head);
 // the caller falls back to the per-word path.
 func (c *Cache) ReadRange32(addr mem.Addr, dst []uint32) bool {
-	for i := range dst {
-		a := addr + mem.Addr(4*i)
-		l := c.lookup(a)
-		if l == nil {
+	for k := range dst {
+		a := addr + mem.Addr(4*k)
+		i := c.lookup(a)
+		if i < 0 {
 			return false
 		}
-		off := uint32(a) & c.lineMask
-		d := l.data[off:]
-		dst[i] = uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24
+		dst[k] = c.word(i, a)
 	}
 	return true
 }
@@ -345,21 +407,16 @@ func (c *Cache) ReadRange32(addr mem.Addr, dst []uint32) bool {
 // the data phase of a DMA-style range write. It reports false before
 // writing anything when any covered line is absent.
 func (c *Cache) WriteRange32(addr mem.Addr, src []uint32) bool {
-	for i := range src {
-		if c.lookup(addr+mem.Addr(4*i)) == nil {
+	for k := range src {
+		if c.lookup(addr+mem.Addr(4*k)) < 0 {
 			return false
 		}
 	}
-	for i, v := range src {
-		a := addr + mem.Addr(4*i)
-		l := c.lookup(a)
-		l.dirty = true
-		off := uint32(a) & c.lineMask
-		d := l.data[off:]
-		d[0] = byte(v)
-		d[1] = byte(v >> 8)
-		d[2] = byte(v >> 16)
-		d[3] = byte(v >> 24)
+	for k, v := range src {
+		a := addr + mem.Addr(4*k)
+		i := c.lookup(a)
+		c.setWord(i, a, v)
+		c.lines[i].dirty = true
 	}
 	return true
 }
@@ -374,18 +431,18 @@ func (c *Cache) WriteLineFull(addr mem.Addr, src []byte) (tr Traffic) {
 	if len(src) != c.cfg.LineSize || addr != c.LineBase(addr) {
 		panic(fmt.Sprintf("cache: WriteLineFull(%#x, %d bytes) not a full aligned line", addr, len(src)))
 	}
-	l := c.lookup(addr)
-	if l == nil {
+	c.slab() // a tag-only cache refuses before any state changes
+	i := c.lookup(addr)
+	if i < 0 {
 		c.stats.Misses++
-		l, tr = c.victim(addr)
-		l.tag = c.tag(addr)
-		l.valid = true
+		i, tr = c.victim(addr)
+		c.install(i, addr)
 	} else {
 		c.stats.Hits++
 	}
-	c.touch(l)
-	l.dirty = true
-	copy(l.data, src)
+	c.touch(i)
+	copy(c.lineData(i), src)
+	c.lines[i].dirty = true
 	return tr
 }
 
@@ -412,22 +469,24 @@ func (c *Cache) FlushRange(addr mem.Addr, size int) (lines, writebacks int) {
 }
 
 // FlushAll flush-invalidates every resident line and returns the number of
-// writebacks performed.
+// writebacks performed. A data cache that never filled has no resident
+// line and returns at once.
 func (c *Cache) FlushAll() (writebacks int) {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
-			if !l.valid {
-				continue
-			}
-			if l.dirty {
-				c.writebackLine(l)
-				writebacks++
-			}
-			l.valid = false
-			l.dirty = false
-			c.stats.Invalidated++
+	if c.data == nil && !c.tagOnly {
+		return 0
+	}
+	for i := range c.lines {
+		l := &c.lines[i]
+		if !l.valid {
+			continue
 		}
+		if l.dirty {
+			c.writebackLine(i)
+			writebacks++
+		}
+		l.valid = false
+		l.dirty = false
+		c.stats.Invalidated++
 	}
 	return writebacks
 }

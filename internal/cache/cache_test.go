@@ -31,6 +31,7 @@ func TestConfigValidation(t *testing.T) {
 		{Size: 256, Ways: 0, LineSize: 32},
 		{Size: 256, Ways: 2, LineSize: 24},     // line not power of two
 		{Size: 96 * 32, Ways: 1, LineSize: 32}, // sets not power of two
+		{Size: 64, Ways: 1, LineSize: 2},       // line shorter than a word
 	}
 	for _, c := range bad {
 		if err := c.Valid(); err == nil {
@@ -242,5 +243,113 @@ func TestProbeIsPure(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: Install is Read32's miss path minus the data. Two caches see
+// the same random fetch stream with eviction-heavy geometry; the oracle
+// installs a missing line with Read32 (a data fill), the other with
+// Install. Direct steps call Read32/Install without the Probe, covering
+// the hit path too. After every step the counters and the residency of
+// every line of the stream must agree.
+func TestInstallMatchesReadMiss(t *testing.T) {
+	type step struct {
+		Slot   uint8
+		Direct bool
+	}
+	cfg := Config{Size: 128, Ways: 2, LineSize: 16}
+	prop := func(steps []step) bool {
+		oracle := New(cfg, mem.NewRAM(0, 1<<16))
+		lean := New(cfg, mem.NewRAM(0, 1<<16))
+		for _, s := range steps {
+			a := mem.Addr(s.Slot) * mem.Addr(cfg.LineSize)
+			if res, _ := oracle.Probe(a); !res || s.Direct {
+				oracle.Read32(a)
+			}
+			if res, _ := lean.Probe(a); !res || s.Direct {
+				lean.Install(a)
+			}
+			if oracle.Stats() != lean.Stats() {
+				return false
+			}
+			for _, o := range steps {
+				b := mem.Addr(o.Slot) * mem.Addr(cfg.LineSize)
+				r1, d1 := oracle.Probe(b)
+				r2, d2 := lean.Probe(b)
+				if r1 != r2 || d1 != d2 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A cache either fetches (Install, tags only) or moves data, never both:
+// each side refuses the other's operations, so a tag-only line can never
+// be read back as zeros.
+func TestInstallAndDataPathsDoNotMix(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	data, _ := newTestCache(t, small())
+	data.Read32(0x40)
+	mustPanic("Install after a fill", func() { data.Install(0x80) })
+
+	fetch, _ := newTestCache(t, small())
+	fetch.Install(0x40)
+	mustPanic("Read32 hit", func() { fetch.Read32(0x40) })
+	mustPanic("Read32 miss", func() { fetch.Read32(0x80) })
+	mustPanic("Write32", func() { fetch.Write32(0x80, 1) })
+	mustPanic("FillRange", func() { fetch.FillRange(0x80, 4) })
+	mustPanic("ReadRange32", func() { fetch.ReadRange32(0x40, make([]uint32, 1)) })
+	mustPanic("WriteLineFull", func() { fetch.WriteLineFull(0x80, make([]byte, 32)) })
+	if res, _ := fetch.Probe(0x80); res {
+		t.Fatal("a refused data access changed residency")
+	}
+	// Control operations need no data on a tag-only cache.
+	if wbs := fetch.FlushAll(); wbs != 0 {
+		t.Fatalf("FlushAll of a tag-only cache wrote back %d lines", wbs)
+	}
+	if res, _ := fetch.Probe(0x40); res {
+		t.Fatal("FlushAll left a tag-only line resident")
+	}
+}
+
+// The data slab is allocated by the first fill: control operations on a
+// never-filled cache leave it unallocated, and a fetch cache never
+// allocates at all.
+func TestDataSlabAllocatedOnFirstFill(t *testing.T) {
+	c, ram := newTestCache(t, small())
+	c.Probe(0x40)
+	c.FlushLine(0x40)
+	c.InvalidateLine(0x40)
+	if wbs := c.FlushAll(); wbs != 0 || c.data != nil {
+		t.Fatalf("never-filled cache: FlushAll = %d, slab allocated %v", wbs, c.data != nil)
+	}
+	ram.Write32(0x44, 5)
+	if v, _ := c.Read32(0x44); v != 5 || c.data == nil {
+		t.Fatalf("first fill read %d, slab allocated %v", v, c.data != nil)
+	}
+
+	fetch, _ := newTestCache(t, small())
+	a := mem.Addr(0)
+	if n := testing.AllocsPerRun(100, func() {
+		fetch.Install(a)
+		a += 32
+	}); n != 0 {
+		t.Fatalf("Install allocates %v times per call, want 0", n)
+	}
+	if fetch.data != nil {
+		t.Fatal("a fetch cache allocated a data slab")
 	}
 }

@@ -194,11 +194,7 @@ func (b *adaptiveBackend) migrate(c *Ctx, o *Object, st *adaptState, cur, target
 		return
 	}
 	if target == Backend(b.dsm) {
-		for t := range b.rt.Sys.Locals {
-			for i, v := range snapshot {
-				b.rt.Sys.Locals[t].Write32(b.dsm.replicaAddr(t, o)+mem.Addr(4*i), v)
-			}
-		}
+		b.dsm.initReplicas(b.rt, o, wordBytes(snapshot))
 		b.dsm.lastWriter[o.ID] = c.T.ID
 	}
 	st.proto = target
@@ -354,8 +350,8 @@ func (b *adaptiveBackend) lockTransfer(rt *Runtime, o *Object, from, to int, t s
 
 // initReplicas keeps the inner dsm replicas warm so a later migration to
 // dsm (or a pre-migration InitObject) always finds consistent data.
-func (b *adaptiveBackend) initReplicas(rt *Runtime, o *Object, words []uint32) {
-	b.dsm.initReplicas(rt, o, words)
+func (b *adaptiveBackend) initReplicas(rt *Runtime, o *Object, image []byte) {
+	b.dsm.initReplicas(rt, o, image)
 }
 
 // readCanonical reads the authoritative copy under the current protocol:

@@ -64,12 +64,10 @@ func (b *cdsmBackend) lockTransfer(rt *Runtime, o *Object, from, to int, t sim.T
 }
 
 // initReplicas pre-loads every cluster's replica (setup, outside simulated
-// time).
-func (b *cdsmBackend) initReplicas(rt *Runtime, o *Object, words []uint32) {
+// time) with one block write per cluster scratch.
+func (b *cdsmBackend) initReplicas(rt *Runtime, o *Object, image []byte) {
 	for _, cl := range rt.Sys.Clusters {
-		for i, w := range words {
-			cl.Scratch.Write32(b.replicaAddr(cl.ID, o)+mem.Addr(4*i), w)
-		}
+		cl.Scratch.WriteBlock(b.replicaAddr(cl.ID, o), image)
 	}
 }
 

@@ -62,12 +62,10 @@ func (b *dsmBackend) lockTransfer(rt *Runtime, o *Object, from, to int, t sim.Ti
 }
 
 // initReplicas pre-loads every tile's replica (setup, outside simulated
-// time).
-func (b *dsmBackend) initReplicas(rt *Runtime, o *Object, words []uint32) {
-	for t := range rt.Sys.Locals {
-		for i, w := range words {
-			rt.Sys.Locals[t].Write32(b.replicaAddr(t, o)+mem.Addr(4*i), w)
-		}
+// time) with one block write per local memory.
+func (b *dsmBackend) initReplicas(rt *Runtime, o *Object, image []byte) {
+	for t, l := range rt.Sys.Locals {
+		l.WriteBlock(b.replicaAddr(t, o), image)
 	}
 }
 

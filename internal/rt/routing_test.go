@@ -224,3 +224,41 @@ func TestAdaptiveMigratesReadMostly(t *testing.T) {
 		t.Fatal("adaptive backend never migrated a read-only table")
 	}
 }
+
+// TestAdaptiveMigrationSeedsEveryReplica forces one migration to dsm at a
+// scope exit: afterwards every tile's replica must hold the snapshot the
+// migration gathered — the words written under the departing protocol,
+// not the contents InitObject seeded.
+func TestAdaptiveMigrationSeedsEveryReplica(t *testing.T) {
+	b := Adaptive().(*adaptiveBackend)
+	const tiles, words = 4, 8
+	r := New(testSys(t, tiles), b)
+	rec := NewRecorder(r)
+	o := r.Alloc("obj", words*4)
+	init, want := make([]uint32, words), make([]uint32, words)
+	for w := range want {
+		init[w] = uint32(w + 1)
+		want[w] = 0x100 + uint32(w)
+	}
+	r.InitObject(o, init)
+	r.Spawn(1, "writer", func(c *Ctx) {
+		c.EntryX(o)
+		for w, v := range want {
+			c.Write32(o, 4*w, v)
+		}
+		// Make this exit's verdict migratory.
+		st := b.st(o)
+		st.xEntries, st.handoffs = adaptWarmup, adaptWarmup
+		c.ExitX(o)
+	})
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Err(); err != nil {
+		t.Fatalf("model violation during migration: %v", err)
+	}
+	if b.st(o).proto != Backend(b.dsm) || b.Migrations() != 1 {
+		t.Fatalf("object on %s after %d migrations, want dsm after 1", b.st(o).proto.Name(), b.Migrations())
+	}
+	checkReplicas(t, r, o, want)
+}

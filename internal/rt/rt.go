@@ -21,6 +21,7 @@
 package rt
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"pmc/internal/lock"
@@ -177,7 +178,9 @@ func writeRangeByWords(b Backend, c *Ctx, o *Object, off int, src []uint32) {
 // capacity. Asserted as an interface so it promotes through wrappers that
 // embed a Backend (e.g. the fault-injecting decorator).
 type replicated interface {
-	initReplicas(rt *Runtime, o *Object, words []uint32)
+	// initReplicas writes image, an object's initial contents in
+	// little-endian bytes, into every replica of o.
+	initReplicas(rt *Runtime, o *Object, image []byte)
 	readCanonical(rt *Runtime, o *Object, wordIdx int) uint32
 	// heapLimit is the replica capacity in bytes.
 	heapLimit(rt *Runtime) int
@@ -509,15 +512,23 @@ func (rt *Runtime) InitObject(o *Object, words []uint32) {
 	if len(words) > o.WordCount() {
 		panic("rt: InitObject data larger than object")
 	}
-	for i, w := range words {
-		rt.Sys.SDRAM.Write32(o.Addr+mem.Addr(4*i), w)
-	}
+	image := wordBytes(words)
+	rt.Sys.SDRAM.WriteBlock(o.Addr, image)
 	if d, ok := o.route.(replicated); ok {
-		d.initReplicas(rt, o, words)
+		d.initReplicas(rt, o, image)
 	}
 	if rt.Recorder != nil {
 		rt.Recorder.initObject(o, words)
 	}
+}
+
+// wordBytes encodes words as the little-endian bytes memory holds them in.
+func wordBytes(words []uint32) []byte {
+	b := make([]byte, 4*len(words))
+	for i, w := range words {
+		binary.LittleEndian.PutUint32(b[4*i:], w)
+	}
+	return b
 }
 
 // ReadObjectWord reads an object's canonical word outside simulated time

@@ -2,9 +2,11 @@ package rt
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"pmc/internal/mem"
 	"pmc/internal/sim"
 	"pmc/internal/soc"
 	"pmc/internal/trace"
@@ -419,32 +421,101 @@ func TestDSMHeapLimitEnforced(t *testing.T) {
 	r.Alloc("huge", sys.Cfg.LocalBytes+4096)
 }
 
+// TestInitObjectVisibleEverywhere pre-loads an object on every backend of a
+// two-cluster system. Straight after InitObject every replica — per tile
+// for dsm and adaptive's inner dsm, per cluster scratch for cdsm — must
+// hold the contents, and every tile must then read them through the
+// runtime. The cases cover a partial init (the tail reads zero) and a
+// replica that straddles a 16 KiB RAM chunk boundary.
 func TestInitObjectVisibleEverywhere(t *testing.T) {
+	const tiles = 4
+	seq := make([]uint32, 16)
+	for i := range seq {
+		seq[i] = 0x0101_0101 * uint32(i+1)
+	}
+	cases := []struct {
+		name  string
+		pad   int // bytes allocated ahead of the object
+		size  int
+		words []uint32
+	}{
+		{"full", 0, 16, []uint32{10, 20, 30, 40}},
+		{"partial", 0, 16, []uint32{10, 20}},
+		// The heap starts at 0x40 and the pad ends one line short of
+		// 16 KiB, so the 64-byte object spans the chunk boundary.
+		{"chunk-straddle", 1<<14 - 0x40 - 32, 64, seq},
+	}
 	for _, b := range allBackends() {
-		b := b
 		t.Run(b.Name(), func(t *testing.T) {
-			sys := testSys(t, 3)
-			r := New(sys, b)
-			o := r.Alloc("tbl", 16)
-			r.InitObject(o, []uint32{10, 20, 30, 40})
-			var got [3]uint32
-			for i := 0; i < 3; i++ {
-				i := i
-				r.Spawn(i, "rd", func(c *Ctx) {
-					c.EntryRO(o)
-					got[i] = c.Read32(o, 8)
-					c.ExitRO(o)
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					fresh, err := ByName(b.Name())
+					if err != nil {
+						t.Fatal(err)
+					}
+					r := New(clusterSys(t, tiles, tiles/2), fresh)
+					if tc.pad > 0 {
+						r.Alloc("pad", tc.pad)
+					}
+					o := r.Alloc("tbl", tc.size)
+					r.InitObject(o, tc.words)
+					want := make([]uint32, o.WordCount())
+					copy(want, tc.words)
+					checkReplicas(t, r, o, want)
+					got := make([][]uint32, tiles)
+					for i := range got {
+						r.Spawn(i, "rd", func(c *Ctx) {
+							got[i] = make([]uint32, len(want))
+							c.EntryRO(o)
+							for w := range want {
+								got[i][w] = c.Read32(o, 4*w)
+							}
+							c.ExitRO(o)
+						})
+					}
+					if err := r.Run(); err != nil {
+						t.Fatal(err)
+					}
+					for i := range got {
+						for w, v := range want {
+							if got[i][w] != v {
+								t.Fatalf("tile %d word %d read %#x, want %#x", i, w, got[i][w], v)
+							}
+						}
+					}
 				})
 			}
-			if err := r.Run(); err != nil {
-				t.Fatal(err)
-			}
-			for i, v := range got {
-				if v != 30 {
-					t.Fatalf("tile %d read %d, want 30", i, v)
-				}
-			}
 		})
+	}
+}
+
+// checkReplicas requires every replica of o that InitObject seeds to hold
+// want: one per tile for dsm and adaptive (whose inner dsm keeps its
+// replicas warm), one per cluster scratch for cdsm.
+func checkReplicas(t *testing.T, r *Runtime, o *Object, want []uint32) {
+	t.Helper()
+	type replica struct {
+		where string
+		ram   *mem.Local
+		base  mem.Addr
+	}
+	var reps []replica
+	switch o.Backend() {
+	case "dsm", "adaptive":
+		for i, l := range r.Sys.Locals {
+			reps = append(reps, replica{fmt.Sprintf("tile %d", i), l, soc.LocalAddr(i, o.Addr)})
+		}
+	case "cdsm":
+		for _, cl := range r.Sys.Clusters {
+			reps = append(reps, replica{fmt.Sprintf("cluster %d", cl.ID), cl.Scratch, soc.ClusterAddr(cl.ID, o.Addr)})
+		}
+	}
+	for _, rep := range reps {
+		for w, v := range want {
+			if got := rep.ram.Read32(rep.base + mem.Addr(4*w)); got != v {
+				t.Fatalf("%s replica word %d = %#x, want %#x", rep.where, w, got, v)
+			}
+		}
 	}
 }
 

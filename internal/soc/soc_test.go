@@ -1,10 +1,12 @@
 package soc
 
 import (
+	"runtime"
 	"testing"
 
 	"pmc/internal/cache"
 	"pmc/internal/mem"
+	"pmc/internal/noc"
 	"pmc/internal/sim"
 )
 
@@ -22,6 +24,13 @@ func TestConfigValidate(t *testing.T) {
 	bad.SDRAM.LineSize = 16 // mismatch with D-cache line
 	if err := bad.Validate(); err == nil {
 		t.Fatal("line-size mismatch not rejected")
+	}
+	// A line shorter than one instruction word holds no instruction:
+	// the fetch walker would divide by zero on the first Exec.
+	short := DefaultConfig()
+	short.ICache.LineSize = 2
+	if err := short.Validate(); err == nil {
+		t.Fatal("2-byte I-cache line not rejected")
 	}
 }
 
@@ -300,5 +309,47 @@ func TestDefaultICacheGeometry(t *testing.T) {
 	}
 	if err := (cache.Config{Size: cfg.ICache.Size, Ways: cfg.ICache.Ways, LineSize: cfg.ICache.LineSize}).Valid(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// config1024 is the largest platform the sweeps build: 1024 tiles of the
+// MemPool-style clustered mesh.
+func config1024(tb testing.TB) Config {
+	tb.Helper()
+	cfg := testConfig(1024)
+	topo, err := noc.ParseTopology("cluster:32xmesh")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg.NoC.Topology = topo
+	return cfg
+}
+
+// TestNewLean1024 guards construction cost at scale: New allocates only
+// the state a run can use — tags for both caches, no I-cache data, D-cache
+// data on first fill, memories on first write.
+func TestNewLean1024(t *testing.T) {
+	cfg := config1024(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := New(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 12 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Fatalf("New(1024 tiles) allocated %.1f MiB, want < %d MiB", float64(got)/(1<<20), limit>>20)
+	}
+	runtime.KeepAlive(s)
+}
+
+func BenchmarkNew1024(b *testing.B) {
+	cfg := config1024(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -138,7 +138,8 @@ func (t *Tile) instrsPerLine() int { return t.Sys.Cfg.ICache.LineSize / 4 }
 // fetchAndExec walks n instructions through the I-cache, charging fill
 // stalls, and advances simulated time for the execute cycles (1 per
 // instruction). It is the single bottleneck through which all "executed
-// instructions" pass.
+// instructions" pass. Only the I-cache's tags matter: a miss charges the
+// SDRAM line burst and installs the tag, but no instruction bytes move.
 func (t *Tile) fetchAndExec(p *sim.Proc, n int) {
 	if n <= 0 {
 		return
@@ -162,7 +163,7 @@ func (t *Tile) fetchAndExec(p *sim.Proc, n int) {
 		if res, _ := t.IC.Probe(lineAddr); !res {
 			// Miss: fill from SDRAM.
 			t.Stats.IStall += t.Sys.SDRAM.AccessLine(p, lineAddr)
-			t.IC.Read32(lineAddr) // install the line (data immaterial)
+			t.IC.Install(lineAddr)
 			t.Sys.SDRAM.LineFills++
 		}
 		p.Wait(sim.Time(inLine))
