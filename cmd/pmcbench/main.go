@@ -1,29 +1,26 @@
-// Command pmcbench is the continuous-benchmarking driver: it runs a
-// declarative benchmark suite across the simulator, the litmus engines
-// and the fuzzer, serializes the measurements to the versioned BENCH.json
-// schema, and diffs two such reports to gate perf regressions.
+// Command pmcbench is the behaviour-contract driver: it runs a declarative
+// suite across the simulator, the litmus engines and the fuzzer, records
+// every entry's exact metrics (sim-cycles, checksums, states, campaign
+// tallies) in the versioned BENCH.json schema, and diffs two such reports.
+// Host time is measured by the benchmark/ module, not here.
 //
 // Usage:
 //
 //	pmcbench -list                          list suites and their entries
 //	pmcbench -suite ci -reps 3 -json BENCH.json
-//	pmcbench -suite ci -cache .pmcd-cache -cachekey "$SRC_HASH" -json BENCH.json
-//	pmcbench -suite full -cpuprofile cpu.pprof -memprofile mem.pprof
-//	pmcbench -compare BENCH_baseline.json BENCH.json -threshold 10%
+//	pmcbench -compare BENCH_baseline.json BENCH.json
 //
-// Compare exits 0 when clean and 1 when gated: a host-time/alloc
-// regression past the threshold, a missing entry or metric, or any drift
-// in an exact (deterministic) metric such as sim-cycles — exact drift in
-// either direction means the measured computation changed and the
-// committed baseline must be refreshed deliberately. Usage errors exit 2.
+// -reps is the number of runs per entry whose exact metrics must agree.
+// Compare exits 0 when clean and 1 when gated: a missing entry or metric,
+// or any change in a metric — drift in either direction means the measured
+// computation changed and the committed baseline must be refreshed
+// deliberately. Usage errors exit 2.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"pmc"
 	"pmc/internal/cli"
@@ -31,33 +28,17 @@ import (
 
 func main() {
 	var (
-		list       = flag.Bool("list", false, "list benchmark suites and entries")
-		suite      = flag.String("suite", "", "suite to run: "+fmt.Sprint(pmc.BenchSuites()))
-		reps       = flag.Int("reps", 0, "timed repetitions per entry (0 = 5)")
-		jsonOut    = flag.String("json", "", `write the BENCH.json report to this file ("-" = stdout)`)
-		quiet      = flag.Bool("q", false, "suppress per-entry progress lines")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the suite run to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation profile of the suite run to this file")
-		cacheDir   = flag.String("cache", "", "content-addressed measurement cache directory; unchanged entries are answered without re-simulation")
-		cacheKey   = flag.String("cachekey", "", "cache-key salt (default: the build's code version); CI passes a source-content hash")
-
-		compare   = flag.String("compare", "", "baseline BENCH.json to compare against; the candidate report is the positional argument")
-		threshold = flag.String("threshold", "10%", `with -compare: relative host-metric noise tolerance ("10%" or "0.1")`)
+		list    = flag.Bool("list", false, "list benchmark suites and entries")
+		suite   = flag.String("suite", "", "suite to run: "+fmt.Sprint(pmc.BenchSuites()))
+		reps    = flag.Int("reps", 0, "runs per entry whose exact metrics must agree (0 = 5)")
+		jsonOut = flag.String("json", "", `write the BENCH.json report to this file ("-" = stdout)`)
+		quiet   = flag.Bool("q", false, "suppress per-entry progress lines")
+		compare = flag.String("compare", "", "baseline BENCH.json to compare against; the candidate report is the positional argument")
 	)
 	flag.Parse()
-	// flag stops at the first positional argument, so the documented
-	// shape "-compare old.json new.json -threshold 10%" leaves trailing
-	// flags unparsed; re-parse them, collecting the positionals.
-	args := flag.Args()
-	var positional []string
-	for len(args) > 0 {
-		positional = append(positional, args[0])
-		flag.CommandLine.Parse(args[1:])
-		args = flag.CommandLine.Args()
-	}
-
-	if *cacheKey != "" && *cacheDir == "" {
-		fail(usagef("-cachekey requires -cache"))
+	positional := flag.Args()
+	if *reps < 0 {
+		fail(usagef("-reps must be non-negative, got %d", *reps))
 	}
 
 	switch {
@@ -78,17 +59,13 @@ func main() {
 		if len(positional) != 1 {
 			fail(usagef("-compare needs exactly one candidate report argument, got %d", len(positional)))
 		}
-		thr, err := pmc.BenchParseThreshold(*threshold)
-		if err != nil {
-			fail(cli.UsageError{Err: err})
-		}
-		if err := runCompare(*compare, positional[0], thr); err != nil {
+		if err := runCompare(*compare, positional[0]); err != nil {
 			fail(err)
 		}
 		return
 	case *suite != "":
 		rejectPositional(positional)
-		if err := runSuite(*suite, *reps, *jsonOut, *cpuProfile, *memProfile, *cacheDir, *cacheKey, *quiet); err != nil {
+		if err := runSuite(*suite, *reps, *jsonOut, *quiet); err != nil {
 			fail(err)
 		}
 		return
@@ -113,7 +90,7 @@ func usagef(format string, args ...any) error { return cli.Usagef(format, args..
 
 func fail(err error) { cli.Fail("pmcbench", err) }
 
-func runSuite(name string, reps int, jsonOut, cpuProfile, memProfile, cacheDir, cacheKey string, quiet bool) error {
+func runSuite(name string, reps int, jsonOut string, quiet bool) error {
 	spec, err := pmc.BenchSuite(name)
 	if err != nil {
 		return cli.UsageError{Err: err}
@@ -122,45 +99,9 @@ func runSuite(name string, reps int, jsonOut, cpuProfile, memProfile, cacheDir, 
 	if !quiet {
 		spec.Progress = os.Stderr
 	}
-	if cpuProfile != "" {
-		f, err := os.Create(cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	var report *pmc.BenchReport
-	if cacheDir != "" {
-		store, err := pmc.OpenPmcdStore(cacheDir, 0)
-		if err != nil {
-			return err
-		}
-		var stats pmc.BenchCacheStats
-		report, stats, err = pmc.BenchRunCached(spec, store, cacheKey)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "bench cache: %d hits, %d misses\n", stats.Hits, stats.Misses)
-	} else {
-		report, err = pmc.BenchRun(spec)
-		if err != nil {
-			return err
-		}
-	}
-	if memProfile != "" {
-		f, err := os.Create(memProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			return err
-		}
+	report, err := pmc.BenchRun(spec)
+	if err != nil {
+		return err
 	}
 	if jsonOut == "" || jsonOut == "-" {
 		return report.WriteJSON(os.Stdout)
@@ -180,7 +121,7 @@ func runSuite(name string, reps int, jsonOut, cpuProfile, memProfile, cacheDir, 
 	return nil
 }
 
-func runCompare(basePath, candPath string, threshold float64) error {
+func runCompare(basePath, candPath string) error {
 	base, err := pmc.BenchLoadReport(basePath)
 	if err != nil {
 		return err
@@ -189,7 +130,7 @@ func runCompare(basePath, candPath string, threshold float64) error {
 	if err != nil {
 		return err
 	}
-	cmp, err := pmc.BenchCompare(base, cand, threshold)
+	cmp, err := pmc.BenchCompare(base, cand)
 	if err != nil {
 		return err
 	}

@@ -353,3 +353,12 @@ func TestDataSlabAllocatedOnFirstFill(t *testing.T) {
 		t.Fatal("a fetch cache allocated a data slab")
 	}
 }
+
+func BenchmarkAccess(b *testing.B) {
+	ram := mem.NewRAM(0, 1<<20)
+	c := New(Config{Size: 8192, Ways: 2, LineSize: 32}, ram)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Read32(mem.Addr(i*4) % (1 << 19))
+	}
+}

@@ -657,3 +657,54 @@ func TestScopedFenceWeakerProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkTable1ModelOps measures Table I rule application throughput: a
+// lock-disciplined op stream grown op by op.
+func BenchmarkTable1ModelOps(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		e := NewExecution()
+		x := e.AddLoc("X")
+		y := e.AddLoc("Y")
+		for k := 0; k < 50; k++ {
+			p := ProcID(k % 4)
+			e.Acquire(p, x)
+			e.Write(p, x, Value(k))
+			e.Release(p, x)
+			e.Fence(p)
+			e.Acquire(p, y)
+			e.Read(p, y, 0)
+			e.Release(p, y)
+		}
+	}
+}
+
+func BenchmarkReadVerification(b *testing.B) {
+	e := NewExecution()
+	x := e.AddLoc("X")
+	for k := 0; k < 40; k++ {
+		p := ProcID(k % 3)
+		e.Acquire(p, x)
+		e.Write(p, x, Value(k))
+		e.Release(p, x)
+	}
+	rd := e.Read(1, x, 39)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.ReadableValues(rd.ID)
+	}
+}
+
+func BenchmarkScopedFenceModel(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		e := NewExecution()
+		x := e.AddLoc("X")
+		y := e.AddLoc("Y")
+		for k := 0; k < 30; k++ {
+			p := ProcID(k % 2)
+			e.Write(p, x, Value(k))
+			e.FenceLoc(p, x)
+			e.Acquire(p, y)
+			e.Release(p, y)
+		}
+	}
+}

@@ -6,25 +6,18 @@ import (
 	"io"
 	"math"
 	"os"
-	"strconv"
 	"strings"
 )
 
 // Compare semantics. Entries and metrics are matched by name between a
-// baseline ("old") and a candidate ("new") report:
-//
-//   - exact metrics are compared exactly. Any drift — in either direction
-//     — gates: a deterministic quantity that changed means the measured
-//     computation itself changed, which must be acknowledged by
-//     refreshing the committed baseline (see README "Performance
-//     tracking"). The classification still records the direction
-//     (lower = improved, higher = regressed).
-//   - host metrics compare by a relative noise threshold on the minimum
-//     over repetitions: new > old·(1+t) regresses, new < old·(1−t)
-//     improves, anything in between is unchanged. Only regressions gate.
-//   - an entry or metric present in the baseline but absent from the
-//     candidate is missing (gates); present only in the candidate it is
-//     added (informational).
+// baseline ("old") and a candidate ("new") report. Every metric is exact,
+// so any value change — in either direction — gates: a deterministic
+// quantity that changed means the measured computation itself changed,
+// which must be acknowledged by refreshing the committed baseline (see
+// README "Performance tracking"). The classification still records the
+// direction (lower = improved, higher = regressed). An entry or metric
+// present in the baseline but absent from the candidate is missing
+// (gates); present only in the candidate it is added (informational).
 
 // Classification classes.
 const (
@@ -44,26 +37,17 @@ type Delta struct {
 	// Pct is the relative change in percent (new vs old).
 	Pct   float64
 	Class string
-	Exact bool
 }
 
-// gates reports whether this delta should fail a comparison: noisy
-// regressions, anything missing, and exact metrics that changed in either
-// direction.
+// gates reports whether this delta should fail a comparison: anything
+// changed or missing.
 func (d Delta) gates() bool {
-	switch d.Class {
-	case ClassRegressed, ClassMissing:
-		return true
-	case ClassImproved:
-		return d.Exact // a changed deterministic metric needs a baseline refresh
-	}
-	return false
+	return d.Class != ClassUnchanged && d.Class != ClassAdded
 }
 
 // Comparison is a completed report diff.
 type Comparison struct {
-	Threshold float64
-	Deltas    []Delta
+	Deltas []Delta
 }
 
 // Failures returns the deltas that gate (see Delta.gates).
@@ -77,8 +61,7 @@ func (c *Comparison) Failures() []Delta {
 	return out
 }
 
-// Ok reports a clean comparison: no regressions, nothing missing, no
-// exact-metric drift.
+// Ok reports a clean comparison: nothing changed, nothing missing.
 func (c *Comparison) Ok() bool { return len(c.Failures()) == 0 }
 
 // String renders the comparison as a table of changed metrics followed by
@@ -87,34 +70,28 @@ func (c *Comparison) String() string {
 	var b strings.Builder
 	unchanged := 0
 	for _, d := range c.Deltas {
-		if d.Class == ClassUnchanged {
-			unchanged++
-			continue
-		}
-		kind := ""
-		if d.Exact {
-			kind = " [exact]"
-		}
 		switch d.Class {
+		case ClassUnchanged:
+			unchanged++
 		case ClassMissing:
-			fmt.Fprintf(&b, "  MISSING   %s %s%s (baseline %.6g)\n", d.Entry, d.Metric, kind, d.Old)
+			fmt.Fprintf(&b, "  MISSING   %s %s (baseline %.6g)\n", d.Entry, d.Metric, d.Old)
 		case ClassAdded:
-			fmt.Fprintf(&b, "  added     %s %s%s (%.6g)\n", d.Entry, d.Metric, kind, d.New)
+			fmt.Fprintf(&b, "  added     %s %s (%.6g)\n", d.Entry, d.Metric, d.New)
 		default:
 			pct := ""
 			if d.Old != 0 {
 				pct = fmt.Sprintf(" (%+.1f%%)", d.Pct)
 			}
-			fmt.Fprintf(&b, "  %-9s %s %s%s: %.6g -> %.6g%s\n",
-				d.Class, d.Entry, d.Metric, kind, d.Old, d.New, pct)
+			fmt.Fprintf(&b, "  %-9s %s %s: %.6g -> %.6g%s\n",
+				d.Class, d.Entry, d.Metric, d.Old, d.New, pct)
 		}
 	}
 	fails := c.Failures()
-	fmt.Fprintf(&b, "compared %d metrics (threshold %.0f%%): %d unchanged, %d gating failures\n",
-		len(c.Deltas), c.Threshold*100, unchanged, len(fails))
+	fmt.Fprintf(&b, "compared %d metrics: %d unchanged, %d gating failures\n",
+		len(c.Deltas), unchanged, len(fails))
 	for _, d := range fails {
 		reason := d.Class
-		if d.Exact && d.Class != ClassMissing {
+		if d.Class != ClassMissing {
 			reason = d.Class + ": exact metric changed (refresh the baseline if intentional)"
 		}
 		fmt.Fprintf(&b, "  FAIL %s %s: %s\n", d.Entry, d.Metric, reason)
@@ -122,17 +99,13 @@ func (c *Comparison) String() string {
 	return b.String()
 }
 
-// Compare diffs a candidate report against a baseline. threshold is the
-// relative noise tolerance for host metrics (e.g. 0.10 = 10%). Reports
-// with different schema versions cannot be compared.
-func Compare(base, cand *Report, threshold float64) (*Comparison, error) {
+// Compare diffs a candidate report against a baseline. Reports with
+// different schema versions cannot be compared.
+func Compare(base, cand *Report) (*Comparison, error) {
 	if base.Schema != cand.Schema {
 		return nil, fmt.Errorf("perf: schema mismatch: baseline v%d vs candidate v%d", base.Schema, cand.Schema)
 	}
-	if threshold < 0 {
-		return nil, fmt.Errorf("perf: negative threshold %v", threshold)
-	}
-	c := &Comparison{Threshold: threshold}
+	c := &Comparison{}
 	for i := range base.Entries {
 		oe := &base.Entries[i]
 		ne := cand.Entry(oe.Name)
@@ -143,20 +116,14 @@ func Compare(base, cand *Report, threshold float64) (*Comparison, error) {
 		for _, om := range oe.Metrics {
 			nm := ne.Metric(om.Name)
 			if nm == nil {
-				c.Deltas = append(c.Deltas, Delta{
-					Entry: oe.Name, Metric: om.Name, Old: om.Value,
-					Class: ClassMissing, Exact: om.Exact,
-				})
+				c.Deltas = append(c.Deltas, Delta{Entry: oe.Name, Metric: om.Name, Old: om.Value, Class: ClassMissing})
 				continue
 			}
-			c.Deltas = append(c.Deltas, classify(oe.Name, om, *nm, threshold))
+			c.Deltas = append(c.Deltas, classify(oe.Name, om, *nm))
 		}
 		for _, nm := range ne.Metrics {
 			if oe.Metric(nm.Name) == nil {
-				c.Deltas = append(c.Deltas, Delta{
-					Entry: oe.Name, Metric: nm.Name, New: nm.Value,
-					Class: ClassAdded, Exact: nm.Exact,
-				})
+				c.Deltas = append(c.Deltas, Delta{Entry: oe.Name, Metric: nm.Name, New: nm.Value, Class: ClassAdded})
 			}
 		}
 	}
@@ -169,47 +136,20 @@ func Compare(base, cand *Report, threshold float64) (*Comparison, error) {
 }
 
 // classify diffs one matched metric pair.
-func classify(entry string, om, nm Metric, threshold float64) Delta {
-	d := Delta{Entry: entry, Metric: om.Name, Old: om.Value, New: nm.Value, Exact: om.Exact || nm.Exact}
+func classify(entry string, om, nm Metric) Delta {
+	d := Delta{Entry: entry, Metric: om.Name, Old: om.Value, New: nm.Value}
 	if om.Value != 0 {
 		d.Pct = 100 * (nm.Value - om.Value) / math.Abs(om.Value)
 	}
-	if d.Exact {
-		switch {
-		case nm.Value == om.Value:
-			d.Class = ClassUnchanged
-		case nm.Value < om.Value:
-			d.Class = ClassImproved
-		default:
-			d.Class = ClassRegressed
-		}
-		return d
-	}
 	switch {
-	case nm.Value > om.Value*(1+threshold):
-		d.Class = ClassRegressed
-	case nm.Value < om.Value*(1-threshold):
+	case nm.Value == om.Value:
+		d.Class = ClassUnchanged
+	case nm.Value < om.Value:
 		d.Class = ClassImproved
 	default:
-		d.Class = ClassUnchanged
+		d.Class = ClassRegressed
 	}
 	return d
-}
-
-// ParseThreshold accepts "10%" or "0.1" forms.
-func ParseThreshold(s string) (float64, error) {
-	pct := strings.HasSuffix(s, "%")
-	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-	if err != nil {
-		return 0, fmt.Errorf("perf: bad threshold %q: %w", s, err)
-	}
-	if pct {
-		v /= 100
-	}
-	if v < 0 {
-		return 0, fmt.Errorf("perf: negative threshold %q", s)
-	}
-	return v, nil
 }
 
 // WriteJSON serializes the report (indented, trailing newline).
@@ -219,7 +159,9 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// LoadReport reads and validates a BENCH.json file.
+// LoadReport reads and validates a BENCH.json file. Entry names, and
+// metric names within an entry, must be unique: Compare matches by name,
+// so a duplicate would be silently ignored.
 func LoadReport(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -231,6 +173,20 @@ func LoadReport(path string) (*Report, error) {
 	}
 	if r.Schema == 0 {
 		return nil, fmt.Errorf("perf: %s: missing schema version", path)
+	}
+	entries := make(map[string]bool, len(r.Entries))
+	for _, e := range r.Entries {
+		if entries[e.Name] {
+			return nil, fmt.Errorf("perf: %s: duplicate entry %q", path, e.Name)
+		}
+		entries[e.Name] = true
+		metrics := make(map[string]bool, len(e.Metrics))
+		for _, m := range e.Metrics {
+			if metrics[m.Name] {
+				return nil, fmt.Errorf("perf: %s: entry %q: duplicate metric %q", path, e.Name, m.Name)
+			}
+			metrics[m.Name] = true
+		}
 	}
 	return &r, nil
 }

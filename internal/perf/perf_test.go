@@ -32,6 +32,10 @@ func TestSpecValidate(t *testing.T) {
 	if err := (&Spec{}).validate(); err == nil {
 		t.Error("empty suite accepted")
 	}
+	neg := Spec{Reps: -3, Entries: []Entry{{Name: "a", Litmus: &LitmusBench{Prog: "sb-drf"}}}}
+	if err := neg.validate(); err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Errorf("negative reps: got %v", err)
+	}
 	dup := Spec{Entries: []Entry{
 		{Name: "a", Litmus: &LitmusBench{Prog: "sb-drf"}},
 		{Name: "a", Litmus: &LitmusBench{Prog: "sb-drf"}},
@@ -48,6 +52,9 @@ func TestSpecValidate(t *testing.T) {
 		t.Errorf("two kinds: got %v", err)
 	}
 }
+
+// baselinePath is the committed ci-suite baseline.
+const baselinePath = "../../BENCH_baseline.json"
 
 // TestBenchRunDeterministic: two full runs of the ci suite produce
 // identical exact metrics — sim-cycles, checksums, states, campaign
@@ -79,12 +86,10 @@ func TestBenchRunDeterministic(t *testing.T) {
 		if ea.Name != eb.Name {
 			t.Fatalf("entry order diverged: %s vs %s", ea.Name, eb.Name)
 		}
-		exacts := 0
+		if len(ea.Metrics) == 0 {
+			t.Errorf("%s: no exact metrics", ea.Name)
+		}
 		for _, ma := range ea.Metrics {
-			if !ma.Exact {
-				continue
-			}
-			exacts++
 			mb := eb.Metric(ma.Name)
 			if mb == nil {
 				t.Errorf("%s: metric %s missing from second run", ea.Name, ma.Name)
@@ -94,18 +99,24 @@ func TestBenchRunDeterministic(t *testing.T) {
 				t.Errorf("%s: %s = %v vs %v across runs", ea.Name, ma.Name, ma.Value, mb.Value)
 			}
 		}
-		if exacts == 0 {
-			t.Errorf("%s: no exact metrics", ea.Name)
-		}
 	}
-	// The two reports must also compare clean under the exact gate (with
-	// an unbounded host-noise threshold).
-	cmp, err := Compare(a, b, 1000)
+	// The two reports must also compare clean under the exact gate, and
+	// against the committed baseline — the gate the CI bench job applies.
+	cmp, err := Compare(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cmp.Ok() {
 		t.Errorf("self-comparison gated:\n%s", cmp)
+	}
+	base, err := LoadReport(baselinePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmp, err = Compare(base, a); err != nil {
+		t.Fatal(err)
+	} else if !cmp.Ok() {
+		t.Errorf("ci suite drifted from %s:\n%s", baselinePath, cmp)
 	}
 }
 
@@ -126,8 +137,8 @@ func TestServiceEntriesLatencyGated(t *testing.T) {
 		if !ok {
 			t.Fatalf("service entry missing metric %s (have %v)", name, ms)
 		}
-		if !m.Exact || m.Value <= 0 {
-			t.Errorf("metric %s: exact=%v value=%v, want gated positive", name, m.Exact, m.Value)
+		if m.Value <= 0 {
+			t.Errorf("metric %s = %v, want positive", name, m.Value)
 		}
 	}
 	if got["p50-latency"].Value > got["p99-latency"].Value {
@@ -164,29 +175,25 @@ func report(metrics ...Metric) *Report {
 	return &Report{
 		Schema:  Schema,
 		Suite:   "t",
-		Entries: []Measurement{{Name: "e", Reps: 1, Metrics: metrics}},
+		Entries: []Measurement{{Name: "e", Metrics: metrics}},
 	}
 }
 
 func TestCompareClassification(t *testing.T) {
 	cases := []struct {
-		name      string
-		old, new  Metric
-		threshold float64
-		class     string
-		gates     bool
+		name     string
+		old, new Metric
+		class    string
+		gates    bool
 	}{
-		{"host-unchanged-within-threshold", Metric{Name: "ns/op", Value: 100}, Metric{Name: "ns/op", Value: 109}, 0.10, ClassUnchanged, false},
-		{"host-improved", Metric{Name: "ns/op", Value: 100}, Metric{Name: "ns/op", Value: 50}, 0.10, ClassImproved, false},
-		{"host-regressed", Metric{Name: "ns/op", Value: 100}, Metric{Name: "ns/op", Value: 150}, 0.10, ClassRegressed, true},
-		{"exact-unchanged", Metric{Name: "sim-cycles", Value: 42, Exact: true}, Metric{Name: "sim-cycles", Value: 42, Exact: true}, 0.10, ClassUnchanged, false},
-		{"exact-lower-gates", Metric{Name: "sim-cycles", Value: 42, Exact: true}, Metric{Name: "sim-cycles", Value: 41, Exact: true}, 0.10, ClassImproved, true},
-		{"exact-higher-gates", Metric{Name: "sim-cycles", Value: 42, Exact: true}, Metric{Name: "sim-cycles", Value: 43, Exact: true}, 0.10, ClassRegressed, true},
-		{"exact-tiny-drift-gates", Metric{Name: "states", Value: 1000, Exact: true}, Metric{Name: "states", Value: 1001, Exact: true}, 10, ClassRegressed, true},
+		{"exact-unchanged", Metric{Name: "sim-cycles", Value: 42}, Metric{Name: "sim-cycles", Value: 42}, ClassUnchanged, false},
+		{"exact-lower-gates", Metric{Name: "sim-cycles", Value: 42}, Metric{Name: "sim-cycles", Value: 41}, ClassImproved, true},
+		{"exact-higher-gates", Metric{Name: "sim-cycles", Value: 42}, Metric{Name: "sim-cycles", Value: 43}, ClassRegressed, true},
+		{"exact-tiny-drift-gates", Metric{Name: "states", Value: 1000}, Metric{Name: "states", Value: 1001}, ClassRegressed, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cmp, err := Compare(report(tc.old), report(tc.new), tc.threshold)
+			cmp, err := Compare(report(tc.old), report(tc.new))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,14 +216,14 @@ func TestCompareClassification(t *testing.T) {
 
 func TestCompareMissingAndAdded(t *testing.T) {
 	base := report(
-		Metric{Name: "ns/op", Value: 100},
-		Metric{Name: "sim-cycles", Value: 42, Exact: true},
+		Metric{Name: "states", Value: 100},
+		Metric{Name: "sim-cycles", Value: 42},
 	)
 	cand := report(
-		Metric{Name: "ns/op", Value: 100},
-		Metric{Name: "allocs/op", Value: 5},
+		Metric{Name: "states", Value: 100},
+		Metric{Name: "paths", Value: 5},
 	)
-	cmp, err := Compare(base, cand, 0.10)
+	cmp, err := Compare(base, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,28 +231,31 @@ func TestCompareMissingAndAdded(t *testing.T) {
 	for _, d := range cmp.Deltas {
 		classes = append(classes, d.Metric+":"+d.Class)
 	}
-	want := []string{"ns/op:unchanged", "sim-cycles:missing", "allocs/op:added"}
+	want := []string{"states:unchanged", "sim-cycles:missing", "paths:added"}
 	if strings.Join(classes, " ") != strings.Join(want, " ") {
 		t.Errorf("deltas = %v, want %v", classes, want)
 	}
 	if cmp.Ok() {
-		t.Error("missing exact metric did not gate")
+		t.Error("missing metric did not gate")
+	}
+	if !strings.Contains(cmp.String(), "MISSING   e sim-cycles") {
+		t.Errorf("report does not name the missing metric:\n%s", cmp)
 	}
 
 	// A whole entry missing from the candidate gates; a new entry in the
 	// candidate does not.
 	extra := &Report{Schema: Schema, Entries: []Measurement{
-		{Name: "e", Metrics: []Metric{{Name: "ns/op", Value: 100}}},
-		{Name: "extra", Metrics: []Metric{{Name: "ns/op", Value: 1}}},
+		{Name: "e", Metrics: []Metric{{Name: "states", Value: 100}}},
+		{Name: "extra", Metrics: []Metric{{Name: "states", Value: 1}}},
 	}}
-	cmp, err = Compare(report(Metric{Name: "ns/op", Value: 100}), extra, 0.10)
+	cmp, err = Compare(report(Metric{Name: "states", Value: 100}), extra)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cmp.Ok() {
 		t.Errorf("added entry gated:\n%s", cmp)
 	}
-	cmp, err = Compare(extra, report(Metric{Name: "ns/op", Value: 100}), 0.10)
+	cmp, err = Compare(extra, report(Metric{Name: "states", Value: 100}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,39 +265,11 @@ func TestCompareMissingAndAdded(t *testing.T) {
 }
 
 func TestCompareSchemaMismatch(t *testing.T) {
-	a := report(Metric{Name: "ns/op", Value: 1})
-	b := report(Metric{Name: "ns/op", Value: 1})
+	a := report(Metric{Name: "states", Value: 1})
+	b := report(Metric{Name: "states", Value: 1})
 	b.Schema = Schema + 1
-	if _, err := Compare(a, b, 0.1); err == nil || !strings.Contains(err.Error(), "schema") {
+	if _, err := Compare(a, b); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Errorf("schema mismatch: got %v", err)
-	}
-	if _, err := Compare(a, b, -1); err == nil {
-		// threshold validation is independent of schema, but any error is fine
-		t.Error("negative threshold accepted")
-	}
-}
-
-func TestParseThreshold(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want float64
-		err  bool
-	}{
-		{"10%", 0.10, false},
-		{"0.1", 0.1, false},
-		{"400%", 4.0, false},
-		{"0", 0, false},
-		{"-5%", 0, true},
-		{"x", 0, true},
-	} {
-		got, err := ParseThreshold(tc.in)
-		if (err != nil) != tc.err {
-			t.Errorf("ParseThreshold(%q) err = %v, want err=%v", tc.in, err, tc.err)
-			continue
-		}
-		if !tc.err && got != tc.want {
-			t.Errorf("ParseThreshold(%q) = %v, want %v", tc.in, got, tc.want)
-		}
 	}
 }
 
@@ -295,8 +277,8 @@ func TestParseThreshold(t *testing.T) {
 // report without a schema version is rejected.
 func TestReportRoundTrip(t *testing.T) {
 	r := report(
-		Metric{Name: "ns/op", Value: 123, Median: 130, Stddev: 4},
-		Metric{Name: "sim-cycles", Value: 42, Exact: true},
+		Metric{Name: "states", Value: 123},
+		Metric{Name: "sim-cycles", Value: 42},
 	)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -325,16 +307,51 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHostMetricAggregation(t *testing.T) {
-	m := hostMetric("ns/op", []float64{30, 10, 20})
-	if m.Value != 10 || m.Median != 20 {
-		t.Errorf("min/median = %v/%v, want 10/20", m.Value, m.Median)
+// TestLoadReportRejectsDuplicates: Compare matches entries and metrics by
+// name, so a report repeating one would have the repeat silently ignored.
+// The committed baseline with a second sim/radiosity/nocc/8t whose
+// sim-cycles differ, or with a repeated metric, must not load.
+func TestLoadReportRejectsDuplicates(t *testing.T) {
+	base, err := LoadReport(baselinePath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.Stddev != 10 {
-		t.Errorf("stddev = %v, want 10", m.Stddev)
+	const name = "sim/radiosity/nocc/8t"
+	orig := base.Entry(name)
+	if orig == nil || orig.Metric("sim-cycles") == nil {
+		t.Fatalf("baseline has no %s sim-cycles", name)
 	}
-	one := hostMetric("ns/op", []float64{7})
-	if one.Value != 7 || one.Median != 7 || one.Stddev != 0 {
-		t.Errorf("single sample: %+v", one)
+	load := func(r *Report) error {
+		var buf bytes.Buffer
+		if err := r.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := t.TempDir() + "/bench.json"
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadReport(path)
+		return err
+	}
+
+	dupEntry := *base
+	dupEntry.Entries = append([]Measurement(nil), base.Entries...)
+	twin := Measurement{Name: name, Metrics: append([]Metric(nil), orig.Metrics...)}
+	twin.Metric("sim-cycles").Value += 12345
+	dupEntry.Entries = append(dupEntry.Entries, twin)
+	if err := load(&dupEntry); err == nil || !strings.Contains(err.Error(), "duplicate entry") {
+		t.Errorf("duplicate entry: got %v", err)
+	}
+
+	dupMetric := *base
+	dupMetric.Entries = append([]Measurement(nil), base.Entries...)
+	for i := range dupMetric.Entries {
+		if dupMetric.Entries[i].Name == name {
+			e := &dupMetric.Entries[i]
+			e.Metrics = append(append([]Metric(nil), e.Metrics...), Metric{Name: "sim-cycles", Value: 1})
+		}
+	}
+	if err := load(&dupMetric); err == nil || !strings.Contains(err.Error(), "duplicate metric") {
+		t.Errorf("duplicate metric: got %v", err)
 	}
 }

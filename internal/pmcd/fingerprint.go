@@ -17,9 +17,7 @@
 // single-flighted: one simulation runs, everyone shares its result.
 //
 // CI is the first client: the pmcd smoke job proves a resubmitted job is
-// a byte-identical cache hit, and the bench job persists the disk store
-// across runs so unchanged entries stop being re-simulated (see
-// BenchCached).
+// a byte-identical cache hit.
 package pmcd
 
 import (
@@ -42,8 +40,7 @@ import (
 // fingerprints: the VCS revision the binary was built from (suffixed
 // ".dirty" when the working tree had local modifications), or "dev" when
 // no VCS stamp is available (tests, go run outside a repository). A server
-// or store can override it (Config.CodeVersion, the -codeversion flag) —
-// CI passes a source-content hash so doc-only commits keep their cache.
+// or store can override it (Config.CodeVersion, the -codeversion flag).
 func CodeVersion() string {
 	info, ok := debug.ReadBuildInfo()
 	if !ok {
@@ -105,9 +102,7 @@ type FuzzJob struct {
 }
 
 // BenchJob declares one benchmark-suite entry evaluated for its exact
-// (deterministic) metrics — the cacheable half of a perf measurement; host
-// timings are properties of the machine, not the computation, and are
-// never served from cache by the job API.
+// (deterministic) metrics.
 type BenchJob struct {
 	Entry perf.Entry `json:"entry"`
 }

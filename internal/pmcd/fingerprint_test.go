@@ -1,6 +1,7 @@
 package pmcd
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -127,4 +128,42 @@ func TestFingerprintRejectsBadSpecs(t *testing.T) {
 			t.Errorf("%s: Fingerprint accepted a malformed spec", name)
 		}
 	}
+}
+
+// FuzzJobSpec: normalize must be idempotent on every spec Fingerprint
+// accepts. Its output is a valid spec, and fingerprinting it again gives
+// the same address — otherwise a client resubmitting the canonical form
+// it was served would miss the store or be refused.
+func FuzzJobSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"sweep":{"apps":["mfifo","msgpass"],"backends":["dsm","nocc"],"tiles":[4,8],"topos":["ring","mesh"],"small":true}}`,
+		`{"sweep":{"apps":["kvstore"],"backends":["cdsm"],"tiles":[16],"topos":["cluster:4xring"]}}`,
+		`{"litmus":{"prog":"sb-drf","tree":true,"max_states":1000}}`,
+		`{"fuzz":{"seed":7,"n":5,"mode":"drf","backends":["nocc","mixed"],"runs":2}}`,
+		`{"bench":{"entry":{"name":"bench/mfifo","sim":{"app":"mfifo","backend":"dsm","tiles":4,"topo":"ring","small":true}}}}`,
+		`{"bench":{"entry":{"name":"litmus/iriw/sym","litmus":{"prog":"iriw","workers":1,"memoize":true,"symmetry":true}}}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec JobSpec
+		if err := json.Unmarshal(data, &spec); err != nil {
+			return
+		}
+		fp1, err := Fingerprint(spec, "cv")
+		if err != nil {
+			return
+		}
+		n, err := spec.normalize()
+		if err != nil {
+			t.Fatalf("Fingerprint accepted %s but normalize failed: %v", data, err)
+		}
+		fp2, err := Fingerprint(n, "cv")
+		if err != nil {
+			t.Fatalf("normalized form of %s is refused: %v", data, err)
+		}
+		if fp1 != fp2 {
+			t.Fatalf("normalizing %s moved its fingerprint: %s vs %s", data, fp1, fp2)
+		}
+	})
 }

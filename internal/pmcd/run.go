@@ -186,32 +186,20 @@ func runFuzz(j *FuzzJob, progress *Progress) ([]byte, error) {
 	return marshalBody(out)
 }
 
-// benchResult is the deterministic half of a perf measurement: the exact
-// metrics of one entry execution. Host timings never appear — they are
-// machine properties, not content.
+// benchResult is the exact metrics of one entry execution.
 type benchResult struct {
-	Entry   string `json:"entry"`
-	Metrics []struct {
-		Name  string  `json:"name"`
-		Value float64 `json:"value"`
-	} `json:"metrics"`
+	Entry   string        `json:"entry"`
+	Metrics []perf.Metric `json:"metrics"`
 }
 
 func runBench(j *BenchJob, progress *Progress) ([]byte, error) {
 	progress.total.Store(1)
-	exact, err := perf.RunEntry(j.Entry)
+	metrics, err := perf.RunEntry(j.Entry)
 	if err != nil {
 		return nil, err
 	}
-	out := benchResult{Entry: j.Entry.Name}
-	for _, m := range exact {
-		out.Metrics = append(out.Metrics, struct {
-			Name  string  `json:"name"`
-			Value float64 `json:"value"`
-		}{m.Name, m.Value})
-	}
 	progress.done.Store(1)
-	return marshalBody(out)
+	return marshalBody(benchResult{Entry: j.Entry.Name, Metrics: metrics})
 }
 
 // marshalBody serializes a result view with the repo's JSON convention

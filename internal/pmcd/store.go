@@ -16,8 +16,7 @@ import (
 // see Fingerprint), values are the deterministic result bodies. Because a
 // key commits to the full computation and the code version, a stored body
 // never goes stale — eviction is purely a capacity decision, and the
-// disk tier can be persisted across server restarts and CI runs (the
-// bench job ships it through actions/cache).
+// disk tier can be persisted across server restarts.
 
 // StoreStats are the store's monotonic counters.
 type StoreStats struct {
@@ -171,7 +170,7 @@ func (g GCStats) String() string {
 // purges them from the memory tier, returning what it did. Content
 // addressing makes age the only sensible policy: a body never goes
 // stale, so GC is purely a disk-capacity bound for long-lived caches
-// (the CI actions/cache, a developer's ~/.cache). Removals are
+// (a developer's ~/.cache). Removals are
 // independent atomic deletes — a GC racing a Put of the same key at
 // worst deletes the body the Put immediately re-creates, never tears
 // it. Leftover temp files from crashed writers past the age bound are

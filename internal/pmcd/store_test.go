@@ -27,8 +27,8 @@ func TestStorePersistsAcrossOpen(t *testing.T) {
 	if err := s1.Put(hexKey(1), body); err != nil {
 		t.Fatal(err)
 	}
-	// A second Open over the same directory is a server restart (or the
-	// next CI run unpacking the actions/cache): the disk tier survives.
+	// A second Open over the same directory is a server restart: the disk
+	// tier survives.
 	s2, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -413,3 +413,15 @@ func TestProcAccessors(t *testing.T) {
 		t.Fatal("proc not done after Run")
 	}
 }
+
+func BenchmarkKernelEvents(b *testing.B) {
+	k := New()
+	k.Spawn("p", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Wait(1)
+		}
+	})
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -353,3 +353,21 @@ func BenchmarkNew1024(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkUncachedRead(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Tiles = 1
+	sys, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tile := sys.Tiles[0]
+	sys.K.Spawn("p", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			tile.ReadShared32Uncached(p, 0x4000)
+		}
+	})
+	if err := sys.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

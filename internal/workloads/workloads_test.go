@@ -331,3 +331,19 @@ func TestVerifiedWorkloads(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkVerifiedRun measures the cost of running a workload with the
+// formal-model recorder attached (the differential-testing mode).
+func BenchmarkVerifiedRun(b *testing.B) {
+	cfg := soc.DefaultConfig()
+	cfg.Tiles = 3
+	for i := 0; i < b.N; i++ {
+		_, rec, err := RunVerified(DefaultMsgPass(), cfg, "swcc")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := rec.Err(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

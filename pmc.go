@@ -326,10 +326,9 @@ type (
 	BenchComparison = perf.Comparison
 )
 
-// BenchRun executes every entry of the suite and returns the aggregated
-// report: host ns/op, allocs/op and bytes/op (min/median/stddev over the
-// repetitions) plus the entry's exact metrics (sim-cycles, states,
-// campaign tallies), which must agree across repetitions.
+// BenchRun executes every entry of the suite and returns the report of
+// its exact metrics (sim-cycles, states, campaign tallies), which must
+// agree across repetitions.
 func BenchRun(spec BenchSpec) (*BenchReport, error) { return perf.Run(spec) }
 
 // BenchSuite returns the named builtin suite ("ci", "full").
@@ -338,18 +337,14 @@ func BenchSuite(name string) (BenchSpec, error) { return perf.Suite(name) }
 // BenchSuites lists the builtin suite names.
 func BenchSuites() []string { return perf.Suites() }
 
-// BenchCompare diffs a candidate report against a baseline: exact metrics
-// must match exactly; host metrics regress only past the relative
-// threshold.
-func BenchCompare(base, cand *BenchReport, threshold float64) (*BenchComparison, error) {
-	return perf.Compare(base, cand, threshold)
+// BenchCompare diffs a candidate report against a baseline: every metric
+// must match exactly.
+func BenchCompare(base, cand *BenchReport) (*BenchComparison, error) {
+	return perf.Compare(base, cand)
 }
 
 // BenchLoadReport reads a BENCH.json file.
 func BenchLoadReport(path string) (*BenchReport, error) { return perf.LoadReport(path) }
-
-// BenchParseThreshold accepts "10%" or "0.1" forms.
-func BenchParseThreshold(s string) (float64, error) { return perf.ParseThreshold(s) }
 
 // ---- Serving results (pmcd) ----
 
@@ -376,9 +371,6 @@ type (
 	// PmcdStore is the two-tier (memory LRU over content-addressed disk)
 	// result store.
 	PmcdStore = pmcd.Store
-	// BenchCacheStats counts cache effectiveness of a cache-backed
-	// benchmark run.
-	BenchCacheStats = pmcd.BenchCacheStats
 )
 
 // NewPmcdServer assembles a job service (opening its result store) and
@@ -393,16 +385,6 @@ func NewPmcdClient(base string) *PmcdClient { return pmcd.NewClient(base) }
 // in-memory LRU tier of memEntries results (0 = 128).
 func OpenPmcdStore(dir string, memEntries int) (*PmcdStore, error) {
 	return pmcd.Open(dir, memEntries)
-}
-
-// BenchRunCached is BenchRun with a content-addressed result cache:
-// entries whose (spec, reps, cacheKey) address is stored are served from
-// cache — exact metrics identical to a fresh run by determinism — and
-// fresh measurements populate the store. cacheKey defaults to the build's
-// code version (its VCS revision stamp, or "dev"); CI passes a
-// source-content hash.
-func BenchRunCached(spec BenchSpec, store *PmcdStore, cacheKey string) (*BenchReport, BenchCacheStats, error) {
-	return pmcd.BenchCached(spec, store, cacheKey)
 }
 
 // Experiments returns every registered table/figure experiment.
