@@ -212,6 +212,17 @@ func main() {
 	if *workers < 0 {
 		fail(usagef("-workers must be non-negative, got %d", *workers))
 	}
+	// Campaign and certification sizes likewise: a negative -n or -runs,
+	// or a platform without tiles, names no run to do.
+	if *n < 0 {
+		fail(usagef("-n must be non-negative, got %d", *n))
+	}
+	if *runs < 0 {
+		fail(usagef("-runs must be non-negative, got %d", *runs))
+	}
+	if *platform < 1 {
+		fail(usagef("-platform must be at least 1 tile, got %d", *platform))
+	}
 	opts := engineOpts{workers: *workers, memoize: *memoize, symmetry: *symmetry, maxStates: *maxStates, stats: *stats}
 
 	switch {

@@ -118,6 +118,16 @@ func (e *Execution) addEdge(from, to int, ord Ord) {
 	e.in[to] = append(e.in[to], ed)
 }
 
+// nextOp returns the Op an Undo retired at the next ID, or a new one.
+func (e *Execution) nextOp() *Op {
+	if n := len(e.ops); n < cap(e.ops) {
+		if op := e.ops[:n+1][n]; op != nil {
+			return op
+		}
+	}
+	return new(Op)
+}
+
 // growEdgeLists extends lists by one empty edge list for a newly issued
 // op, reusing the backing array an Undo left beyond the length.
 func growEdgeLists(lists [][]Edge) [][]Edge {
@@ -196,7 +206,8 @@ func (e *Execution) eachEarlier(r Rule, p ProcID, v Loc, visit func(id int)) {
 // Exec issues a new operation and applies the Table I rules, returning it
 // (Definition 4). val is the written value for writes and the returned
 // value for reads; it is ignored for other kinds. Fences must use NoLoc;
-// all other kinds need a valid location.
+// all other kinds need a valid location. The returned *Op stays valid
+// until its operation is undone: Exec reuses the Op an Undo retired.
 func (e *Execution) Exec(k Kind, p ProcID, v Loc, val Value, label string) *Op {
 	// Fences may carry NoLoc (span all locations, the paper's default)
 	// or a location (the Section IV-D scoped-fence extension).
@@ -209,7 +220,8 @@ func (e *Execution) Exec(k Kind, p ProcID, v Loc, val Value, label string) *Op {
 	if p == InitProc {
 		panic("core: InitProc cannot issue operations")
 	}
-	op := &Op{ID: len(e.ops), Kind: k, Proc: p, Loc: v, Val: val, Label: label}
+	op := e.nextOp()
+	*op = Op{ID: len(e.ops), Kind: k, Proc: p, Loc: v, Val: val, Label: label}
 	e.ops = append(e.ops, op)
 	e.out = growEdgeLists(e.out)
 	e.in = growEdgeLists(e.in)
@@ -235,9 +247,10 @@ func (e *Execution) Exec(k Kind, p ProcID, v Loc, val Value, label string) *Op {
 // litmus explorer branch on one mutable execution (apply, explore, undo)
 // instead of copying it per successor. The newest op has no out-edges, and
 // each of its in-edges is the last entry of its predecessor's out-list, so
-// undoing is a pop per edge and per pattern-index list. Edge lists
-// returned by In/Out before an Undo may be overwritten by a later Exec.
-// Undo panics when only the locations' initial operations remain.
+// undoing is a pop per edge and per pattern-index list. The undone *Op,
+// and edge lists returned by In/Out before an Undo, may be overwritten by
+// a later Exec. Undo panics when only the locations' initial operations
+// remain.
 func (e *Execution) Undo() {
 	id := len(e.ops) - 1
 	if id < 0 || e.ops[id].IsInit {
@@ -248,8 +261,7 @@ func (e *Execution) Undo() {
 		e.out[ed.From] = out[:len(out)-1]
 	}
 	e.index(e.ops[id], true)
-	e.ops[id] = nil
-	e.ops = e.ops[:id]
+	e.ops = e.ops[:id] // the retired *Op stays beyond the length for reuse
 	e.out = e.out[:id]
 	e.in = e.in[:id]
 }

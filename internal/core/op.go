@@ -76,7 +76,9 @@ const NoLoc Loc = -1
 // Value is the content of a location. The model treats values opaquely.
 type Value uint64
 
-// Op is one issued operation (an element of O).
+// Op is one issued operation (an element of O). An *Op returned by an
+// Execution is valid until its operation is undone (Execution.Undo); a
+// later Exec reuses it.
 type Op struct {
 	ID   int
 	Kind Kind

@@ -108,16 +108,19 @@ func (o randOp) exec(e *Execution) *Op { return e.Exec(o.k, o.p, o.v, o.val, "")
 // TestUndoRestoresExecution: after every Exec + Undo the execution is the
 // pre-Exec one — same ops, same edges in the same order, same last-write
 // and readable sets for every (p, v), same pattern indexes — and issuing
-// the same op again reproduces its edges. Undoing the whole history back
-// to the init ops retraces every intermediate state, and one more Undo
-// panics.
+// the same op again reproduces its edges. The re-issue reuses the *Op the
+// Undo retired with every field reset, and leaves the execution equal to
+// a fresh one that issued the same ops without undoing. Undoing the whole
+// history back to the init ops retraces every intermediate state, and one
+// more Undo panics.
 func TestUndoRestoresExecution(t *testing.T) {
 	const procs, locs = 3, 3
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 40; trial++ {
-		e := NewExecution()
+		e, fresh := NewExecution(), NewExecution()
 		for i := 0; i < locs; i++ {
 			e.AddLoc(fmt.Sprintf("L%d", i))
+			fresh.AddLoc(fmt.Sprintf("L%d", i))
 		}
 		var history []snapshot
 		for step := 0; step < 24; step++ {
@@ -130,10 +133,23 @@ func TestUndoRestoresExecution(t *testing.T) {
 			if d := snap(e, procs).diff(before); d != "" {
 				t.Fatalf("trial %d step %d: undo of %s: %s", trial, step, op, d)
 			}
+			// Scribble over the retired op: the re-issue must reset
+			// every field, not only the ones Exec happens to vary.
+			*op = Op{ID: -1, Kind: KFence, Proc: 7, Loc: 7, Val: 99, IsInit: true, Label: "stale"}
 			again := o.exec(e)
+			if again != op {
+				t.Fatalf("trial %d step %d: re-issue allocated a new *Op instead of reusing the retired one", trial, step)
+			}
 			if !reflect.DeepEqual(e.In(again.ID), in) || !reflect.DeepEqual(e.Edges(), edges) {
 				t.Fatalf("trial %d step %d: re-issued %s has in-edges %v (want %v)",
 					trial, step, again, e.In(again.ID), in)
+			}
+			want := o.exec(fresh)
+			if *again != *want {
+				t.Fatalf("trial %d step %d: reused op %+v, want %+v", trial, step, *again, *want)
+			}
+			if d := snap(e, procs).diff(snap(fresh, procs)); d != "" {
+				t.Fatalf("trial %d step %d: after reuse: %s", trial, step, d)
 			}
 			history = append(history, before)
 		}

@@ -81,16 +81,23 @@ type engine struct {
 	states    atomic.Int64
 	budgetHit atomic.Bool
 	cache     sync.Map // fingerprint/canonical fingerprint -> *cacheEntry
-	// auts holds the program's non-identity automorphisms when symmetry
-	// reduction is on (empty = plain memoization). The memo table is then
-	// keyed by the orbit-canonical fingerprint and stores results in the
-	// canonical register frame (see symmetry.go).
-	auts []*autPerm
 	// claimed dedups expansion-phase state claims by canonical
 	// fingerprint in symmetry mode, so Result.States counts orbits
 	// identically for every worker count. Only touched from the
 	// single-threaded frontier-expansion loop.
 	claimed map[fingerprint]bool
+}
+
+// newEngine returns the exploration context for one Run of the prepared
+// explorer x. When x has automorphisms (Explorer.auts, empty = plain
+// memoization) the memo table is keyed by the orbit-canonical fingerprint
+// and stores results in the canonical register frame (see symmetry.go).
+func newEngine(x *Explorer) *engine {
+	g := &engine{x: x, memoize: x.Memoize, maxStates: int64(x.MaxStates)}
+	if x.Symmetry {
+		g.claimed = make(map[fingerprint]bool)
+	}
+	return g
 }
 
 // explore returns the subResult for s, consulting the memo table when
@@ -99,7 +106,7 @@ func (g *engine) explore(s *state) (*subResult, error) {
 	if !g.memoize {
 		return g.compute(s)
 	}
-	if len(g.auts) > 0 {
+	if len(g.x.auts) > 0 {
 		return g.exploreSym(s)
 	}
 	fp := g.x.fingerprint(s)
@@ -122,13 +129,14 @@ func (g *engine) explore(s *state) (*subResult, error) {
 }
 
 // canonicalFP returns the orbit-canonical fingerprint of s — the minimum
-// permuted fingerprint over the identity and every automorphism — plus
-// the permutation achieving it (nil when the identity frame wins).
+// over the finalisations of every frame's accumulator, the identity and
+// each automorphism — plus the permutation achieving it (nil when the
+// identity frame wins).
 func (g *engine) canonicalFP(s *state) (fingerprint, *autPerm) {
 	best := g.x.fingerprint(s)
 	var bestPerm *autPerm
-	for _, p := range g.auts {
-		if fp := g.x.fingerprintPerm(s, p); fp.less(best) {
+	for i, p := range g.x.auts {
+		if fp := g.x.fingerprintIn(s, i+1); fp.less(best) {
 			best, bestPerm = fp, p
 		}
 	}
@@ -254,7 +262,7 @@ func (g *engine) compute(s *state) (*subResult, error) {
 // inside a worker subtree: the claimed set and the memo table count
 // disjoint orbits. Returns false when the budget is exhausted.
 func (g *engine) claimFrontier(s *state) bool {
-	if len(g.auts) == 0 {
+	if len(g.x.auts) == 0 {
 		return g.claimState()
 	}
 	fp, _ := g.canonicalFP(s)

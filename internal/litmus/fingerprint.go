@@ -2,7 +2,6 @@ package litmus
 
 import (
 	"math/bits"
-	"slices"
 
 	"pmc/internal/core"
 )
@@ -12,20 +11,61 @@ import (
 // when they agree on per-thread progress (pcs), lock holders, registers,
 // per-thread last-read views and the execution's dependency graph, after
 // relabeling operation IDs to a form independent of issue interleaving.
+// All model semantics consulted during exploration — Table I pattern
+// matches, visibility, reachability, last-write and readable sets — are
+// functions of the (ops, edges) graph structure, never of raw issue-order
+// positions, so such a relabeled graph captures the entire future.
 //
-// The relabeling sorts operations by (process, program position): within
-// one process, issue order IS program order, so the per-process sequences
-// are interleaving-invariant, and the location-initialization ops (issued
-// by AddLoc before any thread runs) are identical in every state. All
-// model semantics consulted during exploration — Table I pattern matches,
-// visibility, reachability, last-write and readable sets — are functions
-// of the (ops, edges) graph structure, never of raw issue-order positions,
-// so the relabeled serialization captures the entire future behavior.
+// Fixed labels. Every op is labeled by the static instruction that issued
+// it: the init op of location l by l, and thread t's instruction pc by
+// NumLocs + Σ_{u<t} len(thread u) + pc (Explorer.base). An instruction
+// issues at most one op (IFlush issues none), so labels are unique within
+// a state, and an op's label never changes once it is issued. Kind, proc
+// and location are functions of the label, so an op is fully described
+// by the element (label, value) and an edge by (label(from), label(to),
+// ord).
 //
-// The serialization is folded into a 128-bit hash (two independently
-// mixed 64-bit lanes) rather than kept as a key string: at ~2¹²⁸ the
-// collision probability over even millions of states is negligible
-// (birthday bound ≈ n²/2¹²⁸), and the memo table stays small.
+// Multiset hash. The graph is hashed as the multiset of those elements:
+// each lane of a 128-bit accumulator (fpAcc) is the wrapping sum of a
+// strong per-element mix, with independent seeds per lane. Addition is
+// order-independent and invertible, so apply adds the new op and its
+// in-edges and undo subtracts them — O(new op + its in-edges) per step,
+// with no relabeling pass and no sort. fingerprint finalises the
+// accumulator with pcs, lock holders, last-read views (mixed by label)
+// and registers, O(threads × locations).
+//
+// Same classes as the from-scratch canonical form. The test oracle
+// (fingerprint_oracle_test.go) relabels every op to its position in
+// (process, program position) order, serializes the ops in that order
+// and hashes the sorted, relabeled edge list. Given the pcs, which both
+// forms hash, the two labelings are in bijection: thread t's ops are
+// exactly those issued by its non-flush instructions below pcs[t], in
+// program order, so its k-th op and the instruction label it carries
+// determine each other. Ops and edges are determined by their elements,
+// and the serialization lists each op once and the edges with
+// multiplicity — the same information as the multiset. So two states
+// with equal pcs have equal serializations exactly when they have equal
+// element multisets, and the two forms induce the same equivalence
+// classes.
+//
+// Collision bound. Model the per-lane element mix as a random function
+// into Z/2⁶⁴. Two distinct multisets differ by Σ c_e·H(e) with some
+// c_e ≠ 0, and the lane collides with probability 2^(v-64), where 2^v is
+// the largest power of two dividing every nonzero c_e. Here every
+// element occurs at most once — labels are unique, and the Table I rules
+// for one new kind have distinct earlier kinds, so one pair of ops gets
+// at most one edge — hence c_e = ±1 and v = 0. The lanes are seeded
+// independently, so two distinct graphs collide with probability 2⁻¹²⁸,
+// and over n states the birthday bound is about n²/2¹²⁹: negligible even
+// at millions of states, so the memo table keys on the 128-bit value
+// alone.
+//
+// Symmetry. Under a program automorphism (symmetry.go) the op of thread
+// t at pc relabels to thread p.threads[t]'s instruction pc, and the init
+// op of location l to p.locs[l] (autPerm.label). The state keeps one
+// accumulator per frame — the identity plus each automorphism — updated
+// with permuted labels, and fingerprintIn finalises any of them, so the
+// orbit-canonical key (canonicalFP) needs no from-scratch pass either.
 
 // fingerprint is a 128-bit canonical state hash, used as a memo-table key.
 type fingerprint struct {
@@ -58,138 +98,88 @@ func (h *fpHash) mixString(s string) {
 	}
 }
 
-// fpScratch holds the relabeling buffers of one fingerprint computation.
-// Fingerprinting runs once per explored state on the memoized engines, so
-// the buffers are pooled (per Explorer, shared by all workers) instead of
-// allocated per call.
-type fpScratch struct {
-	canon  []int
-	order  []int
-	counts []int
-	edges  []uint64
+// fpAcc is one frame's multiset accumulator: per lane, the wrapping sum
+// of the element mixes of every op and edge in the execution.
+type fpAcc struct {
+	hi, lo uint64
 }
 
-// growInts returns s with length n, reusing capacity when possible.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
+func (a *fpAcc) add(d fpAcc) { a.hi += d.hi; a.lo += d.lo }
+func (a *fpAcc) sub(d fpAcc) { a.hi -= d.hi; a.lo -= d.lo }
+
+// Per-lane seeds, distinct for op and edge elements.
+const (
+	seedOpHi   = 0x243f6a8885a308d3
+	seedOpLo   = 0x13198a2e03707344
+	seedEdgeHi = 0xa4093822299f31d0
+	seedEdgeLo = 0x082efa98ec4e6c89
+)
+
+// mix64 is the SplitMix64 finalizer, a bijection with full avalanche.
+func mix64(x uint64) uint64 {
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// opElem is the element of the op labeled label with value val.
+func opElem(label int, val core.Value) fpAcc {
+	return fpAcc{
+		hi: mix64(mix64(seedOpHi^uint64(label)) ^ uint64(val)),
+		lo: mix64(mix64(seedOpLo^uint64(label)) ^ uint64(val)),
 	}
-	return s[:n]
+}
+
+// edgeElem is the element of an ord edge between the ops labeled from and
+// to. Ord takes two bits.
+func edgeElem(from, to int, ord core.Ord) fpAcc {
+	k := uint64(to)<<2 | uint64(ord)
+	return fpAcc{
+		hi: mix64(mix64(seedEdgeHi^uint64(from)) ^ k),
+		lo: mix64(mix64(seedEdgeLo^uint64(from)) ^ k),
+	}
+}
+
+// account adds the element of op id and of each of its in-edges to every
+// frame's accumulator, or subtracts them when remove is set. id must be
+// the newest op: apply accounts for it after issuing it, undo before
+// retracting it.
+func (x *Explorer) account(s *state, id int, remove bool) {
+	val := s.exec.Op(id).Val
+	in := s.exec.In(id)
+	for f, relabel := range x.frames {
+		to := relabel[s.labels[id]]
+		d := opElem(to, val)
+		for _, ed := range in {
+			d.add(edgeElem(relabel[s.labels[ed.From]], to, ed.Ord))
+		}
+		if remove {
+			s.acc[f].sub(d)
+		} else {
+			s.acc[f].add(d)
+		}
+	}
 }
 
 // fingerprint computes the canonical hash of s.
 func (x *Explorer) fingerprint(s *state) fingerprint {
-	return x.fingerprintPerm(s, nil)
+	return x.fingerprintIn(s, 0)
 }
 
-// fingerprintPerm computes the canonical hash of s as relabeled by
-// program automorphism p (nil = identity, the plain fingerprint). The
-// relabeled state is the one an execution of the permuted-and-renamed
-// program would have reached; since p maps the program onto itself,
-// fingerprintPerm(s, p) is exactly fingerprint(p(s)) for a state p(s)
-// of the same program — the basis of symmetry reduction (symmetry.go).
-func (x *Explorer) fingerprintPerm(s *state, p *autPerm) fingerprint {
-	sc, _ := x.fpPool.Get().(*fpScratch)
-	if sc == nil {
-		sc = &fpScratch{}
+// fingerprintIn finalises frame f's accumulator (0 = identity, f ≥ 1 =
+// automorphism x.auts[f-1]) with the rest of the state, each part walked
+// in that frame's index order. The result is the fingerprint of the state
+// the permuted-and-renamed program would have reached; since the
+// permutation maps the program onto itself, that is a state of the same
+// program — the basis of symmetry reduction (symmetry.go).
+func (x *Explorer) fingerprintIn(s *state, f int) fingerprint {
+	relabel := x.frames[f]
+	var p *autPerm
+	if f > 0 {
+		p = x.auts[f-1]
 	}
-	defer x.fpPool.Put(sc)
-
-	ops := s.exec.Ops()
 	numLocs := len(x.prog.Locs)
-	// canon[id] is the interleaving-invariant label of op id: init ops
-	// first (they are ops 0..NumLocs-1, identical in every state), then
-	// each thread's ops in program order. Within one process issue order
-	// IS program order, so a counting pass places every op without
-	// building per-process lists: count ops per process, turn the counts
-	// into slot offsets (init ops first), then assign slots in one sweep.
-	// Under a permutation the same pass runs in the permuted frame: an
-	// op of thread t lands in thread p.threads[t]'s slot range, and the
-	// init op of location l (op ID l, issued in AddLoc order) takes init
-	// slot p.locs[l].
-	canon := growInts(sc.canon, len(ops))
-	order := growInts(sc.order, len(ops))
-	counts := growInts(sc.counts, len(x.prog.Threads))
-	for i := range counts {
-		counts[i] = 0
-	}
-	numInit := 0
-	for _, op := range ops {
-		if op.Proc == core.InitProc {
-			numInit++
-		} else if p != nil {
-			counts[p.threads[op.Proc]]++
-		} else {
-			counts[op.Proc]++
-		}
-	}
-	off := numInit
-	for t := range counts {
-		c := counts[t]
-		counts[t] = off
-		off += c
-	}
-	initIdx := 0
-	for _, op := range ops {
-		var slot int
-		if op.Proc == core.InitProc {
-			if p != nil {
-				slot = p.locs[op.Loc]
-			} else {
-				slot = initIdx
-				initIdx++
-			}
-		} else if p != nil {
-			t := p.threads[op.Proc]
-			slot = counts[t]
-			counts[t]++
-		} else {
-			slot = counts[op.Proc]
-			counts[op.Proc]++
-		}
-		canon[op.ID] = slot
-		order[slot] = op.ID
-	}
-
-	h := newFpHash()
-	// Ops in canonical order, procs and locs relabeled.
-	h.mixInt(len(ops))
-	for _, id := range order {
-		op := ops[id]
-		h.mix(uint64(op.Kind))
-		proc, loc := int(op.Proc), int(op.Loc)
-		if p != nil {
-			if op.Proc != core.InitProc {
-				proc = p.threads[proc]
-			}
-			if loc >= 0 {
-				loc = p.locs[loc]
-			}
-		}
-		h.mixInt(proc)
-		h.mixInt(loc)
-		h.mix(uint64(op.Val))
-		if op.IsInit {
-			h.mix(1)
-		} else {
-			h.mix(0)
-		}
-	}
-	// Edges, relabeled and sorted. Op counts in litmus explorations are
-	// tiny (< 2²⁰), so an edge packs into one uint64.
-	edges := sc.edges[:0]
-	for id := range ops {
-		for _, ed := range s.exec.Out(id) {
-			edges = append(edges, uint64(canon[ed.From])<<34|uint64(canon[ed.To])<<4|uint64(ed.Ord))
-		}
-	}
-	slices.Sort(edges)
-	h.mixInt(len(edges))
-	for _, e := range edges {
-		h.mix(e)
-	}
-	// Thread progress, lock holders, last-read views (relabeled), regs —
-	// each walked in the permuted frame's index order.
+	h := fpHash{hi: s.acc[f].hi, lo: s.acc[f].lo}
 	for t := range s.pcs {
 		if p != nil {
 			h.mixInt(s.pcs[p.invT[t]])
@@ -208,17 +198,15 @@ func (x *Explorer) fingerprintPerm(s *state, p *autPerm) fingerprint {
 		h.mixInt(holder)
 	}
 	for i := range s.lastRead {
-		var id int
+		id := s.lastRead[i]
 		if p != nil {
 			t, l := i/numLocs, i%numLocs
 			id = s.lastRead[p.invT[t]*numLocs+p.invL[l]]
-		} else {
-			id = s.lastRead[i]
 		}
 		if id < 0 {
 			h.mixInt(-1)
 		} else {
-			h.mixInt(canon[id])
+			h.mixInt(relabel[s.labels[id]])
 		}
 	}
 	// Registers: the file is indexed by regOrder slot, so position
@@ -235,7 +223,5 @@ func (x *Explorer) fingerprintPerm(s *state, p *autPerm) fingerprint {
 			h.mix(0)
 		}
 	}
-
-	sc.canon, sc.order, sc.counts, sc.edges = canon, order, counts, edges
 	return fingerprint{hi: h.hi, lo: h.lo}
 }

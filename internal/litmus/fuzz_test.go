@@ -12,7 +12,10 @@ import (
 // Native fuzz target for the canonical program fingerprint: naming is
 // immaterial to behavior, so any relabeling of locations and registers
 // must preserve (a) the fingerprint and (b) the outcome set modulo the
-// register renaming, execution count for execution count. Run with
+// register renaming, execution count for execution count. It also checks
+// the incremental state fingerprint against its from-scratch oracle over
+// every reachable state of the fuzzed program, in every frame
+// (checkFingerprintOracle). Run with
 //
 //	go test -fuzz FuzzFingerprint ./internal/litmus
 
@@ -159,6 +162,10 @@ func FuzzFingerprint(f *testing.F) {
 			revReg[to] = from
 		}
 		q := relabel(p, locMap, regMap)
+
+		if _, err := checkFingerprintOracle(p, newFpClasses(), 30_000); err != nil {
+			t.Fatal(err)
+		}
 
 		if a, b := Fingerprint(p), Fingerprint(q); a != b {
 			t.Fatalf("relabeling changed the fingerprint: %s vs %s", a, b)

@@ -36,27 +36,30 @@ func TestExplorerRerunIdentical(t *testing.T) {
 }
 
 // TestExploreRestoresRoot: the engines explore on the root state in place,
-// so after a sequential walk or a frontier expansion, memoized or not, the
-// root must be the freshly built one again — same ops, edges, pcs, locks,
-// reads, registers.
+// so after a sequential walk or a frontier expansion, memoized or not,
+// with symmetry or without, the root must be the freshly built one again —
+// same ops, edges, pcs, locks, reads, registers, op labels, and the same
+// fingerprint in every frame.
 func TestExploreRestoresRoot(t *testing.T) {
+	modes := []struct{ memoize, symmetry bool }{{false, false}, {true, false}, {true, true}}
 	for _, workers := range []int{1, 2} {
-		for _, memoize := range []bool{false, true} {
-			for _, p := range []Program{WRCDRF(), MutexCounter(), IRIW3()} {
-				checkRootRestored(t, p, workers, memoize)
+		for _, m := range modes {
+			for _, p := range []Program{WRCDRF(), MutexCounter(), IRIW3(), IRIW()} {
+				checkRootRestored(t, p, workers, m.memoize, m.symmetry)
 			}
 		}
 	}
 }
 
-func checkRootRestored(t *testing.T, p Program, workers int, memoize bool) {
+func checkRootRestored(t *testing.T, p Program, workers int, memoize, symmetry bool) {
 	t.Helper()
 	x := NewExplorer(p)
+	x.Memoize, x.Symmetry = memoize, symmetry
 	root, err := x.prepare()
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &engine{x: x, memoize: memoize, maxStates: int64(x.MaxStates)}
+	g := newEngine(x)
 	if workers == 1 {
 		_, err = g.explore(root)
 	} else {
@@ -71,8 +74,16 @@ func checkRootRestored(t *testing.T, p Program, workers int, memoize bool) {
 		!reflect.DeepEqual(root.pcs, fresh.pcs) ||
 		!reflect.DeepEqual(root.lockHolder, fresh.lockHolder) ||
 		!reflect.DeepEqual(root.lastRead, fresh.lastRead) ||
-		!reflect.DeepEqual(root.regs, fresh.regs) {
-		t.Errorf("%s, %d workers, memoize %v: root not restored after exploration", p.Name, workers, memoize)
+		!reflect.DeepEqual(root.regs, fresh.regs) ||
+		!reflect.DeepEqual(root.labels, fresh.labels) {
+		t.Errorf("%s, %d workers, memoize %v, symmetry %v: root not restored after exploration",
+			p.Name, workers, memoize, symmetry)
+	}
+	for f := range x.frames {
+		if got, want := x.fingerprintIn(root, f), x.fingerprintIn(fresh, f); got != want {
+			t.Errorf("%s, %d workers, memoize %v, symmetry %v: frame %d fingerprint %x after exploration, fresh root %x",
+				p.Name, workers, memoize, symmetry, f, got, want)
+		}
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"pmc/internal/core"
 )
@@ -313,7 +312,13 @@ func (r *Result) String() string {
 // fingerprinting walks it without chasing pointers.
 type state struct {
 	exec *core.Execution
-	pcs  []int
+	// labels[id] is op id's fixed instruction label (fingerprint.go),
+	// pushed and popped with the op.
+	labels []int
+	// acc holds one multiset accumulator per fingerprint frame
+	// (Explorer.frames), kept current by apply and undo.
+	acc []fpAcc
+	pcs []int
 	// lockHolder[loc] = thread index holding it, or -1.
 	lockHolder []int
 	// lastRead[thread*numLocs+loc] = op ID of the write last read-from,
@@ -363,9 +368,16 @@ type Explorer struct {
 	// state lives in a flat per-state file indexed by slot.
 	regOrder []string
 	regIdx   map[string]int
-	// fpPool recycles fingerprint scratch buffers across states and
-	// workers.
-	fpPool sync.Pool
+	// base[t] is the label of thread t's first instruction: NumLocs plus
+	// the lengths of the threads before it (fingerprint.go).
+	base []int
+	// auts holds the program's non-identity automorphisms when Symmetry
+	// is on (symmetry.go), found in prepare so that every root state —
+	// including each parallel worker's — carries their accumulators.
+	auts []*autPerm
+	// frames[0] is the identity labeling and frames[i] the labeling of
+	// auts[i-1]: one fingerprint accumulator per frame.
+	frames [][]int
 	// MaxStates aborts pathological explorations. An exploration that
 	// completes using exactly MaxStates states succeeds; the budget
 	// error is returned only when work remained beyond it.
@@ -466,6 +478,24 @@ func (x *Explorer) prepare() (*state, error) {
 	if x.Symmetry && !x.Memoize {
 		return nil, fmt.Errorf("litmus %s: Symmetry requires Memoize (orbit results live in the memo table)", x.prog.Name)
 	}
+	numLabels := len(x.prog.Locs)
+	x.base = x.base[:0]
+	for _, th := range x.prog.Threads {
+		x.base = append(x.base, numLabels)
+		numLabels += len(th)
+	}
+	identity := make([]int, numLabels)
+	for i := range identity {
+		identity[i] = i
+	}
+	x.frames = [][]int{identity}
+	x.auts = nil
+	if x.Symmetry {
+		x.auts = x.automorphisms()
+		for _, a := range x.auts {
+			x.frames = append(x.frames, a.label)
+		}
+	}
 	return x.newRoot(), nil
 }
 
@@ -479,6 +509,8 @@ func (x *Explorer) newRoot() *state {
 	}
 	s := &state{
 		exec:       exec,
+		labels:     make([]int, len(x.prog.Locs)),
+		acc:        make([]fpAcc, len(x.frames)),
 		pcs:        make([]int, len(x.prog.Threads)),
 		lockHolder: make([]int, len(x.prog.Locs)),
 		lastRead:   make([]int, len(x.prog.Threads)*len(x.prog.Locs)),
@@ -489,6 +521,10 @@ func (x *Explorer) newRoot() *state {
 	}
 	for i := range s.lastRead {
 		s.lastRead[i] = -1
+	}
+	for id := range s.labels {
+		s.labels[id] = id // init op of location l is op l, labeled l
+		x.account(s, id, false)
 	}
 	return s
 }
@@ -503,11 +539,7 @@ func (x *Explorer) Run() (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	g := &engine{x: x, memoize: x.Memoize, maxStates: int64(x.MaxStates)}
-	if x.Symmetry {
-		g.auts = x.automorphisms()
-		g.claimed = make(map[fingerprint]bool)
-	}
+	g := newEngine(x)
 	var res *subResult
 	if workers == 1 {
 		res, err = g.explore(s)
@@ -593,7 +625,8 @@ func (x *Explorer) moves(ms []move, s *state, t int) ([]move, error) {
 // apply performs move m on s in place and returns what undo needs to
 // reverse it.
 func (x *Explorer) apply(s *state, m move) trail {
-	in := x.prog.Threads[m.t][s.pcs[m.t]]
+	pc := s.pcs[m.t]
+	in := x.prog.Threads[m.t][pc]
 	p := core.ProcID(m.t)
 	var tr trail
 	switch in.Kind {
@@ -623,6 +656,10 @@ func (x *Explorer) apply(s *state, m move) trail {
 			tr.reg, s.regs[r] = s.regs[r], regVal{Val: m.val, Set: true}
 		}
 	}
+	if in.Kind != IFlush {
+		s.labels = append(s.labels, x.base[m.t]+pc)
+		x.account(s, len(s.labels)-1, false)
+	}
 	s.pcs[m.t]++
 	return tr
 }
@@ -645,6 +682,9 @@ func (x *Explorer) undo(s *state, m move, tr trail) {
 			s.regs[x.regIdx[in.Reg]] = tr.reg
 		}
 	}
+	id := len(s.labels) - 1
+	x.account(s, id, true)
+	s.labels = s.labels[:id]
 	s.exec.Undo()
 }
 

@@ -23,14 +23,15 @@ import (
 //
 // The canonical key of a state is the minimum, over the identity plus
 // every discovered automorphism, of the permuted fingerprint
-// (fingerprintPerm). Correctness does not require the discovered set to
-// be closed under composition: each permutation is independently a
-// program automorphism, and a memo hit translates through the achieving
-// permutations of both states, so partial groups merely collapse less.
+// (fingerprintIn, one accumulator per automorphism). Correctness does
+// not require the discovered set to be closed under composition: each
+// permutation is independently a program automorphism, and a memo hit
+// translates through the achieving permutations of both states, so
+// partial groups merely collapse less.
 
 // autPerm is one program automorphism: forward and inverse permutations
-// of threads and (lowered) locations, plus the induced bijection on
-// register slots (regOrder positions).
+// of threads and (lowered) locations, plus the induced bijections on
+// register slots (regOrder positions) and on fixed op labels.
 type autPerm struct {
 	threads []int // image of thread t
 	invT    []int
@@ -38,6 +39,10 @@ type autPerm struct {
 	invL    []int
 	regTo   []int // image of register slot r
 	regFrom []int
+	// label is the image of each op label (fingerprint.go): init op l
+	// maps to locs[l], thread t's instruction pc to thread threads[t]'s
+	// instruction pc.
+	label []int
 }
 
 // autMaxThreads caps the thread-permutation search; beyond it the
@@ -47,7 +52,8 @@ type autPerm struct {
 const autMaxThreads = 7
 
 // automorphisms discovers the program's non-identity automorphisms.
-// Called after Run has lowered the program and built locIdx/regIdx.
+// Called from prepare once the program is lowered and locIdx, regIdx and
+// base are built.
 func (x *Explorer) automorphisms() []*autPerm {
 	T := len(x.prog.Threads)
 	if T < 2 || T > autMaxThreads {
@@ -192,15 +198,21 @@ func (x *Explorer) deriveAut(perm []int) *autPerm {
 			locUsed[l] = true
 		}
 	}
-	a := &autPerm{
+	label := append([]int(nil), locMap...)
+	for t, th := range x.prog.Threads {
+		for pc := range th {
+			label = append(label, x.base[perm[t]]+pc)
+		}
+	}
+	return &autPerm{
 		threads: append([]int(nil), perm...),
 		invT:    invert(perm),
 		locs:    locMap,
 		invL:    invert(locMap),
 		regTo:   regMap,
 		regFrom: invert(regMap),
+		label:   label,
 	}
-	return a
 }
 
 func fillNeg(s []int) []int {

@@ -145,8 +145,11 @@ func interfaceConfig(clustered bool) (*soc.Config, error) {
 // outcome must be model-allowed, the recorder must accept every read, and
 // every edge of the recorder-lowered trace must be committed by a
 // declared obligation (CheckTrace). The returned Work is independent of
-// platform.Tiles by construction.
+// platform.Tiles by construction, but a platform needs at least one tile.
 func CheckBackend(s Spec, platform Platform, opt CheckOptions) (*Result, error) {
+	if platform.Tiles < 1 {
+		return nil, fmt.Errorf("spec %s: platform of %d tiles; need at least 1", s.Backend, platform.Tiles)
+	}
 	progs := opt.Programs
 	if progs == nil {
 		progs = InterfacePrograms()

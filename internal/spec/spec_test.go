@@ -164,6 +164,17 @@ func TestCheckWorkPlatformIndependent(t *testing.T) {
 	}
 }
 
+// TestCheckBackendRejectsEmptyPlatform: a platform without tiles is a
+// caller mistake, reported as an error rather than certified.
+func TestCheckBackendRejectsEmptyPlatform(t *testing.T) {
+	s := mustSpec(t, "nocc")
+	for _, tiles := range []int{-4, 0} {
+		if r, err := CheckBackend(s, Platform{Tiles: tiles}, CheckOptions{Runs: 1}); err == nil {
+			t.Errorf("Tiles %d: got result %+v, want an error", tiles, r)
+		}
+	}
+}
+
 // TestCheckBackendCatchesInjectedFault is the detection half of the
 // acceptance criterion: a backend with one protocol step disabled — the
 // fault its own spec names via FaultFor — must fail its spec check.
