@@ -30,7 +30,7 @@ type adaptiveBackend struct {
 	rt    *Runtime
 	nocc  Backend
 	swcc  Backend
-	dsm   *dsmBackend
+	dsm   *replicaBackend
 	spm   Backend
 	state map[int]*adaptState // object ID -> pattern state
 }
@@ -72,7 +72,7 @@ func (b *adaptiveBackend) Init(rt *Runtime) {
 	b.rt = rt
 	b.nocc = NoCC()
 	b.swcc = SWCC()
-	b.dsm = DSM().(*dsmBackend)
+	b.dsm = DSM().(*replicaBackend)
 	b.spm = SPM()
 	for _, inner := range []Backend{b.nocc, b.swcc, b.dsm, b.spm} {
 		inner.Init(rt)
@@ -184,7 +184,8 @@ func (b *adaptiveBackend) migrate(c *Ctx, o *Object, st *adaptState, cur, target
 		}
 	}
 	if cur == Backend(b.dsm) {
-		c.T.CopyFromLocal(c.P, b.dsm.replicaAddr(c.T.ID, o), o.Addr, o.WordCount()*4)
+		l := b.dsm.level
+		c.T.CopyFromLevel(c.P, l, b.dsm.replicaAddr(c.T.Unit(l), o), o.Addr, o.WordCount()*4)
 	}
 	exit()
 	if st.open > 0 {
@@ -195,7 +196,7 @@ func (b *adaptiveBackend) migrate(c *Ctx, o *Object, st *adaptState, cur, target
 	}
 	if target == Backend(b.dsm) {
 		b.dsm.initReplicas(b.rt, o, wordBytes(snapshot))
-		b.dsm.lastWriter[o.ID] = c.T.ID
+		b.dsm.lastWriter[o.ID] = c.T.Unit(b.dsm.level)
 	}
 	st.proto = target
 	st.migrations++
@@ -365,7 +366,7 @@ func (b *adaptiveBackend) readCanonical(rt *Runtime, o *Object, wordIdx int) uin
 
 // heapLimit bounds the heap to the local memory, which both the dsm
 // replicas and the spm staging arena live in.
-func (b *adaptiveBackend) heapLimit(rt *Runtime) int { return rt.Sys.Cfg.LocalBytes }
+func (b *adaptiveBackend) heapLimit(rt *Runtime) int { return b.dsm.heapLimit(rt) }
 
 // Migrations reports how many protocol migrations the adaptive backend
 // performed across all objects (experiment reporting).

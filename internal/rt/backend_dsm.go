@@ -1,163 +1,197 @@
 package rt
 
 import (
+	"fmt"
+
 	"pmc/internal/mem"
 	"pmc/internal/sim"
 	"pmc/internal/soc"
 )
 
-// dsmBackend implements the distributed-shared-memory architecture of
-// Table II's third column: every tile holds a full replica of the shared
-// heap in its local memory, and the SDRAM is not used for shared data.
-// Reads and writes touch only the tile's own replica (single-cycle);
-// coherence is maintained purely with remote writes over the write-only
-// NoC:
+// replicaBackend implements the distributed-shared-memory architecture of
+// Table II's third column at one memory level: every unit of the level
+// holds a full replica of the shared heap in its memory, and the SDRAM is
+// not used for shared data. dsm keeps one replica per tile, in the
+// tile-local memory; cdsm keeps one per cluster, in the cluster scratch,
+// which its member tiles reach through the crossbar. Reads and writes
+// touch only the caller's unit's replica; coherence is maintained purely
+// with remote writes over the write-only NoC:
 //
-//   - exit_x is lazy: modifications stay in the local replica;
-//   - when an object's lock is transferred to another tile, the previous
-//     owner writes its version of the object into the acquirer's local
-//     memory before the grant is delivered ("the local version of the
-//     object is written to the local memory of the acquiring processor");
-//   - flush(X) broadcasts the object to every other tile's replica, which
-//     is what lets concurrent read-only observers (pollers) eventually see
-//     updates;
+//   - exit_x is lazy: modifications stay in the unit's replica;
+//   - when an object's lock is transferred to a tile of another unit, the
+//     previous owner writes its unit's version of the object into the
+//     acquirer's unit's replica before the grant is delivered ("the local
+//     version of the object is written to the local memory of the
+//     acquiring processor"); a transfer within a unit moves no data, since
+//     both tiles already share the replica;
+//   - flush(X) broadcasts the object to every other unit's replica,
+//     addressed at each unit's gateway tile, which is what lets concurrent
+//     read-only observers (pollers) eventually see updates;
 //   - entry_ro locks multi-word objects; word-sized objects are read
-//     lock-free from the local replica — the property the paper's FIFO
-//     exploits ("the read and write pointers are only polled from local
-//     memory, which is fast and does not influence the execution of other
+//     lock-free from the replica — the property the paper's FIFO exploits
+//     ("the read and write pointers are only polled from local memory,
+//     which is fast and does not influence the execution of other
 //     processors").
-type dsmBackend struct {
-	lastWriter map[int]int // object ID -> tile that last held it exclusively
+//
+// On the flat (1-cluster) system every cdsm transfer is intra-cluster and
+// flush fans to nobody: the protocol degenerates to shared-scratch
+// locking. Verification applies unchanged at both levels because every
+// operation lowers to the same per-word model reads and writes.
+type replicaBackend struct {
+	name       string
+	level      soc.Level
+	lastWriter map[int]int // object ID -> unit that last held it exclusively
 }
 
-// DSM returns the distributed-shared-memory backend (Section VI-B).
-func DSM() Backend { return &dsmBackend{lastWriter: make(map[int]int)} }
+// DSM returns the distributed-shared-memory backend (Section VI-B): one
+// replica per tile-local memory.
+func DSM() Backend { return newReplica("dsm", soc.LevelLocal) }
 
-func (b *dsmBackend) Name() string { return "dsm" }
+// CDSM returns the clustered distributed-shared-memory backend: one replica
+// per cluster scratch.
+func CDSM() Backend { return newReplica("cdsm", soc.LevelCluster) }
 
-// replicaAddr returns the address of o's replica inside tile t's local
-// memory: the shared heap maps 1:1 into each local memory.
-func (b *dsmBackend) replicaAddr(t int, o *Object) mem.Addr {
-	return soc.LocalAddr(t, o.Addr)
+func newReplica(name string, l soc.Level) *replicaBackend {
+	return &replicaBackend{name: name, level: l, lastWriter: make(map[int]int)}
 }
 
-func (b *dsmBackend) Init(rt *Runtime) {
+func (b *replicaBackend) Name() string { return b.name }
+
+// replicaAddr returns the address of o's replica inside unit u's memory:
+// the shared heap maps 1:1 into each replica memory.
+func (b *replicaBackend) replicaAddr(u int, o *Object) mem.Addr {
+	return b.level.Addr(u, o.Addr)
+}
+
+func (b *replicaBackend) Init(rt *Runtime) {
 	if rt.Sys.DLock == nil {
-		panic("rt: the dsm backend needs the distributed lock")
+		panic(fmt.Sprintf("rt: the %s backend needs the distributed lock", b.name))
 	}
 }
 
-// lockTransfer carries the object data with the lock handoff: home
-// notifies the previous owner, the previous owner pushes its version into
-// the acquirer's replica, and the grant follows once the data has landed.
-// The runtime's transfer mux dispatches here for dsm-routed objects.
-func (b *dsmBackend) lockTransfer(rt *Runtime, o *Object, from, to int, t sim.Time) sim.Time {
+// lockTransfer carries the object data with a lock handoff between units:
+// home notifies the previous owner, the previous owner pushes its unit's
+// version into the acquirer's unit's replica, and the grant follows once
+// the data has landed. The runtime's transfer mux dispatches here for
+// objects routed to this backend.
+func (b *replicaBackend) lockTransfer(rt *Runtime, o *Object, from, to int, t sim.Time) sim.Time {
+	fromU := rt.Sys.Tiles[from].Unit(b.level)
+	toU := rt.Sys.Tiles[to].Unit(b.level)
+	if fromU == toU {
+		return t
+	}
 	net := rt.Sys.Net
 	home := rt.Sys.DLock.Home(o.LockID)
 	notifyAt := t + net.ControlLatency(home, from, 8)
 	buf := make([]byte, o.WordCount()*4)
-	rt.Sys.Locals[from].ReadBlock(b.replicaAddr(from, o), buf)
-	deliveredAt := net.PostWriteDelayed(from, to, b.replicaAddr(to, o), buf, notifyAt)
-	return deliveredAt
+	rt.Sys.Mem(b.level, fromU).ReadBlock(b.replicaAddr(fromU, o), buf)
+	return net.PostWriteDelayed(from, to, b.replicaAddr(toU, o), buf, notifyAt)
 }
 
-// initReplicas pre-loads every tile's replica (setup, outside simulated
-// time) with one block write per local memory.
-func (b *dsmBackend) initReplicas(rt *Runtime, o *Object, image []byte) {
-	for t, l := range rt.Sys.Locals {
-		l.WriteBlock(b.replicaAddr(t, o), image)
+// initReplicas pre-loads every unit's replica (setup, outside simulated
+// time) with one block write per replica memory.
+func (b *replicaBackend) initReplicas(rt *Runtime, o *Object, image []byte) {
+	for u := 0; u < rt.Sys.Units(b.level); u++ {
+		rt.Sys.Mem(b.level, u).WriteBlock(b.replicaAddr(u, o), image)
 	}
 }
 
-// readCanonical returns the authoritative copy: the replica of the tile
-// that last held the object exclusively (zero value: tile 0).
-func (b *dsmBackend) readCanonical(rt *Runtime, o *Object, wordIdx int) uint32 {
-	t := b.lastWriter[o.ID]
-	return rt.Sys.Locals[t].Read32(b.replicaAddr(t, o) + mem.Addr(4*wordIdx))
+// readCanonical returns the authoritative copy: the replica of the unit
+// that last held the object exclusively (zero value: unit 0).
+func (b *replicaBackend) readCanonical(rt *Runtime, o *Object, wordIdx int) uint32 {
+	u := b.lastWriter[o.ID]
+	return rt.Sys.Mem(b.level, u).Read32(b.replicaAddr(u, o) + mem.Addr(4*wordIdx))
 }
 
-// heapLimit bounds the shared heap to the per-tile local memory size.
-func (b *dsmBackend) heapLimit(rt *Runtime) int {
-	return rt.Sys.Cfg.LocalBytes
+// heapLimit bounds the shared heap to the size of one replica memory.
+func (b *replicaBackend) heapLimit(rt *Runtime) int {
+	return rt.Sys.MemBytes(b.level)
 }
 
-func (b *dsmBackend) EntryX(c *Ctx, o *Object) {
+func (b *replicaBackend) EntryX(c *Ctx, o *Object) {
 	c.T.AcquireLock(c.P, o.LockID)
-	b.lastWriter[o.ID] = c.T.ID
+	b.lastWriter[o.ID] = c.T.Unit(b.level)
 }
 
-func (b *dsmBackend) ExitX(c *Ctx, o *Object) {
+func (b *replicaBackend) ExitX(c *Ctx, o *Object) {
 	// Lazy release: nothing to publish; the transfer hook moves data
-	// when the lock next changes tiles.
+	// when the lock next changes units.
 	c.T.ReleaseLock(c.P, o.LockID)
 }
 
-func (b *dsmBackend) EntryRO(c *Ctx, o *Object) {
+func (b *replicaBackend) EntryRO(c *Ctx, o *Object) {
 	if o.Size > AtomicSize {
 		c.T.AcquireLock(c.P, o.LockID)
 		c.scopes[o].locked = true
 	}
 }
 
-func (b *dsmBackend) ExitRO(c *Ctx, o *Object) {
+func (b *replicaBackend) ExitRO(c *Ctx, o *Object) {
 	if c.scopes[o].locked {
 		c.T.ReleaseLock(c.P, o.LockID)
 	}
 }
 
-func (b *dsmBackend) Fence(c *Ctx) {
-	// In-order core, local-memory accesses complete in order: compiler
-	// barrier only.
+func (b *replicaBackend) Fence(c *Ctx) {
+	// In-order core, local-memory and crossbar accesses complete in
+	// order: compiler barrier only.
 }
 
-// Flush broadcasts the object from the caller's replica to all other
-// tiles as a single burst of posted writes over the write-only NoC: the
-// core programs the network interface once and the NI streams the
-// per-destination messages back-to-back (per-flit pipelining), instead of
-// the core paying an injection cycle per destination. Delivery remains
-// asynchronous (best effort, as the model requires).
-func (b *dsmBackend) Flush(c *Ctx, o *Object) {
-	locals := c.rt.Sys.Locals
-	if len(locals) < 2 {
+// Flush broadcasts the object from the caller's unit's replica to every
+// other unit as a single burst of posted writes over the write-only NoC,
+// one per unit gateway: the core programs the network interface once and
+// the NI streams the per-destination messages back-to-back (per-flit
+// pipelining), instead of the core paying an injection cycle per
+// destination. The fan degree is the unit count: every tile for dsm,
+// every cluster for cdsm. Delivery remains asynchronous (best effort, as
+// the model requires).
+func (b *replicaBackend) Flush(c *Ctx, o *Object) {
+	sys := c.rt.Sys
+	units := sys.Units(b.level)
+	if units < 2 {
 		return
 	}
+	my := c.T.Unit(b.level)
 	buf := make([]byte, o.WordCount()*4)
-	c.T.Local.ReadBlock(b.replicaAddr(c.T.ID, o), buf)
-	dsts := make([]int, 0, len(locals)-1)
-	for t := range locals {
-		if t != c.T.ID {
-			dsts = append(dsts, t)
+	c.T.Mem(b.level).ReadBlock(b.replicaAddr(my, o), buf)
+	dsts := make([]int, 0, units-1)
+	for u := 0; u < units; u++ {
+		if u != my {
+			dsts = append(dsts, sys.Gateway(b.level, u))
 		}
 	}
 	c.T.Exec(c.P, 1) // one injection op programs the whole burst
-	c.rt.Sys.Net.PostWriteFan(c.T.ID, dsts, func(t int) mem.Addr { return b.replicaAddr(t, o) }, buf)
+	sys.Net.PostWriteFan(c.T.ID, dsts, func(t int) mem.Addr {
+		return b.replicaAddr(sys.Tiles[t].Unit(b.level), o)
+	}, buf)
 }
 
-func (b *dsmBackend) Read32(c *Ctx, o *Object, off int) uint32 {
-	return c.T.ReadLocal32(c.P, b.replicaAddr(c.T.ID, o)+mem.Addr(off))
+func (b *replicaBackend) Read32(c *Ctx, o *Object, off int) uint32 {
+	return c.T.ReadLevel32(c.P, b.level, b.replicaAddr(c.T.Unit(b.level), o)+mem.Addr(off))
 }
 
-func (b *dsmBackend) Write32(c *Ctx, o *Object, off int, v uint32) {
-	c.T.WriteLocal32(c.P, b.replicaAddr(c.T.ID, o)+mem.Addr(off), v)
+func (b *replicaBackend) Write32(c *Ctx, o *Object, off int, v uint32) {
+	c.T.WriteLevel32(c.P, b.level, b.replicaAddr(c.T.Unit(b.level), o)+mem.Addr(off), v)
 }
 
-// ReadRange streams words out of the tile's own replica. The local memory
-// serves one word per load either way, so the range costs exactly the
-// word loop; the DSM block win lives in CopyRange and the flush burst.
-func (b *dsmBackend) ReadRange(c *Ctx, o *Object, off int, dst []uint32) {
-	readLocalRange(c, b.replicaAddr(c.T.ID, o)+mem.Addr(off), dst)
+// ReadRange streams words out of the unit's replica. The memory serves
+// one word per load either way, so the range costs exactly the word loop;
+// the DSM block win lives in CopyRange and the flush burst.
+func (b *replicaBackend) ReadRange(c *Ctx, o *Object, off int, dst []uint32) {
+	c.T.ReadLevelRange(c.P, b.level, b.replicaAddr(c.T.Unit(b.level), o)+mem.Addr(off), dst)
 }
 
-// WriteRange streams words into the tile's own replica.
-func (b *dsmBackend) WriteRange(c *Ctx, o *Object, off int, src []uint32) {
-	writeLocalRange(c, b.replicaAddr(c.T.ID, o)+mem.Addr(off), src)
+// WriteRange streams words into the unit's replica.
+func (b *replicaBackend) WriteRange(c *Ctx, o *Object, off int, src []uint32) {
+	c.T.WriteLevelRange(c.P, b.level, b.replicaAddr(c.T.Unit(b.level), o)+mem.Addr(off), src)
 }
 
-// CopyRange moves data between two replicas in the tile's local memory
-// with the dual-port DMA: read and write ports overlap at one word per
-// cycle, half the cost of the load/store-per-word loop.
-func (b *dsmBackend) CopyRange(c *Ctx, dst *Object, dstOff int, src *Object, srcOff int, words int, wantVals bool) ([]uint32, bool) {
-	srcA := b.replicaAddr(c.T.ID, src) + mem.Addr(srcOff)
-	dstA := b.replicaAddr(c.T.ID, dst) + mem.Addr(dstOff)
-	return copyLocalDMA(c, srcA, dstA, words, wantVals), true
+// CopyRange moves data between two replicas in the unit's memory with its
+// dual-port DMA: read and write ports overlap at one word per cycle, half
+// the cost of the load/store-per-word loop.
+func (b *replicaBackend) CopyRange(c *Ctx, dst *Object, dstOff int, src *Object, srcOff int, words int, wantVals bool) ([]uint32, bool) {
+	u := c.T.Unit(b.level)
+	srcA := b.replicaAddr(u, src) + mem.Addr(srcOff)
+	dstA := b.replicaAddr(u, dst) + mem.Addr(dstOff)
+	return copyLevelDMA(c, b.level, srcA, dstA, words, wantVals), true
 }

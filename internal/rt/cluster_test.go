@@ -157,8 +157,8 @@ func TestCSPMArenaSharedAcrossTiles(t *testing.T) {
 		t.Fatal("canonical copies not written back")
 	}
 	// Both scopes are closed: the arena must be fully coalesced again.
-	arena := r.clusterArena(0)
-	if len(arena.free) != 1 || arena.free[0].size != sys.Cfg.ClusterMemBytes() {
+	arena := r.arena(soc.LevelCluster, 0)
+	if len(arena.free) != 1 || arena.free[0].size != sys.MemBytes(soc.LevelCluster) {
 		t.Fatalf("cluster arena not fully released: %+v", arena.free)
 	}
 }

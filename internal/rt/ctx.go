@@ -20,7 +20,7 @@ const (
 // scope is the per-context state of one open entry/exit pair.
 type scope struct {
 	mode scopeMode
-	// spmAddr is the local copy's address for the SPM backend.
+	// spmAddr is the staged copy's address for the staging backends.
 	spmAddr mem.Addr
 	// locked records whether entry_ro took the object's lock.
 	locked bool
@@ -41,7 +41,6 @@ type Ctx struct {
 
 	scopes   map[*Object]*scope
 	privNext mem.Addr
-	spm      spmArena
 }
 
 // Runtime returns the owning runtime.
@@ -365,8 +364,9 @@ func (c *Ctx) finish() {
 	}
 }
 
-// spmArena is a trivial first-fit allocator over the tile's local memory,
-// used by the SPM backend for scope-lifetime copies.
+// spmArena is a trivial first-fit allocator over one staging memory (a
+// tile-local memory or a cluster scratch), used by the staging backends
+// for scope-lifetime copies.
 type spmArena struct {
 	inited bool
 	free   []span // sorted by base

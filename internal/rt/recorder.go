@@ -19,9 +19,10 @@ import (
 // (Section V-A). Objects larger than MaxWords are not recorded (the model
 // is O(n²); the recorder is a test tool for small configurations).
 //
-// For the SPM backend, in-scope reads and writes touch the staged local
-// copy, so the recorder maps the staging copy-in to model reads and the
-// copy-back to model writes instead (see recordStage/recordUnstage).
+// For the staging backends (spm, cspm), in-scope reads and writes touch
+// the staged copy, so the recorder maps the staging copy-in to model reads
+// and the copy-back to model writes instead (see
+// recordStage/recordUnstage).
 type Recorder struct {
 	Exec *core.Execution
 	// MaxWords bounds recorded object size.
@@ -75,11 +76,17 @@ func (r *Recorder) initObject(o *Object, words []uint32) {
 
 func (r *Recorder) proc(c *Ctx) core.ProcID { return core.ProcID(c.T.ID) }
 
-// staged reports whether o's effective protocol stages the object into
-// local memory for the scope (the spm backend, possibly reached through a
-// fault wrapper or the adaptive router): in-scope reads and writes touch
-// the staged copy, so the recorder maps the copy-in/copy-back instead.
-func (r *Recorder) staged(o *Object) bool { return r.rt.protoFor(o).Name() == "spm" }
+// staging returns the staging protocol serving o right now (spm or cspm,
+// possibly reached through a fault wrapper or the adaptive router), or
+// nil: in-scope reads and writes of a staged object touch the staged
+// copy, so the recorder maps the copy-in/copy-back instead.
+func (r *Recorder) staging(o *Object) *stagingBackend {
+	sb, _ := r.rt.protoFor(o).(*stagingBackend)
+	return sb
+}
+
+// staged reports whether o is served by a staging protocol.
+func (r *Recorder) staged(o *Object) bool { return r.staging(o) != nil }
 
 func (r *Recorder) acquire(c *Ctx, o *Object) {
 	ls, ok := r.locs[o.ID]
@@ -173,16 +180,18 @@ func (r *Recorder) recordStage(c *Ctx, o *Object) {
 	}
 }
 
-// recordUnstage models the SPM copy-back: a write of every word with the
-// staged copy's current values.
+// recordUnstage models the staging copy-back: a write of every word with
+// the staged copy's current values, read from the memory level it was
+// staged into.
 func (r *Recorder) recordUnstage(c *Ctx, o *Object) {
 	ls := r.locs[o.ID]
 	s, ok := c.scopes[o]
 	if !ok {
 		return
 	}
+	m := c.T.Mem(r.staging(o).level)
 	for i, l := range ls {
-		v := c.rt.Sys.Locals[c.T.ID].Read32(s.spmAddr + mem.Addr(4*i))
+		v := m.Read32(s.spmAddr + mem.Addr(4*i))
 		r.Exec.Write(r.proc(c), l, core.Value(v))
 	}
 }

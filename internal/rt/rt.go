@@ -1,19 +1,29 @@
 // Package rt is the PMC runtime: the concrete implementation of the
-// paper's annotations (Section V-A) on the simulated SoC, with one backend
-// per memory architecture of Table II:
+// paper's annotations (Section V-A) on the simulated SoC, with one
+// protocol per memory architecture of Table II:
 //
 //	nocc — shared data uncached; annotations keep only mutual exclusion
 //	       (this doubles as the sequentially consistent reference, and is
 //	       the "no CC" baseline of Fig. 8);
 //	swcc — software cache coherency over the non-coherent write-back
-//	       caches (Fig. 8's "SWCC"), BACKER-style;
-//	dsm  — distributed shared memory over the write-only NoC: every tile
-//	       holds a replica of the shared heap in its local memory;
-//	spm  — scratch-pad staging: objects are copied into the tile's local
-//	       memory for the duration of a scope and copied back on exit.
+//	       caches (Fig. 8's "SWCC"), BACKER-style; swcc-lazy defers the
+//	       exit writeback to the next lock handoff;
+//	replica (dsm, cdsm) — distributed shared memory over the write-only
+//	       NoC: every unit of a memory level holds a replica of the shared
+//	       heap — dsm one per tile-local memory, cdsm one per cluster
+//	       scratch;
+//	staging (spm, cspm) — scratch-pad staging: objects are copied into
+//	       the memory of the caller's unit for the duration of a scope and
+//	       copied back on exit — spm into the tile-local memory, cspm into
+//	       the cluster scratch.
+//
+// The replica and staging protocols are each one implementation over a
+// memory level (soc.Level), so the two columns at two levels are four
+// backends. adaptive routes each object among nocc, swcc, dsm and spm and
+// migrates it as its access pattern emerges.
 //
 // A single application written against Ctx's annotation API runs unchanged
-// on all four — the PMC approach's portability claim. The runtime also
+// on all of them — the PMC approach's portability claim. The runtime also
 // enforces the annotation discipline (reads only inside entry/exit scopes,
 // writes only inside exclusive scopes, flush only inside entry_x/exit_x)
 // and can record every operation into the formal model (internal/core) for
@@ -113,7 +123,7 @@ type Backend interface {
 
 // rangeCopier is the optional backend capability behind Ctx.Copy: an
 // object-to-object block move that beats the read-range-then-write-range
-// lowering (e.g. a single-port-overlapped local-memory DMA on DSM/SPM).
+// lowering (e.g. the dual-port DMA of the replica or staging memory).
 // It reports false when this particular copy cannot be accelerated, in
 // which case the caller falls back to ReadRange+WriteRange. The copied
 // word values are materialized only when wantVals is set (the recorder
@@ -123,37 +133,21 @@ type rangeCopier interface {
 	CopyRange(c *Ctx, dst *Object, dstOff int, src *Object, srcOff int, words int, wantVals bool) ([]uint32, bool)
 }
 
-// copyLocalDMA runs the dual-port local-memory DMA between two resolved
-// local addresses — the shared body of the dsm and spm CopyRange
-// implementations — returning the copied values only on demand.
-func copyLocalDMA(c *Ctx, srcA, dstA mem.Addr, words int, wantVals bool) []uint32 {
-	c.T.CopyLocal(c.P, srcA, dstA, words*4)
+// copyLevelDMA runs the dual-port DMA of the tile's memory at level l
+// between two resolved addresses in it — the shared body of the replica
+// and staging CopyRange implementations — returning the copied values
+// only on demand.
+func copyLevelDMA(c *Ctx, l soc.Level, srcA, dstA mem.Addr, words int, wantVals bool) []uint32 {
+	c.T.CopyLevel(c.P, l, srcA, dstA, words*4)
 	if !wantVals {
 		return nil
 	}
 	vals := make([]uint32, words)
-	local := c.rt.Sys.Locals[c.T.ID]
+	m := c.T.Mem(l)
 	for i := range vals {
-		vals[i] = local.Read32(dstA + mem.Addr(4*i))
+		vals[i] = m.Read32(dstA + mem.Addr(4*i))
 	}
 	return vals
-}
-
-// readLocalRange streams a word range out of a resolved local-memory
-// address, one load instruction per word (dsm replicas, spm staged
-// copies).
-func readLocalRange(c *Ctx, base mem.Addr, dst []uint32) {
-	for i := range dst {
-		dst[i] = c.T.ReadLocal32(c.P, base+mem.Addr(4*i))
-	}
-}
-
-// writeLocalRange streams a word range into a resolved local-memory
-// address, one store instruction per word.
-func writeLocalRange(c *Ctx, base mem.Addr, src []uint32) {
-	for i, v := range src {
-		c.T.WriteLocal32(c.P, base+mem.Addr(4*i), v)
-	}
 }
 
 // readRangeByWords lowers a ranged read onto a backend's word path: one
@@ -198,7 +192,7 @@ type lockTransferrer interface {
 
 // unwrapper is implemented by decorating backends (the fault injector) so
 // the runtime can see through them when resolving an object's effective
-// protocol (e.g. the recorder's staging special case for spm).
+// protocol (e.g. the recorder's staging special case for spm and cspm).
 type unwrapper interface {
 	unwrap() Backend
 }
@@ -273,21 +267,23 @@ type Runtime struct {
 	workers []*Ctx
 	nextCtx int
 
-	// clusterArenas are the per-cluster scratch allocators of the cspm
-	// backend, shared by all member workers (lazily sized to the cluster
-	// count).
-	clusterArenas []spmArena
+	// arenas are the staging allocators, one per memory unit at each
+	// level (see arena).
+	arenas [soc.NumLevels][]spmArena
 }
 
-// clusterArena returns cluster cl's scratch staging allocator, initializing
-// it over the full scratch on first use.
-func (rt *Runtime) clusterArena(cl int) *spmArena {
-	if rt.clusterArenas == nil {
-		rt.clusterArenas = make([]spmArena, len(rt.Sys.Clusters))
+// arena returns the staging allocator of unit u's memory at level l,
+// initializing it over the memory on first use. The arena belongs to the
+// memory, not to a backend or a worker: every staging route and every
+// worker the unit hosts draws from it, so co-resident scopes never
+// overlap.
+func (rt *Runtime) arena(l soc.Level, u int) *spmArena {
+	if rt.arenas[l] == nil {
+		rt.arenas[l] = make([]spmArena, rt.Sys.Units(l))
 	}
-	a := &rt.clusterArenas[cl]
+	a := &rt.arenas[l][u]
 	if !a.inited {
-		a.init(rt.stagingBase(), rt.Sys.Cfg.ClusterMemBytes())
+		a.init(rt.stagingBase(), rt.Sys.MemBytes(l))
 	}
 	return a
 }

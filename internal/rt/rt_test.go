@@ -500,14 +500,16 @@ func checkReplicas(t *testing.T, r *Runtime, o *Object, want []uint32) {
 		base  mem.Addr
 	}
 	var reps []replica
-	switch o.Backend() {
-	case "dsm", "adaptive":
-		for i, l := range r.Sys.Locals {
-			reps = append(reps, replica{fmt.Sprintf("tile %d", i), l, soc.LocalAddr(i, o.Addr)})
-		}
-	case "cdsm":
-		for _, cl := range r.Sys.Clusters {
-			reps = append(reps, replica{fmt.Sprintf("cluster %d", cl.ID), cl.Scratch, soc.ClusterAddr(cl.ID, o.Addr)})
+	var rb *replicaBackend
+	switch b := o.route.(type) {
+	case *replicaBackend:
+		rb = b
+	case *adaptiveBackend:
+		rb = b.dsm
+	}
+	if rb != nil {
+		for u := 0; u < r.Sys.Units(rb.level); u++ {
+			reps = append(reps, replica{fmt.Sprintf("%s %d", rb.level, u), r.Sys.Mem(rb.level, u), rb.level.Addr(u, o.Addr)})
 		}
 	}
 	for _, rep := range reps {

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"pmc/internal/mem"
 	"pmc/internal/noc"
 	"pmc/internal/sim"
 )
@@ -114,69 +113,6 @@ func TestClusterValidate(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.hint) {
 			t.Errorf("error %q lacks %q", err, tc.hint)
 		}
-	}
-}
-
-// TestClusterScratchAccess: word access and DMA paths against the cluster
-// scratch, including the stall accounting buckets they charge.
-func TestClusterScratchAccess(t *testing.T) {
-	cfg := testConfig(8)
-	cfg.Clusters = 2
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl := s.Tiles[5] // cluster 1
-	var got uint32
-	s.K.Spawn("t5", func(p *sim.Proc) {
-		tl.WriteCluster32(p, ClusterAddr(1, 0x40), 0xfeed)
-		got = tl.ReadCluster32(p, ClusterAddr(1, 0x40))
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 0xfeed {
-		t.Fatalf("cluster scratch read back %#x, want 0xfeed", got)
-	}
-	if tl.Stats.SharedReads != 1 || tl.Stats.SharedWrites != 1 {
-		t.Fatalf("shared counters = %d/%d, want 1/1", tl.Stats.SharedReads, tl.Stats.SharedWrites)
-	}
-	if tl.Stats.SharedReadStall == 0 || tl.Stats.WriteStall == 0 {
-		t.Fatal("crossbar stalls not charged")
-	}
-	if s.Clusters[1].Scratch.CoreReads != 1 || s.Clusters[1].Scratch.CoreWrites != 1 {
-		t.Fatal("scratch port counters not charged")
-	}
-}
-
-// TestClusterCopies: SDRAM<->scratch bursts and the intra-scratch DMA move
-// data and charge CopyStall.
-func TestClusterCopies(t *testing.T) {
-	cfg := testConfig(4)
-	cfg.Clusters = 2
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl := s.Tiles[0]
-	src := mem.Addr(0x1000)
-	payload := []byte("cluster scratch staging payload!")
-	s.SDRAM.WriteBlock(src, payload)
-	out := make([]byte, len(payload))
-	s.K.Spawn("t0", func(p *sim.Proc) {
-		tl.CopyToCluster(p, src, ClusterAddr(0, 0), len(payload))
-		tl.CopyCluster(p, ClusterAddr(0, 0), ClusterAddr(0, 0x100), len(payload))
-		tl.CopyFromCluster(p, ClusterAddr(0, 0x100), 0x2000, len(payload))
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	s.SDRAM.ReadBlock(0x2000, out)
-	if string(out) != string(payload) {
-		t.Fatalf("round-trip through cluster scratch = %q", out)
-	}
-	if tl.Stats.CopyStall == 0 {
-		t.Fatal("copies charged no CopyStall")
 	}
 }
 

@@ -99,10 +99,6 @@ func (c Config) clusterBytes() int {
 	return c.ClusterBytes
 }
 
-// ClusterMemBytes returns the effective per-cluster scratch memory size
-// (ClusterBytes with the default applied).
-func (c Config) ClusterMemBytes() int { return c.clusterBytes() }
-
 // DefaultConfig is the 32-tile system used throughout the evaluation.
 func DefaultConfig() Config {
 	return Config{

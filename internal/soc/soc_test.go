@@ -212,35 +212,6 @@ func TestFlushSharedWritesBackAndCharges(t *testing.T) {
 	}
 }
 
-func TestCopyToFromLocal(t *testing.T) {
-	s, err := New(testConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tile := s.Tiles[1]
-	for i := 0; i < 16; i++ {
-		s.SDRAM.Write32(mem.Addr(0x5000+4*i), uint32(i*i))
-	}
-	s.K.Spawn("core", func(p *sim.Proc) {
-		dst := LocalAddr(1, 0x100)
-		tile.CopyToLocal(p, 0x5000, dst, 64)
-		if v := tile.ReadLocal32(p, dst+4*5); v != 25 {
-			t.Errorf("local copy word 5 = %d, want 25", v)
-		}
-		tile.WriteLocal32(p, dst+4*5, 999)
-		tile.CopyFromLocal(p, dst, 0x5000, 64)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if v := s.SDRAM.Read32(0x5000 + 20); v != 999 {
-		t.Fatalf("copy back lost data: %d", v)
-	}
-	if tile.Stats.CopyStall == 0 {
-		t.Fatal("block copies must cost time")
-	}
-}
-
 func TestLockIntegrationAttributesWait(t *testing.T) {
 	s, err := New(testConfig(4))
 	if err != nil {

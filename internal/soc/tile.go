@@ -264,19 +264,63 @@ func (t *Tile) WriteShared32Uncached(p *sim.Proc, addr mem.Addr, v uint32) {
 	t.Stats.WriteStall++
 }
 
-// ReadLocal32 loads from this tile's local memory: single-cycle, already
-// covered by the instruction's execute cycle (LMB-style).
-func (t *Tile) ReadLocal32(p *sim.Proc, addr mem.Addr) uint32 {
-	t.fetchAndExec(p, 1)
-	t.Local.CoreReads++
-	return t.Local.Read32(addr)
+// ReadLevel32 loads a word from this tile's memory at level l. The
+// execute cycle covers a tile-local access (LMB-style); a cluster-scratch
+// access also waits the crossbar traversal, charged as a shared-read
+// stall.
+func (t *Tile) ReadLevel32(p *sim.Proc, l Level, addr mem.Addr) uint32 {
+	return t.readLevel(p, t.Mem(l), l.Latency(), addr)
 }
 
-// WriteLocal32 stores to this tile's local memory in a single cycle.
-func (t *Tile) WriteLocal32(p *sim.Proc, addr mem.Addr, v uint32) {
+// WriteLevel32 stores a word into this tile's memory at level l, waiting
+// the level's crossbar traversal (if any) as a write stall.
+func (t *Tile) WriteLevel32(p *sim.Proc, l Level, addr mem.Addr, v uint32) {
+	t.writeLevel(p, t.Mem(l), l.Latency(), addr, v)
+}
+
+// ReadLevelRange loads len(dst) consecutive words from this tile's memory
+// at level l, one load instruction per word: the memory serves one word
+// per access either way, so a range costs exactly the ReadLevel32 loop.
+// The memory and its latency are resolved once for the whole range.
+func (t *Tile) ReadLevelRange(p *sim.Proc, l Level, addr mem.Addr, dst []uint32) {
+	m, lat := t.Mem(l), l.Latency()
+	for i := range dst {
+		dst[i] = t.readLevel(p, m, lat, addr+mem.Addr(4*i))
+	}
+}
+
+// WriteLevelRange stores src into consecutive words of this tile's memory
+// at level l, one store instruction per word.
+func (t *Tile) WriteLevelRange(p *sim.Proc, l Level, addr mem.Addr, src []uint32) {
+	m, lat := t.Mem(l), l.Latency()
+	for i, v := range src {
+		t.writeLevel(p, m, lat, addr+mem.Addr(4*i), v)
+	}
+}
+
+// readLevel is one word load from memory m, lat cycles beyond the execute
+// cycle. Only a crossbar access (lat > 0) is a shared access with a stall.
+func (t *Tile) readLevel(p *sim.Proc, m *mem.Local, lat sim.Time, addr mem.Addr) uint32 {
 	t.fetchAndExec(p, 1)
-	t.Local.CoreWrites++
-	t.Local.Write32(addr, v)
+	if lat > 0 {
+		p.Wait(lat)
+		t.Stats.SharedReadStall += lat
+		t.Stats.SharedReads++
+	}
+	m.CoreReads++
+	return m.Read32(addr)
+}
+
+// writeLevel is one word store into memory m (see readLevel).
+func (t *Tile) writeLevel(p *sim.Proc, m *mem.Local, lat sim.Time, addr mem.Addr, v uint32) {
+	t.fetchAndExec(p, 1)
+	if lat > 0 {
+		p.Wait(lat)
+		t.Stats.WriteStall += lat
+		t.Stats.SharedWrites++
+	}
+	m.CoreWrites++
+	m.Write32(addr, v)
 }
 
 // dmaSetupInstrs is the instruction cost of programming a block-move
@@ -381,20 +425,22 @@ func (t *Tile) WriteSharedRangeCached(p *sim.Proc, addr mem.Addr, src []uint32) 
 	}
 }
 
-// CopyLocal is a DMA-style block move inside this tile's local memory: the
-// core programs the engine (dmaSetupInstrs) and the dual-port RAM streams
-// one word per cycle, read and write overlapped — half the cost of the
-// load/store-per-word loop.
-func (t *Tile) CopyLocal(p *sim.Proc, src, dst mem.Addr, size int) {
+// CopyLevel is a DMA-style block move inside this tile's memory at level
+// l: the core programs the engine (dmaSetupInstrs) and the dual-port RAM
+// streams one word per cycle, read and write overlapped — half the cost
+// of the load/store-per-word loop — plus the level's crossbar traversal
+// once.
+func (t *Tile) CopyLevel(p *sim.Proc, l Level, src, dst mem.Addr, size int) {
 	t.fetchAndExec(p, dmaSetupInstrs)
 	t0 := p.Now()
 	words := (size + 3) / 4
+	m := t.Mem(l)
 	buf := make([]byte, size)
-	t.Local.ReadBlock(src, buf)
-	t.Local.WriteBlock(dst, buf)
-	t.Local.CoreReads += uint64(words)
-	t.Local.CoreWrites += uint64(words)
-	p.Wait(sim.Time(words))
+	m.ReadBlock(src, buf)
+	m.WriteBlock(dst, buf)
+	m.CoreReads += uint64(words)
+	m.CoreWrites += uint64(words)
+	p.Wait(sim.Time(words) + l.Latency())
 	t.Stats.CopyStall += p.Now() - t0
 }
 
@@ -442,12 +488,12 @@ func (t *Tile) InvalidateShared(p *sim.Proc, addr mem.Addr, size int) {
 	}
 }
 
-// CopyToLocal copies size bytes from SDRAM into this tile's local memory
-// (SPM staging / DSM replica initialization) as one DMA-style burst
-// transaction: a single arbitration, then the lines stream back-to-back on
-// the data channel while the dual-port local memory absorbs them. A
+// CopyToLevel copies size bytes from SDRAM into this tile's memory at
+// level l (staging, replica initialization) as one DMA-style burst
+// transaction: a single arbitration, then the lines stream back-to-back
+// on the data channel while the destination memory absorbs them. A
 // one-line copy costs exactly what a single line-burst access does.
-func (t *Tile) CopyToLocal(p *sim.Proc, src mem.Addr, dst mem.Addr, size int) {
+func (t *Tile) CopyToLevel(p *sim.Proc, l Level, src mem.Addr, dst mem.Addr, size int) {
 	if size <= 0 {
 		return
 	}
@@ -458,13 +504,13 @@ func (t *Tile) CopyToLocal(p *sim.Proc, src mem.Addr, dst mem.Addr, size int) {
 	t.Sys.SDRAM.LineFills += uint64(lines)
 	buf := make([]byte, size)
 	t.Sys.SDRAM.ReadBlock(src, buf)
-	t.Local.WriteBlock(dst, buf)
+	t.Mem(l).WriteBlock(dst, buf)
 	t.Stats.CopyStall += p.Now() - t0
 }
 
-// CopyFromLocal copies size bytes from this tile's local memory back to
-// SDRAM in one DMA-style burst transaction.
-func (t *Tile) CopyFromLocal(p *sim.Proc, src mem.Addr, dst mem.Addr, size int) {
+// CopyFromLevel copies size bytes from this tile's memory at level l back
+// to SDRAM in one DMA-style burst transaction.
+func (t *Tile) CopyFromLevel(p *sim.Proc, l Level, src mem.Addr, dst mem.Addr, size int) {
 	if size <= 0 {
 		return
 	}
@@ -472,89 +518,10 @@ func (t *Tile) CopyFromLocal(p *sim.Proc, src mem.Addr, dst mem.Addr, size int) 
 	ls := t.Sys.Cfg.SDRAM.LineSize
 	lines := (size + ls - 1) / ls
 	buf := make([]byte, size)
-	t.Local.ReadBlock(src, buf)
+	t.Mem(l).ReadBlock(src, buf)
 	t.Sys.SDRAM.AccessLines(p, dst, lines)
 	t.Sys.SDRAM.LineWBs += uint64(lines)
 	t.Sys.SDRAM.WriteBlock(dst, buf)
-	t.Stats.CopyStall += p.Now() - t0
-}
-
-// clusterMemLat is the extra crossbar traversal latency of a
-// cluster-scratch access over a tile-local one. The scratch is multi-bank
-// and the member cores reach it through the cluster crossbar, so an access
-// costs the execute cycle plus this fixed arbitration/traversal cycle;
-// bank conflicts are not modelled.
-const clusterMemLat = sim.Time(1)
-
-// ReadCluster32 loads a word from this tile's cluster scratch memory: one
-// instruction plus the crossbar traversal, charged as a shared-read stall.
-func (t *Tile) ReadCluster32(p *sim.Proc, addr mem.Addr) uint32 {
-	t.fetchAndExec(p, 1)
-	p.Wait(clusterMemLat)
-	t.Stats.SharedReadStall += clusterMemLat
-	t.Stats.SharedReads++
-	t.Cluster.Scratch.CoreReads++
-	return t.Cluster.Scratch.Read32(addr)
-}
-
-// WriteCluster32 stores a word into this tile's cluster scratch memory.
-func (t *Tile) WriteCluster32(p *sim.Proc, addr mem.Addr, v uint32) {
-	t.fetchAndExec(p, 1)
-	p.Wait(clusterMemLat)
-	t.Stats.WriteStall += clusterMemLat
-	t.Stats.SharedWrites++
-	t.Cluster.Scratch.CoreWrites++
-	t.Cluster.Scratch.Write32(addr, v)
-}
-
-// CopyToCluster copies size bytes from SDRAM into this tile's cluster
-// scratch as one DMA-style burst (the cluster-level analogue of
-// CopyToLocal).
-func (t *Tile) CopyToCluster(p *sim.Proc, src mem.Addr, dst mem.Addr, size int) {
-	if size <= 0 {
-		return
-	}
-	t0 := p.Now()
-	ls := t.Sys.Cfg.SDRAM.LineSize
-	lines := (size + ls - 1) / ls
-	t.Sys.SDRAM.AccessLines(p, src, lines)
-	t.Sys.SDRAM.LineFills += uint64(lines)
-	buf := make([]byte, size)
-	t.Sys.SDRAM.ReadBlock(src, buf)
-	t.Cluster.Scratch.WriteBlock(dst, buf)
-	t.Stats.CopyStall += p.Now() - t0
-}
-
-// CopyFromCluster copies size bytes from this tile's cluster scratch back
-// to SDRAM in one DMA-style burst.
-func (t *Tile) CopyFromCluster(p *sim.Proc, src mem.Addr, dst mem.Addr, size int) {
-	if size <= 0 {
-		return
-	}
-	t0 := p.Now()
-	ls := t.Sys.Cfg.SDRAM.LineSize
-	lines := (size + ls - 1) / ls
-	buf := make([]byte, size)
-	t.Cluster.Scratch.ReadBlock(src, buf)
-	t.Sys.SDRAM.AccessLines(p, dst, lines)
-	t.Sys.SDRAM.LineWBs += uint64(lines)
-	t.Sys.SDRAM.WriteBlock(dst, buf)
-	t.Stats.CopyStall += p.Now() - t0
-}
-
-// CopyCluster is a DMA-style block move inside this tile's cluster scratch
-// memory: like CopyLocal, one word per cycle with read and write
-// overlapped, plus the crossbar traversal once.
-func (t *Tile) CopyCluster(p *sim.Proc, src, dst mem.Addr, size int) {
-	t.fetchAndExec(p, dmaSetupInstrs)
-	t0 := p.Now()
-	words := (size + 3) / 4
-	buf := make([]byte, size)
-	t.Cluster.Scratch.ReadBlock(src, buf)
-	t.Cluster.Scratch.WriteBlock(dst, buf)
-	t.Cluster.Scratch.CoreReads += uint64(words)
-	t.Cluster.Scratch.CoreWrites += uint64(words)
-	p.Wait(sim.Time(words) + clusterMemLat)
 	t.Stats.CopyStall += p.Now() - t0
 }
 

@@ -83,26 +83,14 @@ func ForBackend(name string) (Spec, error) {
 			fence,
 			[]Step{StepFlushPost})
 		return s, nil
-	case "dsm":
-		return build("dsm", false,
+	case "dsm", "cdsm":
+		return build(name, name == "cdsm",
 			[]Step{StepReplica},
 			[]Step{StepMutex, StepLockTransfer},
 			fence,
 			[]Step{StepFlushPost}), nil
-	case "spm":
-		return build("spm", false,
-			[]Step{StepStageIn, StepStageOut},
-			[]Step{StepMutex, StepStageOut, StepStageIn},
-			fence,
-			[]Step{StepFlushPost}), nil
-	case "cdsm":
-		return build("cdsm", true,
-			[]Step{StepReplica},
-			[]Step{StepMutex, StepLockTransfer},
-			fence,
-			[]Step{StepFlushPost}), nil
-	case "cspm":
-		return build("cspm", true,
+	case "spm", "cspm":
+		return build(name, name == "cspm",
 			[]Step{StepStageIn, StepStageOut},
 			[]Step{StepMutex, StepStageOut, StepStageIn},
 			fence,
