@@ -32,11 +32,14 @@ const (
 
 // RAM is a byte-addressable backing store covering [Base, Base+Size).
 // Never-written bytes read as zero, exactly as an eagerly zeroed array
-// would. The zero value is unusable; use NewRAM.
+// would — or, for a RAM made by Seed.NewRAM, as the seed image's bytes.
+// The zero value is unusable; use NewRAM.
 type RAM struct {
 	base   Addr
 	size   int
 	chunks [][]byte
+	// seed is the image a never-written chunk reads from (nil: zeros).
+	seed *RAM
 }
 
 // NewRAM returns a RAM of the given size starting at base.
@@ -64,21 +67,40 @@ func (r *RAM) index(addr Addr, n int) int {
 }
 
 // writable returns the chunk backing offset off, materializing it on first
-// write.
+// write as a copy of the seed's chunk (or zeros).
 func (r *RAM) writable(off int) []byte {
 	ci := off >> chunkBits
 	c := r.chunks[ci]
 	if c == nil {
 		c = make([]byte, chunkSize)
+		copy(c, r.seedChunk(ci))
 		r.chunks[ci] = c
 	}
 	return c
 }
 
+// readable returns the chunk offset off reads from: the RAM's own, else
+// the seed's, else nil (zeros).
+func (r *RAM) readable(off int) []byte {
+	ci := off >> chunkBits
+	if c := r.chunks[ci]; c != nil {
+		return c
+	}
+	return r.seedChunk(ci)
+}
+
+// seedChunk returns the seed's chunk ci, or nil.
+func (r *RAM) seedChunk(ci int) []byte {
+	if r.seed == nil {
+		return nil
+	}
+	return r.seed.chunks[ci]
+}
+
 // Read8 returns the byte at addr.
 func (r *RAM) Read8(addr Addr) uint8 {
 	off := r.index(addr, 1)
-	c := r.chunks[off>>chunkBits]
+	c := r.readable(off)
 	if c == nil {
 		return 0
 	}
@@ -95,7 +117,7 @@ func (r *RAM) Write8(addr Addr, v uint8) {
 func (r *RAM) Read32(addr Addr) uint32 {
 	off := r.index(addr, 4)
 	if co := off & chunkMask; co <= chunkSize-4 {
-		c := r.chunks[off>>chunkBits]
+		c := r.readable(off)
 		if c == nil {
 			return 0
 		}
@@ -126,7 +148,7 @@ func (r *RAM) read(off int, dst []byte) {
 		if n > len(dst) {
 			n = len(dst)
 		}
-		if c := r.chunks[off>>chunkBits]; c != nil {
+		if c := r.readable(off); c != nil {
 			copy(dst[:n], c[co:])
 		} else {
 			clear(dst[:n])
@@ -150,6 +172,20 @@ func (r *RAM) write(off int, src []byte) {
 	}
 }
 
+// writeOwned copies src to offset off, but only into chunks the RAM has
+// already materialized: the rest keep reading from the seed.
+func (r *RAM) writeOwned(off int, src []byte) {
+	for len(src) > 0 {
+		co := off & chunkMask
+		n := min(chunkSize-co, len(src))
+		if c := r.chunks[off>>chunkBits]; c != nil {
+			copy(c[co:co+n], src[:n])
+		}
+		off += n
+		src = src[n:]
+	}
+}
+
 // ReadBlock copies len(dst) bytes starting at addr into dst.
 func (r *RAM) ReadBlock(addr Addr, dst []byte) {
 	r.read(r.index(addr, len(dst)), dst)
@@ -158,6 +194,41 @@ func (r *RAM) ReadBlock(addr Addr, dst []byte) {
 // WriteBlock copies src into the RAM starting at addr.
 func (r *RAM) WriteBlock(addr Addr, src []byte) {
 	r.write(r.index(addr, len(src)), src)
+}
+
+// Seed is an image shared by a set of equally sized RAMs, such as the
+// unit memories of one memory level that all hold the same replicas. A
+// RAM of the seed reads every chunk it has never written from the image;
+// its first write to a chunk copies the image's chunk, so a RAM's writes
+// never reach the image or the other RAMs. Writing the seed writes every
+// RAM of it at the cost of one image write plus the chunks RAMs already
+// own, and RAMs that never write a region share one copy of it.
+type Seed struct {
+	img  *RAM
+	rams []*RAM
+}
+
+// NewSeed returns an all-zero seed for RAMs of size bytes.
+func NewSeed(size int) *Seed {
+	return &Seed{img: NewRAM(0, size)}
+}
+
+// NewRAM returns a RAM of the seed's size at base that reads as the seed.
+func (s *Seed) NewRAM(base Addr) *RAM {
+	r := NewRAM(base, s.img.size)
+	r.seed = s.img
+	s.rams = append(s.rams, r)
+	return r
+}
+
+// WriteBlock writes src at byte offset off of every RAM of the seed, as
+// if by one WriteBlock on each.
+func (s *Seed) WriteBlock(off Addr, src []byte) {
+	o := s.img.index(off, len(src))
+	s.img.write(o, src)
+	for _, r := range s.rams {
+		r.writeOwned(o, src)
+	}
 }
 
 // Block is an interface for data-level line/block movement, implemented by

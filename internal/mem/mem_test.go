@@ -238,3 +238,36 @@ func TestRAMWordIsolationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSeedSharesUnwrittenChunks: a seed write reaches every RAM of the
+// seed without materializing a chunk in any of them; a RAM's first write
+// materializes only the chunk it lands in, as a copy, and later seed
+// writes still reach that copy.
+func TestSeedSharesUnwrittenChunks(t *testing.T) {
+	seed := NewSeed(2 * chunkSize)
+	a, b := seed.NewRAM(0x1000_0000), seed.NewRAM(0x2000_0000)
+	seed.WriteBlock(chunkSize-2, []byte{1, 2, 3, 4})
+	for _, r := range []*RAM{a, b} {
+		if got := r.Read32(r.Base() + chunkSize - 2); got != 0x04030201 {
+			t.Fatalf("seeded Read32 = %#x, want 0x04030201", got)
+		}
+		for i, c := range r.chunks {
+			if c != nil {
+				t.Fatalf("seed write materialized chunk %d", i)
+			}
+		}
+	}
+	a.Write8(a.Base()+chunkSize-1, 0xaa)
+	if a.chunks[0] == nil || a.chunks[1] != nil || b.chunks[0] != nil {
+		t.Fatal("a RAM's write must materialize exactly its own chunk")
+	}
+	if got := b.Read8(b.Base() + chunkSize - 1); got != 2 {
+		t.Fatalf("other RAM reads %#x after a's write, want the seed's 2", got)
+	}
+	seed.WriteBlock(chunkSize-2, []byte{5, 6, 7, 8})
+	for _, r := range []*RAM{a, b} {
+		if got := r.Read32(r.Base() + chunkSize - 2); got != 0x08070605 {
+			t.Fatalf("reseeded Read32 = %#x, want 0x08070605", got)
+		}
+	}
+}

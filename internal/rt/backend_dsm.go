@@ -89,11 +89,10 @@ func (b *replicaBackend) lockTransfer(rt *Runtime, o *Object, from, to int, t si
 }
 
 // initReplicas pre-loads every unit's replica (setup, outside simulated
-// time) with one block write per replica memory.
+// time) through the level's seed image: the shared heap maps 1:1 into
+// each replica memory, so the object's offset in every unit is o.Addr.
 func (b *replicaBackend) initReplicas(rt *Runtime, o *Object, image []byte) {
-	for u := 0; u < rt.Sys.Units(b.level); u++ {
-		rt.Sys.Mem(b.level, u).WriteBlock(b.replicaAddr(u, o), image)
-	}
+	rt.Sys.SeedLevel(b.level, o.Addr, image)
 }
 
 // readCanonical returns the authoritative copy: the replica of the unit

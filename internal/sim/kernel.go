@@ -13,6 +13,15 @@
 // one address space scale across cores instead of thrashing each other with
 // cross-P wakeups.
 //
+// Two mechanisms keep coroutine switches rare without changing the event
+// order. A wait that nothing could run ahead of advances the clock in
+// place (the fast path). A process can hand a whole chain of timed steps
+// to the kernel (Proc.Steps): once a wait in the chain has to yield, the
+// remaining steps run as kernel events in the slots the process's own
+// resumptions would have taken, and the coroutine is resumed once, when
+// the chain ends. The kernel's Counters report events dispatched,
+// coroutine resumes, fast-path waits and chain steps, all exact.
+//
 // The kernel is the substrate for the SoC model in internal/soc; it knows
 // nothing about memories, caches or networks.
 package sim
@@ -64,6 +73,18 @@ type Kernel struct {
 	// watchdog against livelock in modelled software). Zero means no
 	// limit.
 	MaxTime Time
+
+	// Counters are the kernel's work counts for this run.
+	Counters Counters
+}
+
+// Counters are exact, deterministic counts of the kernel's work: the
+// same program produces the same counts on every run.
+type Counters struct {
+	Events     uint64 // events dispatched by Run
+	Resumes    uint64 // coroutine resumes (switches into a process)
+	FastWaits  uint64 // waits that advanced the clock in place, with no event
+	ChainSteps uint64 // chain steps run as kernel events (see Proc.Steps)
 }
 
 // New returns a ready-to-run kernel.
@@ -71,12 +92,23 @@ func New() *Kernel {
 	return &Kernel{wheel: &wheelQueue{}}
 }
 
-// eventBefore reports whether any pending event is scheduled at or before
-// t. It is the WaitUntil fast-path check; in the common case the peek is
-// one load of the wheel's cached minimum.
-func (k *Kernel) eventBefore(t Time) bool {
-	at, ok := k.wheel.nextAt()
-	return ok && at <= t
+// skipTo is the wait fast path, shared by WaitUntil and step chains. If
+// the kernel is not stopping, t is within MaxTime and no event is due at
+// or before t, a wait until t would be resumed by the very next dispatch
+// with now == t, so skipTo advances the clock in place and reports true.
+// This is exact, not approximate: nothing is scheduled inside the skipped
+// window, so nothing can observe it. In the common case the peek at the
+// queue is one load of the wheel's cached minimum.
+func (k *Kernel) skipTo(t Time) bool {
+	if k.stopped || (k.MaxTime != 0 && t > k.MaxTime) {
+		return false
+	}
+	if at, ok := k.wheel.nextAt(); ok && at <= t {
+		return false
+	}
+	k.now = t
+	k.Counters.FastWaits++
+	return true
 }
 
 // Now returns the current simulated time.
@@ -116,6 +148,7 @@ func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 		name: name,
 	}
 	p.resumeFn = func() { k.resume(p) }
+	p.chainFn = func() { k.chain(p) }
 	k.procs = append(k.procs, p)
 	k.live++
 	k.ScheduleAt(k.now, func() { p.start(body) })
@@ -138,6 +171,7 @@ func (k *Kernel) Run() error {
 		fn := e.fn
 		e.fn = nil
 		k.free = append(k.free, e)
+		k.Counters.Events++
 		fn()
 	}
 	if !k.stopped && k.live > 0 {
@@ -174,6 +208,7 @@ func (k *Kernel) blockedNames() string {
 // from the kernel's own goroutine (inside an event). When the process body
 // returns, the coroutine is exhausted and the process is retired.
 func (k *Kernel) resume(p *Proc) {
+	k.Counters.Resumes++
 	if _, ok := p.next(); !ok && !p.done {
 		p.done = true
 		k.live--

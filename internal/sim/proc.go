@@ -29,8 +29,11 @@ type Proc struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	// resumeFn is the proc's reusable wake-up event body (one closure per
-	// process instead of one per wait).
+	// process instead of one per wait); chainFn is its reusable
+	// chain-step event body, and step the chain it runs (see Steps).
 	resumeFn func()
+	chainFn  func()
+	step     func() (Time, bool)
 
 	done   bool
 	parked bool
@@ -79,22 +82,73 @@ func (p *Proc) WaitUntil(t Time) {
 		panic("sim: WaitUntil on finished proc")
 	}
 	k := p.k
-	if t < k.now {
-		panic(fmt.Sprintf("sim: proc %q WaitUntil(%d) in the past (now %d)", p.name, t, k.now))
-	}
-	// Fast path: if no other event is due at or before t, the watchdog
-	// cannot fire, and the kernel is not stopping, the token round-trip
-	// through the kernel would deterministically hand control straight
-	// back to this process with now == t — so advance time in place and
-	// skip the two channel handoffs (and their goroutine switches). This
-	// is exact, not approximate: no other goroutine can observe the
-	// skipped window, because nothing is scheduled inside it.
-	if !k.stopped && (k.MaxTime == 0 || t <= k.MaxTime) && !k.eventBefore(t) {
-		k.now = t
+	p.checkWait(t)
+	// The token round-trip through the kernel is skipped whenever it
+	// would hand control straight back (skipTo).
+	if k.skipTo(t) {
 		return
 	}
 	k.ScheduleAt(t, p.resumeFn)
 	p.suspend()
+}
+
+// Steps runs a chain of timed steps. step runs now; while it returns
+// (t, true), the process waits until t exactly as WaitUntil(t) would and
+// step runs again. Steps returns once step returns false.
+//
+// A chain costs at most one coroutine round trip: once a wait has to
+// yield, the remaining steps run as kernel events, in the same (time,
+// seq) slots the process's own resumptions would have taken, and the
+// coroutine is resumed only when step returns false. The event order,
+// and so everything the simulation computes, is the same as for the
+// WaitUntil loop; only the stack the steps run on differs. step must
+// therefore not block: it may schedule events and book resources, but
+// must not call Wait, Park or Steps.
+func (p *Proc) Steps(step func() (Time, bool)) {
+	if p.done {
+		panic("sim: Steps on finished proc")
+	}
+	p.step = step
+	if p.k.runChain(p, false) {
+		p.suspend()
+	}
+}
+
+// chain is the event that continues p's yielded step chain. When the
+// chain ends, it resumes p's coroutine in this same event: the one that
+// would have resumed p at the end of the WaitUntil loop.
+func (k *Kernel) chain(p *Proc) {
+	if !k.runChain(p, true) {
+		k.resume(p)
+	}
+}
+
+// runChain runs p's steps until one returns false, reporting false, or
+// until a wait has to yield: then it schedules the chain's event in the
+// slot p's own resumption would take and reports true. asEvent says the
+// steps run on the kernel's stack, inside an event.
+func (k *Kernel) runChain(p *Proc, asEvent bool) bool {
+	for {
+		if asEvent {
+			k.Counters.ChainSteps++
+		}
+		t, more := p.step()
+		if !more {
+			return false
+		}
+		p.checkWait(t)
+		if !k.skipTo(t) {
+			k.ScheduleAt(t, p.chainFn)
+			return true
+		}
+	}
+}
+
+// checkWait panics if a wait until t would go back in time.
+func (p *Proc) checkWait(t Time) {
+	if t < p.k.now {
+		panic(fmt.Sprintf("sim: proc %q wait until %d is in the past (now %d)", p.name, t, p.k.now))
+	}
 }
 
 // Park blocks the process indefinitely until another process or event calls

@@ -99,6 +99,15 @@ func (s *System) MemBytes(l Level) int {
 	return s.Cfg.LocalBytes
 }
 
+// SeedLevel writes image at offset off of every unit memory at level l,
+// outside simulated time, exactly as one WriteBlock per memory would. It
+// writes the level's seed, which each memory reads where it has never
+// written, plus the chunks in range that memories already own, so a
+// replica set up on 1024 tiles costs one copy until tiles write to it.
+func (s *System) SeedLevel(l Level, off mem.Addr, image []byte) {
+	s.seeds[l].WriteBlock(off, image)
+}
+
 // Unit returns the unit this tile belongs to at level l.
 func (t *Tile) Unit(l Level) int {
 	if l == LevelCluster {

@@ -194,6 +194,10 @@ type System struct {
 
 	// centralLockBase is where the centralized lock table lives.
 	centralLockBase mem.Addr
+
+	// seeds holds one image per memory level that every unit memory at
+	// the level reads where it has never written (see SeedLevel).
+	seeds [NumLevels]*mem.Seed
 }
 
 // New builds a system from cfg.
@@ -205,9 +209,11 @@ func New(cfg Config) (*System, error) {
 	k.MaxTime = cfg.MaxCycles
 	s := &System{K: k, Cfg: cfg}
 	s.SDRAM = mem.NewSDRAM(k, SDRAMBase, cfg.SDRAMBytes, cfg.SDRAM)
+	s.seeds[LevelLocal] = mem.NewSeed(cfg.LocalBytes)
+	s.seeds[LevelCluster] = mem.NewSeed(cfg.clusterBytes())
 	s.Locals = make([]*mem.Local, cfg.Tiles)
 	for i := range s.Locals {
-		s.Locals[i] = mem.NewLocal(i, LocalAddr(i, 0), cfg.LocalBytes)
+		s.Locals[i] = &mem.Local{RAM: s.seeds[LevelLocal].NewRAM(LocalAddr(i, 0)), Tile: i}
 	}
 	clusters := cfg.clusters()
 	tilesPer := cfg.Tiles / clusters
@@ -216,7 +222,7 @@ func New(cfg Config) (*System, error) {
 		s.Clusters[i] = &Cluster{
 			ID:      i,
 			Sys:     s,
-			Scratch: mem.NewLocal(i*tilesPer, ClusterAddr(i, 0), cfg.clusterBytes()),
+			Scratch: &mem.Local{RAM: s.seeds[LevelCluster].NewRAM(ClusterAddr(i, 0)), Tile: i * tilesPer},
 		}
 	}
 	nocCfg := cfg.NoC

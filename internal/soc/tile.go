@@ -66,6 +66,9 @@ type Tile struct {
 
 	Stats TileStats
 
+	// calls recycles fetchAndExec call records (see execCall).
+	calls []*execCall
+
 	// I-fetch walker state: the core's PC advances through a per-phase
 	// code footprint in SDRAM, structured as a hot loop (hotSize bytes,
 	// walked innerPasses times) followed by one pass over a cold
@@ -140,36 +143,72 @@ func (t *Tile) instrsPerLine() int { return t.Sys.Cfg.ICache.LineSize / 4 }
 // instruction). It is the single bottleneck through which all "executed
 // instructions" pass. Only the I-cache's tags matter: a miss charges the
 // SDRAM line burst and installs the tag, but no instruction bytes move.
+//
+// The walk is a step chain (sim.Proc.Steps): per line, a probe, the fill
+// wait on a miss, then the execute wait. A call therefore costs at most
+// one coroutine round trip however many lines it crosses, with the event
+// order of the plain per-line wait loop.
 func (t *Tile) fetchAndExec(p *sim.Proc, n int) {
 	if n <= 0 {
 		return
 	}
 	t.Stats.Instrs += uint64(n)
-	lineBytes := t.instrsPerLine() * 4
-	remaining := n
-	for remaining > 0 {
-		regionSize := t.hotSize
-		regionOff := 0
-		if t.inCold {
-			regionSize = t.coldSize
-			regionOff = t.hotSize
-		}
-		lineOff := t.pc % lineBytes
-		inLine := (lineBytes - lineOff) / 4
-		if inLine > remaining {
-			inLine = remaining
-		}
-		lineAddr := t.codeBase + mem.Addr(regionOff+t.pc-lineOff)
-		if res, _ := t.IC.Probe(lineAddr); !res {
-			// Miss: fill from SDRAM.
-			t.Stats.IStall += t.Sys.SDRAM.AccessLine(p, lineAddr)
-			t.IC.Install(lineAddr)
-			t.Sys.SDRAM.LineFills++
-		}
-		p.Wait(sim.Time(inLine))
-		t.Stats.Busy += sim.Time(inLine)
-		t.pc += inLine * 4
-		if t.pc >= regionSize {
+	var c *execCall
+	if k := len(t.calls); k > 0 {
+		c = t.calls[k-1]
+		t.calls = t.calls[:k-1]
+	} else {
+		c = &execCall{t: t}
+		c.step = c.next
+	}
+	c.left, c.phase = n, execStart
+	p.Steps(c.step)
+	t.calls = append(t.calls, c)
+}
+
+// execCall is one fetchAndExec call's walk through the code footprint.
+// The walker position (pc, region, passes) is the tile's, but the state of
+// a call in flight is the call's own: two processes may interleave calls
+// on one tile. Records are recycled through the tile's free list.
+type execCall struct {
+	t     *Tile
+	step  func() (sim.Time, bool) // next, bound once per record
+	phase execPhase
+	left  int // instructions not yet executed
+	// The current line: its instruction count, its address, the size of
+	// the region it lies in (captured at the probe) and, on a miss, the
+	// cycle the fill began.
+	inLine     int
+	lineAddr   mem.Addr
+	regionSize int
+	fillStart  sim.Time
+}
+
+// execPhase is what an execCall's next step follows.
+type execPhase uint8
+
+const (
+	execStart execPhase = iota // nothing: the call begins
+	execFill                   // the current line's fill wait
+	execRun                    // the current line's execute wait
+)
+
+// next runs the call's step that follows its current phase and returns
+// the time it waits until, or false when the call is complete.
+func (c *execCall) next() (sim.Time, bool) {
+	t := c.t
+	now := t.Sys.K.Now()
+	switch c.phase {
+	case execFill:
+		t.Stats.IStall += now - c.fillStart
+		t.IC.Install(c.lineAddr)
+		t.Sys.SDRAM.LineFills++
+		c.phase = execRun
+		return now + sim.Time(c.inLine), true
+	case execRun:
+		t.Stats.Busy += sim.Time(c.inLine)
+		t.pc += c.inLine * 4
+		if t.pc >= c.regionSize {
 			t.pc = 0
 			if t.inCold {
 				t.inCold = false
@@ -181,8 +220,30 @@ func (t *Tile) fetchAndExec(p *sim.Proc, n int) {
 				}
 			}
 		}
-		remaining -= inLine
+		c.left -= c.inLine
+		if c.left == 0 {
+			return 0, false
+		}
 	}
+	// Probe the next line.
+	lineBytes := t.instrsPerLine() * 4
+	c.regionSize = t.hotSize
+	regionOff := 0
+	if t.inCold {
+		c.regionSize = t.coldSize
+		regionOff = t.hotSize
+	}
+	lineOff := t.pc % lineBytes
+	c.inLine = min((lineBytes-lineOff)/4, c.left)
+	c.lineAddr = t.codeBase + mem.Addr(regionOff+t.pc-lineOff)
+	if res, _ := t.IC.Probe(c.lineAddr); !res {
+		// Miss: fill from SDRAM.
+		c.fillStart = now
+		c.phase = execFill
+		return t.Sys.SDRAM.ReserveLineAt(now, c.lineAddr), true
+	}
+	c.phase = execRun
+	return now + sim.Time(c.inLine), true
 }
 
 // Exec models n instructions of pure computation.

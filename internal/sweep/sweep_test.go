@@ -11,6 +11,7 @@ import (
 	"pmc/internal/rt"
 
 	"pmc/internal/noc"
+	"pmc/internal/sim"
 	"pmc/internal/soc"
 	"pmc/internal/workloads"
 )
@@ -206,6 +207,42 @@ func TestSweepPanicContained(t *testing.T) {
 	}
 	if len(table.Rows) != 1 || !strings.Contains(table.Rows[0].Err, "panic") {
 		t.Fatalf("rows = %+v, want contained panic", table.Rows)
+	}
+}
+
+// chainPanicApp is a workload whose workers each run a step chain that
+// panics in its second step, which runs as a kernel event.
+type chainPanicApp struct{}
+
+func (chainPanicApp) Name() string                { return "chain-panic" }
+func (chainPanicApp) Setup(*rt.Runtime, int)      {}
+func (chainPanicApp) Checksum(*rt.Runtime) uint32 { return 0 }
+func (chainPanicApp) Worker(c *rt.Ctx, _, _ int) {
+	n := 0
+	c.P.Steps(func() (sim.Time, bool) {
+		if n++; n == 2 {
+			panic("chain step boom")
+		}
+		c.P.Kernel().Schedule(1, func() {}) // the wait must yield
+		return c.P.Now() + 1, true
+	})
+}
+
+// TestSweepChainPanicContained: a step chain's panic, raised on the
+// kernel's stack rather than in a process, is a cell error too.
+func TestSweepChainPanicContained(t *testing.T) {
+	spec := Spec{
+		Apps:     []string{"chain-panic"},
+		Backends: []string{"nocc"},
+		Tiles:    []int{2},
+		Make:     func(Cell) (workloads.App, error) { return chainPanicApp{}, nil },
+	}
+	table, err := Run(spec)
+	if err == nil {
+		t.Fatal("panicking chain did not error")
+	}
+	if len(table.Rows) != 1 || !strings.Contains(table.Rows[0].Err, "panic: chain step boom") {
+		t.Fatalf("rows = %+v, want the contained chain panic", table.Rows)
 	}
 }
 
