@@ -1,8 +1,8 @@
 // Command pmcd is the content-addressed simulation service and its thin
 // client. The server exposes the repo's deterministic engines (sweep,
-// litmus, fuzz, bench) as an HTTP/JSON job API with a bounded worker
-// pool, a FIFO queue with streaming NDJSON progress, and a two-tier
-// (memory LRU + content-addressed disk) result store; identical
+// litmus, fuzz) as an HTTP/JSON job API with a bounded worker pool, a
+// FIFO queue with streaming NDJSON progress, and a two-tier (memory LRU
+// + content-addressed disk) result store; identical
 // submissions — across clients and across server restarts when the disk
 // tier persists — are answered from the store byte-identically without
 // re-simulation.

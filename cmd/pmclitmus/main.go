@@ -200,7 +200,7 @@ func main() {
 		backends  = flag.String("fuzzbackends", "", "fuzz: comma-separated backends (default: nocc,swcc,dsm,spm)")
 		fault     = flag.String("fault", "", "fuzz: inject a protocol fault (e.g. release-without-flush) into every backend")
 		runs      = flag.Int("runs", 3, "fuzz/spec: perturbed simulator runs per program and backend")
-		specCheck = flag.Bool("speccheck", false, "fuzz: also attribute each pair's recorded trace to the backend's ordering spec")
+		specCheck = flag.Bool("speccheck", false, "fuzz: record every perturbed run and attribute its trace to the backend's ordering spec")
 		maxBlock  = flag.Int("maxblock", 4, "fuzz: max words of multi-word locations exercised by block reads/writes (1 = word-only)")
 	)
 	flag.Parse()

@@ -14,10 +14,18 @@
 // the report, so any violation is reproducible from the report alone.
 // Conformance requires observed ⊆ allowed; the inclusion is typically
 // strict, because a real machine resolves races that the model leaves open.
+//
+// CheckOpts is the repository's only loop over perturbed runs. Given a
+// trace check (Options.Trace), it records every run with the model
+// recorder, so one simulation yields every verdict: whether the run
+// completed, whether the recorder accepted each read, whether the outcome
+// is allowed, and which recorded edges the check cannot attribute.
+// spec.CheckBackend and the fuzzer's spec check both run through it.
 package conform
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -56,7 +64,24 @@ type Report struct {
 	// Violations lists observed outcomes the model forbids (must be
 	// empty for a conforming implementation).
 	Violations []Violation
-	Runs       int
+	// Findings lists every verdict against a single run, in run order.
+	Findings []Finding
+	Runs     int
+}
+
+// Finding is one verdict against one perturbed run. A run yields them in
+// order: a "run" or "read" finding ends its checks; otherwise it may
+// yield an "outcome" finding and then "edge" findings.
+type Finding struct {
+	Seed int64
+	// Kind is "run" (the simulation failed and left no execution), "read"
+	// (the recorder rejected a read value), "outcome" (the final register
+	// assignment is model-forbidden) or "edge" (Options.Trace found an
+	// edge of the recorded execution it cannot attribute).
+	Kind string
+	// Detail is the run's error text, the forbidden outcome or the trace
+	// check's problem.
+	Detail string
 }
 
 // Ok reports conformance.
@@ -100,6 +125,12 @@ type Options struct {
 	// EffectiveProgram(prog); the fuzzer shares one exploration across
 	// all backends instead of re-exploring per check.
 	Model *litmus.Result
+	// Trace, if non-nil, records every run with the model recorder, which
+	// costs no simulated time, and checks the recorded execution of each
+	// run whose reads the recorder accepted. Each problem it returns
+	// becomes an "edge" finding. The spec checker and the spec-checking
+	// fuzzer pass spec.CheckTrace here.
+	Trace func(*core.Execution) []string
 }
 
 // MixedBackend is the pseudo-backend name selecting per-location routing:
@@ -117,7 +148,12 @@ func Check(prog litmus.Program, backend string, tiles, runs int) (*Report, error
 	return CheckOpts(prog, backend, Options{Tiles: tiles, Runs: runs})
 }
 
-// CheckOpts is Check with explicit options.
+// CheckOpts is Check with explicit options. It is the one loop over
+// perturbed runs: each run is simulated once and yields every verdict
+// (see Finding). A run that fails, or whose read the recorder rejects,
+// is listed in the report's Findings and the loop goes on; CheckOpts then
+// returns the full report together with the first such run's error. A
+// nil report means the check could not start.
 func CheckOpts(prog litmus.Program, backend string, opt Options) (*Report, error) {
 	if opt.Runs <= 0 {
 		return nil, fmt.Errorf("conform: Runs must be positive (a 0-run check would vacuously pass)")
@@ -157,26 +193,35 @@ func CheckOpts(prog litmus.Program, backend string, opt Options) (*Report, error
 	for _, o := range rep.Allowed {
 		allowed[o] = true
 	}
-	for run := 0; run < opt.Runs; run++ {
-		seed := opt.Seed + int64(run)
-		outcome, err := execute(eff, backend, opt, uint32(seed))
+	var first error
+	for r := 0; r < opt.Runs; r++ {
+		seed := opt.Seed + int64(r)
+		outcome, exec, err := run(eff, backend, opt, uint32(seed), opt.Trace != nil)
 		if err != nil {
-			return nil, fmt.Errorf("conform %s on %s seed %d: %w", prog.Name, backend, seed, err)
+			kind := "read"
+			if exec == nil {
+				kind = "run"
+			}
+			rep.Findings = append(rep.Findings, Finding{Seed: seed, Kind: kind, Detail: err.Error()})
+			if first == nil {
+				first = fmt.Errorf("conform %s on %s seed %d: %w", prog.Name, backend, seed, err)
+			}
+			continue
 		}
 		rep.Observed[outcome]++
 		if !allowed[outcome] {
-			dup := false
-			for _, v := range rep.Violations {
-				if v.Outcome == outcome {
-					dup = true
-				}
-			}
-			if !dup {
+			rep.Findings = append(rep.Findings, Finding{Seed: seed, Kind: "outcome", Detail: outcome})
+			if !slices.ContainsFunc(rep.Violations, func(v Violation) bool { return v.Outcome == outcome }) {
 				rep.Violations = append(rep.Violations, Violation{Outcome: outcome, Seed: seed})
 			}
 		}
+		if opt.Trace != nil {
+			for _, prob := range opt.Trace(exec) {
+				rep.Findings = append(rep.Findings, Finding{Seed: seed, Kind: "edge", Detail: prob})
+			}
+		}
 	}
-	return rep, nil
+	return rep, first
 }
 
 // EffectiveProgram completes a program under the runtime's annotation
@@ -238,27 +283,22 @@ func EffectiveProgram(p litmus.Program) litmus.Program {
 	return out
 }
 
-// execute runs one perturbed instance of an *effective* program (see
-// EffectiveProgram — every write already sits inside an explicit scope)
-// and returns its canonical outcome string.
-func execute(prog litmus.Program, backend string, opt Options, seed uint32) (string, error) {
-	outcome, _, err := run(prog, backend, opt, seed, false)
-	return outcome, err
-}
-
 // ExecuteRecorded runs one perturbed instance of an *effective* program
 // (callers pass EffectiveProgram output, exactly like CheckOpts does
 // internally) with a model recorder attached, returning the canonical
 // outcome and the recorder-lowered per-word execution. The recorder
 // verifies every read against the model as the run unfolds; its first
 // violation surfaces as the returned error, with the partial execution
-// still attached for diagnosis. The spec checker walks the execution's
-// edges to attribute every committed ordering to a declared obligation.
+// still attached for diagnosis. It is CheckOpts' traced run on its own,
+// for callers that inspect one execution.
 func ExecuteRecorded(prog litmus.Program, backend string, opt Options, seed uint32) (string, *core.Execution, error) {
 	return run(prog, backend, opt, seed, true)
 }
 
-// run is the shared body of execute and ExecuteRecorded.
+// run executes one perturbed instance of an *effective* program (see
+// EffectiveProgram — every write already sits inside an explicit scope),
+// with the model recorder attached when record is set, and returns its
+// canonical outcome string.
 func run(prog litmus.Program, backend string, opt Options, seed uint32, record bool) (string, *core.Execution, error) {
 	cfg := soc.DefaultConfig()
 	if opt.Base != nil {

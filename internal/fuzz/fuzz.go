@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"pmc/internal/conform"
+	"pmc/internal/core"
 	"pmc/internal/litmus"
 	"pmc/internal/rt"
 	"pmc/internal/sim"
@@ -52,13 +53,13 @@ type Config struct {
 	// — the fault-injection hook (rt.InjectFaults) for proving the
 	// fuzzer catches real protocol bugs.
 	MakeBackend func(name string) (rt.Backend, error)
-	// SpecCheck additionally runs each unique (program, backend) pair
-	// once with the model recorder attached and attributes every edge of
-	// the lowered trace to the backend's declared ordering spec
-	// (spec.CheckTrace) — the differential fuzzer then hunts
-	// spec/implementation divergence, not just model violations. Ignored
-	// when MakeBackend is set: a substituted backend has no authored spec
-	// to check against.
+	// SpecCheck records every perturbed run of each unique (program,
+	// backend) pair with the model recorder, which costs no simulated
+	// time, and attributes every edge of each lowered trace to the
+	// backend's declared ordering spec (spec.CheckTrace) — the
+	// differential fuzzer then hunts spec/implementation divergence, not
+	// just model violations. Ignored when MakeBackend is set: a
+	// substituted backend has no authored spec to check against.
 	SpecCheck bool
 	// Progress, if non-nil, receives one line per violation (emitted in
 	// campaign order after the parallel phase merges) and per shrink
@@ -125,7 +126,8 @@ type Violation struct {
 
 // RunError is a program whose simulated execution failed outright
 // (deadlock, watchdog livelock) — a liveness failure rather than a safety
-// violation. Fault-injected runs routinely produce these.
+// violation. Fault-injected runs routinely produce these. Under SpecCheck
+// a read the recorder rejects fails its run too.
 type RunError struct {
 	Seed    int64
 	Backend string
@@ -139,7 +141,8 @@ type RunError struct {
 type SpecDivergence struct {
 	Seed    int64
 	Backend string
-	// Edges counts unattributable edges; First is the first one.
+	// Edges counts the unattributable edges of the first run that has
+	// any; First is the first of them.
 	Edges int
 	First string
 }
@@ -162,8 +165,8 @@ type Summary struct {
 	SkippedBudget, SkippedStuck int
 	// Checked counts (program, backend) conformance checks completed.
 	Checked int
-	// SpecChecked counts (program, backend) recorded spec-trace checks
-	// completed (Config.SpecCheck).
+	// SpecChecked counts the checked (program, backend) pairs whose
+	// recorded runs were all spec-trace checked (Config.SpecCheck).
 	SpecChecked int
 
 	Violations      []*Violation
@@ -345,14 +348,11 @@ func Run(cfg Config) (*Summary, error) {
 			return nil
 		}
 		for _, backend := range cfg.Backends {
-			rep, err := conform.CheckOpts(pr.prog, backend, conform.Options{
-				Tiles:     cfg.Tiles,
-				Runs:      cfg.Runs,
-				Seed:      pr.seed,
-				MaxCycles: cfg.MaxCycles,
-				Model:     model,
-				Backend:   makeBackend(cfg, backend),
-			})
+			opt, err := checkOptions(cfg, pr.prog, backend, pr.seed, model)
+			var rep *conform.Report
+			if err == nil {
+				rep, err = conform.CheckOpts(pr.prog, backend, opt)
+			}
 			if err != nil {
 				res.errors = append(res.errors, RunError{Seed: pr.seed, Backend: backend, Err: err.Error()})
 				continue
@@ -362,16 +362,10 @@ func Run(cfg Config) (*Summary, error) {
 				res.violations = append(res.violations,
 					&Violation{Seed: pr.seed, Backend: backend, Program: pr.prog, Report: rep})
 			}
-			if cfg.SpecCheck && cfg.MakeBackend == nil {
-				div, runErr, ok := specCheckOne(cfg, pr, backend)
-				switch {
-				case runErr != nil:
-					res.errors = append(res.errors, *runErr)
-				case ok:
-					res.specChecked++
-					if div != nil {
-						res.specDivergences = append(res.specDivergences, *div)
-					}
+			if opt.Trace != nil {
+				res.specChecked++
+				if d := specDivergence(pr.seed, backend, rep); d != nil {
+					res.specDivergences = append(res.specDivergences, *d)
 				}
 			}
 		}
@@ -424,47 +418,65 @@ func Run(cfg Config) (*Summary, error) {
 	return sum, nil
 }
 
-// specCheckOne runs one recorded simulation of the pair and attributes
-// every trace edge to the backend's declared spec. A mixed run checks
-// against the union of the placed backends' specs plus nocc (the default
-// route) — any protocol may have committed any given edge. The bool
-// reports whether the check completed (a recorder violation surfaces as a
-// RunError instead: it is a model bug, already the conformance side's
-// department, not a spec-attribution result).
-func specCheckOne(cfg Config, pr program, backend string) (*SpecDivergence, *RunError, bool) {
-	var specs []spec.Spec
+// checkOptions builds the conformance options of one (program, backend)
+// pair, for the campaign and for shrinking alike. Under SpecCheck (and no
+// substituted backend) every run is recorded and its trace attributed to
+// the backend's declared spec. A mixed run checks against the union of
+// nocc (the default route) and every placed backend's spec — any
+// protocol may have committed any given edge.
+func checkOptions(cfg Config, p litmus.Program, backend string, seed int64, model *litmus.Result) (conform.Options, error) {
+	opt := conform.Options{
+		Tiles:     cfg.Tiles,
+		Runs:      cfg.Runs,
+		Seed:      seed,
+		MaxCycles: cfg.MaxCycles,
+		Model:     model,
+	}
+	if cfg.MakeBackend != nil {
+		opt.Backend = func() (rt.Backend, error) { return cfg.MakeBackend(backend) }
+		return opt, nil
+	}
+	if !cfg.SpecCheck {
+		return opt, nil
+	}
 	names := []string{backend}
 	if backend == conform.MixedBackend {
 		names = []string{"nocc"}
 		seen := map[string]bool{"nocc": true}
-		for _, loc := range pr.prog.Locs {
-			if pb := pr.prog.Placement[loc]; pb != "" && !seen[pb] {
+		for _, loc := range p.Locs {
+			if pb := p.Placement[loc]; pb != "" && !seen[pb] {
 				seen[pb] = true
 				names = append(names, pb)
 			}
 		}
 	}
-	for _, n := range names {
+	specs := make([]spec.Spec, len(names))
+	for i, n := range names {
 		s, err := spec.ForBackend(n)
 		if err != nil {
-			return nil, &RunError{Seed: pr.seed, Backend: backend, Err: err.Error()}, false
+			return opt, err
 		}
-		specs = append(specs, s)
+		specs[i] = s
 	}
-	eff := conform.EffectiveProgram(pr.prog)
-	_, exec, err := conform.ExecuteRecorded(eff, backend, conform.Options{
-		Tiles:     cfg.Tiles,
-		Runs:      1,
-		Seed:      pr.seed,
-		MaxCycles: cfg.MaxCycles,
-	}, uint32(pr.seed))
-	if err != nil {
-		return nil, &RunError{Seed: pr.seed, Backend: backend, Err: "spec check: " + err.Error()}, false
+	opt.Trace = func(exec *core.Execution) []string { return spec.CheckTrace(exec, specs...) }
+	return opt, nil
+}
+
+// specDivergence reads a spec-checked pair's report: the edges of the
+// first run whose trace the specs do not fully commit, or nil.
+func specDivergence(seed int64, backend string, rep *conform.Report) *SpecDivergence {
+	var d *SpecDivergence
+	var run int64
+	for _, f := range rep.Findings {
+		switch {
+		case f.Kind != "edge":
+		case d == nil:
+			d, run = &SpecDivergence{Seed: seed, Backend: backend, Edges: 1, First: f.Detail}, f.Seed
+		case f.Seed == run:
+			d.Edges++
+		}
 	}
-	if probs := spec.CheckTrace(exec, specs...); len(probs) > 0 {
-		return &SpecDivergence{Seed: pr.seed, Backend: backend, Edges: len(probs), First: probs[0]}, nil, true
-	}
-	return nil, nil, true
+	return d
 }
 
 // explore runs the model on the effective program with a state budget.
@@ -478,14 +490,6 @@ func explore(p litmus.Program, maxStates int) (*litmus.Result, error) {
 }
 
 func isBudget(err error) bool { return errors.Is(err, litmus.ErrBudget) }
-
-// makeBackend adapts the config's backend hook to a conform factory.
-func makeBackend(cfg Config, name string) func() (rt.Backend, error) {
-	if cfg.MakeBackend == nil {
-		return nil
-	}
-	return func() (rt.Backend, error) { return cfg.MakeBackend(name) }
-}
 
 // shrinkViolation minimizes v.Program while it still yields any forbidden
 // outcome on v.Backend, and attaches the result. The repro closure caches
@@ -521,14 +525,11 @@ func checkOnce(cfg Config, p litmus.Program, v *Violation) *conform.Report {
 	if err != nil || model.Stuck > 0 {
 		return nil
 	}
-	rep, err := conform.CheckOpts(p, v.Backend, conform.Options{
-		Tiles:     cfg.Tiles,
-		Runs:      cfg.Runs,
-		Seed:      v.Seed,
-		MaxCycles: cfg.MaxCycles,
-		Model:     model,
-		Backend:   makeBackend(cfg, v.Backend),
-	})
+	opt, err := checkOptions(cfg, p, v.Backend, v.Seed, model)
+	if err != nil {
+		return nil
+	}
+	rep, err := conform.CheckOpts(p, v.Backend, opt)
 	if err != nil {
 		return nil
 	}

@@ -1,6 +1,9 @@
 package fuzz
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -76,7 +79,14 @@ func TestCampaignCatchesInjectedFault(t *testing.T) {
 	if best > 8 {
 		t.Fatalf("no violation shrank to <= 8 instructions (best %d)", best)
 	}
+	// The whole summary, shrunk counterexamples included, is pinned.
+	if got := digest(sum.String()); got != "8475dec87ea86c19" {
+		t.Errorf("summary digest %s changed:\n%s", got, sum)
+	}
 }
+
+// digest is the first 16 hex digits of the SHA-256 of s.
+func digest(s string) string { return fmt.Sprintf("%x", sha256.Sum256([]byte(s)))[:16] }
 
 // TestGenerateDeterministic: the same seed always yields the same program,
 // and nearby seeds yield different ones.
@@ -326,5 +336,53 @@ func TestCampaignSpecCheck(t *testing.T) {
 	}
 	if sum.SpecChecked != sum.Checked {
 		t.Errorf("spec-checked %d of %d checked pairs", sum.SpecChecked, sum.Checked)
+	}
+	if got := digest(sum.String()); got != "ae3fc20235fd66e0" {
+		t.Errorf("summary digest %s changed:\n%s", got, sum)
+	}
+}
+
+// TestRecordingIsInvisible is the oracle behind recording every perturbed
+// run: the recorder costs no simulated time, so over generated
+// mixed-mode programs on every campaign backend a traced check observes
+// exactly the outcomes and violations of an untraced one.
+func TestRecordingIsInvisible(t *testing.T) {
+	cfg := Config{
+		Seed: 101, Gen: GenConfig{Mode: ModeMixed},
+		Backends:  []string{"nocc", "swcc", "dsm", "spm", conform.MixedBackend},
+		SpecCheck: true,
+	}.withDefaults()
+	checked := 0
+	for i := int64(0); checked < 100; i++ {
+		seed := cfg.Seed + i
+		p := Generate(seed, cfg.Gen)
+		model, err := explore(p, cfg.MaxStates)
+		if err != nil || model.Stuck > 0 {
+			continue
+		}
+		checked++
+		for _, backend := range cfg.Backends {
+			traced, err := checkOptions(cfg, p, backend, seed, model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if traced.Trace == nil {
+				t.Fatal("SpecCheck options carry no trace check")
+			}
+			plain := traced
+			plain.Trace = nil
+			want, err := conform.CheckOpts(p, backend, plain)
+			if err != nil {
+				t.Fatalf("seed %d on %s: %v", seed, backend, err)
+			}
+			got, err := conform.CheckOpts(p, backend, traced)
+			if err != nil {
+				t.Fatalf("seed %d on %s, traced: %v", seed, backend, err)
+			}
+			if !reflect.DeepEqual(got.Observed, want.Observed) || !reflect.DeepEqual(got.Violations, want.Violations) {
+				t.Fatalf("seed %d on %s: recording changed the run:\ntraced   %v %v\nuntraced %v %v",
+					seed, backend, got.Observed, got.Violations, want.Observed, want.Violations)
+			}
+		}
 	}
 }

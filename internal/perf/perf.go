@@ -194,7 +194,7 @@ func Run(spec Spec) (*Report, error) {
 func measure(e Entry, reps int) (*Measurement, error) {
 	var first []Metric
 	for r := 0; r < reps; r++ {
-		ms, err := RunEntry(e)
+		ms, err := runEntry(e)
 		if err != nil {
 			return nil, fmt.Errorf("perf: entry %s: %w", e.Name, err)
 		}
@@ -220,9 +220,8 @@ func sameExact(a, b []Metric) error {
 	return nil
 }
 
-// RunEntry executes one entry once and returns its exact metrics. It is
-// the single execution path shared by Run and pmcd's bench jobs.
-func RunEntry(e Entry) ([]Metric, error) {
+// runEntry executes one entry once and returns its exact metrics.
+func runEntry(e Entry) ([]Metric, error) {
 	switch {
 	case e.Sim != nil:
 		return runSim(e.Sim)

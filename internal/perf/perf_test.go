@@ -124,7 +124,7 @@ func TestBenchRunDeterministic(t *testing.T) {
 // tail-latency metrics as exact (gated), kernels must not, and both
 // builtin suites must contain latency-gated entries.
 func TestServiceEntriesLatencyGated(t *testing.T) {
-	ms, err := RunEntry(simE("e", "server", "dsm", 8, "", true))
+	ms, err := runEntry(simE("e", "server", "dsm", 8, "", true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestServiceEntriesLatencyGated(t *testing.T) {
 	if got["p50-latency"].Value > got["p99-latency"].Value {
 		t.Errorf("p50 %v > p99 %v", got["p50-latency"].Value, got["p99-latency"].Value)
 	}
-	kernel, err := RunEntry(simE("k", "radiosity", "nocc", 4, "", true))
+	kernel, err := runEntry(simE("k", "radiosity", "nocc", 4, "", true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,13 @@
 // Package pmcd is the content-addressed simulation service: a long-running
 // HTTP/JSON job server over the repo's deterministic engines (sweep,
-// litmus, fuzz, perf) with a bounded worker pool, a FIFO job queue with
+// litmus, fuzz) with a bounded worker pool, a FIFO job queue with
 // streaming progress, and a two-tier result store — an in-memory LRU over
 // a content-addressed disk store.
 //
 // The serving story rests on one property every engine already proves:
 // results are bit-deterministic. A sweep table merges in grid order for
 // any worker count, a litmus exploration's outcomes are identical across
-// engine modes, a fuzz campaign reproduces from its printed seed, and the
-// bench runner asserts its exact metrics agree across repetitions. A
+// engine modes, and a fuzz campaign reproduces from its printed seed. A
 // deterministic computation is identified by its inputs, so every result
 // is cacheable under a fingerprint of (canonical job spec, code version):
 // the first submission simulates, every later identical submission — from
@@ -30,7 +29,6 @@ import (
 	"pmc/internal/fuzz"
 	"pmc/internal/litmus"
 	"pmc/internal/noc"
-	"pmc/internal/perf"
 	"pmc/internal/rt"
 	"pmc/internal/sweep"
 	"pmc/internal/workloads"
@@ -101,22 +99,15 @@ type FuzzJob struct {
 	Runs     int      `json:"runs,omitempty"`     // 0 = campaign default
 }
 
-// BenchJob declares one benchmark-suite entry evaluated for its exact
-// (deterministic) metrics.
-type BenchJob struct {
-	Entry perf.Entry `json:"entry"`
-}
-
 // JobSpec is a job submission: exactly one kind set.
 type JobSpec struct {
 	Sweep  *SweepJob  `json:"sweep,omitempty"`
 	Litmus *LitmusJob `json:"litmus,omitempty"`
 	Fuzz   *FuzzJob   `json:"fuzz,omitempty"`
-	Bench  *BenchJob  `json:"bench,omitempty"`
 }
 
-// Kind names the set job kind ("sweep", "litmus", "fuzz", "bench", or ""
-// when none is set).
+// Kind names the set job kind ("sweep", "litmus", "fuzz", or "" when
+// none is set).
 func (s JobSpec) Kind() string {
 	switch {
 	case s.Sweep != nil:
@@ -125,8 +116,6 @@ func (s JobSpec) Kind() string {
 		return "litmus"
 	case s.Fuzz != nil:
 		return "fuzz"
-	case s.Bench != nil:
-		return "bench"
 	}
 	return ""
 }
@@ -137,13 +126,13 @@ func (s JobSpec) Kind() string {
 // not modified.
 func (s JobSpec) normalize() (JobSpec, error) {
 	kinds := 0
-	for _, set := range []bool{s.Sweep != nil, s.Litmus != nil, s.Fuzz != nil, s.Bench != nil} {
+	for _, set := range []bool{s.Sweep != nil, s.Litmus != nil, s.Fuzz != nil} {
 		if set {
 			kinds++
 		}
 	}
 	if kinds != 1 {
-		return JobSpec{}, fmt.Errorf("pmcd: job must set exactly one of sweep/litmus/fuzz/bench (got %d)", kinds)
+		return JobSpec{}, fmt.Errorf("pmcd: job must set exactly one of sweep/litmus/fuzz (got %d)", kinds)
 	}
 	switch {
 	case s.Sweep != nil:
@@ -175,7 +164,7 @@ func (s JobSpec) normalize() (JobSpec, error) {
 			return JobSpec{}, fmt.Errorf("pmcd: negative litmus state budget %d", j.MaxStates)
 		}
 		return JobSpec{Litmus: &j}, nil
-	case s.Fuzz != nil:
+	default:
 		j := *s.Fuzz
 		if j.N <= 0 {
 			return JobSpec{}, fmt.Errorf("pmcd: fuzz job needs a positive program count, got %d", j.N)
@@ -199,21 +188,6 @@ func (s JobSpec) normalize() (JobSpec, error) {
 			return JobSpec{}, fmt.Errorf("pmcd: negative fuzz run count %d", j.Runs)
 		}
 		return JobSpec{Fuzz: &j}, nil
-	default:
-		j := *s.Bench
-		if j.Entry.Name == "" {
-			return JobSpec{}, fmt.Errorf("pmcd: bench job entry has no name")
-		}
-		n := 0
-		for _, set := range []bool{j.Entry.Sim != nil, j.Entry.Litmus != nil, j.Entry.Fuzz != nil} {
-			if set {
-				n++
-			}
-		}
-		if n != 1 {
-			return JobSpec{}, fmt.Errorf("pmcd: bench entry %q must set exactly one of sim/litmus/fuzz", j.Entry.Name)
-		}
-		return JobSpec{Bench: &j}, nil
 	}
 }
 
@@ -257,8 +231,7 @@ func (j *SweepJob) sweepSpec() (*sweep.Spec, error) {
 //     naming-invariant fingerprint mixed with the engine configuration —
 //     so a renamed catalog entry keeps its cache;
 //   - fuzz jobs hash the normalized campaign bounds (seed first: a new
-//     seed is a new computation);
-//   - bench jobs hash the perf entry identity (name + declarative spec).
+//     seed is a new computation).
 //
 // The code version salts everything: results computed by different code
 // never alias, which is what makes serving stale-looking bytes safe.
@@ -277,10 +250,8 @@ func Fingerprint(spec JobSpec, codeVersion string) (string, error) {
 			Explore   string `json:"explore"`
 			MaxStates int    `json:"max_states"`
 		}{litmus.ExploreFingerprint(prog, !n.Litmus.Tree, n.Litmus.MaxStates), n.Litmus.MaxStates}
-	case n.Fuzz != nil:
-		canon = n.Fuzz
 	default:
-		canon = n.Bench
+		canon = n.Fuzz
 	}
 	body, err := json.Marshal(canon)
 	if err != nil {

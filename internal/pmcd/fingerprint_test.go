@@ -121,7 +121,6 @@ func TestFingerprintRejectsBadSpecs(t *testing.T) {
 		"negative budget": {Litmus: &LitmusJob{Prog: "sb-drf", MaxStates: -1}},
 		"fuzz no count":   {Fuzz: &FuzzJob{Seed: 1}},
 		"fuzz bad mode":   {Fuzz: &FuzzJob{Seed: 1, N: 1, Mode: "nope"}},
-		"bench no name":   {Bench: &BenchJob{}},
 	}
 	for name, spec := range bad {
 		if _, err := Fingerprint(spec, "cv"); err == nil {
@@ -140,8 +139,6 @@ func FuzzJobSpec(f *testing.F) {
 		`{"sweep":{"apps":["kvstore"],"backends":["cdsm"],"tiles":[16],"topos":["cluster:4xring"]}}`,
 		`{"litmus":{"prog":"sb-drf","tree":true,"max_states":1000}}`,
 		`{"fuzz":{"seed":7,"n":5,"mode":"drf","backends":["nocc","mixed"],"runs":2}}`,
-		`{"bench":{"entry":{"name":"bench/mfifo","sim":{"app":"mfifo","backend":"dsm","tiles":4,"topo":"ring","small":true}}}}`,
-		`{"bench":{"entry":{"name":"litmus/iriw/sym","litmus":{"prog":"iriw","workers":1,"memoize":true,"symmetry":true}}}}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -8,7 +8,6 @@ import (
 
 	"pmc/internal/fuzz"
 	"pmc/internal/litmus"
-	"pmc/internal/perf"
 	"pmc/internal/sweep"
 	"pmc/internal/workloads"
 )
@@ -17,14 +16,13 @@ import (
 // body of a job is a pure function of its normalized spec, which is what
 // lets the store serve it verbatim forever. Sweep tables reuse the sweep
 // engine's own JSON emission (already byte-stable for any worker count);
-// litmus, fuzz and bench results serialize reduced, ordered views —
-// sorted outcome lists, campaign-order violation lists, exact metrics in
-// suite order.
+// litmus and fuzz results serialize reduced, ordered views — sorted
+// outcome lists and campaign-order violation lists.
 
 // Progress is a job's coarse completion counter, updated atomically by
 // the runner and readable while the job runs (the events stream polls
-// it). Units are job-kind-specific: sweep counts grid cells, litmus and
-// bench count 1 step, fuzz counts generated programs.
+// it). Units are job-kind-specific: sweep counts grid cells, litmus
+// counts 1 step, fuzz counts generated programs.
 type Progress struct {
 	done  atomic.Int64
 	total atomic.Int64
@@ -46,8 +44,6 @@ func run(spec JobSpec, progress *Progress) ([]byte, error) {
 		return runLitmus(spec.Litmus, progress)
 	case spec.Fuzz != nil:
 		return runFuzz(spec.Fuzz, progress)
-	case spec.Bench != nil:
-		return runBench(spec.Bench, progress)
 	}
 	return nil, fmt.Errorf("pmcd: empty job spec")
 }
@@ -184,22 +180,6 @@ func runFuzz(j *FuzzJob, progress *Progress) ([]byte, error) {
 	}
 	progress.done.Store(int64(j.N))
 	return marshalBody(out)
-}
-
-// benchResult is the exact metrics of one entry execution.
-type benchResult struct {
-	Entry   string        `json:"entry"`
-	Metrics []perf.Metric `json:"metrics"`
-}
-
-func runBench(j *BenchJob, progress *Progress) ([]byte, error) {
-	progress.total.Store(1)
-	metrics, err := perf.RunEntry(j.Entry)
-	if err != nil {
-		return nil, err
-	}
-	progress.done.Store(1)
-	return marshalBody(benchResult{Entry: j.Entry.Name, Metrics: metrics})
 }
 
 // marshalBody serializes a result view with the repo's JSON convention

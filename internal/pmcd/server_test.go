@@ -9,8 +9,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-
-	"pmc/internal/perf"
 )
 
 // newTestService starts a server with its HTTP surface and returns it with
@@ -133,34 +131,22 @@ func TestServerSweepJob(t *testing.T) {
 	_ = st1
 }
 
-func benchEntry(name string) perf.Entry {
-	return perf.Entry{Name: name, Sim: &perf.SimBench{
-		App: "mfifo", Backend: "dsm", Tiles: 4, Topo: "ring", Small: true,
-	}}
-}
-
-func TestServerBenchJobExactMetrics(t *testing.T) {
-	_, c := newTestService(t, Config{})
-	spec := JobSpec{Bench: &BenchJob{Entry: benchEntry("bench/mfifo")}}
-	st, body := submitAndFetch(t, c, spec)
-	var res struct {
-		Entry   string `json:"entry"`
-		Metrics []struct {
-			Name  string  `json:"name"`
-			Value float64 `json:"value"`
-		} `json:"metrics"`
+// TestServerRejectsBenchKind: the retired bench job kind is an unknown
+// field, refused with HTTP 400 before anything runs.
+func TestServerRejectsBenchKind(t *testing.T) {
+	srv, c := newTestService(t, Config{})
+	body := `{"bench":{"entry":{"name":"bench/mfifo","sim":{"app":"mfifo","backend":"dsm","tiles":4,"topo":"ring","small":true}}}}`
+	resp, err := http.Post(c.Base+"/v1/jobs", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatalf("bench body: %v", err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("bench job answered HTTP %d, want 400", resp.StatusCode)
 	}
-	if res.Entry != "bench/mfifo" || len(res.Metrics) == 0 {
-		t.Fatalf("bench result missing exact metrics: %+v", res)
+	if st := srv.Stats(); st.Submitted != 0 || st.Simulations != 0 {
+		t.Errorf("refused bench job reached the queue: %+v", st)
 	}
-	st2, body2 := submitAndFetch(t, c, spec)
-	if !st2.Cached || !bytes.Equal(body2, body) {
-		t.Fatalf("bench resubmission not a byte-identical hit (cached=%v)", st2.Cached)
-	}
-	_ = st
 }
 
 func TestServerEventsStreamTerminates(t *testing.T) {

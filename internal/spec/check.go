@@ -141,11 +141,12 @@ func interfaceConfig(clustered bool) (*soc.Config, error) {
 // CheckBackend is the backend-vs-spec half of the compositional argument.
 // It first re-validates the spec against the model (a broken spec voids
 // the run, and is reported rather than silently certified), then drives
-// every program on the simulated backend at interface scale: each run's
-// outcome must be model-allowed, the recorder must accept every read, and
-// every edge of the recorder-lowered trace must be committed by a
-// declared obligation (CheckTrace). The returned Work is independent of
-// platform.Tiles by construction, but a platform needs at least one tile.
+// every program on the simulated backend at interface scale through one
+// traced conform.CheckOpts call: each run's outcome must be
+// model-allowed, the recorder must accept every read, and every edge of
+// the recorder-lowered trace must be committed by a declared obligation
+// (CheckTrace). The returned Work is independent of platform.Tiles by
+// construction, but a platform needs at least one tile.
 func CheckBackend(s Spec, platform Platform, opt CheckOptions) (*Result, error) {
 	if platform.Tiles < 1 {
 		return nil, fmt.Errorf("spec %s: platform of %d tiles; need at least 1", s.Backend, platform.Tiles)
@@ -178,6 +179,7 @@ func CheckBackend(s Spec, platform Platform, opt CheckOptions) (*Result, error) 
 		MaxCycles: interfaceMaxCycles,
 		Base:      base,
 		Backend:   opt.Backend,
+		Trace:     func(exec *core.Execution) []string { return CheckTrace(exec, s) },
 	}
 	res.Work.SimTiles = InterfaceTiles
 	for _, p := range progs {
@@ -185,44 +187,35 @@ func CheckBackend(s Spec, platform Platform, opt CheckOptions) (*Result, error) 
 			return nil, fmt.Errorf("spec: program %s has %d threads, interface scale is %d tiles",
 				p.Name, len(p.Threads), InterfaceTiles)
 		}
-		eff := conform.EffectiveProgram(p)
-		model, err := litmus.Explore(eff)
+		model, err := litmus.Explore(conform.EffectiveProgram(p))
 		if err != nil {
 			return nil, err
 		}
 		res.Work.Programs++
 		res.Work.ModelStates += model.States
-		allowed := make(map[string]bool)
-		for _, o := range model.OutcomeList() {
-			allowed[o] = true
+		copt.Model = model
+		// A failed run is one of the report's findings, so only a check
+		// that could not start is an error here.
+		rep, err := conform.CheckOpts(p, s.Backend, copt)
+		if rep == nil {
+			return nil, err
 		}
+		res.Work.SimRuns += rep.Runs
 		// Each divergence shape is reported once per program — a broken
 		// protocol fails every perturbed run the same way, and one witness
 		// (with its seed) is what a human needs.
 		seen := make(map[string]bool)
-		report := func(kind, detail string) {
-			if key := kind + "\x00" + detail; !seen[key] {
+		for _, f := range rep.Findings {
+			detail := f.Detail
+			switch f.Kind {
+			case "run", "read":
+				detail = fmt.Sprintf("%s (seed %d)", f.Detail, f.Seed)
+			case "outcome":
+				detail = fmt.Sprintf("%q is model-forbidden (seed %d)", f.Detail, f.Seed)
+			}
+			if key := f.Kind + "\x00" + detail; !seen[key] {
 				seen[key] = true
-				res.Divergences = append(res.Divergences, Divergence{Program: p.Name, Kind: kind, Detail: detail})
-			}
-		}
-		for run := 0; run < runs; run++ {
-			seed := opt.Seed + int64(run)
-			outcome, exec, err := conform.ExecuteRecorded(eff, s.Backend, copt, uint32(seed))
-			res.Work.SimRuns++
-			if err != nil {
-				kind := "read"
-				if exec == nil {
-					kind = "run"
-				}
-				report(kind, fmt.Sprintf("%v (seed %d)", err, seed))
-				continue
-			}
-			if !allowed[outcome] {
-				report("outcome", fmt.Sprintf("%q is model-forbidden (seed %d)", outcome, seed))
-			}
-			for _, prob := range CheckTrace(exec, s) {
-				report("edge", prob)
+				res.Divergences = append(res.Divergences, Divergence{Program: p.Name, Kind: f.Kind, Detail: detail})
 			}
 		}
 	}

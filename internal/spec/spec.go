@@ -5,13 +5,15 @@
 // protocol steps commit, expressed as data — and verification splits
 // into two independently checkable halves:
 //
-//   - backend vs spec (CheckBackend): the existing litmus engine drives
-//     the backend at a fixed interface scale — a handful of tiles, or
-//     one cluster pair for the hierarchical backends — so the cost grows
-//     with threads-per-litmus, never with deployment size. Every
-//     simulated outcome must be model-allowed, and every edge of a
-//     recorder-lowered trace must be attributable to an obligation the
-//     spec declares (CheckTrace).
+//   - backend vs spec (CheckBackend): conform.CheckOpts drives the
+//     backend at a fixed interface scale — a handful of tiles, or one
+//     cluster pair for the hierarchical backends — so the cost grows
+//     with threads-per-litmus, never with deployment size. It records
+//     every perturbed run once: every simulated outcome must be
+//     model-allowed, the recorder must accept every read, and every edge
+//     of the recorder-lowered trace must be attributable to an
+//     obligation the spec declares (CheckTrace, passed as the run's
+//     trace check).
 //   - spec vs model (VsModel): a pure data check that the spec is sound
 //     (every declared obligation is a real Table I rule) and complete
 //     (every Table I rule is committed by at least one protocol step).
