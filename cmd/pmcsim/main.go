@@ -42,6 +42,7 @@ func main() {
 		place    = flag.String("place", "", `with -run: per-object placement "obj=backend,..." (trailing-* globs match name prefixes; unmatched objects use -backend)`)
 		load     = flag.Float64("load", 0, "with -run: offered load in requests per kilocycle for the open-loop service workloads (0 = workload default)")
 		traceOut = flag.String("trace", "", "with -run: write a Chrome-trace JSON of the run to this file")
+		counters = flag.Bool("counters", false, "with -run: print the event kernel's work counters after the run")
 		clusters = flag.Int("clusters", 0, "with -run or -sweep: cluster count (0 = derived from the topology, 1 = flat)")
 
 		sweepApps = flag.String("sweep", "", `comma-separated workloads to sweep ("splash" = radiosity,raytrace,volrend; "all" = every workload)`)
@@ -84,7 +85,7 @@ func main() {
 		}
 		return
 	case *runApp != "":
-		if err := runWorkload(*runApp, *backend, *tiles, *topo, *clusters, *load, *traceOut, placement); err != nil {
+		if err := runWorkload(*runApp, *backend, *tiles, *topo, *clusters, *load, *traceOut, *counters, placement); err != nil {
 			fail(err)
 		}
 		return
@@ -300,8 +301,9 @@ func parsePlacement(s string) (map[string]string, error) {
 	return place, nil
 }
 
-// runWorkload executes one workload, optionally exporting a Chrome trace.
-func runWorkload(name, backend string, tiles int, topo string, clusters int, load float64, traceOut string, place map[string]string) error {
+// runWorkload executes one workload, optionally exporting a Chrome trace
+// and printing the kernel counters.
+func runWorkload(name, backend string, tiles int, topo string, clusters int, load float64, traceOut string, counters bool, place map[string]string) error {
 	app, ok := pmc.AppByName(name)
 	if !ok {
 		return usagef("unknown workload %q (have %s)", name, strings.Join(pmc.AppNames(), ", "))
@@ -348,7 +350,10 @@ func runWorkload(name, backend string, tiles int, topo string, clusters int, loa
 		if werr := tr.WriteChrome(f); werr != nil {
 			return werr
 		}
-		fmt.Printf("trace: %d events -> %s (open in ui.perfetto.dev)\n", tr.Len(), traceOut)
+		fmt.Printf("trace: %d events, %d dropped -> %s (open in ui.perfetto.dev)\n", tr.Len(), tr.Dropped, traceOut)
+		if tr.Dropped > 0 {
+			fmt.Fprintf(os.Stderr, "pmcsim: warning: the trace ring was full; %d events were dropped\n", tr.Dropped)
+		}
 	} else if place != nil {
 		res, err = pmc.RunAppPlaced(app, cfg, backend, place)
 		if err != nil {
@@ -365,6 +370,11 @@ func runWorkload(name, backend string, tiles int, topo string, clusters int, loa
 	if res.Service != nil {
 		fmt.Print("service: ")
 		res.Service.Render(os.Stdout, res.Cycles)
+	}
+	if counters {
+		c := res.Kernel
+		fmt.Printf("kernel: %d events, %d resumes, %d fast waits, %d chain steps\n",
+			c.Events, c.Resumes, c.FastWaits, c.ChainSteps)
 	}
 	return nil
 }

@@ -6,32 +6,69 @@ import (
 	"testing"
 )
 
+// fuzzRAMSize is three full chunks plus a ragged tail.
+const fuzzRAMSize = 3*chunkSize + 100
+
+// fuzzOp encodes one 4-byte op of FuzzRAMChunks: the op byte picks the
+// access (op%7, see the switch) and the RAM (op>>3%3), and the address
+// bytes a give byte offset a*7 % fuzzRAMSize.
+func fuzzOp(kind, ram, off int, v byte) []byte {
+	op := 0
+	for op%7 != kind || op>>3%3 != ram {
+		op++
+	}
+	a := 0
+	for a*7%fuzzRAMSize != off {
+		a++
+	}
+	return []byte{byte(op), byte(a >> 8), byte(a), v}
+}
+
 // Native fuzz target for the lazily chunked RAM: an arbitrary sequence of
 // byte/word/block reads and writes must behave exactly like a flat,
-// eagerly zeroed array — including accesses that straddle the 16 KiB
-// chunk boundary and reads of never-materialized chunks. The sequence
-// drives three RAMs: a plain one, and two that share a Seed, each
-// against a flat reference array of its own. Seed writes land in both
-// seeded references; a write to one seeded RAM lands in its reference
-// only, so a write that leaked into the shared seed image (or the other
-// RAM) shows as a mismatch. Run with
+// eagerly zeroed array — including accesses that straddle a chunk
+// boundary, reads of never-materialized chunks, and reads past the end of
+// a chunk directory that grew only as far as the highest chunk written.
+// The sequence drives three RAMs: a plain one, and two that share a Seed,
+// each against a flat reference array of its own. Seed writes land in
+// both seeded references; a write to one seeded RAM lands in its
+// reference only, so a write that leaked into the shared seed image (or
+// the other RAM) shows as a mismatch. Run with
 //
 //	go test -fuzz FuzzRAMChunks ./internal/mem
-
 func FuzzRAMChunks(f *testing.F) {
-	// Seeds: a boundary-straddling word write, a large cross-chunk block,
-	// a read-before-any-write, a seed write read back through both
-	// seeded RAMs, and a seeded RAM's write over a seeded chunk read
-	// back through the other.
-	f.Add([]byte{1, 0x3f, 0xfe, 0xaa, 2, 0x3f, 0xff, 0x00, 0, 0x40, 0x01, 0})
-	f.Add([]byte{3, 0x00, 0x10, 0x90, 4, 0x00, 0x20, 0x55, 5, 0x7f, 0x00, 0x07})
-	f.Add([]byte{0, 0x00, 0x00, 0x00})
-	f.Add([]byte{6, 0x01, 0x00, 0x30, 12, 0x01, 0x00, 0x30, 19, 0x01, 0x00, 0x30})
-	f.Add([]byte{6, 0x01, 0x00, 0x30, 10, 0x01, 0x02, 0x77, 19, 0x01, 0x00, 0x30})
+	const (
+		read8, write8, read32, write32, writeBlock, readBlock, seedBlock = 0, 1, 2, 3, 4, 5, 6
+		plain, seeded, other                                             = 0, 1, 2
+		full                                                             = 199 // a block of 200 bytes
+	)
+	for _, seed := range [][][]byte{
+		// A word write straddling a chunk boundary, read back as a word
+		// and as its high half.
+		{fuzzOp(write32, plain, chunkSize-2, 0xaa), fuzzOp(read32, plain, chunkSize-2, 0), fuzzOp(read8, plain, chunkSize, 0)},
+		// A block across a chunk boundary.
+		{fuzzOp(writeBlock, plain, 2*chunkSize-100, full), fuzzOp(readBlock, plain, 2*chunkSize-150, full)},
+		// A read before any write.
+		{fuzzOp(read8, plain, 0, 0)},
+		// A seed write across a boundary, read back through both seeded
+		// RAMs.
+		{fuzzOp(seedBlock, seeded, chunkSize-100, full), fuzzOp(readBlock, seeded, chunkSize-100, full), fuzzOp(readBlock, other, chunkSize-100, full)},
+		// A seeded RAM's write over a seeded chunk, read back through the
+		// other.
+		{fuzzOp(seedBlock, seeded, chunkSize-100, full), fuzzOp(write8, seeded, chunkSize-50, 0x77), fuzzOp(readBlock, other, chunkSize-100, full)},
+		// A high chunk written before a low one: the directory grows past
+		// holes, which still read as zeros.
+		{fuzzOp(write32, plain, 3*chunkSize+8, 0x11), fuzzOp(write8, plain, 5, 0x22), fuzzOp(readBlock, plain, chunkSize-100, full), fuzzOp(read32, plain, 3*chunkSize+8, 0)},
+		// A seeded RAM reads a chunk past its own directory but inside
+		// the seed image's.
+		{fuzzOp(seedBlock, seeded, 2*chunkSize+10, full), fuzzOp(write8, seeded, 3, 0x33), fuzzOp(read32, seeded, 2*chunkSize+10, 0), fuzzOp(readBlock, seeded, 2*chunkSize, full)},
+	} {
+		f.Add(bytes.Join(seed, nil))
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const (
 			base = Addr(0x8000)
-			size = 3*chunkSize + 100 // three full chunks plus a ragged tail
+			size = fuzzRAMSize
 		)
 		seed := NewSeed(size)
 		rams := []*RAM{NewRAM(base, size), seed.NewRAM(base), seed.NewRAM(base)}

@@ -19,13 +19,16 @@ import (
 // Addr is a simulated physical address.
 type Addr uint32
 
-// RAM chunk geometry: backing memory materializes in 16 KiB chunks on
-// first write. A simulated system declares tens of megabytes of SDRAM (and
-// 64 KiB locals per tile) but a run touches a small fraction; lazy chunks
-// avoid zeroing (and GC'ing) the untouched remainder, which dominated
-// system-construction cost in batched sweeps.
+// RAM chunk geometry: backing memory materializes in 4 KiB chunks on
+// first write, and the chunk directory grows with the highest chunk
+// written. A simulated system declares tens of megabytes of SDRAM (and
+// 64 KiB locals per tile) but a run touches a small fraction: a litmus
+// run writes a few words near the bottom of each memory, so it pays for
+// a directory of a few entries and one small chunk per region written,
+// not for zeroing (and GC'ing) the untouched remainder or a directory
+// entry per chunk of the declared size.
 const (
-	chunkBits = 14
+	chunkBits = 12
 	chunkSize = 1 << chunkBits
 	chunkMask = chunkSize - 1
 )
@@ -35,8 +38,10 @@ const (
 // would — or, for a RAM made by Seed.NewRAM, as the seed image's bytes.
 // The zero value is unusable; use NewRAM.
 type RAM struct {
-	base   Addr
-	size   int
+	base Addr
+	size int
+	// chunks holds the materialized chunks; an index past its end, like
+	// a nil entry, is a chunk never written.
 	chunks [][]byte
 	// seed is the image a never-written chunk reads from (nil: zeros).
 	seed *RAM
@@ -44,7 +49,7 @@ type RAM struct {
 
 // NewRAM returns a RAM of the given size starting at base.
 func NewRAM(base Addr, size int) *RAM {
-	return &RAM{base: base, size: size, chunks: make([][]byte, (size+chunkSize-1)>>chunkBits)}
+	return &RAM{base: base, size: size}
 }
 
 // Base returns the first address covered.
@@ -70,6 +75,9 @@ func (r *RAM) index(addr Addr, n int) int {
 // write as a copy of the seed's chunk (or zeros).
 func (r *RAM) writable(off int) []byte {
 	ci := off >> chunkBits
+	if ci >= len(r.chunks) {
+		r.chunks = append(r.chunks, make([][]byte, ci+1-len(r.chunks))...)
+	}
 	c := r.chunks[ci]
 	if c == nil {
 		c = make([]byte, chunkSize)
@@ -79,11 +87,19 @@ func (r *RAM) writable(off int) []byte {
 	return c
 }
 
+// chunk returns the RAM's own chunk ci, or nil if it was never written.
+func (r *RAM) chunk(ci int) []byte {
+	if ci < len(r.chunks) {
+		return r.chunks[ci]
+	}
+	return nil
+}
+
 // readable returns the chunk offset off reads from: the RAM's own, else
 // the seed's, else nil (zeros).
 func (r *RAM) readable(off int) []byte {
 	ci := off >> chunkBits
-	if c := r.chunks[ci]; c != nil {
+	if c := r.chunk(ci); c != nil {
 		return c
 	}
 	return r.seedChunk(ci)
@@ -94,7 +110,7 @@ func (r *RAM) seedChunk(ci int) []byte {
 	if r.seed == nil {
 		return nil
 	}
-	return r.seed.chunks[ci]
+	return r.seed.chunk(ci)
 }
 
 // Read8 returns the byte at addr.
@@ -178,7 +194,7 @@ func (r *RAM) writeOwned(off int, src []byte) {
 	for len(src) > 0 {
 		co := off & chunkMask
 		n := min(chunkSize-co, len(src))
-		if c := r.chunks[off>>chunkBits]; c != nil {
+		if c := r.chunk(off >> chunkBits); c != nil {
 			copy(c[co:co+n], src[:n])
 		}
 		off += n

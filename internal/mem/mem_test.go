@@ -53,9 +53,9 @@ func TestRAMLazyZeroReads(t *testing.T) {
 			t.Fatalf("untouched ReadBlock byte %d = %#x, want 0", i, b)
 		}
 	}
-	for i, c := range r.chunks {
-		if c != nil {
-			t.Fatalf("read materialized chunk %d", i)
+	for ci := range 4 {
+		if r.owns(ci) {
+			t.Fatalf("read materialized chunk %d", ci)
 		}
 	}
 }
@@ -251,14 +251,12 @@ func TestSeedSharesUnwrittenChunks(t *testing.T) {
 		if got := r.Read32(r.Base() + chunkSize - 2); got != 0x04030201 {
 			t.Fatalf("seeded Read32 = %#x, want 0x04030201", got)
 		}
-		for i, c := range r.chunks {
-			if c != nil {
-				t.Fatalf("seed write materialized chunk %d", i)
-			}
+		if r.owns(0) || r.owns(1) {
+			t.Fatal("seed write materialized a chunk")
 		}
 	}
 	a.Write8(a.Base()+chunkSize-1, 0xaa)
-	if a.chunks[0] == nil || a.chunks[1] != nil || b.chunks[0] != nil {
+	if !a.owns(0) || a.owns(1) || b.owns(0) {
 		t.Fatal("a RAM's write must materialize exactly its own chunk")
 	}
 	if got := b.Read8(b.Base() + chunkSize - 1); got != 2 {

@@ -325,6 +325,36 @@ func BenchmarkNew1024(b *testing.B) {
 	}
 }
 
+// TestNewLitmusAllocs guards construction cost at litmus size, where
+// fuzz campaigns build thousands of systems: a 3-tile system pays for the
+// tiles it has, not for the 32 MiB of SDRAM it declares. An eagerly sized
+// chunk directory alone (8,192 entries) would exceed the bound.
+func TestNewLitmusAllocs(t *testing.T) {
+	cfg := testConfig(3)
+	const calls, limit = 100, 40_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		if _, err := New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / calls; got > limit {
+		t.Fatalf("New(3 tiles) allocated %d B per call, want at most %d", got, limit)
+	}
+}
+
+func BenchmarkNewLitmus(b *testing.B) {
+	cfg := testConfig(3)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkUncachedRead(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Tiles = 1

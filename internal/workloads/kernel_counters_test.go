@@ -15,11 +15,15 @@ func TestKernelCounters(t *testing.T) {
 	const loopEvents, loopResumes = 32242, 30330
 	app, _ := Scaled("radiosity", true)
 	var k *sim.Kernel
-	if _, err := run(app, smallCfg(8), "dsm", func(r *rt.Runtime) { k = r.Sys.K }); err != nil {
+	res, err := run(app, smallCfg(8), "dsm", func(r *rt.Runtime) { k = r.Sys.K })
+	if err != nil {
 		t.Fatal(err)
 	}
 	c := k.Counters
 	t.Logf("%+v", c)
+	if res.Kernel != c {
+		t.Errorf("Result.Kernel = %+v, want the kernel's %+v", res.Kernel, c)
+	}
 	if c.Events != loopEvents {
 		t.Errorf("events = %d, want %d", c.Events, loopEvents)
 	}

@@ -66,6 +66,8 @@ type Result struct {
 	// Service holds the open-loop service metrics for ServiceApp
 	// workloads; nil for single-shot kernels.
 	Service *stats.Service
+	// Kernel is the event kernel's work over the run.
+	Kernel sim.Counters
 }
 
 // Sample converts the result to the stats package's renderer input.
@@ -242,6 +244,7 @@ func run(app App, cfg soc.Config, backendName string, pre func(*rt.Runtime)) (*R
 
 		LocalFlitHops:  sys.Net.Stats().LocalFlitHops,
 		GlobalFlitHops: sys.Net.Stats().GlobalFlitHops,
+		Kernel:         sys.K.Counters,
 	}
 	for _, t := range sys.Tiles {
 		res.PerTile = append(res.PerTile, t.Stats)
