@@ -8,50 +8,52 @@ import "fmt"
 // transition rules (Definition 4). Orderings between issued operations are
 // never removed; Undo only retracts the newest operation as a whole, for
 // search that backtracks.
+//
+// The graph queries (reachability, last-write and readable sets) run on
+// search scratch kept in the Execution, so a query writes to it: one
+// Execution must not be used from two goroutines at once, not even for
+// queries alone.
 type Execution struct {
 	locNames []string
 	ops      []*Op
 	out      [][]Edge
 	in       [][]Edge
 
-	// Pattern indexes, used to apply Table I incrementally. Keys follow
-	// the paper's patterns: per (proc, loc), per loc, or per proc.
-	readsPL    map[procLoc][]int
-	writesPL   map[procLoc][]int // initial op included for every proc via init list
-	acquiresPL map[procLoc][]int
-	releasesPL map[procLoc][]int
-	releasesL  map[Loc][]int // any process, per location (≺S rule); incl. init
-	readsP     map[ProcID][]int
-	writesP    map[ProcID][]int
-	acquiresP  map[ProcID][]int
-	releasesP  map[ProcID][]int
-	fencesP    map[ProcID][]int  // location-less fences
-	fencesPL   map[procLoc][]int // location-scoped fences (Section IV-D extension)
-	initOf     map[Loc]int
+	// Pattern indexes, used to apply Table I incrementally. Their scopes
+	// follow the paper's patterns: per (proc, loc), per proc, or per loc.
+	// The tables are slices grown on demand, indexed by location and by
+	// proc slot: procs[s] is the process of slot s, interned on its first
+	// operation, since ProcIDs are sparse (the runtime recorder's setup
+	// process is 1<<20).
+	procs     []ProcID
+	byProc    []procIndex // per proc slot
+	releasesL [][]int     // any process, per location (≺S rule); incl. init
+	initOf    []int       // init op per location
+
+	// Search scratch for the graph queries: op id has been visited by the
+	// current search when mark[id] == stamp. queue is the search's work
+	// list and found the writes a last-write search collects.
+	mark  []uint32
+	stamp uint32
+	queue []int
+	found []int
 }
 
-type procLoc struct {
-	p ProcID
-	v Loc
+// patterns holds one scope's pattern-index lists, one per kind. In a
+// per-proc scope the fence list holds location-less fences; in a
+// per-(proc, loc) scope it holds fences scoped to the location (the
+// Section IV-D extension).
+type patterns [KFence + 1][]int
+
+// procIndex is one process's pattern indexes: any location, and per
+// location.
+type procIndex struct {
+	patterns
+	locs []patterns
 }
 
 // NewExecution returns an initialized, empty execution.
-func NewExecution() *Execution {
-	return &Execution{
-		readsPL:    make(map[procLoc][]int),
-		writesPL:   make(map[procLoc][]int),
-		acquiresPL: make(map[procLoc][]int),
-		releasesPL: make(map[procLoc][]int),
-		releasesL:  make(map[Loc][]int),
-		readsP:     make(map[ProcID][]int),
-		writesP:    make(map[ProcID][]int),
-		acquiresP:  make(map[ProcID][]int),
-		releasesP:  make(map[ProcID][]int),
-		fencesP:    make(map[ProcID][]int),
-		fencesPL:   make(map[procLoc][]int),
-		initOf:     make(map[Loc]int),
-	}
-}
+func NewExecution() *Execution { return &Execution{} }
 
 // AddLoc introduces a shared location with the given display name and
 // issues its initial operation, which behaves like a write and release by
@@ -71,11 +73,11 @@ func (e *Execution) AddLoc(name string) Loc {
 	e.ops = append(e.ops, op)
 	e.out = growEdgeLists(e.out)
 	e.in = growEdgeLists(e.in)
-	e.initOf[v] = op.ID
+	e.initOf = append(e.initOf, op.ID)
 	// The init op participates in the write and release patterns for
-	// every process; record it in the per-location lists consulted with
-	// any-proc scope, and treat per-proc matching specially (matchProc).
-	e.releasesL[v] = append(e.releasesL[v], op.ID)
+	// every process; record it in the per-location list consulted with
+	// any-proc scope, and treat per-proc matching specially (eachEarlier).
+	e.releasesL = append(e.releasesL, []int{op.ID})
 	return v
 }
 
@@ -155,45 +157,22 @@ func (e *Execution) eachEarlier(r Rule, p ProcID, v Loc, visit func(id int)) {
 	// The fence column/row widens matching to all locations only for
 	// location-less fences.
 	globalFence := (r.Earlier == KFence || r.New == KFence) && v == NoLoc
+	perProc, perLoc := e.patternsOf(p, v)
 	var ids, more []int
-	switch r.Earlier {
-	case KRead:
-		if globalFence {
-			ids = e.readsP[p]
-		} else {
-			ids = e.readsPL[procLoc{p, v}]
+	switch {
+	case r.Earlier == KFence:
+		// Both plain fences and same-location fences order the new
+		// operation on v (perLoc is nil for NoLoc).
+		ids, more = perProc.of(KFence), perLoc.of(KFence)
+	case r.AnyProc:
+		ids = e.releasesL[v] // includes init
+	case globalFence:
+		ids = perProc.of(r.Earlier)
+	default:
+		if r.Earlier == KWrite && r.New != KFence {
+			visit(e.initOf[v]) // the init write matches any proc
 		}
-	case KWrite:
-		if globalFence {
-			ids = e.writesP[p]
-		} else {
-			if init, ok := e.initOf[v]; ok && r.New != KFence {
-				visit(init) // the init write matches any proc
-			}
-			ids = e.writesPL[procLoc{p, v}]
-		}
-	case KAcquire:
-		if globalFence {
-			ids = e.acquiresP[p]
-		} else {
-			ids = e.acquiresPL[procLoc{p, v}]
-		}
-	case KRelease:
-		switch {
-		case r.AnyProc:
-			ids = e.releasesL[v] // includes init
-		case globalFence:
-			ids = e.releasesP[p]
-		default:
-			ids = e.releasesPL[procLoc{p, v}]
-		}
-	case KFence:
-		ids = e.fencesP[p]
-		if v != NoLoc {
-			// Both plain fences and same-location fences order
-			// the new operation on v.
-			more = e.fencesPL[procLoc{p, v}]
-		}
+		ids = perLoc.of(r.Earlier)
 	}
 	for _, id := range ids {
 		visit(id)
@@ -201,6 +180,40 @@ func (e *Execution) eachEarlier(r Rule, p ProcID, v Loc, visit func(id int)) {
 	for _, id := range more {
 		visit(id)
 	}
+}
+
+// slot returns p's proc slot, or -1 when p has issued no operation.
+// Executions have a handful of processes, so a scan beats a map.
+func (e *Execution) slot(p ProcID) int {
+	for s, q := range e.procs {
+		if q == p {
+			return s
+		}
+	}
+	return -1
+}
+
+// patternsOf returns p's pattern lists for any location and for location
+// v; either is nil when p has no list there yet (a nil *patterns reads as
+// empty).
+func (e *Execution) patternsOf(p ProcID, v Loc) (perProc, perLoc *patterns) {
+	s := e.slot(p)
+	if s < 0 {
+		return nil, nil
+	}
+	pi := &e.byProc[s]
+	if v != NoLoc && int(v) < len(pi.locs) {
+		perLoc = &pi.locs[v]
+	}
+	return &pi.patterns, perLoc
+}
+
+// of returns the list of kind k, nil for a nil scope.
+func (ps *patterns) of(k Kind) []int {
+	if ps == nil {
+		return nil
+	}
+	return ps[k]
 }
 
 // Exec issues a new operation and applies the Table I rules, returning it
@@ -267,40 +280,36 @@ func (e *Execution) Undo() {
 }
 
 // index appends op to the pattern-index lists of its kind, or pops it off
-// them when undo is set (op is then the last entry of each).
+// them when undo is set (op is then the last entry of each). Exec interns
+// the op's proc slot and grows its per-location table on first use.
 func (e *Execution) index(op *Op, undo bool) {
-	p, v, pl := op.Proc, op.Loc, procLoc{op.Proc, op.Loc}
-	switch op.Kind {
-	case KRead:
-		update(e.readsPL, pl, op.ID, undo)
-		update(e.readsP, p, op.ID, undo)
-	case KWrite:
-		update(e.writesPL, pl, op.ID, undo)
-		update(e.writesP, p, op.ID, undo)
-	case KAcquire:
-		update(e.acquiresPL, pl, op.ID, undo)
-		update(e.acquiresP, p, op.ID, undo)
-	case KRelease:
-		update(e.releasesL, v, op.ID, undo)
-		update(e.releasesP, p, op.ID, undo)
-		update(e.releasesPL, pl, op.ID, undo)
-	case KFence:
-		if v == NoLoc {
-			update(e.fencesP, p, op.ID, undo)
-		} else {
-			update(e.fencesPL, pl, op.ID, undo)
+	if op.Kind == KRelease {
+		update(&e.releasesL[op.Loc], op.ID, undo)
+	}
+	s := e.slot(op.Proc)
+	if s < 0 {
+		s = len(e.procs)
+		e.procs = append(e.procs, op.Proc)
+		e.byProc = append(e.byProc, procIndex{})
+	}
+	pi := &e.byProc[s]
+	if op.Kind != KFence || op.Loc == NoLoc {
+		update(&pi.patterns[op.Kind], op.ID, undo)
+	}
+	if op.Loc != NoLoc {
+		if n := int(op.Loc) + 1; len(pi.locs) < n {
+			pi.locs = append(pi.locs, make([]patterns, n-len(pi.locs))...)
 		}
+		update(&pi.locs[op.Loc][op.Kind], op.ID, undo)
 	}
 }
 
-// update appends id to m[key], or pops the list's last entry when undo is
-// set.
-func update[K comparable](m map[K][]int, key K, id int, undo bool) {
-	l := m[key]
+// update appends id to *l, or pops the list's last entry when undo is set.
+func update(l *[]int, id int, undo bool) {
 	if undo {
-		m[key] = l[:len(l)-1]
+		*l = (*l)[:len(*l)-1]
 	} else {
-		m[key] = append(l, id)
+		*l = append(*l, id)
 	}
 }
 

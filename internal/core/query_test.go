@@ -51,6 +51,21 @@ func buildHistories() map[string]*Execution {
 	e.Read(1, x, 0)
 	hs["scoped-fence"] = e
 
+	// Process 1's acquire of X follows both releases, so a read of X by
+	// process 1 sees three writes besides init: 1 and 2 in program order,
+	// and 3, unordered with either. W = {2, 3}: write 1 is dominated by
+	// write 2 only, not by the newest write 3.
+	e = NewExecution()
+	x = e.AddLoc("X")
+	e.Acquire(0, x)
+	e.Write(0, x, 1)
+	e.Write(0, x, 2)
+	e.Release(0, x)
+	e.Write(2, x, 3)
+	e.Release(2, x)
+	e.Acquire(1, x)
+	hs["concurrent-maximal"] = e
+
 	return hs
 }
 

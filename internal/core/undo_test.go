@@ -36,21 +36,29 @@ func snap(e *Execution, procs int) snapshot {
 	return s
 }
 
-// dumpIndexes renders every non-empty pattern-index list, sorted. A list
-// emptied by Undo and one never created are the same to Exec, so empty
-// lists are skipped.
+// dumpIndexes renders every non-empty pattern-index list, sorted, keyed
+// by process and location rather than by proc slot: a slot interned for
+// an op that was later undone stays behind, empty. A list emptied by Undo
+// and one never created are the same to Exec, so empty lists are skipped.
 func dumpIndexes(e *Execution) string {
 	var fields []string
-	for name, m := range map[string]any{
-		"readsPL": e.readsPL, "writesPL": e.writesPL, "acquiresPL": e.acquiresPL,
-		"releasesPL": e.releasesPL, "releasesL": e.releasesL, "readsP": e.readsP,
-		"writesP": e.writesP, "acquiresP": e.acquiresP, "releasesP": e.releasesP,
-		"fencesP": e.fencesP, "fencesPL": e.fencesPL,
-	} {
-		rv := reflect.ValueOf(m)
-		for _, k := range rv.MapKeys() {
-			if l := rv.MapIndex(k); l.Len() > 0 {
-				fields = append(fields, fmt.Sprintf("%s[%v]=%v", name, k.Interface(), l.Interface()))
+	add := func(l []int, scope string, args ...any) {
+		if len(l) > 0 {
+			fields = append(fields, fmt.Sprintf(scope, args...)+fmt.Sprint(l))
+		}
+	}
+	for v, l := range e.releasesL {
+		add(l, "releasesL[v%d]=", v)
+	}
+	add(e.initOf, "initOf=")
+	for s, pi := range e.byProc {
+		p := e.procs[s]
+		for k, l := range pi.patterns {
+			add(l, "p%d/%v=", p, Kind(k))
+		}
+		for v, ps := range pi.locs {
+			for k, l := range ps {
+				add(l, "p%d/v%d/%v=", p, v, Kind(k))
 			}
 		}
 	}

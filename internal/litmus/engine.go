@@ -12,17 +12,26 @@ import (
 //     reference semantics — every interleaving/read-choice path is walked
 //     individually;
 //   - memoized counting DFS (Memoize=true): states are keyed by their
-//     canonical fingerprint (fingerprint.go); the subtree below a state is
-//     explored once and its outcome-count map reused for every converging
-//     interleaving. Because the map counts completions *from* the state,
-//     summing it once per incoming path reproduces tree counts exactly;
+//     canonical fingerprint (fingerprint.go) in one memo map behind a
+//     mutex; the subtree below a state is explored once and its outcome
+//     counts reused for every converging interleaving. Because the counts
+//     are of completions *from* the state, summing them once per incoming
+//     path reproduces tree counts exactly;
 //   - worker-pool frontier mode (Workers>1): the root is expanded
 //     breadth-first into a frontier of independent subtrees which a pool of
 //     workers explores concurrently. Merging is pure addition of counts —
 //     commutative and associative — so the result is bit-identical
 //     run-to-run and identical to the sequential modes regardless of
-//     scheduling. A shared memo table additionally dedupes states across
-//     subtrees (two frontier subtrees can converge).
+//     scheduling. The shared memo map additionally dedupes states across
+//     subtrees (two frontier subtrees can converge); sequential and
+//     parallel runs take the same path through it.
+//
+// Outcome counts are interned: the engine numbers each outcome string on
+// first sight, and a subtree's result is a sorted slice of (id, count)
+// pairs, immutable once built. A completed state returns its outcome's
+// shared one-path result, and a state with several successors sums them
+// into a stack buffer and allocates one exact-size slice. Run turns the
+// root's counts back into names, so no output depends on an id.
 //
 // Every mode explores in place: one mutable state per goroutine, branched
 // by applying a move, exploring, and undoing the move (litmus.go), so no
@@ -40,36 +49,54 @@ import (
 // depth (Σ pcs) is fixed, so frontier interiors can never reappear inside
 // a subtree and the two counting sites never overlap.
 
-// subResult is the outcome of exploring one subtree: completions and stuck
-// leaves reachable from its root, counted per path.
-type subResult struct {
-	outcomes map[string]int
-	stuck    int
+// outcomeCount is one entry of a subResult: n paths end in the outcome
+// with interned id (engine.leaf), or in a stuck leaf when id is stuckID.
+type outcomeCount struct {
+	id int32
+	n  int
 }
 
-func newSubResult() *subResult {
-	return &subResult{outcomes: make(map[string]int)}
-}
+// stuckID is the pseudo-outcome id counting stuck leaves; it sorts first.
+const stuckID int32 = -1
 
-// add merges o into r, scaling by mult (the number of distinct paths that
-// led to o's root).
-func (r *subResult) add(o *subResult, mult int) {
-	for k, v := range o.outcomes {
-		r.outcomes[k] += v * mult
+// subResult is the outcome of exploring one subtree: completions per
+// outcome and stuck leaves reachable from its root, counted per path and
+// sorted by id. Built results are immutable and shared — by memo entries,
+// by every parent that reaches them, and (for a completed leaf) by every
+// state with that outcome; only a private accumulator is ever extended
+// with add. nil is the empty result of an aborted subtree.
+type subResult []outcomeCount
+
+// add merges o, scaled by mult (the number of distinct paths that led to
+// o's root), into the accumulator acc and returns it. Both are sorted by
+// id, so one forward pass places every entry.
+func (acc subResult) add(o subResult, mult int) subResult {
+	i := 0
+	for _, c := range o {
+		for i < len(acc) && acc[i].id < c.id {
+			i++
+		}
+		if i < len(acc) && acc[i].id == c.id {
+			acc[i].n += c.n * mult
+			continue
+		}
+		acc = append(acc, outcomeCount{})
+		copy(acc[i+1:], acc[i:])
+		acc[i] = outcomeCount{id: c.id, n: c.n * mult}
 	}
-	r.stuck += o.stuck * mult
+	return acc
 }
 
-// emptySub is the shared result of an aborted subtree. Never mutated.
-var emptySub = &subResult{}
+// stuckLeaf is the shared result of a stuck state.
+var stuckLeaf = subResult{{id: stuckID, n: 1}}
 
-// cacheEntry is one memo-table slot. The goroutine that wins the
-// LoadOrStore computes res/err and closes done; others wait. The state
+// cacheEntry is one memo-table slot. The goroutine that creates it
+// computes res/err and calls done.Done; others wait on done. The state
 // graph is a DAG (each step advances one pc), so waits always point
 // "downward" and cannot cycle.
 type cacheEntry struct {
-	done chan struct{}
-	res  *subResult
+	done sync.WaitGroup
+	res  subResult
 	err  error
 }
 
@@ -80,7 +107,19 @@ type engine struct {
 	maxStates int64
 	states    atomic.Int64
 	budgetHit atomic.Bool
-	cache     sync.Map // fingerprint/canonical fingerprint -> *cacheEntry
+
+	// mu guards the memo table and the outcome intern table, which every
+	// worker shares.
+	mu    sync.Mutex
+	cache map[fingerprint]*cacheEntry // fingerprint/canonical fingerprint
+	// ids interns outcome strings in discovery order: names[id] is the
+	// outcome and leaves[id] its shared one-path result. Under parallel
+	// exploration discovery order depends on scheduling, so no output may
+	// depend on an id; Run reports outcomes by name.
+	ids    map[string]int32
+	names  []string
+	leaves []subResult
+
 	// claimed dedups expansion-phase state claims by canonical
 	// fingerprint in symmetry mode, so Result.States counts orbits
 	// identically for every worker count. Only touched from the
@@ -93,38 +132,91 @@ type engine struct {
 // memoization) the memo table is keyed by the orbit-canonical fingerprint
 // and stores results in the canonical register frame (see symmetry.go).
 func newEngine(x *Explorer) *engine {
-	g := &engine{x: x, memoize: x.Memoize, maxStates: int64(x.MaxStates)}
+	g := &engine{x: x, memoize: x.Memoize, maxStates: int64(x.MaxStates), ids: make(map[string]int32)}
+	if x.Memoize {
+		g.cache = make(map[fingerprint]*cacheEntry)
+	}
 	if x.Symmetry {
 		g.claimed = make(map[fingerprint]bool)
 	}
 	return g
 }
 
+// lookup returns the memo entry for fp and whether it already existed.
+// A new entry belongs to the caller, who must fill it and call done.Done.
+func (g *engine) lookup(fp fingerprint) (*cacheEntry, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if e, ok := g.cache[fp]; ok {
+		return e, true
+	}
+	e := new(cacheEntry)
+	e.done.Add(1)
+	g.cache[fp] = e
+	return e, false
+}
+
+// leaf returns the shared result of a completed state: one path to the
+// outcome its registers render to. The outcome is rendered into a stack
+// buffer, so a known outcome costs no allocation.
+func (g *engine) leaf(s *state) subResult {
+	var buf [64]byte
+	_, res := g.intern(g.x.appendCanonical(buf[:0], s.regs))
+	return res
+}
+
+// intern returns the id of the outcome rendered in b, and its shared
+// one-path result, interning the outcome on first sight.
+func (g *engine) intern(b []byte) (int32, subResult) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	id, ok := g.ids[string(b)]
+	if !ok {
+		id = int32(len(g.names))
+		name := string(b)
+		g.ids[name] = id
+		g.names = append(g.names, name)
+		g.leaves = append(g.leaves, subResult{{id: id, n: 1}})
+	}
+	return id, g.leaves[id]
+}
+
+// name returns the outcome interned as id.
+func (g *engine) name(id int32) string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.names[id]
+}
+
+// result renders the root's subResult as a Result, by outcome name.
+func (g *engine) result(res subResult) *Result {
+	out := &Result{Outcomes: make(map[string]int, len(res)), States: int(g.states.Load())}
+	for _, c := range res {
+		if c.id == stuckID {
+			out.Stuck = c.n
+		} else {
+			out.Outcomes[g.name(c.id)] = c.n
+		}
+	}
+	return out
+}
+
 // explore returns the subResult for s, consulting the memo table when
 // enabled. Results from the table are shared and must not be mutated.
-func (g *engine) explore(s *state) (*subResult, error) {
+func (g *engine) explore(s *state) (subResult, error) {
 	if !g.memoize {
 		return g.compute(s)
 	}
 	if len(g.x.auts) > 0 {
 		return g.exploreSym(s)
 	}
-	fp := g.x.fingerprint(s)
-	// Fast path: cache hits dominate once memoization kicks in, so probe
-	// with a plain Load before allocating an entry for LoadOrStore.
-	if prev, ok := g.cache.Load(fp); ok {
-		pe := prev.(*cacheEntry)
-		<-pe.done
-		return pe.res, pe.err
-	}
-	e := &cacheEntry{done: make(chan struct{})}
-	if prev, loaded := g.cache.LoadOrStore(fp, e); loaded {
-		pe := prev.(*cacheEntry)
-		<-pe.done
-		return pe.res, pe.err
+	e, hit := g.lookup(g.x.fingerprint(s))
+	if hit {
+		e.done.Wait()
+		return e.res, e.err
 	}
 	e.res, e.err = g.compute(s)
-	close(e.done)
+	e.done.Done()
 	return e.res, e.err
 }
 
@@ -146,41 +238,38 @@ func (g *engine) canonicalFP(s *state) (fingerprint, *autPerm) {
 // exploreSym is explore under symmetry reduction: memo entries are keyed
 // by orbit and stored in the canonical register frame — the frame of the
 // achieving permutation — so a hit from any orbit member translates the
-// shared outcome map into its own frame. Each stored permutation is
+// shared outcome counts into its own frame. Each stored permutation is
 // individually a program automorphism, which is all translation needs;
 // the set need not be closed under composition.
-func (g *engine) exploreSym(s *state) (*subResult, error) {
+func (g *engine) exploreSym(s *state) (subResult, error) {
 	fp, perm := g.canonicalFP(s)
-	if prev, ok := g.cache.Load(fp); ok {
-		return g.translated(prev.(*cacheEntry), perm)
-	}
-	e := &cacheEntry{done: make(chan struct{})}
-	if prev, loaded := g.cache.LoadOrStore(fp, e); loaded {
-		return g.translated(prev.(*cacheEntry), perm)
+	e, hit := g.lookup(fp)
+	if hit {
+		return g.translated(e, perm)
 	}
 	res, err := g.compute(s)
 	if err != nil {
 		e.err = err
 	} else if perm != nil {
-		e.res = g.x.translateSub(res, perm.regTo)
+		e.res = g.translateSub(res, perm.regTo)
 	} else {
 		e.res = res
 	}
-	close(e.done)
+	e.done.Done()
 	return res, err
 }
 
 // translated waits for a memo entry and maps its canonical-frame result
 // back into the frame of the state that hit it.
-func (g *engine) translated(pe *cacheEntry, perm *autPerm) (*subResult, error) {
-	<-pe.done
+func (g *engine) translated(pe *cacheEntry, perm *autPerm) (subResult, error) {
+	pe.done.Wait()
 	if pe.err != nil {
 		return nil, pe.err
 	}
 	if perm == nil {
 		return pe.res, nil
 	}
-	return g.x.translateSub(pe.res, perm.regFrom), nil
+	return g.translateSub(pe.res, perm.regFrom), nil
 }
 
 // claimState takes one slot of the state budget, flipping budgetHit when
@@ -196,12 +285,12 @@ func (g *engine) claimState() bool {
 	return true
 }
 
-// expandState classifies one claimed state: a completed execution (done,
-// with its canonical outcome), or its enabled moves appended to ms (none =
-// stuck), all computed on s before any is applied. Both the recursive walk
-// and the frontier expansion go through here so terminal-state and
-// stepping semantics live in one place.
-func (g *engine) expandState(ms []move, s *state) (outcome string, done bool, _ []move, err error) {
+// expandState classifies one claimed state: a completed execution (done),
+// or its enabled moves appended to ms (none = stuck), all computed on s
+// before any is applied. Both the recursive walk and the frontier
+// expansion go through here so terminal-state and stepping semantics live
+// in one place.
+func (g *engine) expandState(ms []move, s *state) (done bool, _ []move, err error) {
 	allDone := true
 	for t := range g.x.prog.Threads {
 		if s.pcs[t] < len(g.x.prog.Threads[t]) {
@@ -210,36 +299,43 @@ func (g *engine) expandState(ms []move, s *state) (outcome string, done bool, _ 
 		}
 	}
 	if allDone {
-		return g.x.canonical(s.regs), true, ms, nil
+		return true, ms, nil
 	}
 	for t := range g.x.prog.Threads {
 		if ms, err = g.x.moves(ms, s, t); err != nil {
-			return "", false, nil, err
+			return false, nil, err
 		}
 	}
-	return "", false, ms, nil
+	return false, ms, nil
 }
 
-// compute walks one state: claims a slot of the state budget, emits the
-// outcome for complete states, and otherwise explores each successor by
-// applying its move to s, recursing, and undoing the move — s is back to
-// its entry value when compute returns, error or not.
-func (g *engine) compute(s *state) (*subResult, error) {
+// compute walks one state: claims a slot of the state budget, returns the
+// outcome's shared leaf for complete states, and otherwise explores each
+// successor by applying its move to s, recursing, and undoing the move —
+// s is back to its entry value when compute returns, error or not. The
+// children's counts are summed in a stack buffer and copied out once; a
+// state with one successor shares its child's result.
+func (g *engine) compute(s *state) (subResult, error) {
 	if !g.claimState() {
-		return emptySub, nil
+		return nil, nil
 	}
 	var buf [8]move // most states' moves fit, so ms stays on the stack
-	outcome, done, ms, err := g.expandState(buf[:0], s)
-	if err != nil {
+	done, ms, err := g.expandState(buf[:0], s)
+	switch {
+	case err != nil:
 		return nil, err
+	case done:
+		return g.leaf(s), nil
+	case len(ms) == 0:
+		return stuckLeaf, nil
+	case len(ms) == 1:
+		tr := g.x.apply(s, ms[0])
+		sub, err := g.explore(s)
+		g.x.undo(s, ms[0], tr)
+		return sub, err
 	}
-	if done {
-		return &subResult{outcomes: map[string]int{outcome: 1}}, nil
-	}
-	if len(ms) == 0 {
-		return &subResult{stuck: 1}, nil
-	}
-	res := newSubResult()
+	var sum [16]outcomeCount
+	acc := subResult(sum[:0])
 	for _, m := range ms {
 		tr := g.x.apply(s, m)
 		sub, err := g.explore(s)
@@ -247,8 +343,10 @@ func (g *engine) compute(s *state) (*subResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.add(sub, 1)
+		acc = acc.add(sub, 1)
 	}
+	res := make(subResult, len(acc))
+	copy(res, acc)
 	return res, nil
 }
 
@@ -312,8 +410,8 @@ func (g *engine) rewind(s *state, path []move, trs []trail) {
 // path onto root and rewinds it, and every worker replays its entries
 // onto a root of its own (newRoot), so states are never copied and no two
 // goroutines touch one state.
-func (g *engine) runParallel(root *state, workers int) (*subResult, error) {
-	res := newSubResult()
+func (g *engine) runParallel(root *state, workers int) (subResult, error) {
+	var res subResult
 	frontier := []frontierEntry{{mult: 1}}
 	target := workers * 4
 	for len(frontier) > 0 && len(frontier) < target {
@@ -325,7 +423,7 @@ func (g *engine) runParallel(root *state, workers int) (*subResult, error) {
 		for _, en := range frontier {
 			var stop bool
 			var err error
-			if next, stop, err = g.expandEntry(root, en, res, next, nextIdx); err != nil {
+			if next, stop, err = g.expandEntry(root, en, &res, next, nextIdx); err != nil {
 				return nil, err
 			}
 			if stop {
@@ -364,7 +462,7 @@ func (g *engine) runParallel(root *state, workers int) (*subResult, error) {
 						firstErr = err
 					}
 				} else {
-					res.add(sub, en.mult)
+					res = res.add(sub, en.mult)
 				}
 				mu.Unlock()
 			}
@@ -378,25 +476,26 @@ func (g *engine) runParallel(root *state, workers int) (*subResult, error) {
 }
 
 // expandEntry replays the frontier entry en onto the root state s and
-// expands it: a completed or stuck state folds into res, otherwise each
-// successor's path is appended to next (deduplicated through nextIdx when
-// memoizing). s is rewound on return; stop reports an exhausted budget.
+// expands it: a completed or stuck state folds into the accumulator res,
+// otherwise each successor's path is appended to next (deduplicated
+// through nextIdx when memoizing). s is rewound on return; stop reports an
+// exhausted budget.
 func (g *engine) expandEntry(s *state, en frontierEntry, res *subResult, next []frontierEntry, nextIdx map[fingerprint]int) (_ []frontierEntry, stop bool, err error) {
 	trs := g.replay(s, en.path)
 	defer g.rewind(s, en.path, trs)
 	if !g.claimFrontier(s) {
 		return next, true, nil
 	}
-	outcome, done, ms, err := g.expandState(nil, s)
+	done, ms, err := g.expandState(nil, s)
 	if err != nil {
 		return next, false, err
 	}
 	if done {
-		res.outcomes[outcome] += en.mult
+		*res = res.add(g.leaf(s), en.mult)
 		return next, false, nil
 	}
 	if len(ms) == 0 {
-		res.stuck += en.mult
+		*res = res.add(stuckLeaf, en.mult)
 		return next, false, nil
 	}
 	for _, m := range ms {

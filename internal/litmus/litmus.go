@@ -540,7 +540,7 @@ func (x *Explorer) Run() (*Result, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	g := newEngine(x)
-	var res *subResult
+	var res subResult
 	if workers == 1 {
 		res, err = g.explore(s)
 	} else {
@@ -553,11 +553,7 @@ func (x *Explorer) Run() (*Result, error) {
 		return nil, fmt.Errorf("litmus %s: %w (budget %d, work remained)",
 			x.prog.Name, ErrBudget, x.MaxStates)
 	}
-	out := &Result{Outcomes: res.outcomes, Stuck: res.stuck, States: int(g.states.Load())}
-	if out.Outcomes == nil {
-		out.Outcomes = make(map[string]int)
-	}
-	return out, nil
+	return g.result(res), nil
 }
 
 // readCandidates returns the write op IDs a read of loc by thread t may
@@ -567,7 +563,7 @@ func (x *Explorer) Run() (*Result, error) {
 func (x *Explorer) readCandidates(s *state, t int, loc core.Loc) []int {
 	cands := s.exec.ReadableAt(core.ProcID(t), loc)
 	last := s.lastRead[t*len(x.prog.Locs)+int(loc)]
-	var out []int
+	out := cands[:0] // filtered in place: cands is ours
 	for _, b := range cands {
 		// Monotonicity: never read a write that is strictly before
 		// the one we already observed, in our own view.
@@ -692,22 +688,27 @@ func (x *Explorer) undo(s *state, m move, tr trail) {
 // sorted by name, so walking the register file in slot order yields the
 // same "r1=42 r2=0" form the map-based renderer produced.
 func (x *Explorer) canonical(regs []regVal) string {
-	var b strings.Builder
+	return string(x.appendCanonical(nil, regs))
+}
+
+// appendCanonical appends canonical(regs) to dst.
+func (x *Explorer) appendCanonical(dst []byte, regs []regVal) []byte {
+	n := len(dst)
 	for i, r := range regs {
 		if !r.Set {
 			continue
 		}
-		if b.Len() > 0 {
-			b.WriteByte(' ')
+		if len(dst) > n {
+			dst = append(dst, ' ')
 		}
-		b.WriteString(x.regOrder[i])
-		b.WriteByte('=')
-		b.WriteString(strconv.FormatUint(uint64(r.Val), 10))
+		dst = append(dst, x.regOrder[i]...)
+		dst = append(dst, '=')
+		dst = strconv.AppendUint(dst, uint64(r.Val), 10)
 	}
-	if b.Len() == 0 {
-		return noObservations
+	if len(dst) == n {
+		return append(dst, noObservations...)
 	}
-	return b.String()
+	return dst
 }
 
 // noObservations is the canonical outcome of a program with no observed

@@ -1,7 +1,9 @@
 package litmus
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -263,15 +265,22 @@ func (x *Explorer) translateOutcome(out string, slotMap []int) string {
 	return x.canonical(regs)
 }
 
-// translateSub translates a subtree result through a register-slot map.
-// The input is shared memo state and is never mutated.
-func (x *Explorer) translateSub(res *subResult, slotMap []int) *subResult {
-	if len(res.outcomes) == 0 {
-		return res
+// translateSub translates a subtree result through a register-slot map:
+// each outcome id maps to its name, through translateOutcome, and back to
+// an id. The input is shared memo state and is never mutated.
+func (g *engine) translateSub(res subResult, slotMap []int) subResult {
+	if len(res) == 0 || res[len(res)-1].id == stuckID {
+		return res // no outcomes, at most the stuck count
 	}
-	out := &subResult{outcomes: make(map[string]int, len(res.outcomes)), stuck: res.stuck}
-	for o, n := range res.outcomes {
-		out.outcomes[x.translateOutcome(o, slotMap)] = n
+	out := make(subResult, len(res))
+	for i, c := range res {
+		if c.id != stuckID {
+			c.id, _ = g.intern([]byte(g.x.translateOutcome(g.name(c.id), slotMap)))
+		}
+		out[i] = c
 	}
+	// The translation is a bijection on outcomes, so no two entries
+	// merge; only their id order changes.
+	slices.SortFunc(out, func(a, b outcomeCount) int { return cmp.Compare(a.id, b.id) })
 	return out
 }
