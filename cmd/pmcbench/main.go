@@ -1,7 +1,8 @@
 // Command pmcbench is the behaviour-contract driver: it runs a declarative
-// suite across the simulator, the litmus engines and the fuzzer, records
-// every entry's exact metrics (sim-cycles, checksums, states, campaign
-// tallies) in the versioned BENCH.json schema, and diffs two such reports.
+// suite of pmcd jobs (one-cell sweeps, litmus explorations, fuzz
+// campaigns) through the job service's runner, records every entry's exact
+// metrics (sim-cycles, checksums, states, campaign tallies) in the
+// versioned BENCH.json schema, and diffs two such reports.
 // Host time is measured by the benchmark/ module, not here.
 //
 // Usage:

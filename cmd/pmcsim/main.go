@@ -207,11 +207,6 @@ func runSweep(apps, backends, tileList, topo, scale string, clusters, parallel i
 	}
 	base := pmc.DefaultConfig()
 	base.Clusters = clusters
-	for _, t := range spec.Tiles {
-		if need := pmc.MinSDRAMBytes(t); need > base.SDRAMBytes {
-			base.SDRAMBytes = need
-		}
-	}
 	spec.Base = &base
 
 	// A failed cell does not void the batch: Sweep still returns every
@@ -332,9 +327,6 @@ func runWorkload(name, backend string, tiles int, topo string, clusters int, loa
 	}
 	cfg.NoC.Topology = tp
 	cfg.Clusters = clusters
-	if need := pmc.MinSDRAMBytes(cfg.Tiles); need > cfg.SDRAMBytes {
-		cfg.SDRAMBytes = need
-	}
 	var res *pmc.Result
 	if traceOut != "" {
 		var tr *pmc.Trace

@@ -446,28 +446,6 @@ func (c *Cache) WriteLineFull(addr mem.Addr, src []byte) (tr Traffic) {
 	return tr
 }
 
-// FlushRange flush-invalidates every line overlapping [addr, addr+size) and
-// returns the number of lines visited and written back. The per-line cost
-// (one flush instruction each, plus bus time per writeback) is charged by
-// the caller.
-func (c *Cache) FlushRange(addr mem.Addr, size int) (lines, writebacks int) {
-	if size <= 0 {
-		return 0, 0
-	}
-	first := c.LineBase(addr)
-	last := c.LineBase(addr + mem.Addr(size-1))
-	for a := first; ; a += mem.Addr(c.cfg.LineSize) {
-		lines++
-		if tr := c.FlushLine(a); tr.Writeback {
-			writebacks++
-		}
-		if a == last {
-			break
-		}
-	}
-	return lines, writebacks
-}
-
 // FlushAll flush-invalidates every resident line and returns the number of
 // writebacks performed. A data cache that never filled has no resident
 // line and returns at once.

@@ -126,29 +126,6 @@ func TestLRUWithinSet(t *testing.T) {
 	}
 }
 
-func TestFlushRangeCoversStraddlingLines(t *testing.T) {
-	c, ram := newTestCache(t, small())
-	// Dirty three consecutive lines.
-	c.Write32(0x20, 1)
-	c.Write32(0x40, 2)
-	c.Write32(0x60, 3)
-	// Range [0x24, 0x64) straddles lines 0x20, 0x40, 0x60.
-	lines, wbs := c.FlushRange(0x24, 0x40)
-	if lines != 3 || wbs != 3 {
-		t.Fatalf("FlushRange = (%d lines, %d wbs), want (3,3)", lines, wbs)
-	}
-	if ram.Read32(0x20) != 1 || ram.Read32(0x40) != 2 || ram.Read32(0x60) != 3 {
-		t.Fatal("flush range lost data")
-	}
-}
-
-func TestFlushRangeZeroSize(t *testing.T) {
-	c, _ := newTestCache(t, small())
-	if lines, wbs := c.FlushRange(0x20, 0); lines != 0 || wbs != 0 {
-		t.Fatal("zero-size flush should do nothing")
-	}
-}
-
 func TestFlushAll(t *testing.T) {
 	c, ram := newTestCache(t, small())
 	c.Write32(0x00, 1)

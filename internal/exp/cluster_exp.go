@@ -5,8 +5,6 @@ import (
 	"io"
 
 	"pmc/internal/noc"
-	"pmc/internal/rt"
-	"pmc/internal/soc"
 	"pmc/internal/sweep"
 )
 
@@ -28,7 +26,6 @@ func init() {
 				// Each flat backend next to its cluster-aware variant.
 				apps: []string{"radiosity"}, backends: []string{"nocc", "dsm", "cdsm", "cspm"}, tiles: tiles,
 				topos:    []noc.Topology{noc.ClusterTopo(8, noc.KindRing), noc.ClusterTopo(16, noc.KindMesh)},
-				base:     kilotileSDRAM,
 				portable: true,
 				pivots: []field{
 					{fmt.Sprintf("makespan speedup over the %d-tile run of the same backend/shape:", tiles[0]), 8, speedupOver(tiles[0])},
@@ -50,7 +47,7 @@ func init() {
 					fmt.Fprintln(w, "\n1024-tile smoke (cluster:32xmesh):")
 					return grid{
 						apps: g.apps, backends: []string{"cdsm", "cspm"}, tiles: []int{1024},
-						topos: []noc.Topology{noc.ClusterTopo(32, noc.KindMesh)}, base: kilotileSDRAM, portable: true,
+						topos: []noc.Topology{noc.ClusterTopo(32, noc.KindMesh)}, portable: true,
 						cols: []field{backendCol, cyclesCol,
 							{"local/global hops", 19, hopSplit}, checksumCol},
 					}.run(w, o)
@@ -60,7 +57,3 @@ func init() {
 		}),
 	})
 }
-
-// kilotileSDRAM sizes the SDRAM for 1024 tiles: the default 32 MiB map
-// stops fitting per-tile private heaps beyond 48 tiles.
-func kilotileSDRAM(c *soc.Config) { c.SDRAMBytes = rt.MinSDRAMBytes(1024) }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"pmc/internal/noc"
-	"pmc/internal/soc"
 	"pmc/internal/sweep"
 	"pmc/internal/workloads"
 )
@@ -25,8 +24,6 @@ type grid struct {
 	// make builds each cell's workload; nil means makeScaled. Only grids
 	// of parameterised instances set it.
 	make func(sweep.Cell) (workloads.App, error)
-	// base tweaks the system template every cell starts from.
-	base func(*soc.Config)
 	// portable requires every cell of one (app, tiles) to compute the
 	// same checksum, whatever its backend and topology.
 	portable bool
@@ -76,12 +73,8 @@ func (g grid) run(w io.Writer, o Options) error {
 	if g.topos == nil {
 		g.topos = []noc.Topology{noc.TopoRing}
 	}
-	base := soc.DefaultConfig()
-	if g.base != nil {
-		g.base(&base)
-	}
 	spec := sweep.Spec{Apps: g.apps, Backends: g.backends, Tiles: g.tiles, Topos: g.topos,
-		Base: &base, Make: g.make, Workers: o.Workers}
+		Make: g.make, Workers: o.Workers}
 	if spec.Make == nil {
 		spec.Make = makeScaled(o)
 	}

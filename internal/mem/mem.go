@@ -336,33 +336,6 @@ func (s *SDRAM) WriteWord(p *sim.Proc, addr Addr, v uint32) (stall sim.Time) {
 	return stall
 }
 
-// FillLine performs a timed line burst read into dst (len(dst) should be
-// Cfg.LineSize) on behalf of p.
-func (s *SDRAM) FillLine(p *sim.Proc, addr Addr, dst []byte) (stall sim.Time) {
-	stall = s.AccessLine(p, addr)
-	s.LineFills++
-	s.ReadBlock(addr, dst)
-	return stall
-}
-
-// WritebackLine performs a timed line burst write from src on behalf of p.
-func (s *SDRAM) WritebackLine(p *sim.Proc, addr Addr, src []byte) (stall sim.Time) {
-	stall = s.AccessLine(p, addr)
-	s.LineWBs++
-	s.WriteBlock(addr, src)
-	return stall
-}
-
-// WritebackLineAt books bus time for a line writeback at or after time t
-// without a process context (used during lock-transfer flushes) and applies
-// the data immediately. It returns when the bus slot ends.
-func (s *SDRAM) WritebackLineAt(t sim.Time, addr Addr, src []byte) (end sim.Time) {
-	end = s.ReserveLineAt(t, addr)
-	s.LineWBs++
-	s.WriteBlock(addr, src)
-	return end
-}
-
 // ReserveLineWB books bus time for a line writeback whose data has already
 // been deposited in the RAM (caches write their backing store directly);
 // only the timing and the counter remain. It returns when the slot ends.
@@ -405,20 +378,6 @@ type Local struct {
 // NewLocal returns tile-local memory for the given tile.
 func NewLocal(tile int, base Addr, size int) *Local {
 	return &Local{RAM: NewRAM(base, size), Tile: tile}
-}
-
-// CoreRead32 is a single-cycle word read by the owning core.
-func (l *Local) CoreRead32(p *sim.Proc, addr Addr) uint32 {
-	p.Wait(1)
-	l.CoreReads++
-	return l.Read32(addr)
-}
-
-// CoreWrite32 is a single-cycle word write by the owning core.
-func (l *Local) CoreWrite32(p *sim.Proc, addr Addr, v uint32) {
-	p.Wait(1)
-	l.CoreWrites++
-	l.Write32(addr, v)
 }
 
 // NoCWriteBlock applies a block write arriving over the NoC port. It is

@@ -155,35 +155,10 @@ func TestSDRAMTimingContended(t *testing.T) {
 	}
 }
 
-func TestSDRAMLineOps(t *testing.T) {
-	k := sim.New()
-	s := NewSDRAM(k, 0, 4096, DefaultSDRAMConfig())
-	k.Spawn("p", func(p *sim.Proc) {
-		line := make([]byte, 32)
-		for i := range line {
-			line[i] = byte(i)
-		}
-		s.WritebackLine(p, 64, line)
-		got := make([]byte, 32)
-		s.FillLine(p, 64, got)
-		for i := range line {
-			if got[i] != line[i] {
-				t.Errorf("line byte %d = %d, want %d", i, got[i], line[i])
-			}
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if s.LineFills != 1 || s.LineWBs != 1 {
-		t.Fatalf("counters: fills=%d wbs=%d", s.LineFills, s.LineWBs)
-	}
-}
-
-func TestWritebackLineAtReservesBank(t *testing.T) {
+func TestReserveLineAtReservesBank(t *testing.T) {
 	k := sim.New()
 	s := NewSDRAM(k, 0, 1024, SDRAMConfig{WordLat: 8, LineLat: 24, LineSize: 32})
-	end := s.WritebackLineAt(100, 0, make([]byte, 32))
+	end := s.ReserveLineAt(100, 0)
 	if end != 124 {
 		t.Fatalf("end = %d, want 124", end)
 	}
@@ -194,28 +169,12 @@ func TestWritebackLineAtReservesBank(t *testing.T) {
 }
 
 func TestLocalMemory(t *testing.T) {
-	k := sim.New()
 	l := NewLocal(3, 0x8000_0000, 1024)
-	k.Spawn("core", func(p *sim.Proc) {
-		l.CoreWrite32(p, 0x8000_0000, 7)
-		if p.Now() != 1 {
-			t.Errorf("core write took %d cycles, want 1", p.Now())
-		}
-		if v := l.CoreRead32(p, 0x8000_0000); v != 7 {
-			t.Errorf("read = %d, want 7", v)
-		}
-		if p.Now() != 2 {
-			t.Errorf("after read now = %d, want 2", p.Now())
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
 	l.NoCWriteBlock(0x8000_0010, []byte{9, 0, 0, 0})
 	if l.Read32(0x8000_0010) != 9 {
 		t.Fatal("NoC port write not visible")
 	}
-	if l.CoreReads != 1 || l.CoreWrites != 1 || l.NoCWrites != 1 {
+	if l.CoreReads != 0 || l.CoreWrites != 0 || l.NoCWrites != 1 {
 		t.Fatalf("counters: r=%d w=%d noc=%d", l.CoreReads, l.CoreWrites, l.NoCWrites)
 	}
 }

@@ -1,9 +1,11 @@
 // Package perf is the repo's exact behaviour contract: a declarative
-// suite executed across the repo's layers — simulated workloads (apps ×
-// backends × tiles × topology), litmus exploration (tree vs memoized vs
-// parallel engines) and seeded differential fuzz campaigns — whose
-// deterministic results serialize to a versioned JSON report that Compare
-// diffs against a committed baseline.
+// suite of pmcd jobs executed across the repo's layers — one-cell sweeps
+// (app × backend × tiles × topology), litmus explorations (tree vs
+// memoized engines, with and without symmetry reduction) and seeded
+// differential fuzz campaigns — whose deterministic results serialize to a
+// versioned JSON report that Compare diffs against a committed baseline.
+// Every entry runs through pmcd.Run, the runner the job service serves
+// from, and its metrics are read off the typed result.
 //
 // Every metric is exact: sim-cycles, checksums, flit-hops, explored
 // states, outcome counts, campaign tallies, service latencies. They are
@@ -21,64 +23,18 @@ import (
 	"fmt"
 	"io"
 
-	"pmc/internal/fuzz"
-	"pmc/internal/litmus"
-	"pmc/internal/noc"
-	"pmc/internal/rt"
-	"pmc/internal/soc"
-	"pmc/internal/workloads"
+	"pmc/internal/pmcd"
 )
 
 // Schema versions the BENCH.json layout. Compare refuses to diff reports
 // with different schemas.
 const Schema = 2
 
-// SimBench measures one simulated workload run: app (workloads.ByName
-// names) on backend with the given tile count and NoC topology.
-type SimBench struct {
-	App     string `json:"app"`
-	Backend string `json:"backend"`
-	Tiles   int    `json:"tiles"`
-	Topo    string `json:"topo,omitempty"`  // "" = ring
-	Small   bool   `json:"small,omitempty"` // CI-sized app configuration
-}
-
-// LitmusBench measures one exhaustive litmus exploration under a chosen
-// engine configuration.
-type LitmusBench struct {
-	Prog string `json:"prog"`
-	// Workers is the exploration goroutine count (0 = GOMAXPROCS,
-	// 1 = sequential).
-	Workers int `json:"workers"`
-	// Memoize enables canonical-state deduplication. Workers=1 with
-	// Memoize=false is the reference tree engine.
-	Memoize bool `json:"memoize"`
-	// MaxStates overrides the state budget (0 = explorer default).
-	MaxStates int `json:"max_states,omitempty"`
-	// Symmetry collapses automorphism-related states (requires Memoize);
-	// outcomes and paths are unchanged, states shrinks by the orbit
-	// factor.
-	Symmetry bool `json:"symmetry,omitempty"`
-}
-
-// FuzzBench runs a seeded differential fuzzing campaign. The campaign
-// summary (unique programs, checks, violations) is
-// worker-count-independent, so its tallies are exact metrics.
-type FuzzBench struct {
-	Seed     int64    `json:"seed"`
-	N        int      `json:"n"`
-	Mode     string   `json:"mode"`
-	Backends []string `json:"backends,omitempty"` // nil = the paper's four
-	Runs     int      `json:"runs,omitempty"`     // perturbed runs per pair
-}
-
-// Entry is one benchmark of a suite: exactly one of Sim, Litmus, Fuzz is
-// set.
+// Entry is one benchmark of a suite: a named pmcd job. A sweep job must
+// name exactly one cell.
 type Entry struct {
-	Name   string       `json:"name"`
-	Sim    *SimBench    `json:"sim,omitempty"`
-	Litmus *LitmusBench `json:"litmus,omitempty"`
-	Fuzz   *FuzzBench   `json:"fuzz,omitempty"`
+	Name string       `json:"name"`
+	Job  pmcd.JobSpec `json:"job"`
 }
 
 // Spec declares a benchmark run.
@@ -152,14 +108,12 @@ func (s *Spec) validate() error {
 			return fmt.Errorf("perf: duplicate entry name %q", e.Name)
 		}
 		seen[e.Name] = true
-		n := 0
-		for _, set := range []bool{e.Sim != nil, e.Litmus != nil, e.Fuzz != nil} {
-			if set {
-				n++
-			}
+		n, err := e.Job.Normalize()
+		if err != nil {
+			return fmt.Errorf("perf: entry %q: %w", e.Name, err)
 		}
-		if n != 1 {
-			return fmt.Errorf("perf: entry %q must set exactly one of sim/litmus/fuzz", e.Name)
+		if j := n.Sweep; j != nil && len(j.Apps)*len(j.Backends)*len(j.Tiles)*len(j.Topos) != 1 {
+			return fmt.Errorf("perf: entry %q is a sweep of more than one cell", e.Name)
 		}
 	}
 	return nil
@@ -222,108 +176,48 @@ func sameExact(a, b []Metric) error {
 
 // runEntry executes one entry once and returns its exact metrics.
 func runEntry(e Entry) ([]Metric, error) {
+	res, err := pmcd.Run(e.Job, nil)
+	if err != nil {
+		return nil, err
+	}
 	switch {
-	case e.Sim != nil:
-		return runSim(e.Sim)
-	case e.Litmus != nil:
-		return runLitmus(e.Litmus)
-	case e.Fuzz != nil:
-		return runFuzz(e.Fuzz)
-	}
-	return nil, fmt.Errorf("entry %q sets none of sim/litmus/fuzz", e.Name)
-}
-
-func runSim(sb *SimBench) ([]Metric, error) {
-	app, ok := workloads.Scaled(sb.App, sb.Small)
-	if !ok {
-		return nil, fmt.Errorf("unknown app %q", sb.App)
-	}
-	cfg := soc.DefaultConfig()
-	if sb.Tiles > 0 {
-		cfg.Tiles = sb.Tiles
-	}
-	if sb.Topo != "" {
-		topo, err := noc.ParseTopology(sb.Topo)
-		if err != nil {
-			return nil, err
+	case res.Sweep != nil:
+		row := res.Sweep.Rows[0]
+		ms := []Metric{
+			{Name: "sim-cycles", Value: float64(row.Cycles)},
+			{Name: "flit-hops", Value: float64(row.FlitHops)},
+			{Name: "checksum", Value: float64(row.Checksum)},
 		}
-		cfg.NoC.Topology = topo
+		// Service workloads additionally gate on the exact tail-latency
+		// metrics: any p50/p99 drift — a scheduling or protocol change
+		// reaching request timing — fails the bench gate just like a
+		// sim-cycles drift.
+		if row.Result.Service != nil {
+			ms = append(ms,
+				Metric{Name: "requests", Value: float64(row.Requests)},
+				Metric{Name: "p50-latency", Value: float64(row.P50Latency)},
+				Metric{Name: "p99-latency", Value: float64(row.P99Latency)},
+			)
+		}
+		return ms, nil
+	case res.Litmus != nil:
+		v := res.Litmus
+		paths := 0
+		for _, o := range v.Outcomes {
+			paths += o.Executions
+		}
+		return []Metric{
+			{Name: "states", Value: float64(v.States)},
+			{Name: "outcomes", Value: float64(len(v.Outcomes))},
+			{Name: "paths", Value: float64(paths)},
+			{Name: "stuck", Value: float64(v.Stuck)},
+		}, nil
+	default:
+		v := res.Fuzz
+		return []Metric{
+			{Name: "unique-programs", Value: float64(v.Unique)},
+			{Name: "checked-pairs", Value: float64(v.Checked)},
+			{Name: "violations", Value: float64(len(v.Violations))},
+		}, nil
 	}
-	// Large entries outgrow the default memory map (its per-tile private
-	// heaps stop at 48 tiles); the guard leaves every ≤32-tile entry — and
-	// so every recorded baseline metric — untouched.
-	if need := rt.MinSDRAMBytes(cfg.Tiles); need > cfg.SDRAMBytes {
-		cfg.SDRAMBytes = need
-	}
-	res, err := workloads.Run(app, cfg, sb.Backend)
-	if err != nil {
-		return nil, err
-	}
-	ms := []Metric{
-		{Name: "sim-cycles", Value: float64(res.Cycles)},
-		{Name: "flit-hops", Value: float64(res.FlitHops)},
-		{Name: "checksum", Value: float64(res.Checksum)},
-	}
-	// Service workloads additionally gate on the exact tail-latency
-	// metrics: any p50/p99 drift — a scheduling or protocol change
-	// reaching request timing — fails the bench gate just like a
-	// sim-cycles drift.
-	if res.Service != nil {
-		ms = append(ms,
-			Metric{Name: "requests", Value: float64(res.Service.Completed)},
-			Metric{Name: "p50-latency", Value: float64(res.Service.P50())},
-			Metric{Name: "p99-latency", Value: float64(res.Service.P99())},
-		)
-	}
-	return ms, nil
-}
-
-func runLitmus(lb *LitmusBench) ([]Metric, error) {
-	prog, ok := litmus.ByName(lb.Prog)
-	if !ok {
-		return nil, fmt.Errorf("unknown litmus program %q", lb.Prog)
-	}
-	x := litmus.NewExplorer(prog)
-	x.Workers = lb.Workers
-	x.Memoize = lb.Memoize
-	x.Symmetry = lb.Symmetry
-	if lb.MaxStates > 0 {
-		x.MaxStates = lb.MaxStates
-	}
-	res, err := x.Run()
-	if err != nil {
-		return nil, err
-	}
-	paths := 0
-	for _, n := range res.Outcomes {
-		paths += n
-	}
-	return []Metric{
-		{Name: "states", Value: float64(res.States)},
-		{Name: "outcomes", Value: float64(len(res.Outcomes))},
-		{Name: "paths", Value: float64(paths)},
-		{Name: "stuck", Value: float64(res.Stuck)},
-	}, nil
-}
-
-func runFuzz(fb *FuzzBench) ([]Metric, error) {
-	mode, err := fuzz.ParseMode(fb.Mode)
-	if err != nil {
-		return nil, err
-	}
-	sum, err := fuzz.Run(fuzz.Config{
-		Seed:     fb.Seed,
-		N:        fb.N,
-		Gen:      fuzz.GenConfig{Mode: mode},
-		Backends: fb.Backends,
-		Runs:     fb.Runs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return []Metric{
-		{Name: "unique-programs", Value: float64(sum.Unique)},
-		{Name: "checked-pairs", Value: float64(sum.Checked)},
-		{Name: "violations", Value: float64(len(sum.Violations))},
-	}, nil
 }

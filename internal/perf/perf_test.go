@@ -6,9 +6,14 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"pmc/internal/pmcd"
 )
 
-// TestSuites: every builtin suite validates and names entries uniquely.
+// TestSuites: every builtin suite validates — names are unique, every
+// entry's job normalizes through pmcd, and every sweep entry is one cell —
+// so a bad app or topology in the full suite fails here, not partway
+// through a 1024-tile run.
 func TestSuites(t *testing.T) {
 	names := Suites()
 	if len(names) == 0 {
@@ -32,24 +37,25 @@ func TestSpecValidate(t *testing.T) {
 	if err := (&Spec{}).validate(); err == nil {
 		t.Error("empty suite accepted")
 	}
-	neg := Spec{Reps: -3, Entries: []Entry{{Name: "a", Litmus: &LitmusBench{Prog: "sb-drf"}}}}
+	neg := Spec{Reps: -3, Entries: []Entry{lit("a", "sb-drf", false)}}
 	if err := neg.validate(); err == nil || !strings.Contains(err.Error(), "negative") {
 		t.Errorf("negative reps: got %v", err)
 	}
-	dup := Spec{Entries: []Entry{
-		{Name: "a", Litmus: &LitmusBench{Prog: "sb-drf"}},
-		{Name: "a", Litmus: &LitmusBench{Prog: "sb-drf"}},
-	}}
+	dup := Spec{Entries: []Entry{lit("a", "sb-drf", false), lit("a", "sb-drf", false)}}
 	if err := dup.validate(); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate names: got %v", err)
 	}
-	both := Spec{Entries: []Entry{{
-		Name:   "b",
-		Litmus: &LitmusBench{Prog: "sb-drf"},
-		Fuzz:   &FuzzBench{Seed: 1, N: 1, Mode: "drf"},
-	}}}
-	if err := both.validate(); err == nil || !strings.Contains(err.Error(), "exactly one") {
-		t.Errorf("two kinds: got %v", err)
+	bad := Spec{Entries: []Entry{simE("b", "radiosity", "dsm", 8, "hypercube", true)}}
+	if err := bad.validate(); err == nil || !strings.Contains(err.Error(), "hypercube") {
+		t.Errorf("bad topology: got %v", err)
+	}
+	// The metrics of a sweep entry are its one row's; an entry whose job
+	// expands to more cells (here: every backend) is refused.
+	grid := Spec{Entries: []Entry{{Name: "g", Job: pmcd.JobSpec{Sweep: &pmcd.SweepJob{
+		Apps: []string{"radiosity"}, Tiles: []int{8}, Small: true,
+	}}}}}
+	if err := grid.validate(); err == nil || !strings.Contains(err.Error(), "more than one cell") {
+		t.Errorf("multi-cell sweep: got %v", err)
 	}
 }
 
@@ -160,7 +166,7 @@ func TestServiceEntriesLatencyGated(t *testing.T) {
 		}
 		n := 0
 		for _, e := range spec.Entries {
-			if e.Sim != nil && (e.Sim.App == "server" || e.Sim.App == "kvstore" || e.Sim.App == "stream") {
+			if j := e.Job.Sweep; j != nil && (j.Apps[0] == "server" || j.Apps[0] == "kvstore" || j.Apps[0] == "stream") {
 				n++
 			}
 		}

@@ -3,25 +3,43 @@ package perf
 import (
 	"fmt"
 	"sort"
+
+	"pmc/internal/pmcd"
 )
 
 // Builtin suites. "ci" is small enough to run with repetitions inside a
 // CI job yet still crosses every layer: the three SPLASH substitutes and
 // the structured workloads at CI app sizes across the four backends, the
-// three litmus engine modes on cataloged programs, and a seeded fuzz
-// campaign. "full" is the paper-scale counterpart for local trajectory
-// measurements.
+// tree and memoized litmus engines on cataloged programs, and a seeded
+// fuzz campaign. "full" is the paper-scale counterpart for local
+// trajectory measurements.
+//
+// A job's identity excludes the worker count, so each memo/par pair of
+// litmus entries names one job; both names stay so that the baseline's
+// entry set is unchanged.
 
+// simE is a one-cell sweep job: app on backend at tiles on topo ("" =
+// ring).
 func simE(name, app, backend string, tiles int, topo string, small bool) Entry {
-	return Entry{Name: name, Sim: &SimBench{App: app, Backend: backend, Tiles: tiles, Topo: topo, Small: small}}
+	var topos []string
+	if topo != "" {
+		topos = []string{topo}
+	}
+	return Entry{Name: name, Job: pmcd.JobSpec{Sweep: &pmcd.SweepJob{
+		Apps: []string{app}, Backends: []string{backend}, Tiles: []int{tiles}, Topos: topos, Small: small,
+	}}}
 }
 
-func lit(name, prog string, workers int, memoize bool) Entry {
-	return Entry{Name: name, Litmus: &LitmusBench{Prog: prog, Workers: workers, Memoize: memoize}}
+func lit(name, prog string, tree bool) Entry {
+	return Entry{Name: name, Job: pmcd.JobSpec{Litmus: &pmcd.LitmusJob{Prog: prog, Tree: tree}}}
 }
 
-func litSym(name, prog string, workers int) Entry {
-	return Entry{Name: name, Litmus: &LitmusBench{Prog: prog, Workers: workers, Memoize: true, Symmetry: true}}
+func litSym(name, prog string) Entry {
+	return Entry{Name: name, Job: pmcd.JobSpec{Litmus: &pmcd.LitmusJob{Prog: prog, Symmetry: true}}}
+}
+
+func fuzzE(name string, seed int64, n int, mode string, backends []string, runs int) Entry {
+	return Entry{Name: name, Job: pmcd.JobSpec{Fuzz: &pmcd.FuzzJob{Seed: seed, N: n, Mode: mode, Backends: backends, Runs: runs}}}
 }
 
 func ciSuite() []Entry {
@@ -56,23 +74,24 @@ func ciSuite() []Entry {
 		es = append(es, simE("sim/radiosity/"+b+"/64t/c8xring", "radiosity", b, 64, "cluster:8xring", true))
 	}
 	es = append(es, simE("sim/mfifo/cdsm/16t/c4xmesh", "mfifo", "cdsm", 16, "cluster:4xmesh", true))
-	// Litmus: the three engine modes on sb-drf (tree is the reference
-	// semantics), the annotated Fig. 5 program, and the state-collapse
-	// stress program that only the memoized engines can finish.
+	// Litmus: the tree and memoized engines on sb-drf (tree is the
+	// reference semantics), the annotated Fig. 5 program, and the
+	// state-collapse stress program that only the memoized engine can
+	// finish.
 	es = append(es,
-		lit("litmus/sb-drf/tree", "sb-drf", 1, false),
-		lit("litmus/sb-drf/memo", "sb-drf", 1, true),
-		lit("litmus/sb-drf/par", "sb-drf", 0, true),
-		lit("litmus/fig5-annotated/memo", "fig5-annotated", 1, true),
-		lit("litmus/stress-independent/par", "stress-independent", 0, true),
+		lit("litmus/sb-drf/tree", "sb-drf", true),
+		lit("litmus/sb-drf/memo", "sb-drf", false),
+		lit("litmus/sb-drf/par", "sb-drf", false),
+		lit("litmus/fig5-annotated/memo", "fig5-annotated", false),
+		lit("litmus/stress-independent/par", "stress-independent", false),
 	)
 	// Symmetry reduction on the iriw-class programs: states is the exact
 	// orbit-collapsed count, outcomes/paths gate that the reduction stays
 	// semantics-preserving.
 	es = append(es,
-		lit("litmus/iriw-sym3/memo", "iriw-sym3", 1, true),
-		litSym("litmus/iriw-sym3/sym", "iriw-sym3", 1),
-		litSym("litmus/iriw/sym", "iriw", 1),
+		lit("litmus/iriw-sym3/memo", "iriw-sym3", false),
+		litSym("litmus/iriw-sym3/sym", "iriw-sym3"),
+		litSym("litmus/iriw/sym", "iriw"),
 	)
 	// Adaptive routing: the migrating backend on a migratory app and a
 	// streaming app — the sim-cycles pin both the policy's decisions and
@@ -83,8 +102,8 @@ func ciSuite() []Entry {
 	)
 	// Fuzz: a short seeded differential campaign over all four backends,
 	// and one with per-object placement (the "mixed" pseudo-backend).
-	es = append(es, Entry{Name: "fuzz/mixed/seed1/n50", Fuzz: &FuzzBench{Seed: 1, N: 50, Mode: "mixed", Runs: 2}})
-	es = append(es, Entry{Name: "fuzz/placed/seed2/n50", Fuzz: &FuzzBench{Seed: 2, N: 50, Mode: "drf", Backends: []string{"nocc", "mixed"}, Runs: 2}})
+	es = append(es, fuzzE("fuzz/mixed/seed1/n50", 1, 50, "mixed", nil, 2))
+	es = append(es, fuzzE("fuzz/placed/seed2/n50", 2, 50, "drf", []string{"nocc", "mixed"}, 2))
 	// Open-loop services: the first latency-gated entries — their exact
 	// metrics include requests and p50/p99 simulated latency, so any
 	// tail-latency drift fails the gate.
@@ -125,23 +144,23 @@ func fullSuite() []Entry {
 	}
 	es = append(es, simE("sim/radiosity/cdsm/1024t/c32xmesh", "radiosity", "cdsm", 1024, "cluster:32xmesh", false))
 	es = append(es,
-		lit("litmus/wrc-drf/tree", "wrc-drf", 1, false),
-		lit("litmus/wrc-drf/memo", "wrc-drf", 1, true),
-		lit("litmus/wrc-drf/par", "wrc-drf", 0, true),
-		lit("litmus/iriw-3t/memo", "iriw-3t", 1, true),
-		lit("litmus/stress-independent/par", "stress-independent", 0, true),
+		lit("litmus/wrc-drf/tree", "wrc-drf", true),
+		lit("litmus/wrc-drf/memo", "wrc-drf", false),
+		lit("litmus/wrc-drf/par", "wrc-drf", false),
+		lit("litmus/iriw-3t/memo", "iriw-3t", false),
+		lit("litmus/stress-independent/par", "stress-independent", false),
 	)
 	es = append(es,
-		lit("litmus/iriw-sym3/memo", "iriw-sym3", 1, true),
-		litSym("litmus/iriw-sym3/sym", "iriw-sym3", 0),
-		litSym("litmus/iriw/sym", "iriw", 0),
+		lit("litmus/iriw-sym3/memo", "iriw-sym3", false),
+		litSym("litmus/iriw-sym3/sym", "iriw-sym3"),
+		litSym("litmus/iriw/sym", "iriw"),
 	)
 	es = append(es,
 		simE("sim/raytrace/adaptive/32t", "raytrace", "adaptive", 32, "", false),
 		simE("sim/motionest/adaptive/32t", "motionest", "adaptive", 32, "", false),
 	)
-	es = append(es, Entry{Name: "fuzz/mixed/seed1/n300", Fuzz: &FuzzBench{Seed: 1, N: 300, Mode: "mixed", Runs: 3}})
-	es = append(es, Entry{Name: "fuzz/placed/seed2/n300", Fuzz: &FuzzBench{Seed: 2, N: 300, Mode: "drf", Backends: []string{"nocc", "mixed"}, Runs: 3}})
+	es = append(es, fuzzE("fuzz/mixed/seed1/n300", 1, 300, "mixed", nil, 3))
+	es = append(es, fuzzE("fuzz/placed/seed2/n300", 2, 300, "drf", []string{"nocc", "mixed"}, 3))
 	// Paper-scale open-loop services with latency-gated exact metrics.
 	es = append(es,
 		simE("sim/server/nocc/32t", "server", "nocc", 32, "", false),

@@ -86,6 +86,10 @@ type LitmusJob struct {
 	Tree bool `json:"tree,omitempty"`
 	// MaxStates overrides the state budget (0 = explorer default).
 	MaxStates int `json:"max_states,omitempty"`
+	// Symmetry collapses states related by a program automorphism
+	// (memoized engine only): outcomes are unchanged, states shrink by
+	// the orbit factor.
+	Symmetry bool `json:"symmetry,omitempty"`
 }
 
 // FuzzJob declares a seeded differential fuzzing campaign. The summary is
@@ -120,11 +124,11 @@ func (s JobSpec) Kind() string {
 	return ""
 }
 
-// normalize validates the spec and expands every default, so that two
+// Normalize validates the spec and expands every default, so that two
 // spellings of the same computation canonicalize — and therefore
 // fingerprint — identically. It returns a deep-copied spec; the input is
 // not modified.
-func (s JobSpec) normalize() (JobSpec, error) {
+func (s JobSpec) Normalize() (JobSpec, error) {
 	kinds := 0
 	for _, set := range []bool{s.Sweep != nil, s.Litmus != nil, s.Fuzz != nil} {
 		if set {
@@ -162,6 +166,9 @@ func (s JobSpec) normalize() (JobSpec, error) {
 		}
 		if j.MaxStates < 0 {
 			return JobSpec{}, fmt.Errorf("pmcd: negative litmus state budget %d", j.MaxStates)
+		}
+		if j.Tree && j.Symmetry {
+			return JobSpec{}, fmt.Errorf("pmcd: litmus symmetry needs the memoized engine, not the tree engine")
 		}
 		return JobSpec{Litmus: &j}, nil
 	default:
@@ -236,7 +243,7 @@ func (j *SweepJob) sweepSpec() (*sweep.Spec, error) {
 // The code version salts everything: results computed by different code
 // never alias, which is what makes serving stale-looking bytes safe.
 func Fingerprint(spec JobSpec, codeVersion string) (string, error) {
-	n, err := spec.normalize()
+	n, err := spec.Normalize()
 	if err != nil {
 		return "", err
 	}
@@ -249,7 +256,7 @@ func Fingerprint(spec JobSpec, codeVersion string) (string, error) {
 		canon = struct {
 			Explore   string `json:"explore"`
 			MaxStates int    `json:"max_states"`
-		}{litmus.ExploreFingerprint(prog, !n.Litmus.Tree, n.Litmus.MaxStates), n.Litmus.MaxStates}
+		}{litmus.ExploreFingerprint(prog, !n.Litmus.Tree, n.Litmus.Symmetry, n.Litmus.MaxStates), n.Litmus.MaxStates}
 	default:
 		canon = n.Fuzz
 	}

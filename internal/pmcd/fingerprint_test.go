@@ -78,18 +78,19 @@ func TestFingerprintKeyChanges(t *testing.T) {
 	}
 
 	variants := map[string]JobSpec{
-		"sweep tiles":    {Sweep: &SweepJob{Apps: []string{"mfifo"}, Backends: []string{"dsm"}, Tiles: []int{8}, Topos: []string{"ring"}, Small: true}},
-		"sweep app":      {Sweep: &SweepJob{Apps: []string{"msgpass"}, Backends: []string{"dsm"}, Tiles: []int{4}, Topos: []string{"ring"}, Small: true}},
-		"sweep backend":  {Sweep: &SweepJob{Apps: []string{"mfifo"}, Backends: []string{"nocc"}, Tiles: []int{4}, Topos: []string{"ring"}, Small: true}},
-		"sweep topo":     {Sweep: &SweepJob{Apps: []string{"mfifo"}, Backends: []string{"dsm"}, Tiles: []int{4}, Topos: []string{"mesh"}, Small: true}},
-		"sweep scale":    {Sweep: &SweepJob{Apps: []string{"mfifo"}, Backends: []string{"dsm"}, Tiles: []int{4}, Topos: []string{"ring"}}},
-		"litmus program": {Litmus: &LitmusJob{Prog: "corr"}},
-		"litmus engine":  {Litmus: &LitmusJob{Prog: "sb-drf", Tree: true}},
-		"litmus budget":  {Litmus: &LitmusJob{Prog: "sb-drf", MaxStates: 1000}},
-		"fuzz seed":      {Fuzz: &FuzzJob{Seed: 2, N: 4}},
-		"fuzz n":         {Fuzz: &FuzzJob{Seed: 1, N: 5}},
-		"fuzz mode":      {Fuzz: &FuzzJob{Seed: 1, N: 4, Mode: "racy"}},
-		"fuzz runs":      {Fuzz: &FuzzJob{Seed: 1, N: 4, Runs: 2}},
+		"sweep tiles":     {Sweep: &SweepJob{Apps: []string{"mfifo"}, Backends: []string{"dsm"}, Tiles: []int{8}, Topos: []string{"ring"}, Small: true}},
+		"sweep app":       {Sweep: &SweepJob{Apps: []string{"msgpass"}, Backends: []string{"dsm"}, Tiles: []int{4}, Topos: []string{"ring"}, Small: true}},
+		"sweep backend":   {Sweep: &SweepJob{Apps: []string{"mfifo"}, Backends: []string{"nocc"}, Tiles: []int{4}, Topos: []string{"ring"}, Small: true}},
+		"sweep topo":      {Sweep: &SweepJob{Apps: []string{"mfifo"}, Backends: []string{"dsm"}, Tiles: []int{4}, Topos: []string{"mesh"}, Small: true}},
+		"sweep scale":     {Sweep: &SweepJob{Apps: []string{"mfifo"}, Backends: []string{"dsm"}, Tiles: []int{4}, Topos: []string{"ring"}}},
+		"litmus program":  {Litmus: &LitmusJob{Prog: "corr"}},
+		"litmus engine":   {Litmus: &LitmusJob{Prog: "sb-drf", Tree: true}},
+		"litmus budget":   {Litmus: &LitmusJob{Prog: "sb-drf", MaxStates: 1000}},
+		"litmus symmetry": {Litmus: &LitmusJob{Prog: "sb-drf", Symmetry: true}},
+		"fuzz seed":       {Fuzz: &FuzzJob{Seed: 2, N: 4}},
+		"fuzz n":          {Fuzz: &FuzzJob{Seed: 1, N: 5}},
+		"fuzz mode":       {Fuzz: &FuzzJob{Seed: 1, N: 4, Mode: "racy"}},
+		"fuzz runs":       {Fuzz: &FuzzJob{Seed: 1, N: 4, Runs: 2}},
 	}
 	for name, spec := range variants {
 		f := fp(t, spec, "cv")
@@ -119,6 +120,7 @@ func TestFingerprintRejectsBadSpecs(t *testing.T) {
 		"bad topology":    {Sweep: &SweepJob{Apps: []string{"mfifo"}, Topos: []string{"hypercube"}}},
 		"unknown program": {Litmus: &LitmusJob{Prog: "nope"}},
 		"negative budget": {Litmus: &LitmusJob{Prog: "sb-drf", MaxStates: -1}},
+		"tree symmetry":   {Litmus: &LitmusJob{Prog: "sb-drf", Tree: true, Symmetry: true}},
 		"fuzz no count":   {Fuzz: &FuzzJob{Seed: 1}},
 		"fuzz bad mode":   {Fuzz: &FuzzJob{Seed: 1, N: 1, Mode: "nope"}},
 	}
@@ -129,7 +131,7 @@ func TestFingerprintRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-// FuzzJobSpec: normalize must be idempotent on every spec Fingerprint
+// FuzzJobSpec: Normalize must be idempotent on every spec Fingerprint
 // accepts. Its output is a valid spec, and fingerprinting it again gives
 // the same address — otherwise a client resubmitting the canonical form
 // it was served would miss the store or be refused.
@@ -138,6 +140,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"sweep":{"apps":["mfifo","msgpass"],"backends":["dsm","nocc"],"tiles":[4,8],"topos":["ring","mesh"],"small":true}}`,
 		`{"sweep":{"apps":["kvstore"],"backends":["cdsm"],"tiles":[16],"topos":["cluster:4xring"]}}`,
 		`{"litmus":{"prog":"sb-drf","tree":true,"max_states":1000}}`,
+		`{"litmus":{"prog":"iriw-sym3","symmetry":true}}`,
 		`{"fuzz":{"seed":7,"n":5,"mode":"drf","backends":["nocc","mixed"],"runs":2}}`,
 	} {
 		f.Add([]byte(seed))
@@ -151,9 +154,9 @@ func FuzzJobSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		n, err := spec.normalize()
+		n, err := spec.Normalize()
 		if err != nil {
-			t.Fatalf("Fingerprint accepted %s but normalize failed: %v", data, err)
+			t.Fatalf("Fingerprint accepted %s but Normalize failed: %v", data, err)
 		}
 		fp2, err := Fingerprint(n, "cv")
 		if err != nil {

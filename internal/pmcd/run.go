@@ -12,12 +12,13 @@ import (
 	"pmc/internal/workloads"
 )
 
-// Job execution. Every runner produces deterministic bytes: the result
-// body of a job is a pure function of its normalized spec, which is what
-// lets the store serve it verbatim forever. Sweep tables reuse the sweep
+// Job execution. Run is the one runner behind every job kind: it returns
+// a typed Result, and Body serializes that result to the deterministic
+// bytes the store serves verbatim forever. Sweep tables reuse the sweep
 // engine's own JSON emission (already byte-stable for any worker count);
 // litmus and fuzz results serialize reduced, ordered views — sorted
-// outcome lists and campaign-order violation lists.
+// outcome lists and campaign-order violation lists. The behaviour contract
+// (internal/perf) reads its exact metrics off the same Result.
 
 // Progress is a job's coarse completion counter, updated atomically by
 // the runner and readable while the job runs (the events stream polls
@@ -31,24 +32,63 @@ type Progress struct {
 // Snapshot returns (done, total).
 func (p *Progress) Snapshot() (int64, int64) { return p.done.Load(), p.total.Load() }
 
-// run executes a normalized job spec and returns the deterministic result
-// body. progress may be nil.
-func run(spec JobSpec, progress *Progress) ([]byte, error) {
+// Result is a completed job: exactly one of Sweep, Litmus, Fuzz is set,
+// matching the job's kind.
+type Result struct {
+	Sweep  *sweep.Table
+	Litmus *LitmusView
+	Fuzz   *FuzzView
+}
+
+// Run normalizes spec, executes it and returns its typed result. progress
+// may be nil.
+func Run(spec JobSpec, progress *Progress) (*Result, error) {
+	n, err := spec.Normalize()
+	if err != nil {
+		return nil, err
+	}
 	if progress == nil {
 		progress = &Progress{}
 	}
+	var r Result
 	switch {
-	case spec.Sweep != nil:
-		return runSweep(spec.Sweep, progress)
-	case spec.Litmus != nil:
-		return runLitmus(spec.Litmus, progress)
-	case spec.Fuzz != nil:
-		return runFuzz(spec.Fuzz, progress)
+	case n.Sweep != nil:
+		r.Sweep, err = runSweep(n.Sweep, progress)
+	case n.Litmus != nil:
+		r.Litmus, err = runLitmus(n.Litmus, progress)
+	default:
+		r.Fuzz, err = runFuzz(n.Fuzz, progress)
 	}
-	return nil, fmt.Errorf("pmcd: empty job spec")
+	if err != nil {
+		return nil, err
+	}
+	return &r, nil
 }
 
-func runSweep(j *SweepJob, progress *Progress) ([]byte, error) {
+// Body serializes the result with the repo's JSON convention (indented,
+// trailing newline) — the same bytes a fresh simulation and a cache hit
+// must both produce.
+func (r *Result) Body() ([]byte, error) {
+	var buf bytes.Buffer
+	if r.Sweep != nil {
+		if err := r.Sweep.WriteJSON(&buf); err != nil {
+			return nil, err
+		}
+		return buf.Bytes(), nil
+	}
+	var v any = r.Litmus
+	if r.Fuzz != nil {
+		v = r.Fuzz
+	}
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+func runSweep(j *SweepJob, progress *Progress) (*sweep.Table, error) {
 	spec, err := j.sweepSpec()
 	if err != nil {
 		return nil, err
@@ -66,20 +106,12 @@ func runSweep(j *SweepJob, progress *Progress) ([]byte, error) {
 		return app, nil
 	}
 	progress.total.Store(int64(len(spec.Cells())))
-	table, err := sweep.Run(*spec)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := table.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return sweep.Run(*spec)
 }
 
-// litmusResult is the serialized view of an exploration: sorted outcomes,
-// so the bytes are canonical.
-type litmusResult struct {
+// LitmusView is the result of a litmus job: sorted outcomes, so the bytes
+// are canonical.
+type LitmusView struct {
 	Prog     string `json:"prog"`
 	States   int    `json:"states"`
 	Stuck    int    `json:"stuck"`
@@ -89,7 +121,7 @@ type litmusResult struct {
 	} `json:"outcomes"`
 }
 
-func runLitmus(j *LitmusJob, progress *Progress) ([]byte, error) {
+func runLitmus(j *LitmusJob, progress *Progress) (*LitmusView, error) {
 	prog, ok := litmus.ByName(j.Prog)
 	if !ok {
 		return nil, fmt.Errorf("pmcd: unknown litmus program %q", j.Prog)
@@ -97,6 +129,7 @@ func runLitmus(j *LitmusJob, progress *Progress) ([]byte, error) {
 	progress.total.Store(1)
 	x := litmus.NewExplorer(prog)
 	x.Memoize = !j.Tree
+	x.Symmetry = j.Symmetry
 	if j.Tree {
 		x.Workers = 1 // the tree reference engine is sequential
 	}
@@ -107,20 +140,20 @@ func runLitmus(j *LitmusJob, progress *Progress) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := litmusResult{Prog: j.Prog, States: res.States, Stuck: res.Stuck}
+	v := &LitmusView{Prog: j.Prog, States: res.States, Stuck: res.Stuck}
 	for _, o := range res.OutcomeList() {
-		out.Outcomes = append(out.Outcomes, struct {
+		v.Outcomes = append(v.Outcomes, struct {
 			Outcome    string `json:"outcome"`
 			Executions int    `json:"executions"`
 		}{o, res.Outcomes[o]})
 	}
 	progress.done.Store(1)
-	return marshalBody(out)
+	return v, nil
 }
 
-// fuzzResult is the serialized campaign summary: the worker-count-
-// independent tallies plus the violations and errors in campaign order.
-type fuzzResult struct {
+// FuzzView is the result of a fuzz job: the worker-count-independent
+// campaign tallies plus the violations and errors in campaign order.
+type FuzzView struct {
 	Seed          int64    `json:"seed"`
 	N             int      `json:"n"`
 	Mode          string   `json:"mode"`
@@ -143,7 +176,7 @@ type fuzzResult struct {
 	} `json:"errors,omitempty"`
 }
 
-func runFuzz(j *FuzzJob, progress *Progress) ([]byte, error) {
+func runFuzz(j *FuzzJob, progress *Progress) (*FuzzView, error) {
 	mode, err := fuzz.ParseMode(j.Mode)
 	if err != nil {
 		return nil, err
@@ -159,38 +192,25 @@ func runFuzz(j *FuzzJob, progress *Progress) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := fuzzResult{
+	v := &FuzzView{
 		Seed: sum.Seed, N: sum.N, Mode: sum.Mode.String(), Backends: sum.Backends,
 		Runs: sum.Runs, Unique: sum.Unique, Deduped: sum.Deduped,
 		SkippedBudget: sum.SkippedBudget, SkippedStuck: sum.SkippedStuck,
 		Checked: sum.Checked, Ok: sum.Ok(),
 	}
-	for _, v := range sum.Violations {
-		out.Violations = append(out.Violations, struct {
+	for _, f := range sum.Violations {
+		v.Violations = append(v.Violations, struct {
 			Seed    int64  `json:"seed"`
 			Backend string `json:"backend"`
-		}{v.Seed, v.Backend})
+		}{f.Seed, f.Backend})
 	}
 	for _, e := range sum.Errors {
-		out.Errors = append(out.Errors, struct {
+		v.Errors = append(v.Errors, struct {
 			Seed    int64  `json:"seed"`
 			Backend string `json:"backend"`
 			Err     string `json:"err"`
 		}{e.Seed, e.Backend, e.Err})
 	}
 	progress.done.Store(int64(j.N))
-	return marshalBody(out)
-}
-
-// marshalBody serializes a result view with the repo's JSON convention
-// (indented, trailing newline) — the same bytes a fresh simulation and a
-// cache hit must both produce.
-func marshalBody(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return v, nil
 }

@@ -202,7 +202,11 @@ func (s *Server) execute(j *job) {
 	j.state = StateRunning
 	j.mu.Unlock()
 	body, hit, err := s.cache.Do(j.fingerprint, func() ([]byte, error) {
-		return run(j.spec, &j.progress)
+		res, err := Run(j.spec, &j.progress)
+		if err != nil {
+			return nil, err
+		}
+		return res.Body()
 	})
 	j.mu.Lock()
 	if err != nil {
@@ -228,7 +232,7 @@ func (s *Server) execute(j *job) {
 // (state "done", Cached) or enqueues it. It is the programmatic form of
 // POST /v1/jobs.
 func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
-	norm, err := spec.normalize()
+	norm, err := spec.Normalize()
 	if err != nil {
 		return JobStatus{}, err
 	}

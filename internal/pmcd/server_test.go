@@ -62,11 +62,11 @@ func TestServerCacheHitByteIdentity(t *testing.T) {
 	if st1.Cached {
 		t.Fatal("first submission claims a cache hit on an empty store")
 	}
-	norm, err := spec.normalize()
+	res, err := Run(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := run(norm, nil)
+	direct, err := res.Body()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ const (
 // per-tile private heaps of a system with the given tile count, plus one
 // stride of headroom for the central lock table at the top. The default
 // 32 MiB of soc.DefaultConfig covers the paper's 32 tiles but stops at 48;
-// kilotile configurations must scale SDRAM with this.
+// workload runs raise a smaller configured SDRAM to this.
 func MinSDRAMBytes(tiles int) int {
 	return int(privBase + mem.Addr(tiles+1)*privStride)
 }
@@ -498,9 +498,6 @@ func (rt *Runtime) allocRoute(name string, size int, route Backend) *Object {
 
 // Objects returns the allocation table.
 func (rt *Runtime) Objects() []*Object { return rt.objects }
-
-// ObjectByLock returns the object protected by lockID, or nil.
-func (rt *Runtime) ObjectByLock(lockID int) *Object { return rt.objByLock[lockID] }
 
 // InitObject pre-loads an object's contents before the simulation runs
 // (outside simulated time): canonical SDRAM plus any backend replicas.

@@ -155,9 +155,6 @@ func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 	return p
 }
 
-// Procs returns all processes ever spawned, in spawn order.
-func (k *Kernel) Procs() []*Proc { return k.procs }
-
 // Run dispatches events until the event queue is empty or Stop is called.
 // It returns an error on deadlock: the queue drained while unfinished
 // processes remain parked.

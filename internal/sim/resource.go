@@ -53,12 +53,3 @@ func (r *Resource) Reserve(t Time, dur Time) (start, end Time) {
 	r.LastGrant = start
 	return start, end
 }
-
-// FreeAt returns the earliest time a new request made now would begin
-// service.
-func (r *Resource) FreeAt() Time {
-	if r.nextFree > r.k.now {
-		return r.nextFree
-	}
-	return r.k.now
-}

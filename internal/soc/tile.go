@@ -530,25 +530,6 @@ func (t *Tile) FlushShared(p *sim.Proc, addr mem.Addr, size int) {
 	}
 }
 
-// InvalidateShared drops the (clean) cache lines covering the range without
-// writing back; used on entry to a read-only scope.
-func (t *Tile) InvalidateShared(p *sim.Proc, addr mem.Addr, size int) {
-	if size <= 0 {
-		return
-	}
-	ls := t.Sys.Cfg.DCache.LineSize
-	first := t.DC.LineBase(addr)
-	last := t.DC.LineBase(addr + mem.Addr(size-1))
-	for a := first; ; a += mem.Addr(ls) {
-		t.fetchAndExec(p, 1)
-		t.Stats.FlushInstrs++
-		t.DC.InvalidateLine(a)
-		if a == last {
-			break
-		}
-	}
-}
-
 // CopyToLevel copies size bytes from SDRAM into this tile's memory at
 // level l (staging, replica initialization) as one DMA-style burst
 // transaction: a single arbitration, then the lines stream back-to-back

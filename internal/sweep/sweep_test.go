@@ -433,3 +433,37 @@ func TestEach(t *testing.T) {
 		t.Fatal("Each(0) must be a no-op")
 	}
 }
+
+// TestSweepSDRAMFloor: a grid with no Base runs cells beyond the default
+// memory map's 48 tiles (workloads raise SDRAM to rt.MinSDRAMBytes), and
+// the raise computes what a Base sized by hand does. Full-size radiosity
+// touches the private heaps of its highest tiles, which lie past 32 MiB.
+func TestSweepSDRAMFloor(t *testing.T) {
+	spec := Spec{
+		Apps:     []string{"radiosity"},
+		Backends: []string{"cdsm"},
+		Tiles:    []int{64},
+		Topos:    []noc.Topology{noc.ClusterTopo(8, noc.KindRing)},
+	}
+	got, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := soc.DefaultConfig()
+	base.SDRAMBytes = rt.MinSDRAMBytes(1024)
+	spec.Base = &base
+	want, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g, w bytes.Buffer
+	if err := got.WriteJSON(&g); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.WriteJSON(&w); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g.Bytes(), w.Bytes()) {
+		t.Errorf("64-tile cell on the raised default map differs from a hand-sized one:\n%s\nvs\n%s", g.Bytes(), w.Bytes())
+	}
+}

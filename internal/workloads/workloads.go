@@ -208,10 +208,18 @@ func RunVerified(app App, cfg soc.Config, backendName string) (*Result, *rt.Reco
 	return res, rec, err
 }
 
+// run builds the system, runs app on it and collects the result. SDRAM
+// is raised to rt.MinSDRAMBytes when cfg is smaller, since the default
+// 32 MiB map stops holding the per-tile private heaps at 48 tiles. SDRAM
+// size only places the centralized lock table at the top of the map, so
+// the raise moves no distributed-lock result.
 func run(app App, cfg soc.Config, backendName string, pre func(*rt.Runtime)) (*Result, error) {
 	b, err := rt.ByName(backendName)
 	if err != nil {
 		return nil, err
+	}
+	if need := rt.MinSDRAMBytes(cfg.Tiles); need > cfg.SDRAMBytes {
+		cfg.SDRAMBytes = need
 	}
 	sys, err := soc.New(cfg)
 	if err != nil {

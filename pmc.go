@@ -178,7 +178,8 @@ func DefaultConfig() Config { return soc.DefaultConfig() }
 
 // MinSDRAMBytes returns the smallest Config.SDRAMBytes whose memory map
 // holds the per-tile private heaps of a system with the given tile count;
-// the 32 MiB default covers the paper's 32 tiles but stops at 48.
+// the 32 MiB default covers the paper's 32 tiles but stops at 48. RunApp,
+// Sweep and the other app runners raise a smaller SDRAMBytes to it.
 func MinSDRAMBytes(tiles int) int { return rt.MinSDRAMBytes(tiles) }
 
 // NewSystem builds a simulated SoC.
@@ -315,9 +316,10 @@ func ScaledApp(name string, small bool) (App, bool) { return workloads.Scaled(na
 // ---- Continuous benchmarking ----
 
 type (
-	// BenchSpec declares a benchmark run: a named suite of declarative
-	// entries spanning sim workloads, litmus exploration and fuzz
-	// campaigns, with repetition control.
+	// BenchSpec declares a benchmark run: a named suite of entries, each
+	// a name plus a pmcd job (a one-cell sweep, a litmus exploration or a
+	// fuzz campaign) run through the job service's runner, with
+	// repetition control.
 	BenchSpec = perf.Spec
 	// BenchReport is a completed benchmark run — the versioned
 	// BENCH.json payload.
