@@ -25,6 +25,13 @@
 //	pmclitmus -fuzz -seed 1 -n 500 -shrink
 //	pmclitmus -fuzz -seed 1 -n 500 -mode racy -fuzzbackends swcc,dsm
 //	pmclitmus -fuzz -seed 1 -n 200 -shrink -fault release-without-flush
+//	pmclitmus -fuzz -seed 1 -n 100 -fuzzbackends mixed -fault release-without-flush
+//	pmclitmus -fuzz -seed 1 -n 60 -fuzzbackends swcc -speccheck -fault release-without-flush
+//
+// -fault wraps every route a run allocates on, so it composes with the
+// "mixed" pseudo-backend (each placed backend is faulted too) and with
+// -speccheck: the faulted backend keeps its spec, every run is recorded,
+// and a stale read the recorder rejects surfaces as a run error.
 //
 // Every violation line prints the program seed; re-running with -seed
 // <that seed> -n 1 reproduces it exactly.
@@ -114,14 +121,8 @@ func runFuzz(seed int64, n int, mode, backends, fault string, shrink, specCheck 
 	}
 	if fs.Enabled() {
 		fmt.Printf("injecting fault %q into every checked backend\n", fs)
-		cfg.MakeBackend = func(name string) (pmc.Backend, error) {
-			b, err := pmc.BackendByName(name)
-			if err != nil {
-				return nil, err
-			}
-			return pmc.InjectFaults(b, fs), nil
-		}
 	}
+	cfg.Faults = fs
 	sum, err := pmc.FuzzRun(cfg)
 	if err != nil {
 		return err
@@ -151,18 +152,7 @@ func runSpec(sel, fault string, runs, platform int) error {
 		if err != nil {
 			return usagef(`bad -spec %q: %v (or "all")`, sel, err)
 		}
-		opt := pmc.SpecCheckOptions{Runs: runs}
-		if fs.Enabled() {
-			name := name
-			opt.Backend = func() (pmc.Backend, error) {
-				b, err := pmc.BackendByName(name)
-				if err != nil {
-					return nil, err
-				}
-				return pmc.InjectFaults(b, fs), nil
-			}
-		}
-		r, err := pmc.SpecCheckBackend(s, pmc.SpecPlatform{Tiles: platform}, opt)
+		r, err := pmc.SpecCheckBackend(s, pmc.SpecPlatform{Tiles: platform}, pmc.SpecCheckOptions{Runs: runs, Faults: fs})
 		if err != nil {
 			return err
 		}
@@ -198,7 +188,7 @@ func main() {
 		shrink    = flag.Bool("shrink", false, "fuzz: shrink violations to minimal counterexamples")
 		mode      = flag.String("mode", "mixed", "fuzz: generation mode (drf, racy, mixed)")
 		backends  = flag.String("fuzzbackends", "", "fuzz: comma-separated backends (default: nocc,swcc,dsm,spm)")
-		fault     = flag.String("fault", "", "fuzz: inject a protocol fault (e.g. release-without-flush) into every backend")
+		fault     = flag.String("fault", "", "fuzz/spec: inject a protocol fault (e.g. release-without-flush) into every checked backend, mixed routes included")
 		runs      = flag.Int("runs", 3, "fuzz/spec: perturbed simulator runs per program and backend")
 		specCheck = flag.Bool("speccheck", false, "fuzz: record every perturbed run and attribute its trace to the backend's ordering spec")
 		maxBlock  = flag.Int("maxblock", 4, "fuzz: max words of multi-word locations exercised by block reads/writes (1 = word-only)")

@@ -21,6 +21,11 @@
 // completed, whether the recorder accepted each read, whether the outcome
 // is allowed, and which recorded edges the check cannot attribute.
 // spec.CheckBackend and the fuzzer's spec check both run through it.
+//
+// A fault is a value too (Options.Faults): each run wraps every route it
+// allocates on with rt.InjectFaults, so the backend keeps its name, and
+// its spec, and a fault reaches the placed backends of a MixedBackend run.
+// This package is the only non-test caller of rt.InjectFaults.
 package conform
 
 import (
@@ -117,10 +122,13 @@ type Options struct {
 	// checker uses it to pin a clustered interface topology without
 	// growing the simulated system.
 	Base *soc.Config
-	// Backend, if non-nil, constructs the backend instance for each run
-	// instead of rt.ByName — the hook fault-injection harnesses use to
-	// check a deliberately broken protocol against the model.
-	Backend func() (rt.Backend, error)
+	// Faults disables the selected protocol steps on every route a run
+	// allocates on: the named backend (nocc under MixedBackend) and, under
+	// MixedBackend, each placed backend. Fault-injection harnesses use it
+	// to check a deliberately broken protocol against the model; the
+	// backend keeps its name, and so its spec. The zero value injects
+	// nothing.
+	Faults rt.FaultSet
 	// Model, if non-nil, is a precomputed exploration of
 	// EffectiveProgram(prog); the fuzzer shares one exploration across
 	// all backends instead of re-exploring per check.
@@ -141,15 +149,10 @@ type Options struct {
 // single-backend control.
 const MixedBackend = "mixed"
 
-// Check explores prog under the model, then executes it on the simulator
-// with the given backend under `runs` timing perturbations, and compares
-// outcome sets. Perturbations use the historical base seed 0.
-func Check(prog litmus.Program, backend string, tiles, runs int) (*Report, error) {
-	return CheckOpts(prog, backend, Options{Tiles: tiles, Runs: runs})
-}
-
-// CheckOpts is Check with explicit options. It is the one loop over
-// perturbed runs: each run is simulated once and yields every verdict
+// CheckOpts explores prog under the model, then executes it on the
+// simulator with the given backend under opt.Runs timing perturbations,
+// and compares outcome sets. It is the one loop over perturbed runs: each
+// run is simulated once and yields every verdict
 // (see Finding). A run that fails, or whose read the recorder rejects,
 // is listed in the report's Findings and the loop goes on; CheckOpts then
 // returns the full report together with the first such run's error. A
@@ -314,21 +317,45 @@ func run(prog litmus.Program, backend string, opt Options, seed uint32, record b
 		return "", nil, err
 	}
 	mixed := backend == MixedBackend
-	var b rt.Backend
-	switch {
-	case opt.Backend != nil:
-		b, err = opt.Backend()
-	case mixed:
+	def := backend
+	if mixed {
 		// Mixed runs default unplaced locations to the uncached
 		// sequentially-consistent reference route.
-		b, err = rt.ByName("nocc")
-	default:
-		b, err = rt.ByName(backend)
+		def = "nocc"
 	}
+	b, err := rt.ByName(def)
 	if err != nil {
 		return "", nil, err
 	}
-	r := rt.New(sys, b)
+	// A healthy run allocates a placed object on its backend's name, and
+	// rt registers that route on first use. Under faults every route is
+	// wrapped up front: routes maps each placed name to its wrapper's
+	// decorated name, and the wrappers are registered as extra routes
+	// (once each, so a placement on nocc shares the default route).
+	var extra []rt.Backend
+	var routes map[string]string
+	if opt.Faults.Enabled() {
+		b = rt.InjectFaults(b, opt.Faults)
+		routes = map[string]string{}
+		registered := map[string]bool{b.Name(): true}
+		for _, name := range prog.Locs {
+			pb := prog.Placement[name]
+			if !mixed || pb == "" || routes[pb] != "" {
+				continue
+			}
+			fb, err := rt.ByName(pb)
+			if err != nil {
+				return "", nil, err
+			}
+			fb = rt.InjectFaults(fb, opt.Faults)
+			routes[pb] = fb.Name()
+			if !registered[fb.Name()] {
+				registered[fb.Name()] = true
+				extra = append(extra, fb)
+			}
+		}
+	}
+	r := rt.New(sys, b, extra...)
 	var rec *rt.Recorder
 	if record {
 		// Attached before allocation so every object is recorded.
@@ -337,6 +364,9 @@ func run(prog litmus.Program, backend string, opt Options, seed uint32, record b
 	objs := make(map[string]*rt.Object, len(prog.Locs))
 	for _, name := range prog.Locs {
 		if pb := prog.Placement[name]; mixed && pb != "" {
+			if rn := routes[pb]; rn != "" {
+				pb = rn
+			}
 			objs[name] = r.AllocOn(name, 4*prog.WidthOf(name), pb)
 		} else {
 			objs[name] = r.Alloc(name, 4*prog.WidthOf(name))

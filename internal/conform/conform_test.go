@@ -24,7 +24,7 @@ func TestAllBackendsConformOnCatalog(t *testing.T) {
 				if !ok {
 					t.Fatalf("program %s missing", name)
 				}
-				rep, err := Check(prog, backend, 4, 6)
+				rep, err := CheckOpts(prog, backend, Options{Tiles: 4, Runs: 6})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -46,7 +46,7 @@ func TestAnnotatedProgramsAreDeterministic(t *testing.T) {
 			t.Fatalf("program %s missing", name)
 		}
 		for _, backend := range []string{"swcc", "dsm"} {
-			rep, err := Check(prog, backend, 4, 8)
+			rep, err := CheckOpts(prog, backend, Options{Tiles: 4, Runs: 8})
 			if err != nil {
 				t.Fatalf("%s on %s: %v", name, backend, err)
 			}
@@ -68,7 +68,7 @@ func TestPerturbationsExploreOutcomes(t *testing.T) {
 	prog, _ := litmus.ByName("mutex-counter")
 	distinct := map[string]bool{}
 	for _, backend := range rt.Backends {
-		rep, err := Check(prog, backend, 4, 10)
+		rep, err := CheckOpts(prog, backend, Options{Tiles: 4, Runs: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestSPMAnnotatedProgramsAreDeterministic(t *testing.T) {
 		if !ok {
 			t.Fatalf("program %s missing", name)
 		}
-		rep, err := Check(prog, "spm", 4, 8)
+		rep, err := CheckOpts(prog, "spm", Options{Tiles: 4, Runs: 8})
 		if err != nil {
 			t.Fatalf("%s on spm: %v", name, err)
 		}
@@ -129,17 +129,13 @@ func TestCheckSeedReproducible(t *testing.T) {
 			t.Fatalf("same seed, different counts for %q: %d vs %d", o, n, b.Observed[o])
 		}
 	}
-	// The historical schedule is seed 0: Check must keep matching it.
-	c, err := Check(prog, "swcc", 4, 8)
+	// The zero Seed is the historical schedule, base seed 0.
+	c, err := CheckOpts(prog, "swcc", Options{Tiles: 4, Runs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := CheckOpts(prog, "swcc", Options{Tiles: 4, Runs: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Seed != 0 || len(c.Observed) != len(d.Observed) {
-		t.Fatalf("Check does not match seed-0 CheckOpts: %v vs %v", c.Observed, d.Observed)
+	if c.Seed != 0 {
+		t.Fatalf("zero Seed recorded as base seed %d", c.Seed)
 	}
 }
 
@@ -213,7 +209,32 @@ func TestEffectiveProgram(t *testing.T) {
 // TestCheckRejectsTooFewTiles guards the API.
 func TestCheckRejectsTooFewTiles(t *testing.T) {
 	prog, _ := litmus.ByName("iriw") // 4 threads
-	if _, err := Check(prog, "swcc", 2, 1); err == nil {
+	if _, err := CheckOpts(prog, "swcc", Options{Tiles: 2, Runs: 1}); err == nil {
 		t.Fatal("4 threads on 2 tiles not rejected")
+	}
+}
+
+// TestFaultsReachMixedRoutes: under MixedBackend a fault wraps every
+// route the run allocates on, the placed ones included. The counter lives
+// on swcc, so skipping its exit flush loses an update; a second location
+// placed on nocc shares the faulted default route.
+func TestFaultsReachMixedRoutes(t *testing.T) {
+	prog := litmus.MutexCounter()
+	prog.Locs = append(prog.Locs, "D")
+	prog.Threads[0] = append(prog.Threads[0], litmus.Write("D", 1))
+	prog.Placement = map[string]string{"C": "swcc", "D": "nocc"}
+	rep, err := CheckOpts(prog, MixedBackend, Options{Tiles: 2, Runs: 4, Faults: rt.FaultSet{SkipExitFlush: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ok() {
+		t.Fatalf("swcc-placed counter with release-without-flush conformed: %s", rep)
+	}
+	healthy, err := CheckOpts(prog, MixedBackend, Options{Tiles: 2, Runs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !healthy.Ok() {
+		t.Fatalf("healthy mixed run violated the model: %s", healthy)
 	}
 }

@@ -38,7 +38,7 @@ func runConformance(w io.Writer, o Options) error {
 		if !ok {
 			return fmt.Errorf("program %s missing", name)
 		}
-		rep, err := conform.Check(prog, backend, 4, runs)
+		rep, err := conform.CheckOpts(prog, backend, conform.Options{Tiles: 4, Runs: runs})
 		if err != nil {
 			return err
 		}

@@ -59,13 +59,7 @@ func runFuzz(w io.Writer, o Options) error {
 		Workers:   o.Workers,
 		Shrink:    true,
 		MaxShrink: 1,
-		MakeBackend: func(name string) (rt.Backend, error) {
-			b, err := rt.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			return rt.InjectFaults(b, fault), nil
-		},
+		Faults:    fault,
 	})
 	if err != nil {
 		return err

@@ -102,10 +102,7 @@ func runSpecAblation(w io.Writer, o Options) error {
 	if !ok {
 		return fmt.Errorf("no fault mapped for %s", spec.StepExitWriteback)
 	}
-	faulted, err := spec.CheckBackend(s, spec.Platform{Tiles: 32}, spec.CheckOptions{
-		Runs:    runs,
-		Backend: func() (rt.Backend, error) { return rt.InjectFaults(rt.SWCC(), fs), nil },
-	})
+	faulted, err := spec.CheckBackend(s, spec.Platform{Tiles: 32}, spec.CheckOptions{Runs: runs, Faults: fs})
 	if err != nil {
 		return err
 	}

@@ -49,17 +49,18 @@ type Config struct {
 	// MaxCycles bounds each simulated run (0 = 400k cycles) so
 	// livelocking candidates fail fast during shrinking.
 	MaxCycles sim.Time
-	// MakeBackend, if non-nil, constructs backends instead of rt.ByName
-	// — the fault-injection hook (rt.InjectFaults) for proving the
-	// fuzzer catches real protocol bugs.
-	MakeBackend func(name string) (rt.Backend, error)
+	// Faults disables the selected protocol steps on every checked
+	// backend, mixed routes included (see conform.Options.Faults) — for
+	// proving the fuzzer catches real protocol bugs. The zero value
+	// injects nothing.
+	Faults rt.FaultSet
 	// SpecCheck records every perturbed run of each unique (program,
 	// backend) pair with the model recorder, which costs no simulated
 	// time, and attributes every edge of each lowered trace to the
 	// backend's declared ordering spec (spec.CheckTrace) — the
 	// differential fuzzer then hunts spec/implementation divergence, not
-	// just model violations. Ignored when MakeBackend is set: a
-	// substituted backend has no authored spec to check against.
+	// just model violations. It composes with Faults: a faulted backend
+	// keeps its spec, and a stale read the recorder rejects is a run error.
 	SpecCheck bool
 	// Progress, if non-nil, receives one line per violation (emitted in
 	// campaign order after the parallel phase merges) and per shrink
@@ -419,22 +420,19 @@ func Run(cfg Config) (*Summary, error) {
 }
 
 // checkOptions builds the conformance options of one (program, backend)
-// pair, for the campaign and for shrinking alike. Under SpecCheck (and no
-// substituted backend) every run is recorded and its trace attributed to
-// the backend's declared spec. A mixed run checks against the union of
-// nocc (the default route) and every placed backend's spec — any
-// protocol may have committed any given edge.
+// pair, for the campaign and for shrinking alike. Under SpecCheck every
+// run is recorded and its trace attributed to the backend's declared
+// spec. A mixed run checks against the union of nocc (the default route)
+// and every placed backend's spec — any protocol may have committed any
+// given edge.
 func checkOptions(cfg Config, p litmus.Program, backend string, seed int64, model *litmus.Result) (conform.Options, error) {
 	opt := conform.Options{
 		Tiles:     cfg.Tiles,
 		Runs:      cfg.Runs,
 		Seed:      seed,
 		MaxCycles: cfg.MaxCycles,
+		Faults:    cfg.Faults,
 		Model:     model,
-	}
-	if cfg.MakeBackend != nil {
-		opt.Backend = func() (rt.Backend, error) { return cfg.MakeBackend(backend) }
-		return opt, nil
 	}
 	if !cfg.SpecCheck {
 		return opt, nil

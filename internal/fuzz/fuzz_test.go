@@ -49,13 +49,7 @@ func TestCampaignCatchesInjectedFault(t *testing.T) {
 		Backends:  []string{"swcc"},
 		Shrink:    true,
 		MaxShrink: 3,
-		MakeBackend: func(name string) (rt.Backend, error) {
-			b, err := rt.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			return rt.InjectFaults(b, rt.FaultSet{SkipExitFlush: true}), nil
-		},
+		Faults:    rt.FaultSet{SkipExitFlush: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -285,16 +279,10 @@ func TestSummaryDeterministicAcrossWorkers(t *testing.T) {
 // found again by a 1-program campaign at that seed — the printed seed is
 // all a reproduction needs.
 func TestCampaignReproducibleFromPrintedSeed(t *testing.T) {
-	faulty := func(name string) (rt.Backend, error) {
-		b, err := rt.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		return rt.InjectFaults(b, rt.FaultSet{SkipExitFlush: true}), nil
-	}
+	faulty := rt.FaultSet{SkipExitFlush: true}
 	sum, err := Run(Config{
 		Seed: 1, N: 120, Gen: GenConfig{Mode: ModeMixed}, Runs: 2,
-		Backends: []string{"swcc"}, MakeBackend: faulty,
+		Backends: []string{"swcc"}, Faults: faulty,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +293,7 @@ func TestCampaignReproducibleFromPrintedSeed(t *testing.T) {
 	v := sum.Violations[0]
 	again, err := Run(Config{
 		Seed: v.Seed, N: 1, Gen: GenConfig{Mode: ModeMixed}, Runs: 2,
-		Backends: []string{"swcc"}, MakeBackend: faulty,
+		Backends: []string{"swcc"}, Faults: faulty,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -339,6 +327,28 @@ func TestCampaignSpecCheck(t *testing.T) {
 	}
 	if got := digest(sum.String()); got != "ae3fc20235fd66e0" {
 		t.Errorf("summary digest %s changed:\n%s", got, sum)
+	}
+}
+
+// TestFaultedCampaignSpecChecks: a fault leaves the backend's name, and so
+// its spec, known, so a faulted SpecCheck campaign records every run. The
+// stale reads the recorder rejects are run errors; the pairs it accepts
+// are spec-checked.
+func TestFaultedCampaignSpecChecks(t *testing.T) {
+	sum, err := Run(Config{
+		Seed: 1, N: 20, Gen: GenConfig{Mode: ModeMixed}, Runs: 2,
+		Backends:  []string{"swcc"},
+		Faults:    rt.FaultSet{SkipExitFlush: true},
+		SpecCheck: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.SpecChecked == 0 || sum.SpecChecked != sum.Checked {
+		t.Errorf("spec-checked %d of %d checked pairs, want all and at least one", sum.SpecChecked, sum.Checked)
+	}
+	if len(sum.Errors) == 0 {
+		t.Errorf("recorder rejected no stale read:\n%s", sum)
 	}
 }
 

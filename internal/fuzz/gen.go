@@ -11,7 +11,7 @@
 // litmus catalogs only sample that claim. The fuzzer makes the scenario
 // space systematic: thousands of generated programs, every one
 // reproducible from a printed seed, checked against the model on all
-// backends — and, via rt.InjectFaults, proven able to catch and shrink
+// backends — and, with Config.Faults, proven able to catch and shrink
 // real protocol bugs.
 package fuzz
 

@@ -14,9 +14,9 @@ import (
 // fuzz campaign. "full" is the paper-scale counterpart for local
 // trajectory measurements.
 //
-// A job's identity excludes the worker count, so each memo/par pair of
-// litmus entries names one job; both names stay so that the baseline's
-// entry set is unchanged.
+// A job's identity excludes the worker count, so each litmus job has one
+// entry: the memoized engine's "memo" entry is also the parallel one, and
+// worker-count independence is tested in internal/litmus.
 
 // simE is a one-cell sweep job: app on backend at tiles on topo ("" =
 // ring).
@@ -81,7 +81,6 @@ func ciSuite() []Entry {
 	es = append(es,
 		lit("litmus/sb-drf/tree", "sb-drf", true),
 		lit("litmus/sb-drf/memo", "sb-drf", false),
-		lit("litmus/sb-drf/par", "sb-drf", false),
 		lit("litmus/fig5-annotated/memo", "fig5-annotated", false),
 		lit("litmus/stress-independent/par", "stress-independent", false),
 	)
@@ -146,7 +145,6 @@ func fullSuite() []Entry {
 	es = append(es,
 		lit("litmus/wrc-drf/tree", "wrc-drf", true),
 		lit("litmus/wrc-drf/memo", "wrc-drf", false),
-		lit("litmus/wrc-drf/par", "wrc-drf", false),
 		lit("litmus/iriw-3t/memo", "iriw-3t", false),
 		lit("litmus/stress-independent/par", "stress-independent", false),
 	)

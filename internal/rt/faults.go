@@ -9,8 +9,10 @@ import (
 
 // Fault injection: wrap a backend and selectively disable one of the
 // Table II protocol mechanisms. Every mechanism the paper prescribes is
-// load-bearing, and the fault tests (faults_test.go) plus the litmus
-// fuzzer (internal/fuzz) use this facility to prove it end-to-end: a
+// load-bearing, and the fault tests (faults_test.go) plus the
+// conformance harness (internal/conform, which the spec checker and the
+// litmus fuzzer drive with a FaultSet) use this facility to prove it
+// end-to-end: a
 // disabled step must surface as wrong results, model violations, or
 // livelock — never silently pass.
 

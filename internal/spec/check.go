@@ -94,16 +94,12 @@ func (r *Result) String() string {
 
 // CheckOptions configures CheckBackend beyond the spec and platform.
 type CheckOptions struct {
-	// Programs overrides the litmus set; nil means InterfacePrograms().
-	Programs []litmus.Program
 	// Runs is the number of perturbed simulations per program (default 8).
 	Runs int
-	// Seed is the base perturbation seed (run r uses Seed+r).
-	Seed int64
-	// Backend, if non-nil, constructs the backend instance instead of
-	// rt.ByName(spec.Backend) — the hook for checking a fault-injected
-	// implementation against its own spec.
-	Backend func() (rt.Backend, error)
+	// Faults disables the selected protocol steps of the spec's backend
+	// (see conform.Options.Faults), for checking a fault-injected
+	// implementation against its own spec. The zero value injects nothing.
+	Faults rt.FaultSet
 }
 
 // InterfacePrograms is the default conformance matrix: the paper's
@@ -151,10 +147,6 @@ func CheckBackend(s Spec, platform Platform, opt CheckOptions) (*Result, error) 
 	if platform.Tiles < 1 {
 		return nil, fmt.Errorf("spec %s: platform of %d tiles; need at least 1", s.Backend, platform.Tiles)
 	}
-	progs := opt.Programs
-	if progs == nil {
-		progs = InterfacePrograms()
-	}
 	runs := opt.Runs
 	if runs <= 0 {
 		runs = 8
@@ -175,18 +167,13 @@ func CheckBackend(s Spec, platform Platform, opt CheckOptions) (*Result, error) 
 	copt := conform.Options{
 		Tiles:     InterfaceTiles,
 		Runs:      runs,
-		Seed:      opt.Seed,
 		MaxCycles: interfaceMaxCycles,
 		Base:      base,
-		Backend:   opt.Backend,
+		Faults:    opt.Faults,
 		Trace:     func(exec *core.Execution) []string { return CheckTrace(exec, s) },
 	}
 	res.Work.SimTiles = InterfaceTiles
-	for _, p := range progs {
-		if len(p.Threads) > InterfaceTiles {
-			return nil, fmt.Errorf("spec: program %s has %d threads, interface scale is %d tiles",
-				p.Name, len(p.Threads), InterfaceTiles)
-		}
+	for _, p := range InterfacePrograms() {
 		model, err := litmus.Explore(conform.EffectiveProgram(p))
 		if err != nil {
 			return nil, err

@@ -49,17 +49,7 @@ func TestCheckBackendDigests(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opt := CheckOptions{Runs: 2}
-				if fs.Enabled() {
-					opt.Backend = func() (rt.Backend, error) {
-						b, err := rt.ByName(name)
-						if err != nil {
-							return nil, err
-						}
-						return rt.InjectFaults(b, fs), nil
-					}
-				}
-				r, err := CheckBackend(mustSpec(t, name), Platform{Tiles: 32}, opt)
+				r, err := CheckBackend(mustSpec(t, name), Platform{Tiles: 32}, CheckOptions{Runs: 2, Faults: fs})
 				if err != nil {
 					t.Fatal(err)
 				}

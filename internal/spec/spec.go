@@ -21,8 +21,9 @@
 // Together they compose: backend-vs-spec + spec-vs-model ⇒
 // backend-vs-model, which is the property whole-platform conformance
 // used to establish by brute force. A broken backend is caught by the
-// first half (rt.InjectFaults proves detection), a broken spec by the
-// second.
+// first half (CheckOptions.Faults proves detection: a faulted backend
+// keeps its name, so it is checked against its own spec), a broken spec
+// by the second.
 package spec
 
 import (

@@ -182,10 +182,9 @@ func TestCheckBackendCatchesInjectedFault(t *testing.T) {
 	cases := []struct {
 		backend string
 		step    Step
-		make    func() rt.Backend
 	}{
-		{"swcc", StepExitWriteback, rt.SWCC},
-		{"dsm", StepLockTransfer, rt.DSM},
+		{"swcc", StepExitWriteback},
+		{"dsm", StepLockTransfer},
 	}
 	for _, c := range cases {
 		c := c
@@ -196,10 +195,7 @@ func TestCheckBackendCatchesInjectedFault(t *testing.T) {
 			if !ok {
 				t.Fatalf("no fault for step %s", c.step)
 			}
-			r, err := CheckBackend(s, Platform{Tiles: 32}, CheckOptions{
-				Runs:    4,
-				Backend: func() (rt.Backend, error) { return rt.InjectFaults(c.make(), fs), nil },
-			})
+			r, err := CheckBackend(s, Platform{Tiles: 32}, CheckOptions{Runs: 4, Faults: fs})
 			if err != nil {
 				t.Fatal(err)
 			}

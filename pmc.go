@@ -109,7 +109,8 @@ type (
 	// FuzzSummary is the result of a campaign.
 	FuzzSummary = fuzz.Summary
 	// FaultSet selects runtime protocol steps to disable (fault
-	// injection).
+	// injection): set it as FuzzConfig.Faults or SpecCheckOptions.Faults.
+	// Locks stay intact, so failures are coherence failures.
 	FaultSet = rt.FaultSet
 )
 
@@ -126,10 +127,6 @@ func FuzzRun(cfg FuzzConfig) (*FuzzSummary, error) { return fuzz.Run(cfg) }
 
 // ParseFuzzMode converts "drf", "racy" or "mixed".
 func ParseFuzzMode(s string) (FuzzMode, error) { return fuzz.ParseMode(s) }
-
-// InjectFaults wraps a backend with selected protocol faults disabled —
-// locks stay intact, so failures are coherence failures.
-func InjectFaults(b Backend, f FaultSet) Backend { return rt.InjectFaults(b, f) }
 
 // ParseFaultSet parses a "+"-separated fault list (see rt.FaultSet).
 func ParseFaultSet(s string) (FaultSet, error) { return rt.ParseFaultSet(s) }
