@@ -129,8 +129,14 @@ func runFuzz(seed int64, n int, mode, backends, fault string, shrink, specCheck 
 	}
 	fmt.Print(sum)
 	if !sum.Ok() {
-		return fmt.Errorf("campaign found %d violations, %d run errors, %d spec divergences",
-			len(sum.Violations), len(sum.Errors), len(sum.SpecDivergences))
+		reads := 0
+		for _, v := range sum.Violations {
+			if v.Finding.Kind == "read" {
+				reads++
+			}
+		}
+		return fmt.Errorf("campaign found %d violations (%d rejected reads, %d forbidden outcomes), %d run errors, %d spec divergences",
+			len(sum.Violations), reads, len(sum.Violations)-reads, len(sum.Errors), len(sum.SpecDivergences))
 	}
 	return nil
 }

@@ -74,19 +74,37 @@ type Report struct {
 	Runs     int
 }
 
-// Finding is one verdict against one perturbed run. A run yields them in
-// order: a "run" or "read" finding ends its checks; otherwise it may
-// yield an "outcome" finding and then "edge" findings.
+// Finding is one verdict against one perturbed run, and the one verdict
+// type of every check built on CheckOpts: spec.CheckBackend reports each
+// as a spec.Divergence and the fuzzer classifies a pair by its first. A
+// run yields them in order: a "run" or "read" finding ends its checks;
+// otherwise it may yield an "outcome" finding and then "edge" findings.
 type Finding struct {
 	Seed int64
 	// Kind is "run" (the simulation failed and left no execution), "read"
-	// (the recorder rejected a read value), "outcome" (the final register
-	// assignment is model-forbidden) or "edge" (Options.Trace found an
-	// edge of the recorded execution it cannot attribute).
+	// (the recorder rejected a read value — the stale read behind a
+	// forbidden outcome, caught before the outcome forms), "outcome" (the
+	// final register assignment is model-forbidden), "edge" (Options.Trace
+	// found an edge of the recorded execution it cannot attribute) or
+	// "spec" (spec.CheckBackend: the spec itself disagrees with the model;
+	// no run, so no seed).
 	Kind string
 	// Detail is the run's error text, the forbidden outcome or the trace
 	// check's problem.
 	Detail string
+}
+
+// String renders the finding with the seed that reproduces it: a failed
+// run or rejected read as its error, an outcome as model-forbidden, and an
+// edge or spec problem as the bare problem text.
+func (f Finding) String() string {
+	switch f.Kind {
+	case "run", "read":
+		return fmt.Sprintf("%s (seed %d)", f.Detail, f.Seed)
+	case "outcome":
+		return fmt.Sprintf("%q is model-forbidden (seed %d)", f.Detail, f.Seed)
+	}
+	return f.Detail
 }
 
 // Ok reports conformance.

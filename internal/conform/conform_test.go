@@ -238,3 +238,29 @@ func TestFaultsReachMixedRoutes(t *testing.T) {
 		t.Fatalf("healthy mixed run violated the model: %s", healthy)
 	}
 }
+
+// TestFindingString pins the one renderer every check's verdict goes
+// through, per kind, with the text spec.CheckBackend reports: a failed run
+// or rejected read and an outcome carry their seed, an edge or spec problem
+// is the bare problem text.
+func TestFindingString(t *testing.T) {
+	for _, c := range []struct {
+		f    Finding
+		want string
+	}{
+		{Finding{Seed: 1, Kind: "run", Detail: "sim: watchdog: time 2000032 exceeds MaxTime 2000000"},
+			"sim: watchdog: time 2000032 exceeds MaxTime 2000000 (seed 1)"},
+		{Finding{Seed: 0, Kind: "read", Detail: "rt: 1 model violations; first: tile 1 read X[0] = 0 at cycle 525: value not readable under the PMC model (readable: [42])"},
+			"rt: 1 model violations; first: tile 1 read X[0] = 0 at cycle 525: value not readable under the PMC model (readable: [42]) (seed 0)"},
+		{Finding{Seed: 3, Kind: "outcome", Detail: "r0=0 r1=0"},
+			`"r0=0 r1=0" is model-forbidden (seed 3)`},
+		{Finding{Seed: 2, Kind: "edge", Detail: "edge #0 init(v0=⊥) —≺S→ #2 (A,p0,v0) committed by no declared obligation"},
+			"edge #0 init(v0=⊥) —≺S→ #2 (A,p0,v0) committed by no declared obligation"},
+		{Finding{Kind: "spec", Detail: "spec nocc: Table I rule r→w ≺l (p) is committed by no step (incomplete)"},
+			"spec nocc: Table I rule r→w ≺l (p) is committed by no step (incomplete)"},
+	} {
+		if got := c.f.String(); got != c.want {
+			t.Errorf("%s finding renders\n%s\nwant\n%s", c.f.Kind, got, c.want)
+		}
+	}
+}

@@ -69,7 +69,7 @@ func runFuzz(w io.Writer, o Options) error {
 	}
 	v := sum.Violations[0]
 	fmt.Fprintf(w, "%d violations; first (program seed %d):\n%s", len(sum.Violations), v.Seed, fuzz.Render(v.Program))
-	fmt.Fprintf(w, "forbidden outcome: %v\n", v.Report.Violations)
+	fmt.Fprintf(w, "first finding: %s\n", v.Finding)
 	if v.Shrunk != nil {
 		fmt.Fprintf(w, "shrunk %d -> %d instructions in %d accepted steps:\n%s",
 			litmus.InstrCount(v.Program), litmus.InstrCount(*v.Shrunk), v.ShrinkSteps, fuzz.Render(*v.Shrunk))

@@ -106,20 +106,13 @@ func runSpecAblation(w io.Writer, o Options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "fault detection: swcc with %s disabled -> %d divergences (first: %s)\n",
-		spec.StepExitWriteback, len(faulted.Divergences), firstDivergence(faulted))
 	if faulted.Ok() {
 		return fmt.Errorf("spec-ablation: injected fault not detected")
 	}
+	fmt.Fprintf(w, "fault detection: swcc with %s disabled -> %d divergences (first: %s)\n",
+		spec.StepExitWriteback, len(faulted.Divergences), faulted.Divergences[0])
 	if bad > 0 {
 		return fmt.Errorf("spec-ablation: %d backends failed or scaled with platform size", bad)
 	}
 	return nil
-}
-
-func firstDivergence(r *spec.Result) string {
-	if len(r.Divergences) == 0 {
-		return "none"
-	}
-	return r.Divergences[0].String()
 }

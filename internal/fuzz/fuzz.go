@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"pmc/internal/conform"
@@ -37,7 +38,9 @@ type Config struct {
 	Runs int
 	// Workers caps concurrent program checks: 0 means GOMAXPROCS.
 	Workers int
-	// Shrink minimizes violating programs by delta debugging.
+	// Shrink minimizes violating programs by delta debugging: each
+	// Violations entry, a rejected read or a forbidden outcome, while the
+	// candidate still yields a finding of its kind.
 	Shrink bool
 	// MaxShrink caps how many violations are shrunk (0 = 4). Shrinking
 	// re-checks dozens of candidates per violation, and one minimized
@@ -60,9 +63,10 @@ type Config struct {
 	// backend's declared ordering spec (spec.CheckTrace) — the
 	// differential fuzzer then hunts spec/implementation divergence, not
 	// just model violations. It composes with Faults: a faulted backend
-	// keeps its spec, and a stale read the recorder rejects is a run error.
+	// keeps its spec, and a stale read the recorder rejects is a "read"
+	// violation, caught before the forbidden outcome it would cause.
 	SpecCheck bool
-	// Progress, if non-nil, receives one line per violation (emitted in
+	// Progress, if non-nil, receives one line per verdict (emitted in
 	// campaign order after the parallel phase merges) and per shrink
 	// result. It is only written from the calling goroutine.
 	Progress io.Writer
@@ -108,16 +112,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Violation is one program whose simulated outcomes escaped the model.
+// Violation is the verdict on one (program, backend) pair: the pair's
+// conformance report and its first finding, whose kind sorts the pair
+// into a Summary list.
 type Violation struct {
 	// Seed regenerates the program: Generate(Seed, cfg.Gen).
 	Seed    int64
 	Backend string
 	Program litmus.Program
-	Report  *conform.Report
-	// Shrunk is the delta-debugged minimal program still exhibiting a
-	// violation on the same backend (nil when shrinking was off or
-	// capped).
+	// Report is the pair's conformance report; nil when the check could
+	// not start (Finding then carries the error as a "run" finding).
+	Report *conform.Report
+	// Finding is the pair's first finding.
+	Finding conform.Finding
+	// Shrunk is the delta-debugged minimal program still yielding a
+	// finding of the same kind on the same backend (nil when shrinking
+	// was off or capped, and for run and edge verdicts).
 	Shrunk *litmus.Program
 	// ShrunkReport is the conformance report of the shrunk program.
 	ShrunkReport *conform.Report
@@ -125,27 +135,24 @@ type Violation struct {
 	ShrinkSteps int
 }
 
-// RunError is a program whose simulated execution failed outright
-// (deadlock, watchdog livelock) — a liveness failure rather than a safety
-// violation. Fault-injected runs routinely produce these. Under SpecCheck
-// a read the recorder rejects fails its run too.
-type RunError struct {
-	Seed    int64
-	Backend string
-	Err     string
-}
-
-// SpecDivergence is one (program, backend) pair whose recorded trace
-// contains edges the backend's declared ordering spec does not commit —
-// the implementation performs orderings its spec never promised, or the
-// spec is out of date.
-type SpecDivergence struct {
-	Seed    int64
-	Backend string
-	// Edges counts the unattributable edges of the first run that has
-	// any; First is the first of them.
-	Edges int
-	First string
+// String renders the verdict as one summary line.
+func (v *Violation) String() string {
+	switch v.Finding.Kind {
+	case "run":
+		return fmt.Sprintf("RUN ERROR seed %d on %s: %s", v.Seed, v.Backend, v.Finding)
+	case "edge":
+		edges := 0
+		for _, f := range v.Report.Findings {
+			if f.Kind == "edge" && f.Seed == v.Finding.Seed {
+				edges++
+			}
+		}
+		return fmt.Sprintf("SPEC DIVERGENCE seed %d on %s: %d edges uncommitted, first: %s",
+			v.Seed, v.Backend, edges, v.Finding)
+	case "read":
+		return fmt.Sprintf("VIOLATION seed %d on %s: %s; rejected read: %s", v.Seed, v.Backend, v.Report, v.Finding)
+	}
+	return fmt.Sprintf("VIOLATION seed %d on %s: %s", v.Seed, v.Backend, v.Report)
 }
 
 // Summary is the result of a fuzzing campaign.
@@ -164,21 +171,37 @@ type Summary struct {
 	// deadlock (never produced by the generator's discipline — a
 	// nonzero count is a generator bug surfacing).
 	SkippedBudget, SkippedStuck int
-	// Checked counts (program, backend) conformance checks completed.
+	// Checked counts the (program, backend) conformance checks that ran
+	// and returned a report, failed runs included.
 	Checked int
-	// SpecChecked counts the checked (program, backend) pairs whose
-	// recorded runs were all spec-trace checked (Config.SpecCheck).
+	// SpecChecked counts the checked (program, backend) pairs whose runs
+	// were recorded and whose accepted traces were attributed to the
+	// backend's spec (Config.SpecCheck).
 	SpecChecked int
 
-	Violations      []*Violation
-	Errors          []RunError
-	SpecDivergences []SpecDivergence
+	// The pairs with a finding, in campaign order, sorted by the kind of
+	// their first finding: Violations holds "read" and "outcome"
+	// verdicts, Errors "run" verdicts (and checks that could not start),
+	// SpecDivergences "edge" verdicts.
+	Violations, Errors, SpecDivergences []*Violation
 }
 
 // Ok reports a clean campaign: no violations, no execution errors, and no
 // spec divergences.
 func (s *Summary) Ok() bool {
 	return len(s.Violations) == 0 && len(s.Errors) == 0 && len(s.SpecDivergences) == 0
+}
+
+// add files a pair's verdict by the kind of its first finding.
+func (s *Summary) add(v *Violation) {
+	switch v.Finding.Kind {
+	case "run":
+		s.Errors = append(s.Errors, v)
+	case "edge":
+		s.SpecDivergences = append(s.SpecDivergences, v)
+	default:
+		s.Violations = append(s.Violations, v)
+	}
 }
 
 // String renders the campaign result.
@@ -189,22 +212,21 @@ func (s *Summary) String() string {
 	fmt.Fprintf(&b, "checked %d program×backend pairs on %v (%d perturbed runs each): %d violations, %d run errors\n",
 		s.Checked, s.Backends, s.Runs, len(s.Violations), len(s.Errors))
 	for _, v := range s.Violations {
-		fmt.Fprintf(&b, "  VIOLATION seed %d on %s: %s\n", v.Seed, v.Backend, v.Report)
+		fmt.Fprintf(&b, "  %s\n", v)
 		if v.Shrunk != nil {
 			fmt.Fprintf(&b, "    shrunk %d -> %d instructions (%d steps):\n%s",
 				litmus.InstrCount(v.Program), litmus.InstrCount(*v.Shrunk), v.ShrinkSteps,
 				indent(Render(*v.Shrunk), "      "))
 		}
 	}
-	for _, e := range s.Errors {
-		fmt.Fprintf(&b, "  RUN ERROR seed %d on %s: %s\n", e.Seed, e.Backend, e.Err)
+	for _, v := range s.Errors {
+		fmt.Fprintf(&b, "  %s\n", v)
 	}
 	if s.SpecChecked > 0 || len(s.SpecDivergences) > 0 {
 		fmt.Fprintf(&b, "spec-checked %d recorded traces: %d divergences\n",
 			s.SpecChecked, len(s.SpecDivergences))
-		for _, d := range s.SpecDivergences {
-			fmt.Fprintf(&b, "  SPEC DIVERGENCE seed %d on %s: %d edges uncommitted, first: %s\n",
-				d.Seed, d.Backend, d.Edges, d.First)
+		for _, v := range s.SpecDivergences {
+			fmt.Fprintf(&b, "  %s\n", v)
 		}
 	}
 	return b.String()
@@ -324,13 +346,10 @@ func Run(cfg Config) (*Summary, error) {
 	sum.Unique = len(progs)
 
 	type result struct {
-		skippedBudget   bool
-		skippedStuck    bool
-		checked         int
-		specChecked     int
-		violations      []*Violation
-		errors          []RunError
-		specDivergences []SpecDivergence
+		skippedBudget bool
+		skippedStuck  bool
+		checked       int
+		verdicts      []*Violation
 	}
 	results := make([]result, len(progs))
 	err := sweep.Each(len(progs), cfg.Workers, func(i int) error {
@@ -349,25 +368,13 @@ func Run(cfg Config) (*Summary, error) {
 			return nil
 		}
 		for _, backend := range cfg.Backends {
-			opt, err := checkOptions(cfg, pr.prog, backend, pr.seed, model)
-			var rep *conform.Report
-			if err == nil {
-				rep, err = conform.CheckOpts(pr.prog, backend, opt)
+			v := &Violation{Seed: pr.seed, Backend: backend, Program: pr.prog}
+			v.Report, v.Finding = check(cfg, pr.prog, backend, pr.seed, model)
+			if v.Report != nil {
+				res.checked++
 			}
-			if err != nil {
-				res.errors = append(res.errors, RunError{Seed: pr.seed, Backend: backend, Err: err.Error()})
-				continue
-			}
-			res.checked++
-			if !rep.Ok() {
-				res.violations = append(res.violations,
-					&Violation{Seed: pr.seed, Backend: backend, Program: pr.prog, Report: rep})
-			}
-			if opt.Trace != nil {
-				res.specChecked++
-				if d := specDivergence(pr.seed, backend, rep); d != nil {
-					res.specDivergences = append(res.specDivergences, *d)
-				}
+			if v.Finding.Kind != "" {
+				res.verdicts = append(res.verdicts, v)
 			}
 		}
 		return nil
@@ -387,29 +394,21 @@ func Run(cfg Config) (*Summary, error) {
 			sum.SkippedStuck++
 		}
 		sum.Checked += res.checked
-		sum.SpecChecked += res.specChecked
-		sum.Violations = append(sum.Violations, res.violations...)
-		sum.Errors = append(sum.Errors, res.errors...)
-		sum.SpecDivergences = append(sum.SpecDivergences, res.specDivergences...)
-		if cfg.Progress != nil {
-			for _, v := range res.violations {
-				fmt.Fprintf(cfg.Progress, "fuzz: VIOLATION seed %d on %s: %s\n", v.Seed, v.Backend, v.Report)
-			}
-			for _, d := range res.specDivergences {
-				fmt.Fprintf(cfg.Progress, "fuzz: SPEC DIVERGENCE seed %d on %s: %d edges, first: %s\n",
-					d.Seed, d.Backend, d.Edges, d.First)
+		for _, v := range res.verdicts {
+			sum.add(v)
+			if cfg.Progress != nil {
+				fmt.Fprintf(cfg.Progress, "fuzz: %s\n", v)
 			}
 		}
 	}
 
+	if cfg.SpecCheck {
+		sum.SpecChecked = sum.Checked
+	}
+
 	if cfg.Shrink {
-		shrunk := 0
-		for _, v := range sum.Violations {
-			if shrunk >= cfg.MaxShrink {
-				break
-			}
+		for _, v := range sum.Violations[:min(len(sum.Violations), cfg.MaxShrink)] {
 			shrinkViolation(cfg, v)
-			shrunk++
 			if cfg.Progress != nil && v.Shrunk != nil {
 				fmt.Fprintf(cfg.Progress, "fuzz: shrunk seed %d on %s to %d instructions:\n%s",
 					v.Seed, v.Backend, litmus.InstrCount(*v.Shrunk), Render(*v.Shrunk))
@@ -417,6 +416,25 @@ func Run(cfg Config) (*Summary, error) {
 		}
 	}
 	return sum, nil
+}
+
+// check conformance-checks p on backend, for the campaign and for
+// shrinking alike. It returns the report, kept whole even when a run
+// failed, and its first finding; a check that could not start has no
+// report, and its error becomes a "run" finding.
+func check(cfg Config, p litmus.Program, backend string, seed int64, model *litmus.Result) (*conform.Report, conform.Finding) {
+	opt, err := checkOptions(cfg, p, backend, seed, model)
+	var rep *conform.Report
+	if err == nil {
+		rep, err = conform.CheckOpts(p, backend, opt)
+	}
+	switch {
+	case rep == nil:
+		return nil, conform.Finding{Seed: seed, Kind: "run", Detail: err.Error()}
+	case len(rep.Findings) == 0:
+		return rep, conform.Finding{}
+	}
+	return rep, rep.Findings[0]
 }
 
 // checkOptions builds the conformance options of one (program, backend)
@@ -460,23 +478,6 @@ func checkOptions(cfg Config, p litmus.Program, backend string, seed int64, mode
 	return opt, nil
 }
 
-// specDivergence reads a spec-checked pair's report: the edges of the
-// first run whose trace the specs do not fully commit, or nil.
-func specDivergence(seed int64, backend string, rep *conform.Report) *SpecDivergence {
-	var d *SpecDivergence
-	var run int64
-	for _, f := range rep.Findings {
-		switch {
-		case f.Kind != "edge":
-		case d == nil:
-			d, run = &SpecDivergence{Seed: seed, Backend: backend, Edges: 1, First: f.Detail}, f.Seed
-		case f.Seed == run:
-			d.Edges++
-		}
-	}
-	return d
-}
-
 // explore runs the model on the effective program with a state budget.
 // Exploration is single-threaded: the campaign parallelizes across
 // programs, not within one.
@@ -489,19 +490,25 @@ func explore(p litmus.Program, maxStates int) (*litmus.Result, error) {
 
 func isBudget(err error) bool { return errors.Is(err, litmus.ErrBudget) }
 
-// shrinkViolation minimizes v.Program while it still yields any forbidden
-// outcome on v.Backend, and attaches the result. The repro closure caches
-// the last failing report so the final accepted candidate's report is
-// reused instead of re-checked.
+// shrinkViolation minimizes v.Program while it still yields a finding of
+// v's kind on v.Backend — a rejected read stays a rejected read, a
+// forbidden outcome a forbidden outcome — and attaches the result. The
+// repro closure caches the last reproducing report so the final accepted
+// candidate's report is reused instead of re-checked. Unexplorable and
+// deadlocking candidates do not reproduce.
 func shrinkViolation(cfg Config, v *Violation) {
 	var last *conform.Report
 	repro := func(p litmus.Program) bool {
-		rep := checkOnce(cfg, p, v)
-		if rep != nil && !rep.Ok() {
-			last = rep
-			return true
+		model, err := explore(p, cfg.MaxStates)
+		if err != nil || model.Stuck > 0 {
+			return false
 		}
-		return false
+		rep, _ := check(cfg, p, v.Backend, v.Seed, model)
+		if rep == nil || !slices.ContainsFunc(rep.Findings, func(f conform.Finding) bool { return f.Kind == v.Finding.Kind }) {
+			return false
+		}
+		last = rep
+		return true
 	}
 	min, steps := Shrink(v.Program, repro)
 	v.ShrinkSteps = steps
@@ -513,23 +520,4 @@ func shrinkViolation(cfg Config, v *Violation) {
 		return
 	}
 	v.ShrunkReport = last
-}
-
-// checkOnce conformance-checks p on the violation's backend; nil on any
-// error (unexplorable, deadlocked or livelocked candidates do not
-// reproduce).
-func checkOnce(cfg Config, p litmus.Program, v *Violation) *conform.Report {
-	model, err := explore(p, cfg.MaxStates)
-	if err != nil || model.Stuck > 0 {
-		return nil
-	}
-	opt, err := checkOptions(cfg, p, v.Backend, v.Seed, model)
-	if err != nil {
-		return nil
-	}
-	rep, err := conform.CheckOpts(p, v.Backend, opt)
-	if err != nil {
-		return nil
-	}
-	return rep
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -332,8 +333,8 @@ func TestCampaignSpecCheck(t *testing.T) {
 
 // TestFaultedCampaignSpecChecks: a fault leaves the backend's name, and so
 // its spec, known, so a faulted SpecCheck campaign records every run. The
-// stale reads the recorder rejects are run errors; the pairs it accepts
-// are spec-checked.
+// stale reads the recorder rejects are "read" violations; every checked
+// pair is spec-checked.
 func TestFaultedCampaignSpecChecks(t *testing.T) {
 	sum, err := Run(Config{
 		Seed: 1, N: 20, Gen: GenConfig{Mode: ModeMixed}, Runs: 2,
@@ -347,8 +348,44 @@ func TestFaultedCampaignSpecChecks(t *testing.T) {
 	if sum.SpecChecked == 0 || sum.SpecChecked != sum.Checked {
 		t.Errorf("spec-checked %d of %d checked pairs, want all and at least one", sum.SpecChecked, sum.Checked)
 	}
-	if len(sum.Errors) == 0 {
+	if !slices.ContainsFunc(sum.Violations, func(v *Violation) bool { return v.Finding.Kind == "read" }) {
 		t.Errorf("recorder rejected no stale read:\n%s", sum)
+	}
+}
+
+// TestCampaignShrinksRejectedRead: under SpecCheck the recorder rejects a
+// faulted run's stale read before its forbidden outcome forms. The pair
+// stays checked, its verdict is a "read" violation, and it shrinks like a
+// forbidden outcome, to a smaller program that still has a rejected read.
+func TestCampaignShrinksRejectedRead(t *testing.T) {
+	sum, err := Run(Config{
+		Seed: 1, N: 60, Gen: GenConfig{Mode: ModeMixed}, Runs: 3,
+		Backends:  []string{"swcc"},
+		SpecCheck: true,
+		Shrink:    true,
+		Faults:    rt.FaultSet{SkipExitFlush: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Checked != 60 {
+		t.Errorf("checked %d pairs, want 60", sum.Checked)
+	}
+	hasRead := func(rep *conform.Report) bool {
+		return rep != nil && slices.ContainsFunc(rep.Findings, func(f conform.Finding) bool { return f.Kind == "read" })
+	}
+	shrunk := 0
+	for _, v := range sum.Violations {
+		if v.Finding.Kind != "read" || v.Shrunk == nil || litmus.InstrCount(*v.Shrunk) >= litmus.InstrCount(v.Program) {
+			continue
+		}
+		shrunk++
+		if !hasRead(v.ShrunkReport) {
+			t.Errorf("seed %d: shrunk program has no rejected read:\n%s", v.Seed, Render(*v.Shrunk))
+		}
+	}
+	if shrunk == 0 {
+		t.Fatalf("no rejected read was shrunk:\n%s", sum)
 	}
 }
 

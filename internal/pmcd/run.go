@@ -209,7 +209,7 @@ func runFuzz(j *FuzzJob, progress *Progress) (*FuzzView, error) {
 			Seed    int64  `json:"seed"`
 			Backend string `json:"backend"`
 			Err     string `json:"err"`
-		}{e.Seed, e.Backend, e.Err})
+		}{e.Seed, e.Backend, e.Finding.String()})
 	}
 	progress.done.Store(int64(j.N))
 	return v, nil

@@ -48,21 +48,15 @@ type Work struct {
 }
 
 // Divergence is one way the backend (or its spec) departed from the
-// model.
+// model: a conform.Finding of the named interface program, or of
+// "(spec)" when the spec itself fails VsModel (Kind "spec").
 type Divergence struct {
 	Program string
-	// Kind classifies the failure: "spec" (the spec itself fails
-	// VsModel), "run" (a simulation died — typically a fault-induced
-	// livelock hitting the cycle bound), "read" (the recorder saw a
-	// model-forbidden read value mid-run), "outcome" (a final register
-	// assignment outside the model's outcome set), or "edge" (a trace
-	// edge no declared obligation commits).
-	Kind   string
-	Detail string
+	conform.Finding
 }
 
 func (d Divergence) String() string {
-	return fmt.Sprintf("%s [%s]: %s", d.Program, d.Kind, d.Detail)
+	return fmt.Sprintf("%s [%s]: %s", d.Program, d.Kind, d.Finding)
 }
 
 // Result is the outcome of checking one backend against its spec.
@@ -153,7 +147,7 @@ func CheckBackend(s Spec, platform Platform, opt CheckOptions) (*Result, error) 
 	}
 	res := &Result{Backend: s.Backend, Platform: platform}
 	for _, p := range VsModel(&s) {
-		res.Divergences = append(res.Divergences, Divergence{Program: "(spec)", Kind: "spec", Detail: p})
+		res.Divergences = append(res.Divergences, Divergence{"(spec)", conform.Finding{Kind: "spec", Detail: p}})
 	}
 	if !res.Ok() {
 		// Simulating against a spec that disagrees with the model proves
@@ -193,16 +187,9 @@ func CheckBackend(s Spec, platform Platform, opt CheckOptions) (*Result, error) 
 		// (with its seed) is what a human needs.
 		seen := make(map[string]bool)
 		for _, f := range rep.Findings {
-			detail := f.Detail
-			switch f.Kind {
-			case "run", "read":
-				detail = fmt.Sprintf("%s (seed %d)", f.Detail, f.Seed)
-			case "outcome":
-				detail = fmt.Sprintf("%q is model-forbidden (seed %d)", f.Detail, f.Seed)
-			}
-			if key := f.Kind + "\x00" + detail; !seen[key] {
+			if key := f.Kind + "\x00" + f.String(); !seen[key] {
 				seen[key] = true
-				res.Divergences = append(res.Divergences, Divergence{Program: p.Name, Kind: f.Kind, Detail: detail})
+				res.Divergences = append(res.Divergences, Divergence{p.Name, f})
 			}
 		}
 	}
