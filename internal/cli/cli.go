@@ -1,7 +1,7 @@
 // Package cli holds the shared error-exit convention of the pmc commands:
 // a bad flag value prints the message and the flag usage and exits 2 (the
 // flag package's own convention for unparseable flags); runtime failures
-// — an exploration error, a gated benchmark comparison — exit 1.
+// — an exploration error, a campaign with violations — exit 1.
 package cli
 
 import (

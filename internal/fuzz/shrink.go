@@ -75,7 +75,9 @@ func Shrink(p litmus.Program, repro Repro) (litmus.Program, int) {
 // shrinkPass tries every single reduction of cur in a fixed order and
 // returns the first accepted candidate.
 func shrinkPass(cur litmus.Program, repro Repro) (litmus.Program, bool) {
-	// 1. Drop a whole thread.
+	// 1. Drop a whole thread. An empty thread can survive: a run's
+	// per-thread stagger derives from the thread index, so dropping it
+	// renumbers the rest and can lose the failure at the printed seed.
 	for ti := range cur.Threads {
 		if len(cur.Threads) == 1 {
 			break

@@ -18,7 +18,7 @@ import (
 // engine's own JSON emission (already byte-stable for any worker count);
 // litmus and fuzz results serialize reduced, ordered views — sorted
 // outcome lists and campaign-order violation lists. The behaviour contract
-// (internal/perf) reads its exact metrics off the same Result.
+// (TestBehaviourContract) reads its exact metrics off the same Result.
 
 // Progress is a job's coarse completion counter, updated atomically by
 // the runner and readable while the job runs (the events stream polls

@@ -167,8 +167,8 @@ func (p *Proc) Park() any {
 }
 
 // Unpark schedules the parked process p to resume at the current time with
-// the given hint. It panics if p is not parked; use IsParked to test.
-// Unpark may be called from any event or process context.
+// the given hint. It panics if p is not parked. Unpark may be called from
+// any event or process context.
 func (p *Proc) Unpark(hint any) {
 	if !p.parked {
 		panic(fmt.Sprintf("sim: Unpark of non-parked proc %q", p.name))
@@ -178,9 +178,6 @@ func (p *Proc) Unpark(hint any) {
 	p.unparkHint = hint
 	p.k.ScheduleAt(p.k.now, p.resumeFn)
 }
-
-// IsParked reports whether the process is currently blocked in Park.
-func (p *Proc) IsParked() bool { return p.parked }
 
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.done }

@@ -348,16 +348,6 @@ func (t *Table) CheckPortable() error {
 	return nil
 }
 
-// Results returns the full workload results in grid order (nil entries for
-// failed cells).
-func (t *Table) Results() []*workloads.Result {
-	out := make([]*workloads.Result, len(t.Rows))
-	for i := range t.Rows {
-		out[i] = t.Rows[i].Result
-	}
-	return out
-}
-
 // WriteJSON emits the table as an indented JSON array of rows. The bytes
 // are deterministic: grid order is fixed and field order follows the
 // struct.

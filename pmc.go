@@ -48,7 +48,6 @@ import (
 	"pmc/internal/fuzz"
 	"pmc/internal/litmus"
 	"pmc/internal/noc"
-	"pmc/internal/perf"
 	"pmc/internal/pmcd"
 	"pmc/internal/rt"
 	"pmc/internal/sim"
@@ -310,41 +309,6 @@ func ParseTopology(s string) (NoCTopology, error) { return noc.ParseTopology(s) 
 // "small" experiment scale).
 func ScaledApp(name string, small bool) (App, bool) { return workloads.Scaled(name, small) }
 
-// ---- Continuous benchmarking ----
-
-type (
-	// BenchSpec declares a benchmark run: a named suite of entries, each
-	// a name plus a pmcd job (a one-cell sweep, a litmus exploration or a
-	// fuzz campaign) run through the job service's runner, with
-	// repetition control.
-	BenchSpec = perf.Spec
-	// BenchReport is a completed benchmark run — the versioned
-	// BENCH.json payload.
-	BenchReport = perf.Report
-	// BenchComparison is a report diff with per-metric classifications.
-	BenchComparison = perf.Comparison
-)
-
-// BenchRun executes every entry of the suite and returns the report of
-// its exact metrics (sim-cycles, states, campaign tallies), which must
-// agree across repetitions.
-func BenchRun(spec BenchSpec) (*BenchReport, error) { return perf.Run(spec) }
-
-// BenchSuite returns the named builtin suite ("ci", "full").
-func BenchSuite(name string) (BenchSpec, error) { return perf.Suite(name) }
-
-// BenchSuites lists the builtin suite names.
-func BenchSuites() []string { return perf.Suites() }
-
-// BenchCompare diffs a candidate report against a baseline: every metric
-// must match exactly.
-func BenchCompare(base, cand *BenchReport) (*BenchComparison, error) {
-	return perf.Compare(base, cand)
-}
-
-// BenchLoadReport reads a BENCH.json file.
-func BenchLoadReport(path string) (*BenchReport, error) { return perf.LoadReport(path) }
-
 // ---- Serving results (pmcd) ----
 
 type (
@@ -353,7 +317,7 @@ type (
 	// the fingerprint code-version component.
 	PmcdConfig = pmcd.Config
 	// PmcdServer is the long-running HTTP/JSON job service over the
-	// sweep/litmus/fuzz/bench engines.
+	// sweep/litmus/fuzz engines.
 	PmcdServer = pmcd.Server
 	// PmcdClient is the thin HTTP client of the job service.
 	PmcdClient = pmcd.Client
