@@ -179,7 +179,7 @@ func main() {
 		all       = flag.Bool("all", false, "explore every cataloged program")
 		list      = flag.Bool("list", false, "list programs")
 		table1    = flag.Bool("table1", false, "print the Table I ordering rules")
-		workers   = flag.Int("workers", 0, "exploration goroutines (0 = GOMAXPROCS, 1 = sequential)")
+		workers   = flag.Int("workers", 0, "exploration goroutines (0 = GOMAXPROCS, 1 = sequential; the tree walk of -memoize=false is always sequential)")
 		memoize   = flag.Bool("memoize", true, "deduplicate canonical states (disable for the reference tree engine)")
 		symmetry  = flag.Bool("symmetry", false, "collapse thread/location-symmetric states (outcomes identical; requires -memoize)")
 		maxStates = flag.Int("maxstates", 0, "state budget (0 = default)")
@@ -207,6 +207,9 @@ func main() {
 	}
 	if *workers < 0 {
 		fail(usagef("-workers must be non-negative, got %d", *workers))
+	}
+	if *symmetry && !*memoize {
+		fail(usagef("-symmetry requires -memoize (orbit results live in the memo table)"))
 	}
 	// Campaign and certification sizes likewise: a negative -n or -runs,
 	// or a platform without tiles, names no run to do.

@@ -12,8 +12,9 @@ import (
 // checker is the tool behind Fig. 1, Figs. 5/6 and the SC-simulation
 // claim, and its scalability is what bounds the programs the reproduction
 // can verify. The ablation quantifies what canonical-state memoization and
-// the worker pool buy over plain tree enumeration, and double-checks that
-// all engines agree outcome for outcome.
+// parallel walkers buy over plain tree enumeration, and double-checks that
+// all engines agree outcome for outcome and that parallel walkers count
+// exactly the memoized states.
 
 func init() {
 	register(Experiment{
@@ -40,7 +41,7 @@ func runAblationExplorer(w io.Writer, o Options) error {
 	}
 	fmt.Fprintf(w, "%-20s %-10s %12s %12s %10s\n", "program", "engine", "states", "paths", "time")
 	for _, p := range progs {
-		var ref *litmus.Result
+		var ref, memo *litmus.Result
 		for _, m := range modes {
 			// Tree enumeration cannot finish the stress program: its
 			// ~2e8 interleaving paths are the reason the memoizing
@@ -69,8 +70,16 @@ func runAblationExplorer(w io.Writer, o Options) error {
 				return fmt.Errorf("engine %s disagrees on %s: %v (stuck %d) vs %v (stuck %d)",
 					m.name, p.Name, res.Outcomes, res.Stuck, ref.Outcomes, ref.Stuck)
 			}
+			switch m.name {
+			case "memoized":
+				memo = res
+			case "parallel":
+				if res.States != memo.States {
+					return fmt.Errorf("parallel walkers explored %d states of %s, memoized %d", res.States, p.Name, memo.States)
+				}
+			}
 		}
 	}
-	fmt.Fprintln(w, "\nall engines agree outcome-for-outcome; memoization collapses states, workers split the frontier")
+	fmt.Fprintln(w, "\nall engines agree outcome-for-outcome; memoization collapses states; parallel walkers share its table and count the same states")
 	return nil
 }

@@ -36,17 +36,18 @@ func TestExplorerRerunIdentical(t *testing.T) {
 }
 
 // TestExploreRestoresRoot: the engines explore on the root state in place,
-// so after a sequential walk or a frontier expansion, memoized or not,
+// so after a tree walk, or a memoized walk alone or beside a helper walker,
 // with symmetry or without, the root must be the freshly built one again —
 // same ops, edges, pcs, locks, reads, registers, op labels, and the same
 // fingerprint in every frame.
 func TestExploreRestoresRoot(t *testing.T) {
-	modes := []struct{ memoize, symmetry bool }{{false, false}, {true, false}, {true, true}}
-	for _, workers := range []int{1, 2} {
-		for _, m := range modes {
-			for _, p := range []Program{WRCDRF(), MutexCounter(), IRIW3(), IRIW()} {
-				checkRootRestored(t, p, workers, m.memoize, m.symmetry)
-			}
+	modes := []struct {
+		workers           int
+		memoize, symmetry bool
+	}{{1, false, false}, {1, true, false}, {1, true, true}, {2, true, false}, {2, true, true}}
+	for _, m := range modes {
+		for _, p := range []Program{WRCDRF(), MutexCounter(), IRIW3(), IRIW()} {
+			checkRootRestored(t, p, m.workers, m.memoize, m.symmetry)
 		}
 	}
 }
@@ -59,13 +60,7 @@ func checkRootRestored(t *testing.T, p Program, workers int, memoize, symmetry b
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := newEngine(x)
-	if workers == 1 {
-		_, err = g.explore(root)
-	} else {
-		_, err = g.runParallel(root, workers)
-	}
-	if err != nil {
+	if _, err = newEngine(x).run(root, workers); err != nil {
 		t.Fatal(err)
 	}
 	fresh := x.newRoot()

@@ -337,9 +337,7 @@ type regVal struct {
 
 // move is one enabled exploration step: thread t executes its next
 // instruction. For reads and awaits, rf is the op ID of the write read
-// from and val the value returned; otherwise rf is -1. Op IDs are
-// deterministic, so a move list recorded on one state replays onto any
-// state built the same way (the parallel frontier relies on this).
+// from and val the value returned; otherwise rf is -1.
 type move struct {
 	t   int
 	rf  int
@@ -357,7 +355,7 @@ type trail struct {
 //
 // The zero-configuration path (NewExplorer / Explore) uses the memoized
 // parallel engine: converging interleavings are deduplicated by canonical
-// state fingerprint and independent subtrees run on a worker pool. Both
+// state fingerprint, and GOMAXPROCS walkers share that memo table. Both
 // features can be disabled per field; every mode produces identical
 // Outcomes, Stuck and outcome lists, bit-for-bit, run-to-run.
 type Explorer struct {
@@ -373,7 +371,7 @@ type Explorer struct {
 	base []int
 	// auts holds the program's non-identity automorphisms when Symmetry
 	// is on (symmetry.go), found in prepare so that every root state —
-	// including each parallel worker's — carries their accumulators.
+	// including each parallel walker's — carries their accumulators.
 	auts []*autPerm
 	// frames[0] is the identity labeling and frames[i] the labeling of
 	// auts[i-1]: one fingerprint accumulator per frame.
@@ -383,7 +381,8 @@ type Explorer struct {
 	// error is returned only when work remained beyond it.
 	MaxStates int
 	// Workers is the number of exploration goroutines. 0 means
-	// GOMAXPROCS; 1 explores sequentially.
+	// GOMAXPROCS; 1 explores sequentially. Parallel walkers share the
+	// memo table, so the tree walk (Memoize=false) is always sequential.
 	Workers int
 	// Memoize enables canonical-state deduplication: states reached by
 	// different interleavings that are isomorphic (same per-thread
@@ -540,16 +539,11 @@ func (x *Explorer) Run() (*Result, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	g := newEngine(x)
-	var res subResult
-	if workers == 1 {
-		res, err = g.explore(s)
-	} else {
-		res, err = g.runParallel(s, workers)
-	}
+	res, err := g.run(s, workers)
 	if err != nil {
 		return nil, err
 	}
-	if g.budgetHit.Load() {
+	if g.states.Load() > g.maxStates {
 		return nil, fmt.Errorf("litmus %s: %w (budget %d, work remained)",
 			x.prog.Name, ErrBudget, x.MaxStates)
 	}

@@ -130,9 +130,6 @@ func runLitmus(j *LitmusJob, progress *Progress) (*LitmusView, error) {
 	x := litmus.NewExplorer(prog)
 	x.Memoize = !j.Tree
 	x.Symmetry = j.Symmetry
-	if j.Tree {
-		x.Workers = 1 // the tree reference engine is sequential
-	}
 	if j.MaxStates > 0 {
 		x.MaxStates = j.MaxStates
 	}
