@@ -11,7 +11,7 @@
 //
 //	pmcd serve  [-addr :8433] [-cache DIR] [-workers N] [-mem N] [-queue N] [-codeversion V]
 //	pmcd submit [-addr URL] [-wait] [-out FILE] -sweep apps [-backends ...] [-tilelist ...] [-topos ...] [-small]
-//	pmcd submit [-addr URL] [-wait] [-out FILE] -litmus PROG [-tree] [-maxstates N]
+//	pmcd submit [-addr URL] [-wait] [-out FILE] -litmus PROG [-maxstates N]
 //	pmcd submit [-addr URL] [-wait] [-out FILE] -fuzz -seed N -n N [-mode drf|racy|mixed] [-fuzzbackends ...] [-runs N]
 //	pmcd submit [-addr URL] [-wait] [-out FILE] -spec FILE    raw JobSpec JSON ("-" = stdin)
 //	pmcd get    [-addr URL] (-job ID | -fp FINGERPRINT) [-out FILE]
@@ -167,7 +167,6 @@ func cmdSubmit(args []string) error {
 		small     = fs.Bool("small", false, "sweep: CI-sized app configurations")
 
 		litmusProg = fs.String("litmus", "", "litmus job: cataloged program name")
-		tree       = fs.Bool("tree", false, "litmus: reference tree engine (memoization off)")
 		maxStates  = fs.Int("maxstates", 0, "litmus: state budget override")
 
 		fuzzJob  = fs.Bool("fuzz", false, "fuzz job: seeded differential campaign")
@@ -194,7 +193,7 @@ func cmdSubmit(args []string) error {
 		set++
 	}
 	if *litmusProg != "" {
-		spec.Litmus = &pmc.PmcdLitmusJob{Prog: *litmusProg, Tree: *tree, MaxStates: *maxStates}
+		spec.Litmus = &pmc.PmcdLitmusJob{Prog: *litmusProg, MaxStates: *maxStates}
 		set++
 	}
 	if *fuzzJob {

@@ -8,14 +8,12 @@
 //	pmclitmus -all               explore every program
 //	pmclitmus -table1            print the ordering-rule table
 //	pmclitmus -prog sb-drf -workers 8
-//	pmclitmus -prog sb-drf -workers 1 -memoize=false   (reference engine)
 //	pmclitmus -prog iriw-sym3 -symmetry -stats         (orbit-collapsed states)
 //
 // Compositional spec checking — drive a backend against its declarative
-// ordering spec at fixed interface scale (cost independent of -platform):
+// ordering spec at fixed interface scale, whatever the deployment size:
 //
 //	pmclitmus -spec all
-//	pmclitmus -spec swcc -platform 1024
 //	pmclitmus -spec swcc -fault release-without-flush   (must fail)
 //
 // Differential fuzzing — generate seeded random annotated programs,
@@ -56,7 +54,6 @@ func fail(err error) { cli.Fail("pmclitmus", err) }
 
 type engineOpts struct {
 	workers   int
-	memoize   bool
 	symmetry  bool
 	maxStates int
 	stats     bool
@@ -65,7 +62,6 @@ type engineOpts struct {
 func explore(p pmc.LitmusProgram, o engineOpts) error {
 	x := pmc.NewLitmusExplorer(p)
 	x.Workers = o.workers
-	x.Memoize = o.memoize
 	x.Symmetry = o.symmetry
 	if o.maxStates > 0 {
 		x.MaxStates = o.maxStates
@@ -143,7 +139,7 @@ func runFuzz(seed int64, n int, mode, backends, fault string, shrink, specCheck 
 
 // runSpec checks backends against their declarative ordering specs at
 // interface scale; with a fault injected, a passing check is the failure.
-func runSpec(sel, fault string, runs, platform int) error {
+func runSpec(sel, fault string, runs int) error {
 	fs, err := pmc.ParseFaultSet(fault)
 	if err != nil {
 		return usagef("bad -fault: %v", err)
@@ -158,7 +154,7 @@ func runSpec(sel, fault string, runs, platform int) error {
 		if err != nil {
 			return usagef(`bad -spec %q: %v (or "all")`, sel, err)
 		}
-		r, err := pmc.SpecCheckBackend(s, pmc.SpecPlatform{Tiles: platform}, pmc.SpecCheckOptions{Runs: runs, Faults: fs})
+		r, err := pmc.SpecCheckBackend(s, pmc.SpecCheckOptions{Runs: runs, Faults: fs})
 		if err != nil {
 			return err
 		}
@@ -179,14 +175,12 @@ func main() {
 		all       = flag.Bool("all", false, "explore every cataloged program")
 		list      = flag.Bool("list", false, "list programs")
 		table1    = flag.Bool("table1", false, "print the Table I ordering rules")
-		workers   = flag.Int("workers", 0, "exploration goroutines (0 = GOMAXPROCS, 1 = sequential; the tree walk of -memoize=false is always sequential)")
-		memoize   = flag.Bool("memoize", true, "deduplicate canonical states (disable for the reference tree engine)")
-		symmetry  = flag.Bool("symmetry", false, "collapse thread/location-symmetric states (outcomes identical; requires -memoize)")
+		workers   = flag.Int("workers", 0, "exploration goroutines (0 = GOMAXPROCS, 1 = sequential)")
+		symmetry  = flag.Bool("symmetry", false, "collapse thread/location-symmetric states (outcomes identical)")
 		maxStates = flag.Int("maxstates", 0, "state budget (0 = default)")
 		stats     = flag.Bool("stats", false, "also print explored-state counts")
 
-		doSpec   = flag.String("spec", "", `check a backend against its declarative ordering spec ("all" or a backend name); composes with -fault and -runs`)
-		platform = flag.Int("platform", 32, "spec: deployment tile count being certified (the check's cost is independent of it)")
+		doSpec = flag.String("spec", "", `check a backend against its declarative ordering spec ("all" or a backend name); composes with -fault and -runs`)
 
 		doFuzz    = flag.Bool("fuzz", false, "run a seeded differential fuzzing campaign")
 		seed      = flag.Int64("seed", 1, "fuzz: base seed (program i uses seed+i)")
@@ -208,25 +202,18 @@ func main() {
 	if *workers < 0 {
 		fail(usagef("-workers must be non-negative, got %d", *workers))
 	}
-	if *symmetry && !*memoize {
-		fail(usagef("-symmetry requires -memoize (orbit results live in the memo table)"))
-	}
-	// Campaign and certification sizes likewise: a negative -n or -runs,
-	// or a platform without tiles, names no run to do.
+	// Campaign sizes likewise: a negative -n or -runs names no run to do.
 	if *n < 0 {
 		fail(usagef("-n must be non-negative, got %d", *n))
 	}
 	if *runs < 0 {
 		fail(usagef("-runs must be non-negative, got %d", *runs))
 	}
-	if *platform < 1 {
-		fail(usagef("-platform must be at least 1 tile, got %d", *platform))
-	}
-	opts := engineOpts{workers: *workers, memoize: *memoize, symmetry: *symmetry, maxStates: *maxStates, stats: *stats}
+	opts := engineOpts{workers: *workers, symmetry: *symmetry, maxStates: *maxStates, stats: *stats}
 
 	switch {
 	case *doSpec != "":
-		if err := runSpec(*doSpec, *fault, *runs, *platform); err != nil {
+		if err := runSpec(*doSpec, *fault, *runs); err != nil {
 			fail(err)
 		}
 		return

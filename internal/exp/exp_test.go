@@ -34,7 +34,6 @@ var cases = []struct {
 	{id: "ablation-scaling"},
 	{id: "ablation-dcache"},
 	{id: "ablation-granularity"},
-	{id: "ablation-explorer"},
 	{id: "bulk-ablation"},
 	{id: "mixed-ablation"},
 	{id: "ext-stencil"},
@@ -62,7 +61,7 @@ var cases = []struct {
 		"release-without-flush", "shrunk", "entry_x(", "exit_x("}},
 	// Platform-size independence, the symmetry collapse, and the
 	// injected-fault detection line.
-	{id: "spec-ablation", want: []string{"work@32==work@1024", "iriw-sym3", "fault detection", "divergences"}},
+	{id: "spec-ablation", want: []string{"compositional check simulates 4 either way", "iriw-sym3", "fault detection", "divergences"}},
 }
 
 // reports memoizes each experiment's small-scale report, so every
@@ -148,7 +147,7 @@ func TestSweepServicesSmall(t *testing.T) { checkExperiments(t, "sweep-services"
 
 func TestAblations(t *testing.T) {
 	checkExperiments(t, "ablation-locks", "ablation-release", "ablation-scaling",
-		"ablation-dcache", "ablation-granularity", "ablation-explorer",
+		"ablation-dcache", "ablation-granularity",
 		"ext-stencil", "ext-pc", "ext-scoped-fence", "ext-mesh", "ext-conformance")
 }
 

@@ -5,18 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// This file is the exploration engine behind Explorer.Run. Two walks
-// share one recursive core:
-//
-//   - tree enumeration (Memoize=false): the reference semantics — every
-//     interleaving/read-choice path is walked individually, sequentially
-//     for any worker count;
-//   - memoized counting DFS (Memoize=true): states are keyed by their
-//     canonical fingerprint (fingerprint.go) in one memo map behind a
-//     mutex; the subtree below a state is explored once and its outcome
-//     counts reused for every converging interleaving. Because the counts
-//     are of completions *from* the state, summing them once per incoming
-//     path reproduces tree counts exactly.
+// This file is the exploration engine behind Explorer.Run: a memoized
+// counting DFS. States are keyed by their canonical fingerprint
+// (fingerprint.go) in one memo map behind a mutex; the subtree below a
+// state is explored once and its outcome counts reused for every
+// converging interleaving. Because the counts are of completions *from*
+// the state, summing them once per incoming path reproduces the counts of
+// plain tree enumeration exactly (the test oracle in oracle_test.go).
 //
 // Parallel exploration (Workers=n>1) is n walkers sharing that memo
 // table. Walker 0 explores the root as the sequential walk does. Walker
@@ -41,9 +36,8 @@ import (
 // state or execution is ever copied.
 //
 // Determinism of Result.States: compute is the only place a state is
-// counted. Without memoization it runs once per tree node; with it, once
-// per memo entry, so States is the number of distinct canonical states
-// (orbits under symmetry) for any worker count.
+// counted, once per memo entry, so States is the number of distinct
+// canonical states (orbits under symmetry) for any worker count.
 
 // outcomeCount is one entry of a subResult: n paths end in the outcome
 // with interned id (engine.leaf), or in a stuck leaf when id is stuckID.
@@ -98,7 +92,6 @@ type cacheEntry struct {
 // engine holds the mutable exploration context for one Run.
 type engine struct {
 	x         *Explorer
-	memoize   bool
 	maxStates int64
 	states    atomic.Int64
 	// halt fails every later claim, so every walker unwinds: it is set
@@ -124,11 +117,12 @@ type engine struct {
 // memoization) the memo table is keyed by the orbit-canonical fingerprint
 // and stores results in the canonical register frame (see symmetry.go).
 func newEngine(x *Explorer) *engine {
-	g := &engine{x: x, memoize: x.Memoize, maxStates: int64(x.MaxStates), ids: make(map[string]int32)}
-	if x.Memoize {
-		g.cache = make(map[fingerprint]*cacheEntry)
+	return &engine{
+		x:         x,
+		maxStates: int64(x.MaxStates),
+		cache:     make(map[fingerprint]*cacheEntry),
+		ids:       make(map[string]int32),
 	}
-	return g
 }
 
 // lookup returns the memo entry for fp and whether it already existed.
@@ -191,12 +185,8 @@ func (g *engine) result(res subResult) *Result {
 }
 
 // explore returns the subResult for s as walker w, consulting the memo
-// table when enabled. Results from the table are shared and must not be
-// mutated.
+// table. Results from the table are shared and must not be mutated.
 func (g *engine) explore(s *state, w int) (subResult, error) {
-	if !g.memoize {
-		return g.compute(s, w)
-	}
 	if len(g.x.auts) > 0 {
 		return g.exploreSym(s, w)
 	}
@@ -278,10 +268,10 @@ func (g *engine) claimState() bool {
 }
 
 // run explores root with workers walkers and returns walker 0's result
-// once every walker has stopped. The tree walk has no table to share, so
-// it runs alone. Helpers walk roots of their own and drop their results.
+// once every walker has stopped. Helpers walk roots of their own and drop
+// their results.
 func (g *engine) run(root *state, workers int) (subResult, error) {
-	if workers == 1 || !g.memoize {
+	if workers == 1 {
 		return g.explore(root, 0)
 	}
 	var wg sync.WaitGroup

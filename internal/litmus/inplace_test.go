@@ -9,18 +9,17 @@ import (
 // identical Result in every engine mode.
 func TestExplorerRerunIdentical(t *testing.T) {
 	modes := []struct {
-		name              string
-		workers           int
-		memoize, symmetry bool
+		name     string
+		workers  int
+		symmetry bool
 	}{
-		{"tree", 1, false, false},
-		{"memoized", 1, true, false},
-		{"parallel", 2, true, false},
-		{"symmetry", 2, true, true},
+		{"memoized", 1, false},
+		{"parallel", 2, false},
+		{"symmetry", 2, true},
 	}
 	for _, m := range modes {
 		x := NewExplorer(IRIWSym3())
-		x.Workers, x.Memoize, x.Symmetry = m.workers, m.memoize, m.symmetry
+		x.Workers, x.Symmetry = m.workers, m.symmetry
 		a, err := x.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
@@ -35,27 +34,27 @@ func TestExplorerRerunIdentical(t *testing.T) {
 	}
 }
 
-// TestExploreRestoresRoot: the engines explore on the root state in place,
-// so after a tree walk, or a memoized walk alone or beside a helper walker,
-// with symmetry or without, the root must be the freshly built one again —
-// same ops, edges, pcs, locks, reads, registers, op labels, and the same
+// TestExploreRestoresRoot: the engine explores on the root state in
+// place, so after a walk alone or beside a helper walker, with symmetry or
+// without, the root must be the freshly built one again — same ops,
+// edges, pcs, locks, reads, registers, op labels, and the same
 // fingerprint in every frame.
 func TestExploreRestoresRoot(t *testing.T) {
 	modes := []struct {
-		workers           int
-		memoize, symmetry bool
-	}{{1, false, false}, {1, true, false}, {1, true, true}, {2, true, false}, {2, true, true}}
+		workers  int
+		symmetry bool
+	}{{1, false}, {1, true}, {2, false}, {2, true}}
 	for _, m := range modes {
 		for _, p := range []Program{WRCDRF(), MutexCounter(), IRIW3(), IRIW()} {
-			checkRootRestored(t, p, m.workers, m.memoize, m.symmetry)
+			checkRootRestored(t, p, m.workers, m.symmetry)
 		}
 	}
 }
 
-func checkRootRestored(t *testing.T, p Program, workers int, memoize, symmetry bool) {
+func checkRootRestored(t *testing.T, p Program, workers int, symmetry bool) {
 	t.Helper()
 	x := NewExplorer(p)
-	x.Memoize, x.Symmetry = memoize, symmetry
+	x.Symmetry = symmetry
 	root, err := x.prepare()
 	if err != nil {
 		t.Fatal(err)
@@ -71,13 +70,13 @@ func checkRootRestored(t *testing.T, p Program, workers int, memoize, symmetry b
 		!reflect.DeepEqual(root.lastRead, fresh.lastRead) ||
 		!reflect.DeepEqual(root.regs, fresh.regs) ||
 		!reflect.DeepEqual(root.labels, fresh.labels) {
-		t.Errorf("%s, %d workers, memoize %v, symmetry %v: root not restored after exploration",
-			p.Name, workers, memoize, symmetry)
+		t.Errorf("%s, %d workers, symmetry %v: root not restored after exploration",
+			p.Name, workers, symmetry)
 	}
 	for f := range x.frames {
 		if got, want := x.fingerprintIn(root, f), x.fingerprintIn(fresh, f); got != want {
-			t.Errorf("%s, %d workers, memoize %v, symmetry %v: frame %d fingerprint %x after exploration, fresh root %x",
-				p.Name, workers, memoize, symmetry, f, got, want)
+			t.Errorf("%s, %d workers, symmetry %v: frame %d fingerprint %x after exploration, fresh root %x",
+				p.Name, workers, symmetry, f, got, want)
 		}
 	}
 }

@@ -265,17 +265,16 @@ func LowerWide(p Program) Program {
 type Result struct {
 	// Outcomes maps a canonical register assignment ("r1=42 r2=0") to
 	// the number of distinct executions producing it. The count is the
-	// number of complete interleaving/read-choice paths, identical
-	// across sequential, memoized and parallel exploration modes.
+	// number of complete interleaving/read-choice paths, identical for
+	// every worker count and with or without Symmetry.
 	Outcomes map[string]int
 	// Stuck counts executions that reached a state with no enabled
 	// instruction before all threads finished (deadlock/livelock).
 	Stuck int
 	// States is the number of explored states — a cost metric, not part
-	// of the semantics. Without memoization it counts exploration-tree
-	// nodes; with memoization it counts distinct canonical states, which
-	// is typically far smaller. Within one mode it is deterministic
-	// run-to-run, including under parallel exploration.
+	// of the semantics. It counts distinct canonical states (orbits
+	// under Symmetry), typically far fewer than the nodes of the
+	// exploration tree, and is the same for every worker count.
 	States int
 }
 
@@ -353,10 +352,13 @@ type trail struct {
 
 // Explorer runs exhaustive exploration of a program.
 //
-// The zero-configuration path (NewExplorer / Explore) uses the memoized
-// parallel engine: converging interleavings are deduplicated by canonical
-// state fingerprint, and GOMAXPROCS walkers share that memo table. Both
-// features can be disabled per field; every mode produces identical
+// Converging interleavings are deduplicated: states reached by different
+// interleavings that are isomorphic (same per-thread progress, lock
+// holders, registers, read views and dependency graph modulo issue-order
+// relabeling) share one subtree, with path-counted outcomes matching
+// plain tree enumeration exactly. The zero-configuration path
+// (NewExplorer / Explore) runs GOMAXPROCS walkers over that memo table;
+// every worker count, with or without Symmetry, produces identical
 // Outcomes, Stuck and outcome lists, bit-for-bit, run-to-run.
 type Explorer struct {
 	prog   Program
@@ -382,28 +384,25 @@ type Explorer struct {
 	MaxStates int
 	// Workers is the number of exploration goroutines. 0 means
 	// GOMAXPROCS; 1 explores sequentially. Parallel walkers share the
-	// memo table, so the tree walk (Memoize=false) is always sequential.
+	// memo table.
 	Workers int
-	// Memoize enables canonical-state deduplication: states reached by
-	// different interleavings that are isomorphic (same per-thread
-	// progress, lock holders, registers, read views and dependency
-	// graph modulo issue-order relabeling) share one subtree, with
-	// path-counted outcomes matching plain tree enumeration exactly.
-	Memoize bool
 	// Symmetry additionally collapses states related by a program
 	// automorphism — a thread/location permutation mapping the program
 	// onto itself (symmetry.go) — so fully interchangeable threads cost
 	// one orbit instead of t! states. Outcomes, Stuck and per-outcome
-	// path counts are unchanged; only States shrinks. Requires Memoize;
-	// programs without non-trivial automorphisms run identically to
-	// plain memoization (modulo the canonicalization probe cost).
+	// path counts are unchanged; only States shrinks. Programs without
+	// non-trivial automorphisms run identically to plain memoization
+	// (modulo the canonicalization probe cost).
 	Symmetry bool
 }
 
+// DefaultMaxStates is the state budget NewExplorer sets.
+const DefaultMaxStates = 2_000_000
+
 // NewExplorer prepares an exploration of p with the default engine
-// (memoized, GOMAXPROCS workers).
+// (DefaultMaxStates, GOMAXPROCS workers).
 func NewExplorer(p Program) *Explorer {
-	return &Explorer{prog: p, MaxStates: 2_000_000, Memoize: true}
+	return &Explorer{prog: p, MaxStates: DefaultMaxStates}
 }
 
 // Explore runs the exhaustive search and returns the result.
@@ -473,9 +472,6 @@ func (x *Explorer) prepare() (*state, error) {
 	sort.Strings(x.regOrder)
 	for i, name := range x.regOrder {
 		x.regIdx[name] = i
-	}
-	if x.Symmetry && !x.Memoize {
-		return nil, fmt.Errorf("litmus %s: Symmetry requires Memoize (orbit results live in the memo table)", x.prog.Name)
 	}
 	numLabels := len(x.prog.Locs)
 	x.base = x.base[:0]

@@ -191,28 +191,34 @@ func TestReleaseWithoutHoldIsError(t *testing.T) {
 
 // TestMaxStatesBoundary: an exploration that completes using exactly
 // MaxStates states succeeds; the budget error fires only when work
-// remained beyond it. Checked in tree, memoized and parallel memoized
-// modes (regression for the off-by-one that reported boundary completions
-// as exhausted; parallel walkers must claim each state once).
+// remained beyond it. Checked with one walker and with two (regression
+// for the off-by-one that reported boundary completions as exhausted;
+// parallel walkers must claim each state once), and for the tree
+// oracle's node limit, which TestStressNeedsMemoization relies on.
 func TestMaxStatesBoundary(t *testing.T) {
-	for _, mode := range []struct {
-		name    string
-		workers int
-		memoize bool
-	}{{"tree", 1, false}, {"memoized", 1, true}, {"parallel-memoized", 2, true}} {
-		t.Run(mode.name, func(t *testing.T) {
+	engine := func(workers int) func(int) (*Result, error) {
+		return func(budget int) (*Result, error) {
 			x := NewExplorer(MutexCounter())
-			x.Workers, x.Memoize = 1, mode.memoize
-			r, err := x.Run()
+			x.Workers, x.MaxStates = workers, budget
+			return x.Run()
+		}
+	}
+	for _, mode := range []struct {
+		name string
+		run  func(budget int) (*Result, error)
+	}{
+		{"tree", func(limit int) (*Result, error) { return treeExplore(MutexCounter(), limit) }},
+		{"memoized", engine(1)},
+		{"parallel-memoized", engine(2)},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			r, err := mode.run(DefaultMaxStates)
 			if err != nil {
 				t.Fatal(err)
 			}
 			n := r.States
 
-			exact := NewExplorer(MutexCounter())
-			exact.Workers, exact.Memoize = mode.workers, mode.memoize
-			exact.MaxStates = n
-			re, err := exact.Run()
+			re, err := mode.run(n)
 			if err != nil {
 				t.Fatalf("completion at the budget boundary (%d states) wrongly reported exhausted: %v", n, err)
 			}
@@ -220,47 +226,46 @@ func TestMaxStatesBoundary(t *testing.T) {
 				t.Fatalf("boundary run explored %d states, want %d", re.States, n)
 			}
 
-			under := NewExplorer(MutexCounter())
-			under.Workers, under.Memoize = mode.workers, mode.memoize
-			under.MaxStates = n - 1
-			if _, err := under.Run(); err == nil {
+			if _, err := mode.run(n - 1); err == nil {
 				t.Fatalf("budget %d below the %d required did not error", n-1, n)
 			}
 		})
 	}
 }
 
-// TestDifferentialModes runs every cataloged program through sequential
-// tree, memoized and parallel memoized exploration and requires identical
-// Outcomes, Stuck and outcome lists. Parallel memoized States must equal
-// the sequential memoized count. The stress program is exempted from the
-// tree mode — not finishing there is its purpose (covered by
-// TestStressNeedsMemoization).
+// TestDifferentialModes runs every cataloged program through the engine
+// with one walker and with four, and through the tree oracle
+// (treeExplore), and requires identical Outcomes, Stuck and outcome
+// lists. The four walkers' States must equal the one walker's. The stress
+// program is exempt from the oracle — not finishing there is its purpose
+// (TestStressNeedsMemoization). sb-drf's tree is pinned at 8,881 nodes.
 func TestDifferentialModes(t *testing.T) {
 	modes := []struct {
 		name    string
 		workers int
-		memoize bool
-	}{
-		{"sequential", 1, false},
-		{"memoized", 1, true},
-		{"parallel-memoized", 4, true},
-	}
+	}{{"memoized", 1}, {"parallel-memoized", 4}}
 	for _, p := range Catalog() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			results := make(map[string]*Result)
 			for _, m := range modes {
-				if p.Name == "stress-independent" && !m.memoize {
-					continue
-				}
 				x := NewExplorer(p)
-				x.Workers, x.Memoize = m.workers, m.memoize
+				x.Workers = m.workers
 				r, err := x.Run()
 				if err != nil {
 					t.Fatalf("%s: %v", m.name, err)
 				}
 				results[m.name] = r
+			}
+			if p.Name != "stress-independent" {
+				tree, err := treeExplore(p, DefaultMaxStates)
+				if err != nil {
+					t.Fatalf("tree: %v", err)
+				}
+				results["tree"] = tree
+			}
+			if p.Name == "sb-drf" && results["tree"].States != 8881 {
+				t.Errorf("sb-drf tree has %d nodes, want 8881", results["tree"].States)
 			}
 			ref := results["memoized"]
 			for name, r := range results {
@@ -305,11 +310,8 @@ func TestParallelDeterministic(t *testing.T) {
 // tree budget but collapses to under a thousand canonical states, with the
 // full 2×10⁸ path count preserved in the outcome totals.
 func TestStressNeedsMemoization(t *testing.T) {
-	tree := NewExplorer(StressIndependent())
-	tree.Workers, tree.Memoize = 1, false
-	tree.MaxStates = 50_000
-	if _, err := tree.Run(); err == nil {
-		t.Fatal("tree exploration finished the stress program inside 50k states — it is not stressful enough")
+	if _, err := treeExplore(StressIndependent(), 50_000); err == nil {
+		t.Fatal("tree enumeration finished the stress program inside 50k nodes — it is not stressful enough")
 	}
 
 	r := explore(t, StressIndependent())

@@ -82,20 +82,19 @@ func Fingerprint(p Program) string {
 }
 
 // ExploreFingerprint extends the program fingerprint with the engine
-// configuration that reaches reported results: Memoize and Symmetry change
-// what States counts (tree nodes, distinct canonical states, or distinct
-// orbits) and MaxStates changes whether a budget abort is possible, so
-// explorations differing in any of them are distinct cacheable
-// computations. Workers is deliberately excluded — every worker count
-// produces identical results (the engine's differential guarantee) — so a
-// sequential and a parallel run share one cache entry.
-func ExploreFingerprint(p Program, memoize, symmetry bool, maxStates int) string {
+// configuration that reaches reported results: Symmetry changes what
+// States counts (distinct canonical states or distinct orbits) and
+// MaxStates changes whether a budget abort is possible, so explorations
+// differing in either are distinct cacheable computations. Workers is
+// deliberately excluded — every worker count produces identical results
+// (the engine's differential guarantee) — so a sequential and a parallel
+// run share one cache entry.
+func ExploreFingerprint(p Program, symmetry bool, maxStates int) string {
 	h := newFpHash()
 	h.mixString(Fingerprint(p))
-	m := 0
-	if memoize {
-		m = 1
-	}
+	// Bit 0 is always set: it once told the memoized engine from a tree
+	// walk, and keeping it keeps every existing fingerprint's value.
+	m := 1
 	if symmetry {
 		m += 2
 	}

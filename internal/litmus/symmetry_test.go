@@ -113,16 +113,6 @@ func TestSymmetryCollapse(t *testing.T) {
 	t.Logf("iriw: %d -> %d states (%.2fx)", plainI, symI, float64(plainI)/float64(symI))
 }
 
-// TestSymmetryRequiresMemoize: orbit results live in the memo table, so
-// the combination with plain tree search is rejected, not silently wrong.
-func TestSymmetryRequiresMemoize(t *testing.T) {
-	x := NewExplorer(IRIW())
-	x.Memoize, x.Symmetry = false, true
-	if _, err := x.Run(); err == nil {
-		t.Fatal("Symmetry without Memoize did not error")
-	}
-}
-
 // TestSymmetryDeterministic: repeated symmetric parallel runs are
 // bit-identical, including States.
 func TestSymmetryDeterministic(t *testing.T) {

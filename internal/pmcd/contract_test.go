@@ -69,8 +69,8 @@ func simE(name, app, backend string, tiles int, topo string) contractEntry {
 	}}}
 }
 
-func lit(name, prog string, tree bool) contractEntry {
-	return contractEntry{name, JobSpec{Litmus: &LitmusJob{Prog: prog, Tree: tree}}}
+func lit(name, prog string) contractEntry {
+	return contractEntry{name, JobSpec{Litmus: &LitmusJob{Prog: prog}}}
 }
 
 func litSym(name, prog string) contractEntry {
@@ -82,11 +82,11 @@ func fuzzE(name string, seed int64, n int, mode string, backends []string, runs 
 }
 
 // contractEntries crosses every layer: the three SPLASH substitutes and
-// the structured workloads at CI app sizes across the backends, the tree
-// and memoized litmus engines on cataloged programs, and seeded fuzz
-// campaigns. A job's identity excludes the worker count, so each litmus
-// job has one entry: the memoized engine's "memo" entry is also the
-// parallel one, and worker-count independence is tested in
+// the structured workloads at CI app sizes across the backends, the
+// litmus explorer on cataloged programs, and seeded fuzz campaigns. A
+// job's identity excludes the worker count, so each litmus job has one
+// entry: the "memo" entry is also the parallel one, and worker-count
+// independence and agreement with plain tree enumeration are tested in
 // internal/litmus.
 func contractEntries() []contractEntry {
 	var es []contractEntry
@@ -120,21 +120,19 @@ func contractEntries() []contractEntry {
 		es = append(es, simE("sim/radiosity/"+b+"/64t/c8xring", "radiosity", b, 64, "cluster:8xring"))
 	}
 	es = append(es, simE("sim/mfifo/cdsm/16t/c4xmesh", "mfifo", "cdsm", 16, "cluster:4xmesh"))
-	// Litmus: the tree and memoized engines on sb-drf (tree is the
-	// reference semantics), the annotated Fig. 5 program, and the
-	// state-collapse stress program that only the memoized engine can
+	// Litmus: sb-drf, the annotated Fig. 5 program, and the
+	// state-collapse stress program that plain tree enumeration cannot
 	// finish.
 	es = append(es,
-		lit("litmus/sb-drf/tree", "sb-drf", true),
-		lit("litmus/sb-drf/memo", "sb-drf", false),
-		lit("litmus/fig5-annotated/memo", "fig5-annotated", false),
-		lit("litmus/stress-independent/par", "stress-independent", false),
+		lit("litmus/sb-drf/memo", "sb-drf"),
+		lit("litmus/fig5-annotated/memo", "fig5-annotated"),
+		lit("litmus/stress-independent/par", "stress-independent"),
 	)
 	// Symmetry reduction on the iriw-class programs: states is the exact
 	// orbit-collapsed count, outcomes/paths gate that the reduction stays
 	// semantics-preserving.
 	es = append(es,
-		lit("litmus/iriw-sym3/memo", "iriw-sym3", false),
+		lit("litmus/iriw-sym3/memo", "iriw-sym3"),
 		litSym("litmus/iriw-sym3/sym", "iriw-sym3"),
 		litSym("litmus/iriw/sym", "iriw"),
 	)
@@ -412,8 +410,8 @@ func TestCheckEntries(t *testing.T) {
 		want    string
 	}{
 		{"empty", nil, "no entries"},
-		{"unnamed", []contractEntry{lit("", "sb-drf", false)}, "no name"},
-		{"duplicate", []contractEntry{lit("a", "sb-drf", false), lit("a", "sb-drf", false)}, `duplicate entry "a"`},
+		{"unnamed", []contractEntry{lit("", "sb-drf")}, "no name"},
+		{"duplicate", []contractEntry{lit("a", "sb-drf"), lit("a", "sb-drf")}, `duplicate entry "a"`},
 		{"bad-topology", []contractEntry{simE("b", "radiosity", "dsm", 8, "hypercube")}, "hypercube"},
 		// The metrics of a sweep entry are its one row's; a job that
 		// expands to more cells (here: every backend) is refused.

@@ -80,15 +80,12 @@ type SweepJob struct {
 // fingerprint, not its catalog name.
 type LitmusJob struct {
 	Prog string `json:"prog"`
-	// Tree selects the reference tree engine (memoization off); the
-	// default is the memoized engine. Workers never appears: results are
+	// MaxStates overrides the state budget (0 = explorer default,
+	// litmus.DefaultMaxStates). Workers never appears: results are
 	// identical for any worker count.
-	Tree bool `json:"tree,omitempty"`
-	// MaxStates overrides the state budget (0 = explorer default).
 	MaxStates int `json:"max_states,omitempty"`
-	// Symmetry collapses states related by a program automorphism
-	// (memoized engine only): outcomes are unchanged, states shrink by
-	// the orbit factor.
+	// Symmetry collapses states related by a program automorphism:
+	// outcomes are unchanged, states shrink by the orbit factor.
 	Symmetry bool `json:"symmetry,omitempty"`
 }
 
@@ -167,8 +164,8 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		if j.MaxStates < 0 {
 			return JobSpec{}, fmt.Errorf("pmcd: negative litmus state budget %d", j.MaxStates)
 		}
-		if j.Tree && j.Symmetry {
-			return JobSpec{}, fmt.Errorf("pmcd: litmus symmetry needs the memoized engine, not the tree engine")
+		if j.MaxStates == litmus.DefaultMaxStates {
+			j.MaxStates = 0 // how existing fingerprints spell the default
 		}
 		return JobSpec{Litmus: &j}, nil
 	default:
@@ -256,7 +253,7 @@ func Fingerprint(spec JobSpec, codeVersion string) (string, error) {
 		canon = struct {
 			Explore   string `json:"explore"`
 			MaxStates int    `json:"max_states"`
-		}{litmus.ExploreFingerprint(prog, !n.Litmus.Tree, n.Litmus.Symmetry, n.Litmus.MaxStates), n.Litmus.MaxStates}
+		}{litmus.ExploreFingerprint(prog, n.Litmus.Symmetry, n.Litmus.MaxStates), n.Litmus.MaxStates}
 	default:
 		canon = n.Fuzz
 	}

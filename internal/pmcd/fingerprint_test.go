@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pmc/internal/fuzz"
+	"pmc/internal/litmus"
 	"pmc/internal/rt"
 )
 
@@ -57,6 +58,11 @@ func TestFingerprintDefaultsCollapse(t *testing.T) {
 	if a, b := fp(t, fzImplicit, "cv"), fp(t, fzExplicit, "cv"); a != b {
 		t.Errorf("fuzz defaults vs explicit defaults diverge: %s vs %s", a, b)
 	}
+
+	litExplicit := JobSpec{Litmus: &LitmusJob{Prog: "sb-drf", MaxStates: litmus.DefaultMaxStates}}
+	if a, b := fp(t, litmusJob(), "cv"), fp(t, litExplicit, "cv"); a != b {
+		t.Errorf("litmus default budget vs explicit default diverge: %s vs %s", a, b)
+	}
 }
 
 // Every identity component — config axis, program, seed, engine knob,
@@ -84,7 +90,6 @@ func TestFingerprintKeyChanges(t *testing.T) {
 		"sweep topo":      {Sweep: &SweepJob{Apps: []string{"mfifo"}, Backends: []string{"dsm"}, Tiles: []int{4}, Topos: []string{"mesh"}, Small: true}},
 		"sweep scale":     {Sweep: &SweepJob{Apps: []string{"mfifo"}, Backends: []string{"dsm"}, Tiles: []int{4}, Topos: []string{"ring"}}},
 		"litmus program":  {Litmus: &LitmusJob{Prog: "corr"}},
-		"litmus engine":   {Litmus: &LitmusJob{Prog: "sb-drf", Tree: true}},
 		"litmus budget":   {Litmus: &LitmusJob{Prog: "sb-drf", MaxStates: 1000}},
 		"litmus symmetry": {Litmus: &LitmusJob{Prog: "sb-drf", Symmetry: true}},
 		"fuzz seed":       {Fuzz: &FuzzJob{Seed: 2, N: 4}},
@@ -120,7 +125,6 @@ func TestFingerprintRejectsBadSpecs(t *testing.T) {
 		"bad topology":    {Sweep: &SweepJob{Apps: []string{"mfifo"}, Topos: []string{"hypercube"}}},
 		"unknown program": {Litmus: &LitmusJob{Prog: "nope"}},
 		"negative budget": {Litmus: &LitmusJob{Prog: "sb-drf", MaxStates: -1}},
-		"tree symmetry":   {Litmus: &LitmusJob{Prog: "sb-drf", Tree: true, Symmetry: true}},
 		"fuzz no count":   {Fuzz: &FuzzJob{Seed: 1}},
 		"fuzz bad mode":   {Fuzz: &FuzzJob{Seed: 1, N: 1, Mode: "nope"}},
 	}
@@ -139,7 +143,7 @@ func FuzzJobSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"sweep":{"apps":["mfifo","msgpass"],"backends":["dsm","nocc"],"tiles":[4,8],"topos":["ring","mesh"],"small":true}}`,
 		`{"sweep":{"apps":["kvstore"],"backends":["cdsm"],"tiles":[16],"topos":["cluster:4xring"]}}`,
-		`{"litmus":{"prog":"sb-drf","tree":true,"max_states":1000}}`,
+		`{"litmus":{"prog":"sb-drf","max_states":2000000}}`,
 		`{"litmus":{"prog":"iriw-sym3","symmetry":true}}`,
 		`{"fuzz":{"seed":7,"n":5,"mode":"drf","backends":["nocc","mixed"],"runs":2}}`,
 	} {

@@ -128,7 +128,6 @@ func runLitmus(j *LitmusJob, progress *Progress) (*LitmusView, error) {
 	}
 	progress.total.Store(1)
 	x := litmus.NewExplorer(prog)
-	x.Memoize = !j.Tree
 	x.Symmetry = j.Symmetry
 	if j.MaxStates > 0 {
 		x.MaxStates = j.MaxStates

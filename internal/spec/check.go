@@ -16,8 +16,8 @@ import (
 // check: enough tiles for every interface program's threads, and — for
 // clustered backends — two clusters, so every protocol step (including
 // the cross-cluster ones) is exercised. The deployment being certified
-// (Platform.Tiles) never changes this; that independence is the whole
-// point of checking against the interface instead of the platform.
+// never changes this; that independence is the whole point of checking
+// against the interface instead of the platform.
 const InterfaceTiles = 4
 
 // interfaceMaxCycles bounds each interface run. The programs are tiny, so
@@ -25,17 +25,9 @@ const InterfaceTiles = 4
 // poller fails fast instead of burning the default simulation budget.
 const interfaceMaxCycles = 2_000_000
 
-// Platform names the deployment a conformance result certifies. Only
-// recorded — the checker's work is a function of the spec and the
-// programs, never of Tiles.
-type Platform struct {
-	// Tiles is the deployment size (e.g. 32 or 1024).
-	Tiles int
-}
-
-// Work measures what a check actually cost, so tests (and the
-// spec-ablation experiment) can assert that the cost at 1024 tiles equals
-// the cost at 32.
+// Work measures what a check actually cost. It is a function of the spec
+// and the interface programs only; every simulation runs at
+// InterfaceTiles.
 type Work struct {
 	// Programs is the number of litmus programs driven.
 	Programs int
@@ -43,8 +35,6 @@ type Work struct {
 	ModelStates int
 	// SimRuns is the number of perturbed simulator runs.
 	SimRuns int
-	// SimTiles is the scale every simulation ran at (InterfaceTiles).
-	SimTiles int
 }
 
 // Divergence is one way the backend (or its spec) departed from the
@@ -62,7 +52,6 @@ func (d Divergence) String() string {
 // Result is the outcome of checking one backend against its spec.
 type Result struct {
 	Backend     string
-	Platform    Platform
 	Work        Work
 	Divergences []Divergence
 }
@@ -73,8 +62,8 @@ func (r *Result) Ok() bool { return len(r.Divergences) == 0 }
 
 func (r *Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s vs spec (platform %d tiles): %d programs, %d model states, %d runs at %d tiles",
-		r.Backend, r.Platform.Tiles, r.Work.Programs, r.Work.ModelStates, r.Work.SimRuns, r.Work.SimTiles)
+	fmt.Fprintf(&b, "%s vs spec: %d programs, %d model states, %d runs at %d tiles",
+		r.Backend, r.Work.Programs, r.Work.ModelStates, r.Work.SimRuns, InterfaceTiles)
 	if r.Ok() {
 		b.WriteString("; conforms")
 	} else {
@@ -86,7 +75,7 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// CheckOptions configures CheckBackend beyond the spec and platform.
+// CheckOptions configures CheckBackend beyond the spec.
 type CheckOptions struct {
 	// Runs is the number of perturbed simulations per program (default 8).
 	Runs int
@@ -135,17 +124,13 @@ func interfaceConfig(clustered bool) (*soc.Config, error) {
 // traced conform.CheckOpts call: each run's outcome must be
 // model-allowed, the recorder must accept every read, and every edge of
 // the recorder-lowered trace must be committed by a declared obligation
-// (CheckTrace). The returned Work is independent of platform.Tiles by
-// construction, but a platform needs at least one tile.
-func CheckBackend(s Spec, platform Platform, opt CheckOptions) (*Result, error) {
-	if platform.Tiles < 1 {
-		return nil, fmt.Errorf("spec %s: platform of %d tiles; need at least 1", s.Backend, platform.Tiles)
-	}
+// (CheckTrace).
+func CheckBackend(s Spec, opt CheckOptions) (*Result, error) {
 	runs := opt.Runs
 	if runs <= 0 {
 		runs = 8
 	}
-	res := &Result{Backend: s.Backend, Platform: platform}
+	res := &Result{Backend: s.Backend}
 	for _, p := range VsModel(&s) {
 		res.Divergences = append(res.Divergences, Divergence{"(spec)", conform.Finding{Kind: "spec", Detail: p}})
 	}
@@ -166,7 +151,6 @@ func CheckBackend(s Spec, platform Platform, opt CheckOptions) (*Result, error) 
 		Faults:    opt.Faults,
 		Trace:     func(exec *core.Execution) []string { return CheckTrace(exec, s) },
 	}
-	res.Work.SimTiles = InterfaceTiles
 	for _, p := range InterfacePrograms() {
 		model, err := litmus.Explore(conform.EffectiveProgram(p))
 		if err != nil {

@@ -13,9 +13,9 @@ import (
 var digestFaults = [...]string{"none", "release-without-flush", "exit-ro-without-invalidate", "flush-noop", "dropped-transfer"}
 
 // checkDigests pins CheckBackend's full report — every divergence kind,
-// detail, seed and their order — per backend and fault column, at Runs 2
-// on a 32-tile platform. Each value is the first 16 hex digits of the
-// SHA-256 of Result.String(). The faulted rows cover the "read" kind
+// detail, seed and their order — per backend and fault column, at Runs 2.
+// Each value is the first 16 hex digits of the SHA-256 of
+// Result.String(). The faulted rows cover the "read" kind
 // (release-without-flush, dropped-transfer) and the "run" kind (flush-noop
 // livelocks).
 //
@@ -23,14 +23,14 @@ var digestFaults = [...]string{"none", "release-without-flush", "exit-ro-without
 // take over a minute. `pmclitmus -spec all -runs 2 -fault flush-noop`
 // prints that report.
 var checkDigests = map[string][len(digestFaults)]string{
-	"nocc":      {"3e78cb2169b9f8c4", "3e78cb2169b9f8c4", "3e78cb2169b9f8c4", "3e78cb2169b9f8c4", "3e78cb2169b9f8c4"},
-	"swcc":      {"547002509f990267", "1781afee0c976049", "547002509f990267", "547002509f990267", "547002509f990267"},
-	"swcc-lazy": {"90628fc2a593c481", "90628fc2a593c481", "90628fc2a593c481", "d50a1f938cfd5d05", "fda104314165c644"},
-	"dsm":       {"3a4e9c73cf0af99d", "3a4e9c73cf0af99d", "3a4e9c73cf0af99d", "", "87714d40f97c589f"},
-	"spm":       {"9b72c4521ca5cec7", "616b40888787cdee", "9b72c4521ca5cec7", "9b72c4521ca5cec7", "9b72c4521ca5cec7"},
-	"cdsm":      {"6f9634783ef40657", "6f9634783ef40657", "6f9634783ef40657", "6f9634783ef40657", "6f9634783ef40657"},
-	"cspm":      {"86f5d2a5bd7aaa20", "70788b4359d774a5", "86f5d2a5bd7aaa20", "86f5d2a5bd7aaa20", "86f5d2a5bd7aaa20"},
-	"adaptive":  {"6ca7f8f15bc55d3f", "6ca7f8f15bc55d3f", "6ca7f8f15bc55d3f", "6ca7f8f15bc55d3f", "6ca7f8f15bc55d3f"},
+	"nocc":      {"3d29087127739a8f", "3d29087127739a8f", "3d29087127739a8f", "3d29087127739a8f", "3d29087127739a8f"},
+	"swcc":      {"a56eb6350f6724cc", "76d6b83ef59acacc", "a56eb6350f6724cc", "a56eb6350f6724cc", "a56eb6350f6724cc"},
+	"swcc-lazy": {"325df751b5c76a3d", "325df751b5c76a3d", "325df751b5c76a3d", "0ac92b9daa79bd14", "b7e535e6bf56aa29"},
+	"dsm":       {"4d35e8074b223937", "4d35e8074b223937", "4d35e8074b223937", "", "895dd734fe145ceb"},
+	"spm":       {"8ba5718e253edf50", "237b1c424616d531", "8ba5718e253edf50", "8ba5718e253edf50", "8ba5718e253edf50"},
+	"cdsm":      {"aa4d72f2a61f0d63", "aa4d72f2a61f0d63", "aa4d72f2a61f0d63", "aa4d72f2a61f0d63", "aa4d72f2a61f0d63"},
+	"cspm":      {"0f947fede14fc2ee", "e87d46f5c0accc22", "0f947fede14fc2ee", "0f947fede14fc2ee", "0f947fede14fc2ee"},
+	"adaptive":  {"56c4239eb53baf2b", "56c4239eb53baf2b", "56c4239eb53baf2b", "56c4239eb53baf2b", "56c4239eb53baf2b"},
 }
 
 func TestCheckBackendDigests(t *testing.T) {
@@ -49,7 +49,7 @@ func TestCheckBackendDigests(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r, err := CheckBackend(mustSpec(t, name), Platform{Tiles: 32}, CheckOptions{Runs: 2, Faults: fs})
+				r, err := CheckBackend(mustSpec(t, name), CheckOptions{Runs: 2, Faults: fs})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,7 +1,6 @@
 package spec
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -126,52 +125,15 @@ func TestCheckBackendConformsAll(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			s := mustSpec(t, name)
-			r, err := CheckBackend(s, Platform{Tiles: 32}, CheckOptions{Runs: 4})
+			r, err := CheckBackend(s, CheckOptions{Runs: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !r.Ok() {
 				t.Errorf("%s", r)
 			}
-			if r.Work.SimTiles != InterfaceTiles {
-				t.Errorf("simulated at %d tiles, want interface scale %d", r.Work.SimTiles, InterfaceTiles)
-			}
 			t.Log(r)
 		})
-	}
-}
-
-// TestCheckWorkPlatformIndependent pins the scaling claim: certifying a
-// 1024-tile deployment costs exactly the same litmus work as certifying
-// 32 tiles, for a flat backend and a clustered one.
-func TestCheckWorkPlatformIndependent(t *testing.T) {
-	for _, name := range []string{"swcc", "cdsm"} {
-		s := mustSpec(t, name)
-		r32, err := CheckBackend(s, Platform{Tiles: 32}, CheckOptions{Runs: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r1024, err := CheckBackend(s, Platform{Tiles: 1024}, CheckOptions{Runs: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(r32.Work, r1024.Work) {
-			t.Errorf("%s: work at 32 tiles %+v != work at 1024 tiles %+v", name, r32.Work, r1024.Work)
-		}
-		if !r32.Ok() || !r1024.Ok() {
-			t.Errorf("%s: conformance result depends on platform size: %v vs %v", name, r32.Ok(), r1024.Ok())
-		}
-	}
-}
-
-// TestCheckBackendRejectsEmptyPlatform: a platform without tiles is a
-// caller mistake, reported as an error rather than certified.
-func TestCheckBackendRejectsEmptyPlatform(t *testing.T) {
-	s := mustSpec(t, "nocc")
-	for _, tiles := range []int{-4, 0} {
-		if r, err := CheckBackend(s, Platform{Tiles: tiles}, CheckOptions{Runs: 1}); err == nil {
-			t.Errorf("Tiles %d: got result %+v, want an error", tiles, r)
-		}
 	}
 }
 
@@ -195,7 +157,7 @@ func TestCheckBackendCatchesInjectedFault(t *testing.T) {
 			if !ok {
 				t.Fatalf("no fault for step %s", c.step)
 			}
-			r, err := CheckBackend(s, Platform{Tiles: 32}, CheckOptions{Runs: 4, Faults: fs})
+			r, err := CheckBackend(s, CheckOptions{Runs: 4, Faults: fs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,7 +175,7 @@ func TestCheckBackendCatchesInjectedFault(t *testing.T) {
 func TestCheckBackendRejectsBrokenSpec(t *testing.T) {
 	broken := deepCopy(mustSpec(t, "nocc"))
 	broken.Commits = broken.Commits[1:]
-	r, err := CheckBackend(broken, Platform{Tiles: 32}, CheckOptions{Runs: 4})
+	r, err := CheckBackend(broken, CheckOptions{Runs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,14 +77,13 @@ type (
 	// LitmusResult is the outcome set of an exhaustive exploration.
 	LitmusResult = litmus.Result
 	// LitmusExplorer is a configurable exploration: set Workers (0 =
-	// GOMAXPROCS, 1 = sequential), Memoize (canonical-state
-	// deduplication) and MaxStates before Run. Every mode produces
-	// identical outcomes.
+	// GOMAXPROCS, 1 = sequential), Symmetry (orbit collapse) and
+	// MaxStates before Run. Every mode produces identical outcomes.
 	LitmusExplorer = litmus.Explorer
 )
 
 // Explore enumerates all interleavings and read choices of p under PMC
-// with the default engine (memoized, parallel).
+// with the default engine (GOMAXPROCS walkers over one memo table).
 func Explore(p LitmusProgram) (*LitmusResult, error) { return litmus.Explore(p) }
 
 // NewLitmusExplorer prepares a configurable exploration of p.
@@ -136,9 +135,6 @@ type (
 	// OrderingSpec is one backend's declarative ordering specification:
 	// which Table I edges each of its protocol steps commits, as data.
 	OrderingSpec = spec.Spec
-	// SpecPlatform names the deployment a conformance result certifies;
-	// the check's work never depends on it.
-	SpecPlatform = spec.Platform
 	// SpecCheckOptions configures SpecCheckBackend.
 	SpecCheckOptions = spec.CheckOptions
 	// SpecResult is the outcome of checking one backend against its spec.
@@ -151,8 +147,8 @@ func SpecForBackend(name string) (OrderingSpec, error) { return spec.ForBackend(
 // SpecCheckBackend drives the backend at fixed interface scale against
 // its spec — the compositional half of backend-vs-model conformance,
 // with cost independent of the platform size being certified.
-func SpecCheckBackend(s OrderingSpec, platform SpecPlatform, opt SpecCheckOptions) (*SpecResult, error) {
-	return spec.CheckBackend(s, platform, opt)
+func SpecCheckBackend(s OrderingSpec, opt SpecCheckOptions) (*SpecResult, error) {
+	return spec.CheckBackend(s, opt)
 }
 
 // ---- Simulated system (Section V-B) ----
