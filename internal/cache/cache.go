@@ -72,7 +72,6 @@ type Stats struct {
 	Fills       uint64
 	Writebacks  uint64 // dirty victims + dirty flushes
 	Invalidated uint64 // lines dropped by control ops
-	DirtyLost   uint64 // dirty lines discarded by InvalidateLine
 }
 
 // Cache is a set-associative write-back, write-allocate cache in front of a
@@ -117,9 +116,6 @@ func New(cfg Config, backing mem.Block) *Cache {
 		setMask:  uint32(cfg.Sets() - 1),
 	}
 }
-
-// Config returns the geometry.
-func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a copy of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -333,23 +329,6 @@ func (c *Cache) FlushLine(addr mem.Addr) (tr Traffic) {
 	l.dirty = false
 	c.stats.Invalidated++
 	return tr
-}
-
-// InvalidateLine discards addr's line without writing it back, even if
-// dirty — the MicroBlaze "wdc" analogue. Discarding dirty data loses
-// writes; the SWCC protocol only uses it where that is sound.
-func (c *Cache) InvalidateLine(addr mem.Addr) {
-	i := c.lookup(addr)
-	if i < 0 {
-		return
-	}
-	l := &c.lines[i]
-	if l.dirty {
-		c.stats.DirtyLost++
-	}
-	l.valid = false
-	l.dirty = false
-	c.stats.Invalidated++
 }
 
 // FillRange installs every missing line overlapping [addr, addr+size),

@@ -76,25 +76,6 @@ func TestWriteBackOnlyOnFlushOrEvict(t *testing.T) {
 	}
 }
 
-func TestInvalidateDiscardsDirtyData(t *testing.T) {
-	c, ram := newTestCache(t, small())
-	ram.Write32(0x100, 7)
-	c.Read32(0x100)
-	c.Write32(0x100, 8)
-	c.InvalidateLine(0x100)
-	if ram.Read32(0x100) != 7 {
-		t.Fatal("invalidate must NOT write back")
-	}
-	if c.Stats().DirtyLost != 1 {
-		t.Fatal("DirtyLost not counted")
-	}
-	// Re-read sees the old value: the write was lost, by design.
-	v, _ := c.Read32(0x100)
-	if v != 7 {
-		t.Fatalf("re-read = %d, want 7 (stale by design)", v)
-	}
-}
-
 func TestEvictionWritesBackDirtyVictim(t *testing.T) {
 	// Direct-mapped, 2 sets of 32B: addresses 0x00 and 0x40 collide.
 	c, ram := newTestCache(t, Config{Size: 64, Ways: 1, LineSize: 32})
@@ -158,7 +139,7 @@ func TestStalenessIsObservable(t *testing.T) {
 	if v, _ := b.Read32(0x40); v != 1 {
 		t.Fatalf("B should still see stale 1, got %d", v)
 	}
-	b.InvalidateLine(0x40) // B invalidates (entry protocol)
+	b.FlushLine(0x40) // B invalidates its clean line (entry protocol)
 	if v, _ := b.Read32(0x40); v != 2 {
 		t.Fatalf("after invalidate B should see 2, got %d", v)
 	}
@@ -309,7 +290,6 @@ func TestDataSlabAllocatedOnFirstFill(t *testing.T) {
 	c, ram := newTestCache(t, small())
 	c.Probe(0x40)
 	c.FlushLine(0x40)
-	c.InvalidateLine(0x40)
 	if wbs := c.FlushAll(); wbs != 0 || c.data != nil {
 		t.Fatalf("never-filled cache: FlushAll = %d, slab allocated %v", wbs, c.data != nil)
 	}

@@ -72,14 +72,14 @@ func TestFig3LocalOrder(t *testing.T) {
 	r := e.Read(0, x, 1)
 
 	// At this state, the read's last-write set is exactly {X=1}.
-	lw := e.LastWrites(r.ID)
+	lw := e.lastWrites(r.ID)
 	if len(lw) != 1 || lw[0] != w1.ID {
 		t.Fatalf("W = %v, want {%d}", lw, w1.ID)
 	}
 	if vals := e.ReadableValues(r.ID); len(vals) != 1 || vals[0] != 1 {
 		t.Fatalf("readable = %v, want [1]", vals)
 	}
-	if e.IsRace(r.ID) {
+	if len(e.lastWrites(r.ID)) > 1 {
 		t.Fatal("single-process read is not a race")
 	}
 
@@ -120,14 +120,14 @@ func TestFig4Synchronization(t *testing.T) {
 	if !e.ReachableG(a2.ID, a1.ID) {
 		t.Fatal("p2's acquire must be globally before p1's acquire")
 	}
-	lw := e.LastWrites(rd.ID)
+	lw := e.lastWrites(rd.ID)
 	if len(lw) != 1 || lw[0] != w22.ID {
 		t.Fatalf("W = %v, want {X=2}", lw)
 	}
 	if vals := e.ReadableValues(rd.ID); len(vals) != 1 || vals[0] != 2 {
 		t.Fatalf("readable = %v, want [2] — every observer agrees on the interleaving", vals)
 	}
-	if !e.WritesTotallyOrderedG(x) {
+	if !e.writesTotallyOrderedG(x) {
 		t.Fatal("lock-protected writes must be totally ordered")
 	}
 }
@@ -171,14 +171,14 @@ func TestFig5FencedMessagePassing(t *testing.T) {
 	if !e.ReachableG(relX.ID, acqX2.ID) {
 		t.Fatal("rel X ≺S acq X missing")
 	}
-	lw := e.LastWrites(rdX.ID)
+	lw := e.lastWrites(rdX.ID)
 	if len(lw) != 1 || lw[0] != wX.ID {
 		t.Fatalf("W = %v, want exactly {X=42}", lw)
 	}
 	if vals := e.ReadableValues(rdX.ID); len(vals) != 1 || vals[0] != 42 {
 		t.Fatalf("readable = %v, want [42]", vals)
 	}
-	if e.IsRace(rdX.ID) {
+	if len(e.lastWrites(rdX.ID)) > 1 {
 		t.Fatal("fig 5 read must not be racy")
 	}
 }
@@ -246,7 +246,7 @@ func TestFig1BrokenWithoutSynchronization(t *testing.T) {
 	// the read ("there is no way for process 2 to make sure the value 42
 	// of X is read, without acquiring it"): W stays at the initial
 	// write, and the slow-read rule makes the outcome nondeterministic.
-	lw := e.LastWrites(rd.ID)
+	lw := e.lastWrites(rd.ID)
 	if len(lw) != 1 || !e.Op(lw[0]).IsInit {
 		t.Fatalf("W = %v, want exactly the initial write", lw)
 	}
@@ -446,17 +446,17 @@ func randProgram(e *Execution, script []byte, procs, locs int) {
 }
 
 // Property: any operation stream yields an acyclic graph whose local edges
-// connect operations of a single process and whose LastWrites sets are
+// connect operations of a single process and whose last-write sets are
 // never empty.
 func TestModelInvariantsProperty(t *testing.T) {
 	prop := func(script []byte) bool {
 		e := NewExecution()
 		randProgram(e, script, 3, 2)
-		if e.CheckAcyclic() != nil {
-			return false
-		}
 		for _, es := range e.out {
 			for _, ed := range es {
+				if ed.From >= ed.To { // every edge respects issue order
+					return false
+				}
 				if ed.Ord == OrdLocal {
 					f, to := e.Op(ed.From), e.Op(ed.To)
 					if !f.IsInit && f.Proc != to.Proc {
@@ -467,7 +467,7 @@ func TestModelInvariantsProperty(t *testing.T) {
 		}
 		for _, op := range e.Ops() {
 			if op.Kind == KRead && !op.IsInit {
-				if len(e.LastWrites(op.ID)) == 0 {
+				if len(e.lastWrites(op.ID)) == 0 {
 					return false
 				}
 			}
@@ -525,7 +525,7 @@ func TestLockDisciplinedWritesTotallyOrderedProperty(t *testing.T) {
 			}
 			e.Release(p, x)
 		}
-		return e.WritesTotallyOrderedG(x)
+		return e.writesTotallyOrderedG(x)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -594,7 +594,7 @@ func TestReadableSupersetOfLastWritesProperty(t *testing.T) {
 			for _, v := range e.ReadableValues(op.ID) {
 				readable[v] = true
 			}
-			for _, w := range e.LastWrites(op.ID) {
+			for _, w := range e.lastWrites(op.ID) {
 				v := e.Op(w).Val
 				if e.Op(w).IsInit {
 					v = 0

@@ -14,10 +14,9 @@ import "fmt"
 // Execution must not be used from two goroutines at once, not even for
 // queries alone.
 type Execution struct {
-	locNames []string
-	ops      []*Op
-	out      [][]Edge
-	in       [][]Edge
+	ops []*Op
+	out [][]Edge
+	in  [][]Edge
 
 	// Pattern indexes, used to apply Table I incrementally. Their scopes
 	// follow the paper's patterns: per (proc, loc), per proc, or per loc.
@@ -28,7 +27,7 @@ type Execution struct {
 	procs     []ProcID
 	byProc    []procIndex // per proc slot
 	releasesL [][]int     // any process, per location (≺S rule); incl. init
-	initOf    []int       // init op per location
+	initOf    []int       // init op per location; its length is the location count
 
 	// Search scratch for the graph queries: op id has been visited by the
 	// current search when mark[id] == stamp. queue is the search's work
@@ -60,8 +59,7 @@ func NewExecution() *Execution { return &Execution{} }
 // the pseudo-process ⊥ (Definition 3), so reads and acquires always have a
 // predecessor.
 func (e *Execution) AddLoc(name string) Loc {
-	v := Loc(len(e.locNames))
-	e.locNames = append(e.locNames, name)
+	v := Loc(len(e.initOf))
 	op := &Op{
 		ID:     len(e.ops),
 		Kind:   KWrite, // representative kind; IsInit widens the matching
@@ -81,32 +79,12 @@ func (e *Execution) AddLoc(name string) Loc {
 	return v
 }
 
-// LocName returns the display name of v.
-func (e *Execution) LocName(v Loc) string {
-	if v == NoLoc {
-		return "*"
-	}
-	return e.locNames[v]
-}
-
-// NumLocs returns how many locations exist.
-func (e *Execution) NumLocs() int { return len(e.locNames) }
-
 // Ops returns the operations in issue order. The slice is shared; treat it
 // as read-only.
 func (e *Execution) Ops() []*Op { return e.ops }
 
 // Op returns the operation with the given ID.
 func (e *Execution) Op(id int) *Op { return e.ops[id] }
-
-// Edges returns all dependency edges.
-func (e *Execution) Edges() []Edge {
-	var all []Edge
-	for _, es := range e.out {
-		all = append(all, es...)
-	}
-	return all
-}
 
 // In returns the in-edges of op id.
 func (e *Execution) In(id int) []Edge { return e.in[id] }
@@ -224,7 +202,7 @@ func (ps *patterns) of(k Kind) []int {
 func (e *Execution) Exec(k Kind, p ProcID, v Loc, val Value, label string) *Op {
 	// Fences may carry NoLoc (span all locations, the paper's default)
 	// or a location (the Section IV-D scoped-fence extension).
-	if v != NoLoc && int(v) >= len(e.locNames) {
+	if v != NoLoc && int(v) >= len(e.initOf) {
 		panic(fmt.Sprintf("core: op %s on unknown location %d", k, v))
 	}
 	if k != KFence && v == NoLoc {
@@ -255,7 +233,7 @@ func (e *Execution) Exec(k Kind, p ProcID, v Loc, val Value, label string) *Op {
 }
 
 // Undo removes the newest operation, restoring the execution exactly to
-// its state before that operation's Exec: the same Ops, the same Edges in
+// its state before that operation's Exec: the same Ops, the same edges in
 // the same order, the same answers to every query. It is what lets the
 // litmus explorer branch on one mutable execution (apply, explore, undo)
 // instead of copying it per successor. The newest op has no out-edges, and

@@ -123,19 +123,14 @@ func (e *Execution) maximalWrites(ws []int, viewer ProcID) []int {
 	return ws[:k]
 }
 
-// LastWrites returns W_o (Definition 11) for operation o: the maximal
-// writes to o's location that are ordered before o in the view of o's
-// process. It never returns an empty set — at minimum the location's
-// initial write qualifies.
-func (e *Execution) LastWrites(o int) []int {
-	return append([]int(nil), e.lastWrites(o)...)
-}
-
-// lastWrites is LastWrites in the Execution's scratch.
+// lastWrites returns W_o (Definition 11) for operation o, in the
+// Execution's scratch: the maximal writes to o's location that are ordered
+// before o in the view of o's process. It never returns an empty set — at
+// minimum the location's initial write qualifies.
 func (e *Execution) lastWrites(o int) []int {
 	op := e.ops[o]
 	if op.Loc == NoLoc {
-		panic("core: LastWrites of a fence")
+		panic("core: lastWrites of a fence")
 	}
 	st := e.newSearch()
 	e.push(st, o)
@@ -147,10 +142,11 @@ func (e *Execution) lastWrites(o int) []int {
 	return w
 }
 
-// LastWritesAt returns W for a hypothetical read of v by p issued against
-// the current execution, without adding it. It is equivalent to
+// lastWritesAt returns W for a hypothetical read of v by p issued against
+// the current execution, without adding it, in the Execution's scratch.
+// It is equivalent to
 //
-//	op := e.Read(p, v, 0); w := e.LastWrites(op.ID); e.Undo()
+//	op := e.Read(p, v, 0); w := e.lastWrites(op.ID); e.Undo()
 //
 // but issues nothing: the read's would-be in-edges are computed from the
 // Table I read rules, and the backward search starts from those
@@ -158,14 +154,9 @@ func (e *Execution) lastWrites(o int) []int {
 // are visible to all, and a local in-edge's To-endpoint is the read by p),
 // so the multi-source search over p-visible edges matches the issued-probe
 // result exactly.
-func (e *Execution) LastWritesAt(p ProcID, v Loc) []int {
-	return append([]int(nil), e.lastWritesAt(p, v)...)
-}
-
-// lastWritesAt is LastWritesAt in the Execution's scratch.
 func (e *Execution) lastWritesAt(p ProcID, v Loc) []int {
 	if v == NoLoc {
-		panic("core: LastWritesAt of a fence")
+		panic("core: lastWritesAt of a fence")
 	}
 	st := e.newSearch()
 	for _, r := range RulesFor(KRead) {
@@ -177,10 +168,6 @@ func (e *Execution) lastWritesAt(p ProcID, v Loc) []int {
 	}
 	return w
 }
-
-// IsRace reports whether reading at operation o is nondeterministic:
-// |W_o| > 1 (Section IV-D).
-func (e *Execution) IsRace(o int) bool { return len(e.lastWrites(o)) > 1 }
 
 // ReadableFrom returns the IDs of the writes a read at o's position by o's
 // process may return (Definition 12): every write b to the location such
@@ -259,39 +246,4 @@ func (e *Execution) ReadableValues(o int) []Value {
 	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 	return vals
-}
-
-// WritesTotallyOrderedG reports whether all writes to v (including the
-// initial one) are in total ≺G order — the paper's requirement for
-// deterministic, data-race-free programs ("all writes to a single location
-// must be in total order", Section IV-D).
-func (e *Execution) WritesTotallyOrderedG(v Loc) bool {
-	var ws []int
-	for _, op := range e.ops {
-		if (op.Kind == KWrite || op.IsInit) && op.Loc == v {
-			ws = append(ws, op.ID)
-		}
-	}
-	for i := 0; i < len(ws); i++ {
-		for j := i + 1; j < len(ws); j++ {
-			if !e.ReachableG(ws[i], ws[j]) && !e.ReachableG(ws[j], ws[i]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// CheckAcyclic verifies ≺ is a partial order (no cycles). Rule application
-// only adds edges from older to newer operations, so this should hold by
-// construction; it is exposed for property tests.
-func (e *Execution) CheckAcyclic() error {
-	for _, es := range e.out {
-		for _, ed := range es {
-			if ed.From >= ed.To {
-				return fmt.Errorf("core: edge %d->%d does not respect issue order", ed.From, ed.To)
-			}
-		}
-	}
-	return nil
 }

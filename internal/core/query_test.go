@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -75,20 +76,20 @@ func buildHistories() map[string]*Execution {
 func TestReadableAtMatchesProbe(t *testing.T) {
 	for name, e := range buildHistories() {
 		for p := ProcID(0); p < 3; p++ {
-			for v := Loc(0); int(v) < e.NumLocs(); v++ {
+			for v := Loc(0); int(v) < len(e.initOf); v++ {
 				op := e.Read(p, v, 0)
 				want := e.ReadableFrom(op.ID)
-				wantW := e.LastWrites(op.ID)
+				wantW := slices.Clone(e.lastWrites(op.ID))
 				e.Undo()
 				got := e.ReadableAt(p, v)
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: ReadableAt(p%d, %s) = %v, probe = %v",
-						name, p, e.LocName(v), got, want)
+					t.Errorf("%s: ReadableAt(p%d, v%d) = %v, probe = %v",
+						name, p, v, got, want)
 				}
-				gotW := e.LastWritesAt(p, v)
+				gotW := slices.Clone(e.lastWritesAt(p, v))
 				if !reflect.DeepEqual(gotW, wantW) {
-					t.Errorf("%s: LastWritesAt(p%d, %s) = %v, probe = %v",
-						name, p, e.LocName(v), gotW, wantW)
+					t.Errorf("%s: lastWritesAt(p%d, v%d) = %v, probe = %v",
+						name, p, v, gotW, wantW)
 				}
 			}
 		}
@@ -100,15 +101,15 @@ func TestReadableAtMatchesProbe(t *testing.T) {
 func TestReadableAtDoesNotMutate(t *testing.T) {
 	for name, e := range buildHistories() {
 		ops := len(e.Ops())
-		edges := len(e.Edges())
+		edges := len(allEdges(e))
 		for p := ProcID(0); p < 3; p++ {
-			for v := Loc(0); int(v) < e.NumLocs(); v++ {
+			for v := Loc(0); int(v) < len(e.initOf); v++ {
 				e.ReadableAt(p, v)
 			}
 		}
-		if len(e.Ops()) != ops || len(e.Edges()) != edges {
+		if len(e.Ops()) != ops || len(allEdges(e)) != edges {
 			t.Errorf("%s: execution mutated by ReadableAt (%d→%d ops, %d→%d edges)",
-				name, ops, len(e.Ops()), edges, len(e.Edges()))
+				name, ops, len(e.Ops()), edges, len(allEdges(e)))
 		}
 	}
 }

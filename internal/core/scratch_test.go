@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -77,7 +78,7 @@ func naiveReadable(e *Execution, o int) []int {
 }
 
 // queryDump renders every answer the graph queries give on e: ReachableP
-// for every viewer and pair of ops, and LastWritesAt and ReadableAt for
+// for every viewer and pair of ops, and lastWritesAt and ReadableAt for
 // every (proc, location).
 func queryDump(e *Execution, procs int) string {
 	var s string
@@ -89,8 +90,8 @@ func queryDump(e *Execution, procs int) string {
 				}
 			}
 		}
-		for v := Loc(0); int(v) < e.NumLocs(); v++ {
-			s += fmt.Sprintf("p%d/v%d W=%v R=%v ", p, v, e.LastWritesAt(p, v), e.ReadableAt(p, v))
+		for v := Loc(0); int(v) < len(e.initOf); v++ {
+			s += fmt.Sprintf("p%d/v%d W=%v R=%v ", p, v, slices.Clone(e.lastWritesAt(p, v)), e.ReadableAt(p, v))
 		}
 	}
 	return s
@@ -130,12 +131,12 @@ func checkAgainstNaive(t *testing.T, name string, e *Execution, procs int) {
 				}
 			}
 		}
-		for v := Loc(0); int(v) < e.NumLocs(); v++ {
+		for v := Loc(0); int(v) < len(e.initOf); v++ {
 			rd := e.Read(p, v, 0)
 			wantW, wantR := naiveLastWrites(e, rd.ID), naiveReadable(e, rd.ID)
 			e.Undo()
-			if got := e.LastWritesAt(p, v); !reflect.DeepEqual(got, wantW) {
-				t.Fatalf("%s: LastWritesAt(p%d, v%d) = %v, want %v", name, p, v, got, wantW)
+			if got := slices.Clone(e.lastWritesAt(p, v)); !reflect.DeepEqual(got, wantW) {
+				t.Fatalf("%s: lastWritesAt(p%d, v%d) = %v, want %v", name, p, v, got, wantW)
 			}
 			if got := e.ReadableAt(p, v); !reflect.DeepEqual(got, wantR) {
 				t.Fatalf("%s: ReadableAt(p%d, v%d) = %v, want %v", name, p, v, got, wantR)
@@ -146,8 +147,8 @@ func checkAgainstNaive(t *testing.T, name string, e *Execution, procs int) {
 		if op.Kind != KRead && op.Kind != KWrite || op.IsInit {
 			continue // W_o is defined for accesses
 		}
-		if got, want := e.LastWrites(op.ID), naiveLastWrites(e, op.ID); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: LastWrites(%s) = %v, want %v", name, op, got, want)
+		if got, want := slices.Clone(e.lastWrites(op.ID)), naiveLastWrites(e, op.ID); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: lastWrites(%s) = %v, want %v", name, op, got, want)
 		}
 		if got, want := e.ReadableFrom(op.ID), naiveReadable(e, op.ID); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: ReadableFrom(%s) = %v, want %v", name, op, got, want)
@@ -215,9 +216,9 @@ func TestSparseProcIDs(t *testing.T) {
 	dense, _ := build(denseIDs)
 	for i, p := range sparseIDs {
 		q := denseIDs[i]
-		for v := Loc(0); int(v) < dense.NumLocs(); v++ {
-			if got, want := sparse.LastWritesAt(p, v), dense.LastWritesAt(q, v); !reflect.DeepEqual(got, want) {
-				t.Errorf("LastWritesAt(%d, v%d) = %v, as ProcID %d %v", p, v, got, q, want)
+		for v := Loc(0); int(v) < len(dense.initOf); v++ {
+			if got, want := slices.Clone(sparse.lastWritesAt(p, v)), slices.Clone(dense.lastWritesAt(q, v)); !reflect.DeepEqual(got, want) {
+				t.Errorf("lastWritesAt(%d, v%d) = %v, as ProcID %d %v", p, v, got, q, want)
 			}
 			if got, want := sparse.ReadableAt(p, v), dense.ReadableAt(q, v); !reflect.DeepEqual(got, want) {
 				t.Errorf("ReadableAt(%d, v%d) = %v, as ProcID %d %v", p, v, got, q, want)

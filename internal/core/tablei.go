@@ -61,7 +61,7 @@ var TableI = []Rule{
 
 // rulesByNew indexes TableI by the new operation's kind, in table order.
 // It is built once, so the per-operation rule lookup in Exec and
-// LastWritesAt allocates nothing.
+// lastWritesAt allocates nothing.
 var rulesByNew = func() [KFence + 1][]Rule {
 	var idx [KFence + 1][]Rule
 	for _, r := range TableI {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -19,16 +20,25 @@ type snapshot struct {
 	indexes  string
 }
 
+// allEdges returns every dependency edge, by source op in issue order.
+func allEdges(e *Execution) []Edge {
+	var all []Edge
+	for _, es := range e.out {
+		all = append(all, es...)
+	}
+	return all
+}
+
 func snap(e *Execution, procs int) snapshot {
 	s := snapshot{lastW: map[string][]int{}, readable: map[string][]int{}}
 	for _, op := range e.Ops() {
 		s.ops = append(s.ops, *op)
 	}
-	s.edges = e.Edges()
+	s.edges = allEdges(e)
 	for p := ProcID(0); int(p) < procs; p++ {
-		for v := Loc(0); int(v) < e.NumLocs(); v++ {
+		for v := Loc(0); int(v) < len(e.initOf); v++ {
 			k := fmt.Sprintf("p%d/v%d", p, v)
-			s.lastW[k] = e.LastWritesAt(p, v)
+			s.lastW[k] = slices.Clone(e.lastWritesAt(p, v))
 			s.readable[k] = e.ReadableAt(p, v)
 		}
 	}
@@ -73,7 +83,7 @@ func (a snapshot) diff(b snapshot) string {
 	case !reflect.DeepEqual(a.edges, b.edges):
 		return fmt.Sprintf("edges %v, want %v", a.edges, b.edges)
 	case !reflect.DeepEqual(a.lastW, b.lastW):
-		return fmt.Sprintf("LastWritesAt %v, want %v", a.lastW, b.lastW)
+		return fmt.Sprintf("lastWritesAt %v, want %v", a.lastW, b.lastW)
 	case !reflect.DeepEqual(a.readable, b.readable):
 		return fmt.Sprintf("ReadableAt %v, want %v", a.readable, b.readable)
 	case a.indexes != b.indexes:
@@ -136,7 +146,7 @@ func TestUndoRestoresExecution(t *testing.T) {
 			o := newRandOp(rng, procs, locs)
 			op := o.exec(e)
 			in := append([]Edge(nil), e.In(op.ID)...)
-			edges := e.Edges()
+			edges := allEdges(e)
 			e.Undo()
 			if d := snap(e, procs).diff(before); d != "" {
 				t.Fatalf("trial %d step %d: undo of %s: %s", trial, step, op, d)
@@ -148,7 +158,7 @@ func TestUndoRestoresExecution(t *testing.T) {
 			if again != op {
 				t.Fatalf("trial %d step %d: re-issue allocated a new *Op instead of reusing the retired one", trial, step)
 			}
-			if !reflect.DeepEqual(e.In(again.ID), in) || !reflect.DeepEqual(e.Edges(), edges) {
+			if !reflect.DeepEqual(e.In(again.ID), in) || !reflect.DeepEqual(allEdges(e), edges) {
 				t.Fatalf("trial %d step %d: re-issued %s has in-edges %v (want %v)",
 					trial, step, again, e.In(again.ID), in)
 			}

@@ -43,7 +43,7 @@ func TestRAMDirectoryGrowsOnDemand(t *testing.T) {
 		if mem.DirLen(r) != 0 {
 			t.Fatalf("fresh RAM has a %d-entry directory, want 0", mem.DirLen(r))
 		}
-		r.Write8(5*cs+3, 0x5a)
+		r.WriteBlock(5*cs+3, []byte{0x5a})
 		if mem.DirLen(r) != 6 || !mem.Owns(r, 5) {
 			t.Fatalf("write into chunk 5: directory %d entries, owns(5) %v; want 6, true", mem.DirLen(r), mem.Owns(r, 5))
 		}
@@ -52,7 +52,7 @@ func TestRAMDirectoryGrowsOnDemand(t *testing.T) {
 				t.Fatalf("write into chunk 5 materialized chunk %d", ci)
 			}
 		}
-		r.Write8(2*cs, 1) // a lower chunk leaves the directory as it is
+		r.WriteBlock(2*cs, []byte{1}) // a lower chunk leaves the directory as it is
 		if mem.DirLen(r) != 6 {
 			t.Fatalf("write into chunk 2 resized the directory to %d entries, want 6", mem.DirLen(r))
 		}
@@ -63,13 +63,14 @@ func TestRAMDirectoryGrowsOnDemand(t *testing.T) {
 	t.Run("seeded", func(t *testing.T) {
 		seed := mem.NewSeed(8 * cs)
 		seed.WriteBlock(6*cs-2, []byte{1, 2, 3, 4})
-		r := seed.NewRAM(0x1000_0000)
-		r.Write8(r.Base(), 9)
+		const base = 0x1000_0000
+		r := seed.NewRAM(base)
+		r.WriteBlock(base, []byte{9})
 		if mem.DirLen(r) != 1 {
 			t.Fatalf("directory has %d entries after a write into chunk 0, want 1", mem.DirLen(r))
 		}
 		got := make([]byte, 4)
-		r.ReadBlock(r.Base()+6*cs-2, got)
+		r.ReadBlock(base+6*cs-2, got)
 		if !bytes.Equal(got, []byte{1, 2, 3, 4}) || mem.DirLen(r) != 1 {
 			t.Fatalf("ReadBlock past the directory = %v with %d entries, want the seed's [1 2 3 4] with 1", got, mem.DirLen(r))
 		}

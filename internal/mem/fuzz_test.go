@@ -38,30 +38,30 @@ func fuzzOp(kind, ram, off int, v byte) []byte {
 //	go test -fuzz FuzzRAMChunks ./internal/mem
 func FuzzRAMChunks(f *testing.F) {
 	const (
-		read8, write8, read32, write32, writeBlock, readBlock, seedBlock = 0, 1, 2, 3, 4, 5, 6
-		plain, seeded, other                                             = 0, 1, 2
-		full                                                             = 199 // a block of 200 bytes
+		readByte, writeByte, read32, write32, writeBlock, readBlock, seedBlock = 0, 1, 2, 3, 4, 5, 6
+		plain, seeded, other                                                   = 0, 1, 2
+		full                                                                   = 199 // a block of 200 bytes
 	)
 	for _, seed := range [][][]byte{
 		// A word write straddling a chunk boundary, read back as a word
 		// and as its high half.
-		{fuzzOp(write32, plain, chunkSize-2, 0xaa), fuzzOp(read32, plain, chunkSize-2, 0), fuzzOp(read8, plain, chunkSize, 0)},
+		{fuzzOp(write32, plain, chunkSize-2, 0xaa), fuzzOp(read32, plain, chunkSize-2, 0), fuzzOp(readByte, plain, chunkSize, 0)},
 		// A block across a chunk boundary.
 		{fuzzOp(writeBlock, plain, 2*chunkSize-100, full), fuzzOp(readBlock, plain, 2*chunkSize-150, full)},
 		// A read before any write.
-		{fuzzOp(read8, plain, 0, 0)},
+		{fuzzOp(readByte, plain, 0, 0)},
 		// A seed write across a boundary, read back through both seeded
 		// RAMs.
 		{fuzzOp(seedBlock, seeded, chunkSize-100, full), fuzzOp(readBlock, seeded, chunkSize-100, full), fuzzOp(readBlock, other, chunkSize-100, full)},
 		// A seeded RAM's write over a seeded chunk, read back through the
 		// other.
-		{fuzzOp(seedBlock, seeded, chunkSize-100, full), fuzzOp(write8, seeded, chunkSize-50, 0x77), fuzzOp(readBlock, other, chunkSize-100, full)},
+		{fuzzOp(seedBlock, seeded, chunkSize-100, full), fuzzOp(writeByte, seeded, chunkSize-50, 0x77), fuzzOp(readBlock, other, chunkSize-100, full)},
 		// A high chunk written before a low one: the directory grows past
 		// holes, which still read as zeros.
-		{fuzzOp(write32, plain, 3*chunkSize+8, 0x11), fuzzOp(write8, plain, 5, 0x22), fuzzOp(readBlock, plain, chunkSize-100, full), fuzzOp(read32, plain, 3*chunkSize+8, 0)},
+		{fuzzOp(write32, plain, 3*chunkSize+8, 0x11), fuzzOp(writeByte, plain, 5, 0x22), fuzzOp(readBlock, plain, chunkSize-100, full), fuzzOp(read32, plain, 3*chunkSize+8, 0)},
 		// A seeded RAM reads a chunk past its own directory but inside
 		// the seed image's.
-		{fuzzOp(seedBlock, seeded, 2*chunkSize+10, full), fuzzOp(write8, seeded, 3, 0x33), fuzzOp(read32, seeded, 2*chunkSize+10, 0), fuzzOp(readBlock, seeded, 2*chunkSize, full)},
+		{fuzzOp(seedBlock, seeded, 2*chunkSize+10, full), fuzzOp(writeByte, seeded, 3, 0x33), fuzzOp(read32, seeded, 2*chunkSize+10, 0), fuzzOp(readBlock, seeded, 2*chunkSize, full)},
 	} {
 		f.Add(bytes.Join(seed, nil))
 	}
@@ -82,12 +82,12 @@ func FuzzRAMChunks(f *testing.F) {
 			i := int(op>>3) % len(rams)
 			ram, ref := rams[i], refs[i]
 			switch op % 7 {
-			case 0: // Read8
-				if got, want := ram.Read8(addr), ref[off]; got != want {
-					t.Fatalf("RAM %d: Read8(%#x) = %#x, want %#x", i, addr, got, want)
+			case 0: // one-byte ReadBlock
+				if got, want := read8(ram, addr), ref[off]; got != want {
+					t.Fatalf("RAM %d: byte at %#x = %#x, want %#x", i, addr, got, want)
 				}
-			case 1: // Write8
-				ram.Write8(addr, v)
+			case 1: // one-byte WriteBlock
+				write8(ram, addr, v)
 				ref[off] = v
 			case 2: // Read32
 				if off+4 > size {

@@ -52,12 +52,6 @@ func NewRAM(base Addr, size int) *RAM {
 	return &RAM{base: base, size: size}
 }
 
-// Base returns the first address covered.
-func (r *RAM) Base() Addr { return r.base }
-
-// Size returns the number of bytes covered.
-func (r *RAM) Size() int { return r.size }
-
 // Contains reports whether [addr, addr+n) lies inside the RAM.
 func (r *RAM) Contains(addr Addr, n int) bool {
 	off := int64(addr) - int64(r.base)
@@ -111,22 +105,6 @@ func (r *RAM) seedChunk(ci int) []byte {
 		return nil
 	}
 	return r.seed.chunk(ci)
-}
-
-// Read8 returns the byte at addr.
-func (r *RAM) Read8(addr Addr) uint8 {
-	off := r.index(addr, 1)
-	c := r.readable(off)
-	if c == nil {
-		return 0
-	}
-	return c[off&chunkMask]
-}
-
-// Write8 stores a byte at addr.
-func (r *RAM) Write8(addr Addr, v uint8) {
-	off := r.index(addr, 1)
-	r.writable(off)[off&chunkMask] = v
 }
 
 // Read32 returns the little-endian word at addr.
@@ -305,17 +283,17 @@ type SDRAM struct {
 }
 
 // NewSDRAM returns an SDRAM of the given size at base address base.
-func NewSDRAM(k *sim.Kernel, base Addr, size int, cfg SDRAMConfig) *SDRAM {
+func NewSDRAM(base Addr, size int, cfg SDRAMConfig) *SDRAM {
 	if cfg.Banks < 1 {
 		cfg.Banks = 1
 	}
 	s := &SDRAM{
 		RAM:     NewRAM(base, size),
 		Cfg:     cfg,
-		Channel: sim.NewResource(k, "sdram-channel"),
+		Channel: &sim.Resource{},
 	}
 	for i := 0; i < cfg.Banks; i++ {
-		s.banks = append(s.banks, sim.NewResource(k, "sdram-bank"))
+		s.banks = append(s.banks, &sim.Resource{})
 	}
 	return s
 }
@@ -373,11 +351,6 @@ type Local struct {
 	CoreReads  uint64
 	CoreWrites uint64
 	NoCWrites  uint64
-}
-
-// NewLocal returns tile-local memory for the given tile.
-func NewLocal(tile int, base Addr, size int) *Local {
-	return &Local{RAM: NewRAM(base, size), Tile: tile}
 }
 
 // NoCWriteBlock applies a block write arriving over the NoC port. It is

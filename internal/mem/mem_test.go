@@ -7,6 +7,15 @@ import (
 	"pmc/internal/sim"
 )
 
+// read8 and write8 are one-byte block accesses.
+func read8(r *RAM, addr Addr) uint8 {
+	var b [1]byte
+	r.ReadBlock(addr, b[:])
+	return b[0]
+}
+
+func write8(r *RAM, addr Addr, v uint8) { r.WriteBlock(addr, []byte{v}) }
+
 func TestRAMRoundTrip(t *testing.T) {
 	r := NewRAM(0x1000, 256)
 	r.Write32(0x1000, 0xdeadbeef)
@@ -14,12 +23,12 @@ func TestRAMRoundTrip(t *testing.T) {
 		t.Fatalf("Read32 = %#x, want 0xdeadbeef", got)
 	}
 	// Little-endian byte view.
-	if got := r.Read8(0x1000); got != 0xef {
-		t.Fatalf("Read8 = %#x, want 0xef (little-endian)", got)
+	if got := read8(r, 0x1000); got != 0xef {
+		t.Fatalf("byte read = %#x, want 0xef (little-endian)", got)
 	}
-	r.Write8(0x10ff, 0x7a)
-	if got := r.Read8(0x10ff); got != 0x7a {
-		t.Fatalf("Read8 = %#x, want 0x7a", got)
+	write8(r, 0x10ff, 0x7a)
+	if got := read8(r, 0x10ff); got != 0x7a {
+		t.Fatalf("byte read = %#x, want 0x7a", got)
 	}
 }
 
@@ -40,8 +49,8 @@ func TestRAMBlockOps(t *testing.T) {
 // access width, without materializing chunks.
 func TestRAMLazyZeroReads(t *testing.T) {
 	r := NewRAM(0, 4*chunkSize)
-	if got := r.Read8(chunkSize + 7); got != 0 {
-		t.Fatalf("untouched Read8 = %#x, want 0", got)
+	if got := read8(r, chunkSize+7); got != 0 {
+		t.Fatalf("untouched byte read = %#x, want 0", got)
 	}
 	if got := r.Read32(2 * chunkSize); got != 0 {
 		t.Fatalf("untouched Read32 = %#x, want 0", got)
@@ -72,7 +81,7 @@ func TestRAMChunkBoundary(t *testing.T) {
 	}
 	// Block crossing the boundary with one side untouched.
 	r2 := NewRAM(0, 2*chunkSize)
-	r2.Write8(chunkSize-1, 0xaa) // materialize only the first chunk
+	write8(r2, chunkSize-1, 0xaa) // materialize only the first chunk
 	dst := make([]byte, 4)
 	r2.ReadBlock(chunkSize-2, dst)
 	if dst[0] != 0 || dst[1] != 0xaa || dst[2] != 0 || dst[3] != 0 {
@@ -92,7 +101,7 @@ func TestRAMChunkBoundary(t *testing.T) {
 func TestRAMOutOfBoundsPanics(t *testing.T) {
 	r := NewRAM(0x100, 16)
 	for _, f := range []func(){
-		func() { r.Read8(0xff) },
+		func() { read8(r, 0xff) },
 		func() { r.Read32(0x10e) }, // straddles the end
 		func() { r.Write32(0x200, 0) },
 	} {
@@ -109,7 +118,7 @@ func TestRAMOutOfBoundsPanics(t *testing.T) {
 
 func TestSDRAMTimingUncontended(t *testing.T) {
 	k := sim.New()
-	s := NewSDRAM(k, 0, 4096, SDRAMConfig{WordLat: 8, LineLat: 24, LineSize: 32})
+	s := NewSDRAM(0, 4096, SDRAMConfig{WordLat: 8, LineLat: 24, LineSize: 32})
 	k.Spawn("a", func(p *sim.Proc) {
 		if stall := s.WriteWord(p, 0, 42); stall != 8 {
 			t.Errorf("uncontended write stall = %d, want 8", stall)
@@ -129,7 +138,7 @@ func TestSDRAMTimingUncontended(t *testing.T) {
 
 func TestSDRAMTimingContended(t *testing.T) {
 	k := sim.New()
-	s := NewSDRAM(k, 0, 4096, SDRAMConfig{WordLat: 8, LineLat: 24, LineSize: 32})
+	s := NewSDRAM(0, 4096, SDRAMConfig{WordLat: 8, LineLat: 24, LineSize: 32})
 	var stallA2, stallB sim.Time
 	k.Spawn("a", func(p *sim.Proc) {
 		s.WriteWord(p, 0, 42) // bus slot [0,8)
@@ -156,8 +165,7 @@ func TestSDRAMTimingContended(t *testing.T) {
 }
 
 func TestReserveLineAtReservesBank(t *testing.T) {
-	k := sim.New()
-	s := NewSDRAM(k, 0, 1024, SDRAMConfig{WordLat: 8, LineLat: 24, LineSize: 32})
+	s := NewSDRAM(0, 1024, SDRAMConfig{WordLat: 8, LineLat: 24, LineSize: 32})
 	end := s.ReserveLineAt(100, 0)
 	if end != 124 {
 		t.Fatalf("end = %d, want 124", end)
@@ -169,7 +177,7 @@ func TestReserveLineAtReservesBank(t *testing.T) {
 }
 
 func TestLocalMemory(t *testing.T) {
-	l := NewLocal(3, 0x8000_0000, 1024)
+	l := &Local{RAM: NewRAM(0x8000_0000, 1024), Tile: 3}
 	l.NoCWriteBlock(0x8000_0010, []byte{9, 0, 0, 0})
 	if l.Read32(0x8000_0010) != 9 {
 		t.Fatal("NoC port write not visible")
@@ -207,23 +215,23 @@ func TestSeedSharesUnwrittenChunks(t *testing.T) {
 	a, b := seed.NewRAM(0x1000_0000), seed.NewRAM(0x2000_0000)
 	seed.WriteBlock(chunkSize-2, []byte{1, 2, 3, 4})
 	for _, r := range []*RAM{a, b} {
-		if got := r.Read32(r.Base() + chunkSize - 2); got != 0x04030201 {
+		if got := r.Read32(r.base + chunkSize - 2); got != 0x04030201 {
 			t.Fatalf("seeded Read32 = %#x, want 0x04030201", got)
 		}
 		if r.owns(0) || r.owns(1) {
 			t.Fatal("seed write materialized a chunk")
 		}
 	}
-	a.Write8(a.Base()+chunkSize-1, 0xaa)
+	write8(a, a.base+chunkSize-1, 0xaa)
 	if !a.owns(0) || a.owns(1) || b.owns(0) {
 		t.Fatal("a RAM's write must materialize exactly its own chunk")
 	}
-	if got := b.Read8(b.Base() + chunkSize - 1); got != 2 {
+	if got := read8(b, b.base+chunkSize-1); got != 2 {
 		t.Fatalf("other RAM reads %#x after a's write, want the seed's 2", got)
 	}
 	seed.WriteBlock(chunkSize-2, []byte{5, 6, 7, 8})
 	for _, r := range []*RAM{a, b} {
-		if got := r.Read32(r.Base() + chunkSize - 2); got != 0x08070605 {
+		if got := r.Read32(r.base + chunkSize - 2); got != 0x08070605 {
 			t.Fatalf("reseeded Read32 = %#x, want 0x08070605", got)
 		}
 	}

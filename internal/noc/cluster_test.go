@@ -12,7 +12,7 @@ func buildTopo(tiles int, topo Topology) (*sim.Kernel, *Network) {
 	k := sim.New()
 	locals := make([]*mem.Local, tiles)
 	for i := range locals {
-		locals[i] = mem.NewLocal(i, 0, 4096)
+		locals[i] = &mem.Local{RAM: mem.NewRAM(0, 4096), Tile: i}
 	}
 	n, err := New(k, Config{Tiles: tiles, HopLat: 2, FlitSize: 4, InjLat: 2, Topology: topo}, locals)
 	if err != nil {
@@ -111,13 +111,13 @@ func TestClusterHops(t *testing.T) {
 		{63, 0, 3}, // wrap the other way
 	}
 	for _, c := range cases {
-		if got := n.Hops(c.a, c.b); got != c.want {
-			t.Errorf("cluster Hops(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
+		if got := hops(n, c.a, c.b); got != c.want {
+			t.Errorf("cluster hops(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 	// Mesh backbone: 16 clusters on a 4x4 mesh.
 	_, nm := buildTopo(64, ClusterTopo(4, KindMesh))
-	if got := nm.Hops(0, 63); got != 1+6+1 { // cluster 0 -> 15: opposite mesh corners
+	if got := hops(nm, 0, 63); got != 1+6+1 { // cluster 0 -> 15: opposite mesh corners
 		t.Errorf("mesh-backbone corner hops = %d, want 8", got)
 	}
 }
@@ -127,8 +127,8 @@ func TestClusterHops(t *testing.T) {
 func TestClusterFlitHopSplit(t *testing.T) {
 	k, n := buildTopo(32, ClusterTopo(8, KindRing))
 	k.Spawn("src", func(p *sim.Proc) {
-		n.PostWrite32(0, 1, 0x10, 1) // same cluster: 1 local hop
-		n.PostWrite32(0, 8, 0x10, 2) // next cluster: 2 local + 1 global
+		n.PostWriteDelayed(0, 1, 0x10, word(1), 0) // same cluster: 1 local hop
+		n.PostWriteDelayed(0, 8, 0x10, word(2), 0) // next cluster: 2 local + 1 global
 		p.Wait(100)
 	})
 	if err := k.Run(); err != nil {
@@ -148,7 +148,7 @@ func TestGlobalHopLat(t *testing.T) {
 	k := sim.New()
 	locals := make([]*mem.Local, 32)
 	for i := range locals {
-		locals[i] = mem.NewLocal(i, 0, 4096)
+		locals[i] = &mem.Local{RAM: mem.NewRAM(0, 4096), Tile: i}
 	}
 	cfg := Config{Tiles: 32, HopLat: 2, FlitSize: 4, InjLat: 2,
 		Topology: ClusterTopo(8, KindRing), GlobalHopLat: 10}
@@ -171,7 +171,7 @@ func TestGlobalHopLat(t *testing.T) {
 // memory.
 func TestMemResolver(t *testing.T) {
 	k, n := buildTopo(8, ClusterTopo(4, KindRing))
-	scratch := mem.NewLocal(-1, 0x4000_0000, 4096)
+	scratch := &mem.Local{RAM: mem.NewRAM(0x4000_0000, 4096), Tile: -1}
 	n.SetMemResolver(func(dst int, addr mem.Addr) *mem.Local {
 		if addr >= 0x4000_0000 && addr < 0x8000_0000 {
 			return scratch
@@ -179,8 +179,8 @@ func TestMemResolver(t *testing.T) {
 		return n.locals[dst]
 	})
 	k.Spawn("src", func(p *sim.Proc) {
-		n.PostWrite32(0, 5, 0x4000_0010, 99)
-		n.PostWrite32(0, 5, 0x20, 7)
+		n.PostWriteDelayed(0, 5, 0x4000_0010, word(99), 0)
+		n.PostWriteDelayed(0, 5, 0x20, word(7), 0)
 		p.Wait(100)
 	})
 	if err := k.Run(); err != nil {

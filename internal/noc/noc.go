@@ -330,12 +330,6 @@ func (n *Network) route(src, dst int) (local, global int) {
 	return d, 0
 }
 
-// Hops returns the total routing distance between two tiles.
-func (n *Network) Hops(src, dst int) int {
-	local, global := n.route(src, dst)
-	return local + global
-}
-
 func abs(x int) int {
 	if x < 0 {
 		return -x
@@ -403,12 +397,13 @@ func (n *Network) arrival(src, dst, size int) sim.Time {
 	return n.arrivalAt(n.k.Now(), src, dst, size)
 }
 
-// PostWriteDelayed is PostWrite with injection deferred until earliest (at
-// least the current time): the data snapshot is still taken at delivery
-// scheduling time by the caller-provided source, so callers that need a
-// later snapshot should capture it themselves. It returns the delivery
-// time. Lock-transfer handoffs use it to model "notify previous owner,
-// previous owner pushes the object".
+// PostWriteDelayed injects a posted remote write of data into dst's local
+// memory at address addr, with injection deferred until earliest (at
+// least the current time). The sender does not stall; the write becomes
+// visible in the destination memory at the returned delivery time. The
+// data is snapshotted now, so callers that need a later snapshot should
+// capture it themselves. Lock-transfer handoffs use the deferral to model
+// "notify previous owner, previous owner pushes the object".
 func (n *Network) PostWriteDelayed(src, dst int, addr mem.Addr, data []byte, earliest sim.Time) (deliveredAt sim.Time) {
 	if src == dst {
 		panic("noc: remote write to own tile (use the core port)")
@@ -419,19 +414,6 @@ func (n *Network) PostWriteDelayed(src, dst int, addr mem.Addr, data []byte, ear
 	}
 	at := n.arrivalAt(base, src, dst, len(data))
 	buf := append([]byte(nil), data...)
-	n.k.ScheduleAt(at, func() { n.resolve(dst, addr).NoCWriteBlock(addr, buf) })
-	return at
-}
-
-// PostWrite injects a posted remote write of data into dst's local memory at
-// address addr. The sender does not stall; the write becomes visible in the
-// destination memory at the returned delivery time.
-func (n *Network) PostWrite(src, dst int, addr mem.Addr, data []byte) (deliveredAt sim.Time) {
-	if src == dst {
-		panic("noc: remote write to own tile (use the core port)")
-	}
-	at := n.arrival(src, dst, len(data))
-	buf := append([]byte(nil), data...) // snapshot sender's data now
 	n.k.ScheduleAt(at, func() { n.resolve(dst, addr).NoCWriteBlock(addr, buf) })
 	return at
 }
@@ -470,13 +452,6 @@ func (n *Network) PostWriteFan(src int, dsts []int, addrOf func(dst int) mem.Add
 		}
 	}
 	return last
-}
-
-// PostWrite32 injects a posted single-word remote write.
-func (n *Network) PostWrite32(src, dst int, addr mem.Addr, v uint32) sim.Time {
-	var b [4]byte
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	return n.PostWrite(src, dst, addr, b[:])
 }
 
 // PostControl injects a control message (e.g. a lock request) delivered by

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -12,7 +13,7 @@ func build(tiles int) (*sim.Kernel, *Network, []*mem.Local) {
 	k := sim.New()
 	locals := make([]*mem.Local, tiles)
 	for i := range locals {
-		locals[i] = mem.NewLocal(i, 0, 4096)
+		locals[i] = &mem.Local{RAM: mem.NewRAM(0, 4096), Tile: i}
 	}
 	n, err := New(k, Config{Tiles: tiles, HopLat: 2, FlitSize: 4, InjLat: 2}, locals)
 	if err != nil {
@@ -21,14 +22,23 @@ func build(tiles int) (*sim.Kernel, *Network, []*mem.Local) {
 	return k, n, locals
 }
 
+// word is v as the little-endian payload of a one-word remote write.
+func word(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
+
+// hops is the total routing distance between two tiles.
+func hops(n *Network, src, dst int) int {
+	local, global := n.route(src, dst)
+	return local + global
+}
+
 func TestHopsRing(t *testing.T) {
 	_, n, _ := build(8)
 	cases := []struct{ a, b, want int }{
 		{0, 0, 0}, {0, 1, 1}, {0, 4, 4}, {0, 5, 3}, {0, 7, 1}, {6, 2, 4}, {7, 0, 1},
 	}
 	for _, c := range cases {
-		if got := n.Hops(c.a, c.b); got != c.want {
-			t.Errorf("Hops(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
+		if got := hops(n, c.a, c.b); got != c.want {
+			t.Errorf("hops(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -37,7 +47,7 @@ func TestPostWriteDelivers(t *testing.T) {
 	k, n, locals := build(4)
 	var at sim.Time
 	k.Spawn("src", func(p *sim.Proc) {
-		at = n.PostWrite32(0, 2, 0x10, 777)
+		at = n.PostWriteDelayed(0, 2, 0x10, word(777), 0)
 		// Posted: sender did not advance.
 		if p.Now() != 0 {
 			t.Errorf("sender stalled to %d", p.Now())
@@ -64,14 +74,14 @@ func TestDataSnapshotAtInjection(t *testing.T) {
 	k, n, locals := build(2)
 	buf := []byte{1, 2, 3, 4}
 	k.Spawn("src", func(p *sim.Proc) {
-		n.PostWrite(0, 1, 0, buf)
+		n.PostWriteDelayed(0, 1, 0, buf, 0)
 		buf[0] = 99 // overwrite before delivery
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if locals[1].Read8(0) != 1 {
-		t.Fatalf("delivered %d, want snapshot value 1", locals[1].Read8(0))
+	if got := locals[1].Read32(0); got != 0x04030201 {
+		t.Fatalf("delivered %#x, want snapshot value 0x04030201", got)
 	}
 }
 
@@ -80,8 +90,8 @@ func TestFlowFIFOOrder(t *testing.T) {
 	// after the first even though both have the same latency.
 	k, n, locals := build(4)
 	k.Spawn("src", func(p *sim.Proc) {
-		n.PostWrite32(0, 1, 0x20, 1)
-		n.PostWrite32(0, 1, 0x20, 2) // same cycle, same flow
+		n.PostWriteDelayed(0, 1, 0x20, word(1), 0)
+		n.PostWriteDelayed(0, 1, 0x20, word(2), 0) // same cycle, same flow
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -98,7 +108,7 @@ func TestDataThenControlOrdering(t *testing.T) {
 	k, n, locals := build(4)
 	var sawAtGrant uint32
 	k.Spawn("src", func(p *sim.Proc) {
-		n.PostWrite(0, 3, 0x40, []byte{42, 0, 0, 0})
+		n.PostWriteDelayed(0, 3, 0x40, []byte{42, 0, 0, 0}, 0)
 		n.PostControl(0, 3, 4, func() {
 			sawAtGrant = locals[3].Read32(0x40)
 		})
@@ -143,10 +153,10 @@ func TestRemoteWriteToSelfPanics(t *testing.T) {
 	_, n, _ := build(2)
 	defer func() {
 		if recover() == nil {
-			t.Error("PostWrite to own tile did not panic")
+			t.Error("PostWriteDelayed to own tile did not panic")
 		}
 	}()
-	n.PostWrite32(1, 1, 0, 0)
+	n.PostWriteDelayed(1, 1, 0, word(0), 0)
 }
 
 // Property: on any single flow, delivery times are strictly increasing in
@@ -158,7 +168,7 @@ func TestFlowFIFOProperty(t *testing.T) {
 		k.Spawn("src", func(p *sim.Proc) {
 			var prev sim.Time
 			for i, s := range sizes {
-				at := n.PostWrite(0, 5, 0, make([]byte, int(s%64)+1))
+				at := n.PostWriteDelayed(0, 5, 0, make([]byte, int(s%64)+1), 0)
 				if i > 0 && at <= prev {
 					ok = false
 				}
@@ -185,7 +195,7 @@ func TestStatsBytesProperty(t *testing.T) {
 			for _, s := range sizes {
 				sz := int(s%32) + 1
 				want += uint64(sz)
-				n.PostWrite(0, 1, 0, make([]byte, sz))
+				n.PostWriteDelayed(0, 1, 0, make([]byte, sz), 0)
 			}
 		})
 		if err := k.Run(); err != nil {
@@ -202,7 +212,7 @@ func TestHopsMesh(t *testing.T) {
 	k := sim.New()
 	locals := make([]*mem.Local, 16)
 	for i := range locals {
-		locals[i] = mem.NewLocal(i, 0, 1024)
+		locals[i] = &mem.Local{RAM: mem.NewRAM(0, 1024), Tile: i}
 	}
 	n, err := New(k, Config{Tiles: 16, HopLat: 2, FlitSize: 4, InjLat: 2, Topology: TopoMesh}, locals)
 	if err != nil {
@@ -216,8 +226,8 @@ func TestHopsMesh(t *testing.T) {
 		{5, 10, 2}, // (1,1) -> (2,2)
 	}
 	for _, c := range cases {
-		if got := n.Hops(c.a, c.b); got != c.want {
-			t.Errorf("mesh Hops(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
+		if got := hops(n, c.a, c.b); got != c.want {
+			t.Errorf("mesh hops(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -229,7 +239,7 @@ func TestZeroFlitSizeDefaults(t *testing.T) {
 	k := sim.New()
 	locals := make([]*mem.Local, 2)
 	for i := range locals {
-		locals[i] = mem.NewLocal(i, 0, 1024)
+		locals[i] = &mem.Local{RAM: mem.NewRAM(0, 1024), Tile: i}
 	}
 	n, err := New(k, Config{Tiles: 2, HopLat: 1, InjLat: 1}, locals) // FlitSize omitted
 	if err != nil {
@@ -239,7 +249,7 @@ func TestZeroFlitSizeDefaults(t *testing.T) {
 		t.Fatalf("FlitSize defaulted to %d, want %d", got, want)
 	}
 	k.Spawn("src", func(p *sim.Proc) {
-		n.PostWrite32(0, 1, 0, 7) // would have panicked before the fix
+		n.PostWriteDelayed(0, 1, 0, word(7), 0) // would have panicked before the fix
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -297,7 +307,7 @@ func TestMeshShortensWorstCase(t *testing.T) {
 		k := sim.New()
 		locals := make([]*mem.Local, 32)
 		for i := range locals {
-			locals[i] = mem.NewLocal(i, 0, 1024)
+			locals[i] = &mem.Local{RAM: mem.NewRAM(0, 1024), Tile: i}
 		}
 		cfg := DefaultConfig()
 		cfg.Topology = topo
@@ -312,7 +322,7 @@ func TestMeshShortensWorstCase(t *testing.T) {
 		m := 0
 		for a := 0; a < 32; a++ {
 			for b := 0; b < 32; b++ {
-				if h := n.Hops(a, b); h > m {
+				if h := hops(n, a, b); h > m {
 					m = h
 				}
 			}

@@ -88,15 +88,6 @@ func (c *Client) Submit(ctx context.Context, spec JobSpec) (*JobStatus, error) {
 	return &st, nil
 }
 
-// Status fetches a job's current status.
-func (c *Client) Status(ctx context.Context, id string) (*JobStatus, error) {
-	var st JobStatus
-	if err := c.getJSON(ctx, "/v1/jobs/"+id, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
 // Events consumes the job's NDJSON status stream, calling fn per line,
 // until the job reaches a terminal state (returned) or ctx is done.
 func (c *Client) Events(ctx context.Context, id string, fn func(JobStatus)) (*JobStatus, error) {
@@ -132,19 +123,6 @@ func (c *Client) Events(ctx context.Context, id string, fn func(JobStatus)) (*Jo
 		return last, err
 	}
 	return last, fmt.Errorf("pmcd: event stream ended before job %s finished", id)
-}
-
-// Wait blocks until the job finishes, following the event stream. A
-// failed job returns its error.
-func (c *Client) Wait(ctx context.Context, id string) (*JobStatus, error) {
-	st, err := c.Events(ctx, id, nil)
-	if err != nil {
-		return st, err
-	}
-	if st.State == StateFailed {
-		return st, fmt.Errorf("pmcd: job %s failed: %s", id, st.Error)
-	}
-	return st, nil
 }
 
 // Result fetches a finished job's result body — the exact stored bytes.

@@ -175,9 +175,6 @@ func New(cfg Config) (*Server, error) {
 // fingerprints with.
 func (s *Server) CodeVersionUsed() string { return s.codeVersion }
 
-// Cache returns the server's result cache (stats, direct store access).
-func (s *Server) Cache() *Cache { return s.cache }
-
 // Close stops accepting queued work and waits for in-flight jobs.
 func (s *Server) Close() {
 	close(s.closing)

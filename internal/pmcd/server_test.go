@@ -189,7 +189,7 @@ func TestServerRejects(t *testing.T) {
 			t.Errorf("%s: submission accepted", name)
 		}
 	}
-	if _, err := c.Status(ctx, "j999"); err == nil {
+	if err := c.getJSON(ctx, "/v1/jobs/j999", &JobStatus{}); err == nil {
 		t.Error("unknown job id did not 404")
 	}
 	// Unknown top-level fields are rejected (a typoed "sweeps" must not
@@ -292,7 +292,7 @@ func TestConcurrentClientsSingleFlight(t *testing.T) {
 	if len(byFp) != len(specs) {
 		t.Fatalf("%d distinct fingerprints for %d distinct specs", len(byFp), len(specs))
 	}
-	if sims := srv.Cache().Simulations(); sims != int64(len(specs)) {
+	if sims := srv.cache.Simulations(); sims != int64(len(specs)) {
 		t.Fatalf("%d clients cost %d simulations, want %d (one per fingerprint)",
 			len(results), sims, len(specs))
 	}

@@ -67,9 +67,6 @@ func Open(dir string, memEntries int) (*Store, error) {
 	}, nil
 }
 
-// Dir returns the disk tier's directory ("" for memory-only stores).
-func (s *Store) Dir() string { return s.dir }
-
 // Get returns the stored body for key. The returned slice is shared —
 // callers must not modify it.
 func (s *Store) Get(key string) ([]byte, bool, error) {
@@ -286,7 +283,9 @@ type Cache struct {
 	mu       sync.Mutex
 	inflight map[string]*flight
 
-	sims   atomic.Int64
+	sims atomic.Int64
+	// dedups counts callers that attached to another caller's in-flight
+	// compute.
 	dedups atomic.Int64
 }
 
@@ -307,10 +306,6 @@ func (c *Cache) Store() *Store { return c.store }
 // Simulations returns how many computes actually ran (cache misses that
 // led the flight).
 func (c *Cache) Simulations() int64 { return c.sims.Load() }
-
-// Dedups returns how many callers attached to another caller's in-flight
-// compute.
-func (c *Cache) Dedups() int64 { return c.dedups.Load() }
 
 // Do returns the body for key, computing it at most once: a stored result
 // is served as-is (hit=true); otherwise one caller runs compute and

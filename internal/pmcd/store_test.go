@@ -303,7 +303,7 @@ func TestCachePanicFailsFlight(t *testing.T) {
 	}()
 	_, _, err = c.Do(key, func() ([]byte, error) {
 		close(leading)
-		for c.Dedups() == 0 { // hold the flight until the waiter attaches
+		for c.dedups.Load() == 0 { // hold the flight until the waiter attaches
 			time.Sleep(time.Millisecond)
 		}
 		panic("engine exploded")

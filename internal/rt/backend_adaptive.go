@@ -47,7 +47,6 @@ type adaptState struct {
 	lastXTile  int
 	blockWords int // words moved by ranged operations
 	wordOps    int // word-granularity reads and writes
-	migrations int
 }
 
 // adaptWarmup is the number of scope entries observed before the policy
@@ -199,7 +198,6 @@ func (b *adaptiveBackend) migrate(c *Ctx, o *Object, st *adaptState, cur, target
 		b.dsm.lastWriter[o.ID] = c.T.Unit(b.dsm.level)
 	}
 	st.proto = target
-	st.migrations++
 	if target == Backend(b.dsm) {
 		// Charge the seeding broadcast to the migrating worker (after
 		// the flip: the charge waits, and a rival entering during the
@@ -242,7 +240,6 @@ func (b *adaptiveBackend) flipAtEntry(o *Object, st *adaptState) {
 		return
 	}
 	st.proto = target
-	st.migrations++
 }
 
 func (b *adaptiveBackend) ExitRO(c *Ctx, o *Object) {
@@ -289,7 +286,6 @@ func (b *adaptiveBackend) readSideFlip(st *adaptState, cur, target Backend) {
 		return
 	}
 	st.proto = b.swcc
-	st.migrations++
 }
 
 func (b *adaptiveBackend) Fence(c *Ctx) {
@@ -367,13 +363,3 @@ func (b *adaptiveBackend) readCanonical(rt *Runtime, o *Object, wordIdx int) uin
 // heapLimit bounds the heap to the local memory, which both the dsm
 // replicas and the spm staging arena live in.
 func (b *adaptiveBackend) heapLimit(rt *Runtime) int { return b.dsm.heapLimit(rt) }
-
-// Migrations reports how many protocol migrations the adaptive backend
-// performed across all objects (experiment reporting).
-func (b *adaptiveBackend) Migrations() int {
-	n := 0
-	for _, st := range b.state {
-		n += st.migrations
-	}
-	return n
-}

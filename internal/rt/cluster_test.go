@@ -78,16 +78,18 @@ func TestCDSMIntraClusterTransferMovesNoData(t *testing.T) {
 	r := New(sys, CDSM())
 	x := r.Alloc("X", 64)
 	r.InitObject(x, []uint32{5})
-	done := r.NewBarrier(2)
 	var got uint32
+	written := false
 	r.Spawn(0, "a", func(c *Ctx) { // cluster 0
 		c.EntryX(x)
 		c.Write32(x, 0, 11)
 		c.ExitX(x)
-		done.Wait(c)
+		written = true
 	})
 	r.Spawn(1, "b", func(c *Ctx) { // cluster 0 as well
-		done.Wait(c)
+		for !written {
+			c.Compute(10)
+		}
 		c.EntryX(x)
 		got = c.Read32(x, 0)
 		c.ExitX(x)

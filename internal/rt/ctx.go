@@ -43,9 +43,6 @@ type Ctx struct {
 	privNext mem.Addr
 }
 
-// Runtime returns the owning runtime.
-func (c *Ctx) Runtime() *Runtime { return c.rt }
-
 // emit records a trace event if tracing is enabled.
 func (c *Ctx) emit(ph trace.Phase, name string, arg uint64) {
 	if c.rt.Tracer != nil {
@@ -54,9 +51,6 @@ func (c *Ctx) emit(ph trace.Phase, name string, arg uint64) {
 		})
 	}
 }
-
-// Tile returns this worker's tile index.
-func (c *Ctx) Tile() int { return c.T.ID }
 
 // Now returns the current simulated time.
 func (c *Ctx) Now() sim.Time { return c.P.Now() }

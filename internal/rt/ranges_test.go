@@ -59,7 +59,7 @@ func TestBlockRoundTripAllBackends(t *testing.T) {
 			if err := rec.Err(); err != nil {
 				t.Fatal(err)
 			}
-			if err := rec.CheckWriteOrder(); err != nil {
+			if err := checkWriteOrder(rec.Exec); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -255,7 +255,7 @@ func TestDisciplineViolationsAllBackends(t *testing.T) {
 				r.Spawn(0, "w", func(ctx *Ctx) { c.body(ctx, o) })
 				err = r.Run()
 				if err == nil {
-					t.Fatalf("expected a discipline violation, got none (violations: %v)", r.Violations())
+					t.Fatalf("expected a discipline violation, got none (violations: %v)", r.violations)
 				}
 				v, ok := err.(Violation)
 				if !ok {

@@ -254,17 +254,6 @@ func (r *Recorder) copyRange(c *Ctx, dst *Object, dstOff int, src *Object, srcOf
 	}
 }
 
-// CheckWriteOrder verifies the determinism requirement of Section IV-D for
-// every recorded location: all writes in total ≺G order.
-func (r *Recorder) CheckWriteOrder() error {
-	for v := core.Loc(0); int(v) < r.Exec.NumLocs(); v++ {
-		if !r.Exec.WritesTotallyOrderedG(v) {
-			return fmt.Errorf("rt: writes to %s are not totally ordered (data race)", r.Exec.LocName(v))
-		}
-	}
-	return nil
-}
-
 // Err returns the first verification error, or nil.
 func (r *Recorder) Err() error {
 	if len(r.Errors) > 0 {

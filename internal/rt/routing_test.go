@@ -178,8 +178,8 @@ func TestAdaptiveMigratesCounter(t *testing.T) {
 	if err := rec.Err(); err != nil {
 		t.Fatalf("model violation during migration: %v", err)
 	}
-	if n := b.(*adaptiveBackend).Migrations(); n == 0 {
-		t.Fatal("adaptive backend never migrated a ping-ponging counter")
+	if ab := b.(*adaptiveBackend); ab.st(ctr).proto != Backend(ab.dsm) {
+		t.Fatalf("ping-ponging counter ended on %s, want dsm", ab.st(ctr).proto.Name())
 	}
 }
 
@@ -220,8 +220,8 @@ func TestAdaptiveMigratesReadMostly(t *testing.T) {
 	if err := rec.Err(); err != nil {
 		t.Fatalf("model violation during read-side flip: %v", err)
 	}
-	if n := b.(*adaptiveBackend).Migrations(); n == 0 {
-		t.Fatal("adaptive backend never migrated a read-only table")
+	if ab := b.(*adaptiveBackend); ab.st(table).proto != ab.swcc {
+		t.Fatalf("read-only table ended on %s, want swcc", ab.st(table).proto.Name())
 	}
 }
 
@@ -257,8 +257,8 @@ func TestAdaptiveMigrationSeedsEveryReplica(t *testing.T) {
 	if err := rec.Err(); err != nil {
 		t.Fatalf("model violation during migration: %v", err)
 	}
-	if b.st(o).proto != Backend(b.dsm) || b.Migrations() != 1 {
-		t.Fatalf("object on %s after %d migrations, want dsm after 1", b.st(o).proto.Name(), b.Migrations())
+	if b.st(o).proto != Backend(b.dsm) {
+		t.Fatalf("object on %s, want dsm", b.st(o).proto.Name())
 	}
 	checkReplicas(t, r, o, want)
 }

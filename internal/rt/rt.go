@@ -90,9 +90,6 @@ type Object struct {
 // WordCount returns the number of 32-bit words the object spans.
 func (o *Object) WordCount() int { return (o.Size + 3) / 4 }
 
-// Backend returns the name of the backend this object is routed to.
-func (o *Object) Backend() string { return o.route.Name() }
-
 // Backend implements the annotations for one memory architecture
 // (Table II). All methods run in the calling worker's process context and
 // charge simulated time through the Ctx's tile.
@@ -581,9 +578,6 @@ func (rt *Runtime) Run() error {
 	return nil
 }
 
-// Violations returns all detected discipline violations.
-func (rt *Runtime) Violations() []Violation { return rt.violations }
-
 func (rt *Runtime) violate(c *Ctx, op string, o *Object, msg string) {
 	name := "-"
 	if o != nil {
@@ -594,32 +588,4 @@ func (rt *Runtime) violate(c *Ctx, op string, o *Object, msg string) {
 		panic(v.Error())
 	}
 	rt.violations = append(rt.violations, v)
-}
-
-// Barrier is a zero-cost synchronization barrier for orchestrating workload
-// phases outside the measured region (setup, result collection). It is
-// simulation machinery, not a PMC primitive — measured in-application
-// barriers must be built from annotations instead.
-type Barrier struct {
-	n       int
-	waiting []*sim.Proc
-	round   int
-}
-
-// NewBarrier returns a barrier for n workers.
-func (rt *Runtime) NewBarrier(n int) *Barrier { return &Barrier{n: n} }
-
-// Wait blocks until n workers arrive.
-func (b *Barrier) Wait(c *Ctx) {
-	if len(b.waiting)+1 == b.n {
-		ws := b.waiting
-		b.waiting = nil
-		b.round++
-		for _, w := range ws {
-			w.Unpark(nil)
-		}
-		return
-	}
-	b.waiting = append(b.waiting, c.P)
-	c.P.Park()
 }

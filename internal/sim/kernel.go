@@ -114,13 +114,8 @@ func (k *Kernel) skipTo(t Time) bool {
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Schedule runs fn at the current time plus delay. Events scheduled for the
-// same cycle run in the order they were scheduled.
-func (k *Kernel) Schedule(delay Time, fn func()) {
-	k.ScheduleAt(k.now+delay, fn)
-}
-
 // ScheduleAt runs fn at absolute time t, which must not be in the past.
+// Events scheduled for the same cycle run in the order they were scheduled.
 func (k *Kernel) ScheduleAt(t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: ScheduleAt(%d) in the past (now %d)", t, k.now))
@@ -144,7 +139,6 @@ func (k *Kernel) ScheduleAt(t Time, fn func()) {
 func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 	p := &Proc{
 		k:    k,
-		id:   len(k.procs),
 		name: name,
 	}
 	p.resumeFn = func() { k.resume(p) }

@@ -10,10 +10,10 @@ import (
 func TestEventOrdering(t *testing.T) {
 	k := New()
 	var order []int
-	k.Schedule(10, func() { order = append(order, 2) })
-	k.Schedule(5, func() { order = append(order, 1) })
-	k.Schedule(10, func() { order = append(order, 3) }) // same time: schedule order
-	k.Schedule(0, func() { order = append(order, 0) })
+	k.ScheduleAt(10, func() { order = append(order, 2) })
+	k.ScheduleAt(5, func() { order = append(order, 1) })
+	k.ScheduleAt(10, func() { order = append(order, 3) }) // same time: schedule order
+	k.ScheduleAt(0, func() { order = append(order, 0) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestEventOrdering(t *testing.T) {
 
 func TestScheduleAtPastPanics(t *testing.T) {
 	k := New()
-	k.Schedule(10, func() {
+	k.ScheduleAt(10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("ScheduleAt in the past did not panic")
@@ -71,7 +71,7 @@ func TestWaitZeroRunsPendingEventsFirst(t *testing.T) {
 	k := New()
 	var trace []string
 	k.Spawn("p", func(p *Proc) {
-		k.Schedule(0, func() { trace = append(trace, "event") })
+		k.ScheduleAt(k.Now(), func() { trace = append(trace, "event") })
 		p.Wait(0)
 		trace = append(trace, "after")
 	})
@@ -214,9 +214,19 @@ func TestSpawnFromProc(t *testing.T) {
 	}
 }
 
+// use books bus for dur cycles on behalf of p the way the memory ports
+// do, blocking p until service completes, and returns the cycles p spent
+// queued before service began.
+func use(bus *Resource, p *Proc, dur Time) (queued Time) {
+	start, end := bus.Reserve(p.Now(), dur)
+	queued = start - p.Now()
+	p.WaitUntil(end)
+	return queued
+}
+
 func TestResourceFIFO(t *testing.T) {
 	k := New()
-	bus := NewResource(k, "bus")
+	bus := &Resource{}
 	type rec struct {
 		who    string
 		queued Time
@@ -226,7 +236,7 @@ func TestResourceFIFO(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("p%d", i)
 		k.Spawn(name, func(p *Proc) {
-			q := bus.Use(p, 10)
+			q := use(bus, p, 10)
 			recs = append(recs, rec{name, q, p.Now()})
 		})
 	}
@@ -247,13 +257,13 @@ func TestResourceFIFO(t *testing.T) {
 
 func TestResourceIdleGap(t *testing.T) {
 	k := New()
-	bus := NewResource(k, "bus")
+	bus := &Resource{}
 	k.Spawn("early", func(p *Proc) {
-		bus.Use(p, 5)
+		use(bus, p, 5)
 	})
 	k.Spawn("late", func(p *Proc) {
 		p.Wait(100)
-		q := bus.Use(p, 5)
+		q := use(bus, p, 5)
 		if q != 0 {
 			t.Errorf("late requester queued %d cycles, want 0", q)
 		}
@@ -267,8 +277,7 @@ func TestResourceIdleGap(t *testing.T) {
 }
 
 func TestResourceReserveWithoutProc(t *testing.T) {
-	k := New()
-	bus := NewResource(k, "bus")
+	bus := &Resource{}
 	start, end := bus.Reserve(50, 10)
 	if start != 50 || end != 60 {
 		t.Fatalf("Reserve = (%d,%d), want (50,60)", start, end)
@@ -284,16 +293,16 @@ func TestResourceReserveWithoutProc(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() string {
 		k := New()
-		bus := NewResource(k, "bus")
+		bus := &Resource{}
 		var sb strings.Builder
 		for i := 0; i < 8; i++ {
 			k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-				seed := uint64(p.ID()*2654435761 + 12345)
+				seed := uint64(i*2654435761 + 12345)
 				for j := 0; j < 20; j++ {
 					seed = seed*6364136223846793005 + 1442695040888963407
 					p.Wait(Time(seed % 7))
-					bus.Use(p, Time(1+seed%5))
-					fmt.Fprintf(&sb, "%s@%d;", p.Name(), p.Now())
+					use(bus, p, Time(1+seed%5))
+					fmt.Fprintf(&sb, "%s@%d;", p.name, p.Now())
 				}
 			})
 		}
@@ -315,8 +324,7 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 		if len(durs) == 0 {
 			return true
 		}
-		k := New()
-		r := NewResource(k, "r")
+		r := &Resource{}
 		type slot struct{ s, e Time }
 		var slots []slot
 		t0 := Time(0)
@@ -402,14 +410,14 @@ func TestWaitInPastPanics(t *testing.T) {
 func TestProcAccessors(t *testing.T) {
 	k := New()
 	p := k.Spawn("alpha", func(p *Proc) {
-		if p.Name() != "alpha" || p.ID() != 0 || p.Kernel() == nil {
-			t.Error("accessors wrong")
+		if p.name != "alpha" || p.k != k {
+			t.Error("Spawn did not record the name and kernel")
 		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Done() {
+	if !p.done {
 		t.Fatal("proc not done after Run")
 	}
 }

@@ -21,7 +21,6 @@ import (
 // engines can contain it.
 type Proc struct {
 	k    *Kernel
-	id   int
 	name string
 
 	// next resumes the coroutine until its next yield (kernel side);
@@ -41,15 +40,6 @@ type Proc struct {
 	// pass a small token (e.g. who woke us).
 	unparkHint any
 }
-
-// ID returns the process's spawn-order index.
-func (p *Proc) ID() int { return p.id }
-
-// Name returns the name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.k.now }
@@ -178,6 +168,3 @@ func (p *Proc) Unpark(hint any) {
 	p.unparkHint = hint
 	p.k.ScheduleAt(p.k.now, p.resumeFn)
 }
-
-// Done reports whether the process body has returned.
-func (p *Proc) Done() bool { return p.done }

@@ -291,7 +291,7 @@ func TestWheelPeekDoesNotLoseEvents(t *testing.T) {
 	hit := false
 	k.Spawn("waiter", func(p *Proc) {
 		p.Wait(1 << 20) // fast path peeks nextAt
-		k.Schedule(5, func() { hit = true })
+		k.ScheduleAt(k.Now()+5, func() { hit = true })
 		p.Wait(100000)
 	})
 	if err := k.Run(); err != nil {

@@ -6,10 +6,9 @@ package sim
 // slot at or after t. Because the kernel dispatches activity in
 // nondecreasing time order, reservations are made in nondecreasing request
 // time and the model is exact for FIFO arbitration (ties between requests in
-// the same cycle are granted in event order, which is deterministic).
+// the same cycle are granted in event order, which is deterministic). The
+// zero value is a free resource.
 type Resource struct {
-	k        *Kernel
-	name     string
 	nextFree Time
 
 	// Stats.
@@ -19,27 +18,10 @@ type Resource struct {
 	LastGrant Time
 }
 
-// NewResource returns a free resource on kernel k.
-func NewResource(k *Kernel, name string) *Resource {
-	return &Resource{k: k, name: name}
-}
-
-// Name returns the resource's name.
-func (r *Resource) Name() string { return r.name }
-
-// Use reserves the resource for dur cycles on behalf of process p, blocking
-// p until service completes. It returns the number of cycles p spent queued
-// before service began (the contention component of its stall).
-func (r *Resource) Use(p *Proc, dur Time) (queued Time) {
-	start, end := r.Reserve(p.Now(), dur)
-	queued = start - p.Now()
-	p.WaitUntil(end)
-	return queued
-}
-
 // Reserve books the first [start, start+dur) service slot at or after t
-// without blocking anyone. It is used by hardware agents that have no
-// process context (e.g. a lock unit flushing a cache during lock transfer).
+// without blocking anyone: a requester that must stall waits until end
+// itself, and hardware agents with no process context (e.g. a lock unit
+// flushing a cache during lock transfer) just take the slot.
 func (r *Resource) Reserve(t Time, dur Time) (start, end Time) {
 	start = t
 	if r.nextFree > start {

@@ -85,7 +85,7 @@ func runChainProgram(prog chainProgram, chain bool) (string, Counters, error) {
 						i++
 						if st.event {
 							id := steps
-							k.Schedule(st.evDelay, func() {
+							k.ScheduleAt(k.Now()+st.evDelay, func() {
 								shared = shared*17 + id
 								fmt.Fprintf(&log, "e%d@%d:%d ", id, k.Now(), shared%1000)
 							})
@@ -167,7 +167,7 @@ func TestStepsCutMidChain(t *testing.T) {
 					if ran == tc.stopAt {
 						k.Stop()
 					}
-					k.Schedule(1, func() {}) // force every wait to yield
+					k.ScheduleAt(k.Now()+1, func() {}) // force every wait to yield
 					return p.Now() + 10, ran < 5
 				})
 				resumed = true
@@ -193,7 +193,7 @@ func TestStepsPanicLeavesRun(t *testing.T) {
 			if n++; n == 2 {
 				panic("step boom")
 			}
-			k.Schedule(1, func() {})
+			k.ScheduleAt(k.Now()+1, func() {})
 			return p.Now() + 1, true
 		})
 	})
@@ -237,7 +237,7 @@ func TestStepsMisusePanics(t *testing.T) {
 				n := 0
 				step := func() (Time, bool) {
 					if n++; n == 1 && asEvent {
-						k.Schedule(1, func() {})
+						k.ScheduleAt(k.Now()+1, func() {})
 						return p.Now() + 1, true
 					}
 					return p.Now() - 5, true

@@ -21,9 +21,6 @@ func TestFlatIsOneCluster(t *testing.T) {
 	if got := len(s.Clusters[0].Tiles); got != 32 {
 		t.Fatalf("flat cluster holds %d tiles, want 32", got)
 	}
-	if s.TilesPerCluster() != 32 {
-		t.Fatalf("TilesPerCluster = %d, want 32", s.TilesPerCluster())
-	}
 	for i, tl := range s.Tiles {
 		if tl.Cluster != s.Clusters[0] {
 			t.Fatalf("tile %d not in the single cluster", i)
@@ -40,15 +37,12 @@ func TestClusterWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Clusters) != 4 || s.TilesPerCluster() != 8 {
-		t.Fatalf("got %d clusters of %d tiles, want 4 of 8", len(s.Clusters), s.TilesPerCluster())
+	if len(s.Clusters) != 4 || len(s.Clusters[0].Tiles) != 8 {
+		t.Fatalf("got %d clusters of %d tiles, want 4 of 8", len(s.Clusters), len(s.Clusters[0].Tiles))
 	}
 	for i, tl := range s.Tiles {
 		if want := s.Clusters[i/8]; tl.Cluster != want {
 			t.Fatalf("tile %d in cluster %d, want %d", i, tl.Cluster.ID, want.ID)
-		}
-		if s.ClusterOf(i) != tl.Cluster {
-			t.Fatalf("ClusterOf(%d) mismatch", i)
 		}
 	}
 
@@ -84,12 +78,16 @@ func TestClusterAddrMap(t *testing.T) {
 	ClusterOffset(LocalBase)
 }
 
-// TestClusterValidate: the distinct configuration error messages.
+// TestClusterValidate: the distinct configuration error messages, and the
+// largest configurations the address map holds (an empty hint: accepted).
 func TestClusterValidate(t *testing.T) {
 	cases := []struct {
 		mutate func(*Config)
 		hint   string
 	}{
+		{func(c *Config) { c.Tiles = 2048 }, ""},
+		{func(c *Config) { c.Tiles = 2049 }, "2049 tiles exceeds the address map's maximum 2048"},
+		{func(c *Config) { c.Clusters = 1024; c.Tiles = 2048 }, ""},
 		{func(c *Config) { c.Clusters = -1 }, "clusters"},
 		{func(c *Config) { c.Clusters = 5 }, "do not divide evenly into 5 clusters"},
 		{func(c *Config) { c.Clusters = 2048; c.Tiles = 2048 }, "exceeds the address map's maximum"},
@@ -106,6 +104,12 @@ func TestClusterValidate(t *testing.T) {
 		cfg := testConfig(32)
 		tc.mutate(&cfg)
 		err := cfg.Validate()
+		if tc.hint == "" {
+			if err != nil {
+				t.Errorf("config rejected: %v", err)
+			}
+			continue
+		}
 		if err == nil {
 			t.Errorf("config accepted, want error containing %q", tc.hint)
 			continue
@@ -127,7 +131,7 @@ func TestClusterScratchOverNoC(t *testing.T) {
 	}
 	dst := ClusterAddr(1, 0x20)
 	s.K.Spawn("t0", func(p *sim.Proc) {
-		s.Net.PostWrite32(0, 4, dst, 0xabcd)
+		s.Net.PostWriteDelayed(0, 4, dst, []byte{0xcd, 0xab, 0, 0}, 0)
 		p.Wait(200)
 	})
 	if err := s.Run(); err != nil {

@@ -36,6 +36,10 @@ const (
 // MaxClusters keeps the cluster scratch windows below LocalBase.
 const MaxClusters = int((LocalBase - ClusterBase) / ClusterStride)
 
+// maxTiles keeps the tile-local windows inside the 32-bit address space:
+// past it, LocalAddr wraps onto SDRAM.
+const maxTiles = int((1<<32 - uint64(LocalBase)) / uint64(LocalStride))
+
 // LockKind selects the lock implementation.
 type LockKind int
 
@@ -119,6 +123,9 @@ func DefaultConfig() Config {
 func (c Config) Validate() error {
 	if c.Tiles <= 0 {
 		return fmt.Errorf("soc: %d tiles", c.Tiles)
+	}
+	if c.Tiles > maxTiles {
+		return fmt.Errorf("soc: %d tiles exceeds the address map's maximum %d", c.Tiles, maxTiles)
 	}
 	if err := c.ICache.Valid(); err != nil {
 		return err
@@ -208,7 +215,7 @@ func New(cfg Config) (*System, error) {
 	k := sim.New()
 	k.MaxTime = cfg.MaxCycles
 	s := &System{K: k, Cfg: cfg}
-	s.SDRAM = mem.NewSDRAM(k, SDRAMBase, cfg.SDRAMBytes, cfg.SDRAM)
+	s.SDRAM = mem.NewSDRAM(SDRAMBase, cfg.SDRAMBytes, cfg.SDRAM)
 	s.seeds[LevelLocal] = mem.NewSeed(cfg.LocalBytes)
 	s.seeds[LevelCluster] = mem.NewSeed(cfg.clusterBytes())
 	s.Locals = make([]*mem.Local, cfg.Tiles)
@@ -264,14 +271,6 @@ func New(cfg Config) (*System, error) {
 		cl.Tiles = append(cl.Tiles, s.Tiles[i])
 	}
 	return s, nil
-}
-
-// TilesPerCluster returns the cluster size.
-func (s *System) TilesPerCluster() int { return s.Cfg.Tiles / len(s.Clusters) }
-
-// ClusterOf returns the cluster containing the given tile.
-func (s *System) ClusterOf(tile int) *Cluster {
-	return s.Clusters[tile/s.TilesPerCluster()]
 }
 
 // LocalAddr returns the global address of offset off inside tile t's local

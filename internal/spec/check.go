@@ -197,10 +197,12 @@ func CheckTrace(exec *core.Execution, specs ...Spec) []string {
 	}
 	var problems []string
 	ops := exec.Ops()
-	for _, e := range exec.Edges() {
-		if !committedBy(ops[e.From], ops[e.To], e.Ord, specs) {
-			problems = append(problems,
-				fmt.Sprintf("edge %v —%v→ %v committed by no declared obligation", ops[e.From], e.Ord, ops[e.To]))
+	for id := range ops {
+		for _, e := range exec.Out(id) {
+			if !committedBy(ops[e.From], ops[e.To], e.Ord, specs) {
+				problems = append(problems,
+					fmt.Sprintf("edge %v —%v→ %v committed by no declared obligation", ops[e.From], e.Ord, ops[e.To]))
+			}
 		}
 	}
 	return problems

@@ -105,16 +105,6 @@ func ruleOb(r core.Rule) Obligation {
 	return Obligation{Earlier: r.Earlier, New: r.New, Ord: r.Ord, AnyProc: r.AnyProc}
 }
 
-// TableIObligations returns every Table I rule as an obligation, in table
-// order — the completeness target for VsModel.
-func TableIObligations() []Obligation {
-	out := make([]Obligation, len(core.TableI))
-	for i, r := range core.TableI {
-		out[i] = ruleOb(r)
-	}
-	return out
-}
-
 // Commit declares that the named protocol steps together commit one
 // obligation.
 type Commit struct {
@@ -145,28 +135,6 @@ func (s *Spec) Committed(ob Obligation) []Step {
 		}
 	}
 	return nil
-}
-
-// Steps returns the deduplicated set of steps the spec mentions, in
-// first-mention order.
-func (s *Spec) Steps() []Step {
-	seen := make(map[Step]bool)
-	var out []Step
-	add := func(st Step) {
-		if !seen[st] {
-			seen[st] = true
-			out = append(out, st)
-		}
-	}
-	for _, c := range s.Commits {
-		for _, st := range c.By {
-			add(st)
-		}
-	}
-	for _, st := range s.Liveness {
-		add(st)
-	}
-	return out
 }
 
 // VsModel is the spec-vs-model half of the compositional argument: the

@@ -2,7 +2,6 @@ package spec
 
 import (
 	"fmt"
-	"sort"
 
 	"pmc/internal/core"
 	"pmc/internal/rt"
@@ -104,21 +103,4 @@ func ForBackend(name string) (Spec, error) {
 			[]Step{StepFlushPost}), nil
 	}
 	return Spec{}, fmt.Errorf("spec: no ordering spec for backend %q (have %v)", name, rt.Backends)
-}
-
-// All returns the authored specs of every selectable backend, sorted by
-// backend name.
-func All() []Spec {
-	out := make([]Spec, 0, len(rt.Backends))
-	for _, name := range rt.Backends {
-		s, err := ForBackend(name)
-		if err != nil {
-			// rt.Backends and ForBackend are maintained together; an
-			// uncovered backend is a programming error, caught by tests.
-			panic(err)
-		}
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Backend < out[j].Backend })
-	return out
 }

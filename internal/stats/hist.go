@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"math/bits"
 )
@@ -19,9 +17,7 @@ import (
 type Hist struct {
 	counts [histBuckets]uint64
 	n      uint64
-	min    uint64
 	max    uint64
-	sum    uint64
 }
 
 const (
@@ -55,14 +51,10 @@ func bucketUpper(i int) uint64 {
 // Add records one value.
 func (h *Hist) Add(v uint64) {
 	h.counts[bucketIndex(v)]++
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
 	h.n++
-	h.sum += v
 }
 
 // Merge adds o's counts into h (element-wise; associative and
@@ -74,35 +66,14 @@ func (h *Hist) Merge(o *Hist) {
 	for i, c := range o.counts {
 		h.counts[i] += c
 	}
-	if h.n == 0 || o.min < h.min {
-		h.min = o.min
-	}
 	if o.max > h.max {
 		h.max = o.max
 	}
 	h.n += o.n
-	h.sum += o.sum
 }
 
-// Count returns the number of recorded values.
-func (h *Hist) Count() uint64 { return h.n }
-
-// Min and Max return the exact extremes (0 when empty).
-func (h *Hist) Min() uint64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.min
-}
+// Max returns the exact largest value (0 when empty).
 func (h *Hist) Max() uint64 { return h.max }
-
-// Mean returns the exact arithmetic mean (0 when empty).
-func (h *Hist) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
 
 // Quantile returns the value at quantile q in [0,1]: the upper bound of
 // the bucket containing the rank-⌈q·n⌉ value (clamped to the observed
@@ -134,52 +105,3 @@ func (h *Hist) Quantile(q float64) uint64 {
 	}
 	return h.max
 }
-
-// Fingerprint folds the bucket counts into a 32-bit digest (FNV-1a over
-// index/count pairs of non-empty buckets). Two histograms fingerprint
-// equal iff their counts are identical — the compact determinism witness
-// sweep rows and experiments compare across worker counts.
-func (h *Hist) Fingerprint() uint32 {
-	const (
-		offset = 2166136261
-		prime  = 16777619
-	)
-	fp := uint32(offset)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			fp ^= uint32(v>>s) & 0xff
-			fp *= prime
-		}
-	}
-	for i, c := range h.counts {
-		if c != 0 {
-			mix(uint64(i))
-			mix(c)
-		}
-	}
-	return fp
-}
-
-// Render prints the non-empty buckets with a proportional bar — a
-// human-readable dump for experiment reports.
-func (h *Hist) Render(w io.Writer) {
-	if h.n == 0 {
-		fmt.Fprintln(w, "  (empty)")
-		return
-	}
-	var peak uint64
-	for _, c := range h.counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		barLen := int(c * 40 / peak)
-		fmt.Fprintf(w, "  ≤%10d %8d %s\n", bucketUpper(i), c, strings40[:barLen])
-	}
-}
-
-const strings40 = "########################################"

@@ -160,11 +160,8 @@ func TestMergeAssociativity(t *testing.T) {
 			t.Fatalf("merge grouping/order changed the histogram:\n%v\nvs\n%v", *left, *o)
 		}
 	}
-	if left.Count() != 490 {
-		t.Fatalf("merged count %d, want 490", left.Count())
-	}
-	if left.Fingerprint() != right.Fingerprint() || left.Fingerprint() != rev.Fingerprint() {
-		t.Fatal("fingerprints differ across merge orders")
+	if left.n != 490 {
+		t.Fatalf("merged count %d, want 490", left.n)
 	}
 	// Merging an empty histogram is the identity.
 	id := &Hist{}
@@ -181,20 +178,14 @@ func TestHistStats(t *testing.T) {
 	for _, v := range []uint64{10, 20, 30} {
 		h.Add(v)
 	}
-	if h.Min() != 10 || h.Max() != 30 || h.Count() != 3 {
-		t.Fatalf("min/max/count = %d/%d/%d", h.Min(), h.Max(), h.Count())
-	}
-	if h.Mean() != 20 {
-		t.Fatalf("mean = %f, want 20", h.Mean())
+	// 10 sits in the bucket-exact octave [8,16); 20 shares its width-2
+	// bucket with 21.
+	if h.Quantile(0) != 10 || h.Quantile(0.5) != 21 || h.Max() != 30 || h.n != 3 {
+		t.Fatalf("q0/q50/max/count = %d/%d/%d/%d", h.Quantile(0), h.Quantile(0.5), h.Max(), h.n)
 	}
 	var empty Hist
-	if empty.Min() != 0 || empty.Max() != 0 || empty.Mean() != 0 {
+	if empty.Quantile(0.5) != 0 || empty.Max() != 0 {
 		t.Fatal("empty histogram stats not zero")
-	}
-	var buf bytes.Buffer
-	h.Render(&buf)
-	if !strings.Contains(buf.String(), "≤") {
-		t.Fatalf("Render produced no buckets:\n%s", buf.String())
 	}
 }
 
@@ -213,15 +204,6 @@ func TestSeriesMergeAndReaders(t *testing.T) {
 	}
 	if a.Busy[0] != 80 || a.Busy[2] != 50 {
 		t.Fatalf("merged Busy = %v", a.Busy)
-	}
-	if got := a.Throughput(0); got != 20 { // 2 completions / 100 cycles = 20/kcycle
-		t.Fatalf("Throughput(0) = %f, want 20", got)
-	}
-	if got := a.Utilization(0, 4); got != 0.2 { // 80 busy / (4 cores * 100)
-		t.Fatalf("Utilization(0,4) = %f, want 0.2", got)
-	}
-	if a.Throughput(99) != 0 || a.Utilization(-1, 4) != 0 {
-		t.Fatal("out-of-range readers must return 0")
 	}
 	defer func() {
 		if recover() == nil {

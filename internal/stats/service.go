@@ -66,23 +66,6 @@ func (s *Series) Merge(o *Series) {
 	}
 }
 
-// Throughput returns window i's completions per kilocycle.
-func (s *Series) Throughput(i int) float64 {
-	if i < 0 || i >= len(s.Done) || s.Interval == 0 {
-		return 0
-	}
-	return 1000 * float64(s.Done[i]) / float64(s.Interval)
-}
-
-// Utilization returns window i's busy cycles as a fraction of
-// cores×Interval capacity.
-func (s *Series) Utilization(i, cores int) float64 {
-	if i < 0 || i >= len(s.Busy) || cores <= 0 || s.Interval == 0 {
-		return 0
-	}
-	return float64(s.Busy[i]) / (float64(cores) * float64(s.Interval))
-}
-
 // Service bundles the open-loop service metrics of one run: what load
 // was offered, what completed, the exact latency distribution, and the
 // per-interval series. Every field is integer-deterministic, so two runs

@@ -66,17 +66,13 @@ func FlushOverheadPct(t soc.TileStats) float64 {
 	return 100 * float64(t.FlushInstrs) / tot
 }
 
-// Fig8Categories are the stacked categories in paper order (bottom to top).
-var Fig8Categories = []string{
-	"core utilization", "private read stall", "shared read stall",
-	"write stall", "I-cache stall", "copy stall",
-}
-
 // Breakdown is one run normalized into Fig. 8 categories.
 type Breakdown struct {
 	Label  string
 	Cycles sim.Time
-	// Fractions of the run's accounted cycles per Fig8Category.
+	// Fractions of the run's accounted cycles per Fig. 8 category, in
+	// paper order (bottom to top): core utilization, private read stall,
+	// shared read stall, write stall, I-cache stall, copy stall.
 	Frac [6]float64
 	// Norm is the run's total relative to a reference run (the "no CC"
 	// bar is 100 %).

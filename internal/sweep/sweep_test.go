@@ -223,7 +223,7 @@ func (chainPanicApp) Worker(c *rt.Ctx, _, _ int) {
 		if n++; n == 2 {
 			panic("chain step boom")
 		}
-		c.P.Kernel().Schedule(1, func() {}) // the wait must yield
+		c.T.Sys.K.ScheduleAt(c.P.Now()+1, func() {}) // the wait must yield
 		return c.P.Now() + 1, true
 	})
 }

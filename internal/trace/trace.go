@@ -122,15 +122,3 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
 }
-
-// ScopeCount returns how many Begin events carry the given name prefix —
-// a convenience for tests and reports.
-func (t *Trace) ScopeCount(prefix string) int {
-	n := 0
-	for _, e := range t.events {
-		if e.Phase == Begin && len(e.Name) >= len(prefix) && e.Name[:len(prefix)] == prefix {
-			n++
-		}
-	}
-	return n
-}

@@ -55,17 +55,3 @@ func TestWriteChromeIsValidJSON(t *testing.T) {
 		t.Fatalf("phases wrong: %v", events)
 	}
 }
-
-func TestScopeCount(t *testing.T) {
-	tr := New(0)
-	tr.Emit(Event{Phase: Begin, Name: "x:a"})
-	tr.Emit(Event{Phase: Begin, Name: "x:b"})
-	tr.Emit(Event{Phase: Begin, Name: "ro:a"})
-	tr.Emit(Event{Phase: End, Name: "x:a"})
-	if got := tr.ScopeCount("x:"); got != 2 {
-		t.Fatalf("ScopeCount(x:) = %d, want 2", got)
-	}
-	if got := tr.ScopeCount("ro:"); got != 1 {
-		t.Fatalf("ScopeCount(ro:) = %d, want 1", got)
-	}
-}

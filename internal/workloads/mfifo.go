@@ -177,22 +177,3 @@ func (a *MFifo) Worker(c *rt.Ctx, tile, tiles int) {
 func (a *MFifo) Checksum(r *rt.Runtime) uint32 {
 	return r.ReadObjectWord(a.received, 1)
 }
-
-// Verify checks that every reader received the identical full stream, in
-// the same order.
-func (a *MFifo) Verify(r *rt.Runtime) error {
-	ordered := r.ReadObjectWord(a.received, 0)
-	content := r.ReadObjectWord(a.received, 1)
-	for i := 1; i < a.Readers; i++ {
-		if got := r.ReadObjectWord(a.received, 2*i); got != ordered {
-			return fmt.Errorf("mfifo: reader %d order fold %#x != reader 0 %#x", i, got, ordered)
-		}
-		if got := r.ReadObjectWord(a.received, 2*i+1); got != content {
-			return fmt.Errorf("mfifo: reader %d content %#x != reader 0 %#x", i, got, content)
-		}
-	}
-	if content == 0 {
-		return fmt.Errorf("mfifo: reader 0 received no data")
-	}
-	return nil
-}

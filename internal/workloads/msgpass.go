@@ -83,14 +83,3 @@ func (a *MsgPass) Expected() uint32 {
 	}
 	return fold
 }
-
-// Verify checks all receivers.
-func (a *MsgPass) Verify(r *rt.Runtime, tiles int) bool {
-	want := a.Expected()
-	for t := 1; t < tiles; t++ {
-		if r.ReadObjectWord(a.got, t) != want {
-			return false
-		}
-	}
-	return true
-}

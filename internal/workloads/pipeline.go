@@ -103,22 +103,3 @@ func (a *Pipeline) Worker(c *rt.Ctx, tile, tiles int) {
 func (a *Pipeline) Checksum(r *rt.Runtime) uint32 {
 	return r.ReadObjectWord(a.result, 0)
 }
-
-// Expected computes the digest the sink must produce, independently of the
-// simulation — the pipeline is a pure function of its parameters.
-func (a *Pipeline) Expected() uint32 {
-	var digest uint32
-	for i := 0; i < a.Frames; i++ {
-		frame := make([]uint32, a.FrameWords)
-		for w := range frame {
-			frame[w] = uint32(i)<<8 | uint32(w)
-		}
-		for s := 1; s < a.Stages-1; s++ {
-			transform(s, frame)
-		}
-		for _, v := range frame {
-			digest = digest*16777619 + v
-		}
-	}
-	return digest
-}

@@ -116,25 +116,5 @@ func (a *Stream) Checksum(r *rt.Runtime) uint32 {
 	return r.ReadObjectWord(a.result, 0)
 }
 
-// Expected computes the sink digest independently of the simulation —
-// the stream is a pure function of its parameters, so every backend must
-// produce exactly this checksum.
-func (a *Stream) Expected() uint32 {
-	var digest uint32
-	for i := 0; i < a.Frames; i++ {
-		frame := make([]uint32, a.FrameWords)
-		for w := range frame {
-			frame[w] = uint32(i)<<8 | uint32(w)
-		}
-		for s := 1; s <= a.Stages; s++ {
-			transform(s, frame)
-		}
-		for _, v := range frame {
-			digest = digest*16777619 + v
-		}
-	}
-	return digest
-}
-
 // Service implements ServiceApp.
 func (a *Stream) Service() *stats.Service { return a.meters.merged(a.Frames) }

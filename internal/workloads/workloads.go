@@ -198,16 +198,6 @@ func RunTraced(app App, cfg soc.Config, backendName string, limit int) (*Result,
 	return res, tr, err
 }
 
-// RunVerified is Run with the model recorder attached (tests only: the
-// model is O(n²) in operations; keep configurations small).
-func RunVerified(app App, cfg soc.Config, backendName string) (*Result, *rt.Recorder, error) {
-	var rec *rt.Recorder
-	res, err := run(app, cfg, backendName, func(r *rt.Runtime) {
-		rec = rt.NewRecorder(r)
-	})
-	return res, rec, err
-}
-
 // run builds the system, runs app on it and collects the result. SDRAM
 // is raised to rt.MinSDRAMBytes when cfg is smaller, since the default
 // 32 MiB map stops holding the per-tile private heaps at 48 tiles. SDRAM

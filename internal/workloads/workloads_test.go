@@ -1,8 +1,10 @@
 package workloads
 
 import (
+	"fmt"
 	"testing"
 
+	"pmc/internal/core"
 	"pmc/internal/rt"
 	"pmc/internal/soc"
 )
@@ -12,6 +14,76 @@ func smallCfg(tiles int) soc.Config {
 	cfg.Tiles = tiles
 	cfg.MaxCycles = 500_000_000
 	return cfg
+}
+
+// runVerified is Run with the model recorder attached. The model is
+// O(n²) in operations: keep configurations small.
+func runVerified(app App, cfg soc.Config, backendName string) (*Result, *rt.Recorder, error) {
+	var rec *rt.Recorder
+	res, err := run(app, cfg, backendName, func(r *rt.Runtime) { rec = rt.NewRecorder(r) })
+	return res, rec, err
+}
+
+// checkWriteOrder checks the determinism requirement of Section IV-D on a
+// recorded execution: all writes to each location, its initial write
+// included, are in total ≺G order. Edges run from older to newer ops, so
+// two writes are ordered when the older reaches the newer.
+func checkWriteOrder(e *core.Execution) error {
+	var ws []*core.Op
+	for _, op := range e.Ops() {
+		if op.Kind == core.KWrite || op.IsInit {
+			ws = append(ws, op)
+		}
+	}
+	for i, a := range ws {
+		for _, b := range ws[i+1:] {
+			if a.Loc == b.Loc && !e.ReachableG(a.ID, b.ID) {
+				return fmt.Errorf("writes %s and %s are not totally ordered (data race)", a, b)
+			}
+		}
+	}
+	return nil
+}
+
+// streamDigest is the sink digest of a pipeline or stream computed
+// independently of the simulation: frame i's word w starts as i<<8|w,
+// passes through transform stages first..last, and folds into the digest.
+// Both apps are pure functions of their parameters, so every backend must
+// produce exactly this checksum.
+func streamDigest(frames, frameWords, first, last int) uint32 {
+	var digest uint32
+	for i := 0; i < frames; i++ {
+		frame := make([]uint32, frameWords)
+		for w := range frame {
+			frame[w] = uint32(i)<<8 | uint32(w)
+		}
+		for s := first; s <= last; s++ {
+			transform(s, frame)
+		}
+		for _, v := range frame {
+			digest = digest*16777619 + v
+		}
+	}
+	return digest
+}
+
+// verifyMFifo checks that every reader of a received the identical full
+// stream, in the same order.
+func verifyMFifo(a *MFifo, r *rt.Runtime) error {
+	ordered := r.ReadObjectWord(a.received, 0)
+	content := r.ReadObjectWord(a.received, 1)
+	for i := 1; i < a.Readers; i++ {
+		if got := r.ReadObjectWord(a.received, 2*i); got != ordered {
+			return fmt.Errorf("mfifo: reader %d order fold %#x != reader 0 %#x", i, got, ordered)
+		}
+		if got := r.ReadObjectWord(a.received, 2*i+1); got != content {
+			return fmt.Errorf("mfifo: reader %d content %#x != reader 0 %#x", i, got, content)
+		}
+	}
+	if content == 0 {
+		return fmt.Errorf("mfifo: reader 0 received no data")
+	}
+	return nil
 }
 
 // smallApps returns downsized instances of every workload, fast enough to
@@ -118,14 +190,14 @@ func freshLike(app App) App {
 func TestMsgPassVerifiedAgainstModel(t *testing.T) {
 	for _, backend := range rt.Backends {
 		app := DefaultMsgPass()
-		res, rec, err := RunVerified(app, smallCfg(3), backend)
+		res, rec, err := runVerified(app, smallCfg(3), backend)
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
 		if err := rec.Err(); err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
-		if err := rec.CheckWriteOrder(); err != nil {
+		if err := checkWriteOrder(rec.Exec); err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
 		if res.Checksum != app.Expected() {
@@ -159,7 +231,7 @@ func TestMFifoDeliversEverywhere(t *testing.T) {
 			if err := r.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if err := fifo.Verify(r); err != nil {
+			if err := verifyMFifo(fifo, r); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -268,8 +340,9 @@ func TestPipelineMatchesExpected(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
-		if res.Checksum != p.Expected() {
-			t.Fatalf("%s: digest %#x, want %#x", backend, res.Checksum, p.Expected())
+		// The source and sink stages do not transform.
+		if want := streamDigest(p.Frames, p.FrameWords, 1, p.Stages-2); res.Checksum != want {
+			t.Fatalf("%s: digest %#x, want %#x", backend, res.Checksum, want)
 		}
 	}
 }
@@ -315,14 +388,14 @@ func TestVerifiedWorkloads(t *testing.T) {
 		app := tc.app()
 		name := app.Name() + "/" + tc.backend
 		t.Run(name, func(t *testing.T) {
-			_, rec, err := RunVerified(app, smallCfg(4), tc.backend)
+			_, rec, err := runVerified(app, smallCfg(4), tc.backend)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := rec.Err(); err != nil {
 				t.Fatal(err)
 			}
-			if err := rec.CheckWriteOrder(); err != nil {
+			if err := checkWriteOrder(rec.Exec); err != nil {
 				t.Fatal(err)
 			}
 			if len(rec.Exec.Ops()) < 50 {
@@ -338,7 +411,7 @@ func BenchmarkVerifiedRun(b *testing.B) {
 	cfg := soc.DefaultConfig()
 	cfg.Tiles = 3
 	for i := 0; i < b.N; i++ {
-		_, rec, err := RunVerified(DefaultMsgPass(), cfg, "swcc")
+		_, rec, err := runVerified(DefaultMsgPass(), cfg, "swcc")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,8 +11,8 @@
 //
 // The package exposes four layers:
 //
-//   - the formal model (Execution, the Table I rules, read semantics and
-//     race detection) — the oracle everything else is tested against;
+//   - the formal model (Execution, the Table I rules and read semantics)
+//     — the oracle everything else is tested against;
 //   - a litmus explorer that enumerates all outcomes of small annotated
 //     programs under the model;
 //   - a deterministic cycle-level simulator of the paper's 32-core
