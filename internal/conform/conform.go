@@ -390,14 +390,9 @@ func run(prog litmus.Program, backend string, opt Options, seed uint32, record b
 			objs[name] = r.Alloc(name, 4*prog.WidthOf(name))
 		}
 	}
-	type reg struct {
-		name string
-		val  uint32
-	}
-	// Collected host-side (no sim cost); each register-bearing
-	// instruction sends at most once per run, so this buffer can never
-	// fill and block the kernel.
-	results := make(chan reg, observationCount(prog)+1)
+	// Collected host-side (no sim cost). The kernel runs one thread at a
+	// time, so the threads write the map without synchronization.
+	regs := map[string]uint32{}
 	for ti, th := range prog.Threads {
 		ti, th := ti, th
 		// Deterministic per-thread perturbation derived from the seed.
@@ -434,7 +429,7 @@ func run(prog litmus.Program, backend string, opt Options, seed uint32, record b
 					}
 					if in.Reg != "" {
 						for k, v := range buf {
-							results <- reg{litmus.WordReg(in.Reg, k), v}
+							regs[litmus.WordReg(in.Reg, k)] = v
 						}
 					}
 				case litmus.IRead:
@@ -447,7 +442,7 @@ func run(prog litmus.Program, backend string, opt Options, seed uint32, record b
 						c.ExitRO(objs[in.Loc])
 					}
 					if in.Reg != "" {
-						results <- reg{in.Reg, v}
+						regs[in.Reg] = v
 					}
 				case litmus.IAcquire:
 					c.EntryX(objs[in.Loc])
@@ -470,7 +465,7 @@ func run(prog litmus.Program, backend string, opt Options, seed uint32, record b
 						c.ExitRO(objs[in.Loc])
 						if v == uint32(in.Val) {
 							if in.Reg != "" {
-								results <- reg{in.Reg, v}
+								regs[in.Reg] = v
 							}
 							break
 						}
@@ -483,11 +478,6 @@ func run(prog litmus.Program, backend string, opt Options, seed uint32, record b
 	if err := r.Run(); err != nil {
 		return "", nil, err
 	}
-	close(results)
-	regs := map[string]uint32{}
-	for rv := range results {
-		regs[rv.name] = rv.val
-	}
 	outcome := canonical(regs)
 	if rec != nil {
 		if err := rec.Err(); err != nil {
@@ -496,26 +486,6 @@ func run(prog litmus.Program, backend string, opt Options, seed uint32, record b
 		return outcome, rec.Exec, nil
 	}
 	return outcome, nil, nil
-}
-
-// observationCount returns how many register observations a run can send
-// (each observing instruction sends at most once per run; a block read
-// sends one observation per word of its location).
-func observationCount(p litmus.Program) int {
-	n := 0
-	for _, th := range p.Threads {
-		for _, in := range th {
-			if in.Reg == "" {
-				continue
-			}
-			if in.Kind == litmus.IReadBlock {
-				n += p.WidthOf(in.Loc)
-			} else {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // canonical matches the litmus explorer's outcome rendering.

@@ -29,9 +29,7 @@ import (
 	"pmc/internal/fuzz"
 	"pmc/internal/litmus"
 	"pmc/internal/noc"
-	"pmc/internal/rt"
 	"pmc/internal/sweep"
-	"pmc/internal/workloads"
 )
 
 // CodeVersion returns the build's code-version component for result
@@ -138,16 +136,11 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 	switch {
 	case s.Sweep != nil:
 		j := *s.Sweep
-		if len(j.Apps) == 0 {
-			return JobSpec{}, fmt.Errorf("pmcd: sweep job needs at least one app")
-		}
-		for _, app := range j.Apps {
-			if _, ok := workloads.ByName(app); !ok {
-				return JobSpec{}, fmt.Errorf("pmcd: unknown app %q (have %v)", app, workloads.Names)
-			}
-		}
 		spec, err := j.sweepSpec()
 		if err != nil {
+			return JobSpec{}, err
+		}
+		if err := spec.Validate(); err != nil {
 			return JobSpec{}, err
 		}
 		cs, err := spec.Canonical()
@@ -203,16 +196,6 @@ func (j *SweepJob) sweepSpec() (*sweep.Spec, error) {
 		Apps:     j.Apps,
 		Backends: j.Backends,
 		Tiles:    j.Tiles,
-	}
-	for _, b := range j.Backends {
-		if _, err := rt.ByName(b); err != nil {
-			return nil, fmt.Errorf("pmcd: %w", err)
-		}
-	}
-	for _, t := range j.Tiles {
-		if t <= 0 {
-			return nil, fmt.Errorf("pmcd: tile count %d must be positive", t)
-		}
 	}
 	for _, ts := range j.Topos {
 		topo, err := noc.ParseTopology(ts)

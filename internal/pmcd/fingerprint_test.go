@@ -116,17 +116,19 @@ func TestFingerprintKeyChanges(t *testing.T) {
 
 func TestFingerprintRejectsBadSpecs(t *testing.T) {
 	bad := map[string]JobSpec{
-		"empty":           {},
-		"two kinds":       {Litmus: &LitmusJob{Prog: "sb-drf"}, Fuzz: &FuzzJob{Seed: 1, N: 1}},
-		"no apps":         {Sweep: &SweepJob{}},
-		"unknown app":     {Sweep: &SweepJob{Apps: []string{"nope"}}},
-		"unknown backend": {Sweep: &SweepJob{Apps: []string{"mfifo"}, Backends: []string{"nope"}}},
-		"bad tile count":  {Sweep: &SweepJob{Apps: []string{"mfifo"}, Tiles: []int{0}}},
-		"bad topology":    {Sweep: &SweepJob{Apps: []string{"mfifo"}, Topos: []string{"hypercube"}}},
-		"unknown program": {Litmus: &LitmusJob{Prog: "nope"}},
-		"negative budget": {Litmus: &LitmusJob{Prog: "sb-drf", MaxStates: -1}},
-		"fuzz no count":   {Fuzz: &FuzzJob{Seed: 1}},
-		"fuzz bad mode":   {Fuzz: &FuzzJob{Seed: 1, N: 1, Mode: "nope"}},
+		"empty":                     {},
+		"two kinds":                 {Litmus: &LitmusJob{Prog: "sb-drf"}, Fuzz: &FuzzJob{Seed: 1, N: 1}},
+		"no apps":                   {Sweep: &SweepJob{}},
+		"unknown app":               {Sweep: &SweepJob{Apps: []string{"nope"}}},
+		"unknown backend":           {Sweep: &SweepJob{Apps: []string{"mfifo"}, Backends: []string{"nope"}}},
+		"bad tile count":            {Sweep: &SweepJob{Apps: []string{"mfifo"}, Tiles: []int{0}}},
+		"bad topology":              {Sweep: &SweepJob{Apps: []string{"mfifo"}, Topos: []string{"hypercube"}}},
+		"4096 tiles":                {Sweep: &SweepJob{Apps: []string{"mfifo"}, Tiles: []int{4096}}},
+		"indivisible cluster shape": {Sweep: &SweepJob{Apps: []string{"mfifo"}, Tiles: []int{6}, Topos: []string{"cluster:4xring"}}},
+		"unknown program":           {Litmus: &LitmusJob{Prog: "nope"}},
+		"negative budget":           {Litmus: &LitmusJob{Prog: "sb-drf", MaxStates: -1}},
+		"fuzz no count":             {Fuzz: &FuzzJob{Seed: 1}},
+		"fuzz bad mode":             {Fuzz: &FuzzJob{Seed: 1, N: 1, Mode: "nope"}},
 	}
 	for name, spec := range bad {
 		if _, err := Fingerprint(spec, "cv"); err == nil {

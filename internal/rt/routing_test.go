@@ -76,6 +76,7 @@ func TestCrossBackendCopyVerified(t *testing.T) {
 				c.Flush(done)
 				c.ExitX(done)
 			})
+			stale := false
 			r.Spawn(1, "consumer", func(c *Ctx) {
 				pollUntil(c, done, 1)
 				c.EntryRO(dst)
@@ -84,12 +85,15 @@ func TestCrossBackendCopyVerified(t *testing.T) {
 				c.ExitRO(dst)
 				for w, v := range buf {
 					if v != 0x1000+uint32(w) {
-						c.rt.Sys.K.Stop()
+						stale = true
 					}
 				}
 			})
 			if err := r.Run(); err != nil {
 				t.Fatal(err)
+			}
+			if stale {
+				t.Fatal("consumer read a stale copy of dst")
 			}
 			for w := 0; w < words; w++ {
 				if got := r.ReadObjectWord(dst, w); got != 0x1000+uint32(w) {
@@ -198,6 +202,7 @@ func TestAdaptiveMigratesReadMostly(t *testing.T) {
 		init[w] = 7 * uint32(w)
 	}
 	r.InitObject(table, init)
+	badSum := false
 	for i := 0; i < tiles; i++ {
 		r.Spawn(i, "reader", func(c *Ctx) {
 			for n := 0; n < iters; n++ {
@@ -208,7 +213,7 @@ func TestAdaptiveMigratesReadMostly(t *testing.T) {
 				}
 				c.ExitRO(table)
 				if sum != 7*words*(words-1)/2 {
-					c.rt.Sys.K.Stop()
+					badSum = true
 				}
 				c.Compute(10)
 			}
@@ -216,6 +221,9 @@ func TestAdaptiveMigratesReadMostly(t *testing.T) {
 	}
 	if err := r.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if badSum {
+		t.Fatal("a reader summed a torn or stale table")
 	}
 	if err := rec.Err(); err != nil {
 		t.Fatalf("model violation during read-side flip: %v", err)

@@ -254,7 +254,7 @@ type Runtime struct {
 	Recorder *Recorder
 
 	// Tracer, if non-nil, records scope/fence/flush/lock events for
-	// CSV or Chrome-trace export (internal/trace).
+	// Chrome-trace export (internal/trace).
 	Tracer *trace.Trace
 
 	// Strict makes discipline violations panic instead of accumulate.

@@ -58,10 +58,8 @@ type Kernel struct {
 	wheel *wheelQueue
 	seq   uint64
 
-	procs   []*Proc
-	live    int // processes that have not finished
-	parked  int // processes blocked in Park
-	stopped bool
+	procs []*Proc
+	live  int // processes that have not finished
 
 	// free recycles dispatched event structs: a simulation schedules one
 	// event per process wait, and recycling keeps that hot path from
@@ -93,14 +91,14 @@ func New() *Kernel {
 }
 
 // skipTo is the wait fast path, shared by WaitUntil and step chains. If
-// the kernel is not stopping, t is within MaxTime and no event is due at
-// or before t, a wait until t would be resumed by the very next dispatch
-// with now == t, so skipTo advances the clock in place and reports true.
+// t is within MaxTime and no event is due at or before t, a wait until t
+// would be resumed by the very next dispatch with now == t, so skipTo
+// advances the clock in place and reports true.
 // This is exact, not approximate: nothing is scheduled inside the skipped
 // window, so nothing can observe it. In the common case the peek at the
 // queue is one load of the wheel's cached minimum.
 func (k *Kernel) skipTo(t Time) bool {
-	if k.stopped || (k.MaxTime != 0 && t > k.MaxTime) {
+	if k.MaxTime != 0 && t > k.MaxTime {
 		return false
 	}
 	if at, ok := k.wheel.nextAt(); ok && at <= t {
@@ -149,11 +147,11 @@ func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 	return p
 }
 
-// Run dispatches events until the event queue is empty or Stop is called.
-// It returns an error on deadlock: the queue drained while unfinished
-// processes remain parked.
+// Run dispatches events until the event queue is empty. It returns an
+// error on deadlock: the queue drained while unfinished processes remain
+// parked.
 func (k *Kernel) Run() error {
-	for k.wheel.len() > 0 && !k.stopped {
+	for k.wheel.len() > 0 {
 		e := k.wheel.pop()
 		if k.MaxTime != 0 && e.at > k.MaxTime {
 			return fmt.Errorf("sim: watchdog: time %d exceeds MaxTime %d", e.at, k.MaxTime)
@@ -165,16 +163,12 @@ func (k *Kernel) Run() error {
 		k.Counters.Events++
 		fn()
 	}
-	if !k.stopped && k.live > 0 {
+	if k.live > 0 {
 		return fmt.Errorf("sim: deadlock at cycle %d: %d process(es) still blocked: %s",
 			k.now, k.live, k.blockedNames())
 	}
 	return nil
 }
-
-// Stop makes Run return after the current event completes. Remaining events
-// are discarded. It is primarily useful from watchdog events and tests.
-func (k *Kernel) Stop() { k.stopped = true }
 
 func (k *Kernel) blockedNames() string {
 	var names []string

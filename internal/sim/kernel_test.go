@@ -176,26 +176,6 @@ func TestMaxTimeBoundaryProcess(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	k := New()
-	n := 0
-	k.Spawn("p", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			n++
-			if n == 3 {
-				k.Stop()
-			}
-			p.Wait(1)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("ran %d iterations, want 3", n)
-	}
-}
-
 func TestSpawnFromProc(t *testing.T) {
 	k := New()
 	var childTime Time

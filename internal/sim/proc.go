@@ -149,7 +149,6 @@ func (p *Proc) Park() any {
 		panic(fmt.Sprintf("sim: proc %q parked twice", p.name))
 	}
 	p.parked = true
-	p.k.parked++
 	p.suspend()
 	hint := p.unparkHint
 	p.unparkHint = nil
@@ -164,7 +163,6 @@ func (p *Proc) Unpark(hint any) {
 		panic(fmt.Sprintf("sim: Unpark of non-parked proc %q", p.name))
 	}
 	p.parked = false
-	p.k.parked--
 	p.unparkHint = hint
 	p.k.ScheduleAt(p.k.now, p.resumeFn)
 }

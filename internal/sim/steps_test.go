@@ -14,7 +14,6 @@ import (
 type chainProgram struct {
 	procs   []chainProc
 	maxTime Time
-	stopAt  int // the global step count at which a step calls Stop (0: never)
 }
 
 type chainProc struct {
@@ -35,9 +34,6 @@ func genChainProgram(rng *rand.Rand) chainProgram {
 	var prog chainProgram
 	if rng.Intn(4) == 0 {
 		prog.maxTime = Time(20 + rng.Intn(60))
-	}
-	if rng.Intn(4) == 0 {
-		prog.stopAt = 1 + rng.Intn(40)
 	}
 	for range 1 + rng.Intn(4) {
 		pr := chainProc{start: Time(rng.Intn(4))}
@@ -75,9 +71,6 @@ func runChainProgram(prog chainProgram, chain bool) (string, Counters, error) {
 						steps++
 						shared = shared*31 + uint64(pi*100+ci*10+i)
 						fmt.Fprintf(&log, "p%d.%d.%d@%d:%d ", pi, ci, i, k.Now(), shared%1000)
-						if steps == uint64(prog.stopAt) {
-							k.Stop()
-						}
 						if i == len(call) {
 							return 0, false
 						}
@@ -116,7 +109,7 @@ func runChainProgram(prog chainProgram, chain bool) (string, Counters, error) {
 // test: random programs of competing processes and same-cycle closure
 // events produce the identical dispatch log, outcome and event count
 // whether their calls run as step chains or as WaitUntil loops, including
-// programs cut by MaxTime or Stop in the middle of a chain. Chains never
+// programs cut by MaxTime in the middle of a chain. Chains never
 // resume more often than the loops do.
 func TestStepsMatchesWaitUntilLoop(t *testing.T) {
 	var chained uint64
@@ -143,44 +136,29 @@ func TestStepsMatchesWaitUntilLoop(t *testing.T) {
 	}
 }
 
-// TestStepsCutMidChain pins the two ways a run ends inside a chain: the
-// watchdog, when the chain's next wait passes MaxTime, and Stop called by
-// a step running as an event. Neither runs a further step.
+// TestStepsCutMidChain pins how a run ends inside a chain: the watchdog
+// fires when the chain's next wait passes MaxTime, and no further step
+// runs.
 func TestStepsCutMidChain(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		maxTime Time
-		stopAt  int
-		wantErr string
-		want    int // steps run
-	}{
-		{"maxtime", 25, 0, "watchdog", 3},
-		{"stop", 0, 2, "", 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			k := New()
-			k.MaxTime = tc.maxTime
-			ran, resumed := 0, false
-			k.Spawn("chain", func(p *Proc) {
-				p.Steps(func() (Time, bool) {
-					ran++
-					if ran == tc.stopAt {
-						k.Stop()
-					}
-					k.ScheduleAt(k.Now()+1, func() {}) // force every wait to yield
-					return p.Now() + 10, ran < 5
-				})
-				resumed = true
+	t.Run("maxtime", func(t *testing.T) {
+		k := New()
+		k.MaxTime = 25
+		ran, resumed := 0, false
+		k.Spawn("chain", func(p *Proc) {
+			p.Steps(func() (Time, bool) {
+				ran++
+				k.ScheduleAt(k.Now()+1, func() {}) // force every wait to yield
+				return p.Now() + 10, ran < 5
 			})
-			err := k.Run()
-			if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
-				t.Fatalf("Run = %v, want %q", err, tc.wantErr)
-			}
-			if ran != tc.want || resumed {
-				t.Fatalf("ran %d steps (resumed %v), want %d and no resume", ran, resumed, tc.want)
-			}
+			resumed = true
 		})
-	}
+		if err := k.Run(); err == nil || !strings.Contains(err.Error(), "watchdog") {
+			t.Fatalf("Run = %v, want the watchdog", err)
+		}
+		if ran != 3 || resumed {
+			t.Fatalf("ran %d steps (resumed %v), want 3 and no resume", ran, resumed)
+		}
+	})
 }
 
 // TestStepsPanicLeavesRun: a step that panics while running as a kernel

@@ -11,9 +11,8 @@ import (
 // that is split into 8 linear sub-buckets, so the relative quantization
 // error is bounded by 1/8 at every magnitude. With fixed boundaries and
 // integer counts, two histograms built from the same multiset of values
-// are identical regardless of insertion order, and Merge is a plain
-// element-wise add — the properties the sweep's any-worker-count
-// byte-identity guarantee needs.
+// are identical regardless of insertion order — the property the sweep's
+// any-worker-count byte-identity guarantee needs.
 type Hist struct {
 	counts [histBuckets]uint64
 	n      uint64
@@ -55,21 +54,6 @@ func (h *Hist) Add(v uint64) {
 		h.max = v
 	}
 	h.n++
-}
-
-// Merge adds o's counts into h (element-wise; associative and
-// commutative, so any merge order yields the same histogram).
-func (h *Hist) Merge(o *Hist) {
-	if o == nil || o.n == 0 {
-		return
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.n += o.n
 }
 
 // Max returns the exact largest value (0 when empty).

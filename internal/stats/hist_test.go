@@ -121,55 +121,36 @@ func TestQuantileErrorBound(t *testing.T) {
 	}
 }
 
-// TestMergeAssociativity: merging in any grouping/order yields identical
-// histograms — the property the sweep's worker-count determinism rests on.
-func TestMergeAssociativity(t *testing.T) {
-	mk := func(seed uint32, n int) *Hist {
-		h := &Hist{}
-		r := seed
-		for i := 0; i < n; i++ {
-			r ^= r << 13
-			r ^= r >> 17
-			r ^= r << 5
-			h.Add(uint64(r % 5000))
-		}
-		return h
+// TestHistInsertionOrder: the same multiset of values added in any order
+// yields an identical histogram — the property the sweep's worker-count
+// determinism rests on, since workers complete requests in an order the
+// backend's timing decides.
+func TestHistInsertionOrder(t *testing.T) {
+	var vals []uint64
+	r := uint32(1)
+	for i := 0; i < 490; i++ {
+		r ^= r << 13
+		r ^= r >> 17
+		r ^= r << 5
+		vals = append(vals, uint64(r%5000))
 	}
-	a, b, c := mk(1, 100), mk(2, 57), mk(3, 333)
-
-	// (a ⊕ b) ⊕ c
-	left := &Hist{}
-	left.Merge(a)
-	left.Merge(b)
-	left.Merge(c)
-	// a ⊕ (b ⊕ c)
-	bc := &Hist{}
-	bc.Merge(b)
-	bc.Merge(c)
-	right := &Hist{}
-	right.Merge(a)
-	right.Merge(bc)
-	// c ⊕ b ⊕ a (commutativity)
-	rev := &Hist{}
-	rev.Merge(c)
-	rev.Merge(b)
-	rev.Merge(a)
-
-	for _, o := range []*Hist{right, rev} {
-		if *left != *o {
-			t.Fatalf("merge grouping/order changed the histogram:\n%v\nvs\n%v", *left, *o)
+	var fwd, rev, strided Hist
+	for i, v := range vals {
+		fwd.Add(v)
+		rev.Add(vals[len(vals)-1-i])
+	}
+	for start := 0; start < 7; start++ {
+		for i := start; i < len(vals); i += 7 {
+			strided.Add(vals[i])
 		}
 	}
-	if left.n != 490 {
-		t.Fatalf("merged count %d, want 490", left.n)
+	for _, o := range []Hist{rev, strided} {
+		if fwd != o {
+			t.Fatalf("insertion order changed the histogram:\n%v\nvs\n%v", fwd, o)
+		}
 	}
-	// Merging an empty histogram is the identity.
-	id := &Hist{}
-	id.Merge(left)
-	id.Merge(&Hist{})
-	id.Merge(nil)
-	if *id != *left {
-		t.Fatal("empty/nil merge not the identity")
+	if fwd.n != 490 {
+		t.Fatalf("count %d, want 490", fwd.n)
 	}
 }
 
@@ -189,47 +170,20 @@ func TestHistStats(t *testing.T) {
 	}
 }
 
-func TestSeriesMergeAndReaders(t *testing.T) {
-	a := NewSeries(100)
-	a.RecordDone(0)
-	a.RecordDone(99)
-	a.RecordDone(250)
-	a.RecordBusy(250, 50)
-	b := NewSeries(100)
-	b.RecordDone(110)
-	b.RecordBusy(20, 80)
-	a.Merge(b)
-	if want := []uint64{2, 1, 1}; len(a.Done) != 3 || a.Done[0] != want[0] || a.Done[1] != want[1] || a.Done[2] != want[2] {
-		t.Fatalf("merged Done = %v, want %v", a.Done, want)
-	}
-	if a.Busy[0] != 80 || a.Busy[2] != 50 {
-		t.Fatalf("merged Busy = %v", a.Busy)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging mismatched intervals must panic")
-		}
-	}()
-	a.Merge(NewSeries(50))
-}
-
-func TestServiceMergeAndQuantiles(t *testing.T) {
-	s := NewService(1000)
-	s.Offered = 10
+// TestServiceRecordQuantiles: Record counts a completion and adds its
+// latency (completion − scheduled arrival), and the quantiles, throughput
+// and summary read from what was recorded.
+func TestServiceRecordQuantiles(t *testing.T) {
+	var s Service
+	s.Offered = 12
 	for i := 0; i < 8; i++ {
-		s.Latency.Add(uint64(10 + i))
-		s.Series.RecordDone(sim.Time(i * 300))
-		s.Completed++
+		arrive := sim.Time(i * 300)
+		s.Record(arrive, arrive+sim.Time(10+i))
 	}
-	o := NewService(1000)
-	o.Offered = 2
-	o.Completed = 2
-	o.Latency.Add(500)
-	o.Latency.Add(7)
-	o.Series.RecordDone(2500)
-	s.Merge(o)
-	if s.Offered != 12 || s.Completed != 10 {
-		t.Fatalf("merged offered/completed = %d/%d", s.Offered, s.Completed)
+	s.Record(2000, 2500)
+	s.Record(2493, 2500)
+	if s.Offered != 12 || s.Completed != 10 || s.Latency.Max() != 500 {
+		t.Fatalf("offered/completed/max = %d/%d/%d", s.Offered, s.Completed, s.Latency.Max())
 	}
 	if got := s.P50(); got != 13 { // rank 5 of {7,10..17,500}
 		t.Fatalf("P50 = %d, want 13", got)

@@ -1,7 +1,7 @@
 // Package stats renders measured results in the paper's formats — most
 // importantly the stacked execution-time breakdown of Fig. 8 — and holds
-// the exact measurement containers the service workloads feed (latency
-// histograms, per-interval time-series).
+// the exact measurement container the service workloads feed (latency
+// histograms).
 //
 // Category mapping from the simulator's counters to the paper's five bars:
 //

@@ -1,11 +1,6 @@
 package sweep
 
-import (
-	"fmt"
-
-	"pmc/internal/noc"
-	"pmc/internal/rt"
-)
+import "fmt"
 
 // Canonical grids. A sweep's output is a deterministic function of its
 // declarative grid — every cell simulation is seeded and merged in grid
@@ -34,22 +29,11 @@ func (s *Spec) Canonical() (*CanonicalSpec, error) {
 	if s.Make != nil {
 		return nil, fmt.Errorf("sweep: spec with a Make hook is not content-addressable")
 	}
+	backends, tiles, topos := s.axes()
 	cs := &CanonicalSpec{
 		Apps:     append([]string(nil), s.Apps...),
-		Backends: s.Backends,
-		Tiles:    s.Tiles,
-	}
-	if len(cs.Backends) == 0 {
-		cs.Backends = rt.Backends
-	}
-	cs.Backends = append([]string(nil), cs.Backends...)
-	if len(cs.Tiles) == 0 {
-		cs.Tiles = []int{s.base().Tiles}
-	}
-	cs.Tiles = append([]int(nil), cs.Tiles...)
-	topos := s.Topos
-	if len(topos) == 0 {
-		topos = []noc.Topology{noc.TopoRing}
+		Backends: append([]string(nil), backends...),
+		Tiles:    append([]int(nil), tiles...),
 	}
 	for _, t := range topos {
 		cs.Topos = append(cs.Topos, t.String())

@@ -119,18 +119,7 @@ type Table struct {
 
 // Cells expands the grid in deterministic order without running anything.
 func (s *Spec) Cells() []Cell {
-	backends := s.Backends
-	if len(backends) == 0 {
-		backends = rt.Backends
-	}
-	tiles := s.Tiles
-	if len(tiles) == 0 {
-		tiles = []int{s.base().Tiles}
-	}
-	topos := s.Topos
-	if len(topos) == 0 {
-		topos = []noc.Topology{noc.TopoRing}
-	}
+	backends, tiles, topos := s.axes()
 	var cells []Cell
 	for _, app := range s.Apps {
 		for _, b := range backends {
@@ -146,6 +135,23 @@ func (s *Spec) Cells() []Cell {
 	return cells
 }
 
+// axes returns the backend, tile and topology axes with defaults expanded.
+func (s *Spec) axes() ([]string, []int, []noc.Topology) {
+	backends := s.Backends
+	if len(backends) == 0 {
+		backends = rt.Backends
+	}
+	tiles := s.Tiles
+	if len(tiles) == 0 {
+		tiles = []int{s.base().Tiles}
+	}
+	topos := s.Topos
+	if len(topos) == 0 {
+		topos = []noc.Topology{noc.TopoRing}
+	}
+	return backends, tiles, topos
+}
+
 func (s *Spec) base() soc.Config {
 	if s.Base != nil {
 		return *s.Base
@@ -153,8 +159,18 @@ func (s *Spec) base() soc.Config {
 	return soc.DefaultConfig()
 }
 
-// validate rejects malformed grids before any simulation starts.
-func (s *Spec) validate(cells []Cell) error {
+// config is the system configuration a cell of the given shape runs on.
+func (s *Spec) config(tiles int, topo noc.Topology) soc.Config {
+	cfg := s.base()
+	cfg.Tiles = tiles
+	cfg.NoC.Topology = topo
+	return cfg
+}
+
+// Validate rejects malformed grids before any simulation starts: no apps,
+// an unknown app (unless Make builds the workloads) or backend, and any
+// tile count and topology the platform cannot be built with.
+func (s *Spec) Validate() error {
 	if len(s.Apps) == 0 {
 		return fmt.Errorf("sweep: no apps in grid")
 	}
@@ -165,18 +181,18 @@ func (s *Spec) validate(cells []Cell) error {
 			}
 		}
 	}
-	for _, b := range s.Backends {
+	backends, tiles, topos := s.axes()
+	for _, b := range backends {
 		if _, err := rt.ByName(b); err != nil {
 			return fmt.Errorf("sweep: %w", err)
 		}
 	}
-	for _, t := range s.Tiles {
-		if t <= 0 {
-			return fmt.Errorf("sweep: tile count %d must be positive", t)
+	for _, t := range tiles {
+		for _, topo := range topos {
+			if err := s.config(t, topo).Validate(); err != nil {
+				return fmt.Errorf("sweep: %d tiles on %s: %w", t, topo, err)
+			}
 		}
-	}
-	if len(cells) == 0 {
-		return fmt.Errorf("sweep: empty grid")
 	}
 	return nil
 }
@@ -188,10 +204,10 @@ func (s *Spec) validate(cells []Cell) error {
 // value because each cell's simulation is deterministic and rows are
 // merged by index.
 func Run(spec Spec) (*Table, error) {
-	cells := spec.Cells()
-	if err := spec.validate(cells); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	cells := spec.Cells()
 	rows := make([]Row, len(cells))
 	Each(len(cells), spec.Workers, func(i int) error {
 		rows[i] = runCell(&spec, cells[i])
@@ -279,10 +295,7 @@ func runCell(spec *Spec, c Cell) (row Row) {
 		row.Err = err.Error()
 		return row
 	}
-	cfg := spec.base()
-	cfg.Tiles = c.Tiles
-	cfg.NoC.Topology = c.Topo
-	res, err := workloads.Run(app, cfg, c.Backend)
+	res, err := workloads.Run(app, spec.config(c.Tiles, c.Topo), c.Backend)
 	if err != nil {
 		row.Err = err.Error()
 		return row

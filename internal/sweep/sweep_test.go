@@ -151,13 +151,18 @@ func TestSweepValidation(t *testing.T) {
 	cases := []Spec{
 		{},                              // no apps
 		{Apps: []string{"no-such-app"}}, // unknown app
-		{Apps: []string{"msgpass"}, Backends: []string{"hwcc"}}, // unknown backend
-		{Apps: []string{"msgpass"}, Tiles: []int{0}},            // zero tiles
-		{Apps: []string{"msgpass"}, Tiles: []int{-4}},           // negative tiles
+		{Apps: []string{"msgpass"}, Backends: []string{"hwcc"}},                                               // unknown backend
+		{Apps: []string{"msgpass"}, Tiles: []int{0}},                                                          // zero tiles
+		{Apps: []string{"msgpass"}, Tiles: []int{-4}},                                                         // negative tiles
+		{Apps: []string{"msgpass"}, Tiles: []int{4096}},                                                       // past the address map
+		{Apps: []string{"msgpass"}, Tiles: []int{6}, Topos: []noc.Topology{noc.ClusterTopo(4, noc.KindRing)}}, // indivisible clusters
 	}
 	for i, spec := range cases {
-		if _, err := Run(spec); err == nil {
+		if err := spec.Validate(); err == nil {
 			t.Errorf("case %d: bad spec accepted", i)
+		}
+		if _, err := Run(spec); err == nil {
+			t.Errorf("case %d: bad spec run", i)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package trace records structured events from a PMC runtime run and
-// exports them as CSV or Chrome-trace JSON (chrome://tracing /
-// ui.perfetto.dev), one track per tile. Scope events (entry/exit pairs)
+// exports them as Chrome-trace JSON (chrome://tracing / ui.perfetto.dev),
+// one track per tile. Scope events (entry/exit pairs)
 // become duration slices; fences, flushes and lock grants become instant
 // events — the visualization makes protocol problems (lock convoys,
 // serialized read-only scopes, flush storms) visible at a glance.
@@ -8,7 +8,6 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"pmc/internal/sim"
@@ -62,26 +61,8 @@ func (t *Trace) Emit(e Event) {
 	t.events = append(t.events, e)
 }
 
-// Events returns the recorded events in emission order.
-func (t *Trace) Events() []Event { return t.events }
-
 // Len returns the number of recorded events.
 func (t *Trace) Len() int { return len(t.events) }
-
-// WriteCSV emits "time,tile,phase,name,arg" rows.
-func (t *Trace) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "time,tile,phase,name,arg"); err != nil {
-		return err
-	}
-	phases := map[Phase]string{Begin: "B", End: "E", Instant: "I"}
-	for _, e := range t.events {
-		if _, err := fmt.Fprintf(w, "%d,%d,%s,%s,%d\n",
-			e.Time, e.Tile, phases[e.Phase], e.Name, e.Arg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // chromeEvent is the Trace Event Format record.
 type chromeEvent struct {

@@ -3,7 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
+	"fmt"
 	"testing"
 
 	"pmc/internal/sim"
@@ -19,27 +19,11 @@ func TestEmitAndLimit(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	tr := New(0)
-	tr.Emit(Event{Time: 10, Tile: 1, Phase: Begin, Name: "x:obj"})
-	tr.Emit(Event{Time: 20, Tile: 1, Phase: End, Name: "x:obj", Arg: 7})
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"time,tile,phase,name,arg", "10,1,B,x:obj,0", "20,1,E,x:obj,7"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("CSV missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestWriteChromeIsValidJSON(t *testing.T) {
 	tr := New(0)
 	tr.Emit(Event{Time: 5, Tile: 2, Phase: Begin, Name: "ro:cell"})
 	tr.Emit(Event{Time: 9, Tile: 2, Phase: Instant, Name: "fence"})
-	tr.Emit(Event{Time: 12, Tile: 2, Phase: End, Name: "ro:cell"})
+	tr.Emit(Event{Time: 12, Tile: 2, Phase: End, Name: "ro:cell", Arg: 7})
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
@@ -53,5 +37,11 @@ func TestWriteChromeIsValidJSON(t *testing.T) {
 	}
 	if events[0]["ph"] != "B" || events[1]["ph"] != "i" || events[2]["ph"] != "E" {
 		t.Fatalf("phases wrong: %v", events)
+	}
+	if events[2]["ts"] != 12.0 || events[2]["tid"] != 2.0 || fmt.Sprint(events[2]["args"]) != "map[arg:7]" {
+		t.Fatalf("time, tile or arg wrong: %v", events[2])
+	}
+	if _, ok := events[0]["args"]; ok {
+		t.Fatalf("zero arg exported: %v", events[0])
 	}
 }

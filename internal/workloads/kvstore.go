@@ -35,8 +35,6 @@ type KVStore struct {
 	Work int
 	// Seed drives the arrival schedule and the op mix.
 	Seed uint32
-	// Interval is the time-series window width (cycles).
-	Interval sim.Time
 
 	arrivals []sim.Time
 	opShard  []int
@@ -44,13 +42,13 @@ type KVStore struct {
 	opRead   []bool
 	opDelta  []uint32
 	shards   []*rt.Object
-	meters   *svcMeters
+	svc      *stats.Service
 }
 
 // DefaultKVStore returns the evaluation configuration.
 func DefaultKVStore() *KVStore {
 	return &KVStore{Ops: 160, Load: 5, Clients: 4, Shards: 4, Keys: 8,
-		HotPct: 30, ReadPct: 70, Work: 60, Seed: 2, Interval: 4096}
+		HotPct: 30, ReadPct: 70, Work: 60, Seed: 2}
 }
 
 // Name implements App.
@@ -80,7 +78,7 @@ func (a *KVStore) Setup(r *rt.Runtime, tiles int) {
 	for i := range a.shards {
 		a.shards[i] = r.Alloc(fmt.Sprintf("shard%d", i), a.Keys*4)
 	}
-	a.meters = newSvcMeters(a.Clients, a.Interval)
+	a.svc = &stats.Service{Offered: uint64(a.Ops)}
 }
 
 // Worker implements App: tiles [0,Clients) each issue their round-robin
@@ -92,7 +90,6 @@ func (a *KVStore) Worker(c *rt.Ctx, tile, tiles int) {
 	c.SetCodeFootprint(2 * 1024)
 	for i := tile; i < a.Ops; i += a.Clients {
 		c.WaitUntil(a.arrivals[i])
-		start := c.Now()
 		sh := a.shards[a.opShard[i]]
 		off := a.opKey[i] * 4
 		if a.opRead[i] {
@@ -107,7 +104,7 @@ func (a *KVStore) Worker(c *rt.Ctx, tile, tiles int) {
 			c.Write32(sh, off, v+a.opDelta[i])
 			c.ExitX(sh)
 		}
-		a.meters.record(tile, a.arrivals[i], start, c.Now())
+		a.svc.Record(a.arrivals[i], c.Now())
 	}
 }
 
@@ -126,4 +123,4 @@ func (a *KVStore) Checksum(r *rt.Runtime) uint32 {
 }
 
 // Service implements ServiceApp.
-func (a *KVStore) Service() *stats.Service { return a.meters.merged(a.Ops) }
+func (a *KVStore) Service() *stats.Service { return a.svc }

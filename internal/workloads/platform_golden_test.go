@@ -75,8 +75,8 @@ func platformLine(t *testing.T, pl platformRun) string {
 	line := fmt.Sprintf("%s/%s/%dt/%s place=%v: cycles=%d checksum=%#x noc=%d/%d/%d/%d/%d",
 		pl.app, pl.backend, pl.tiles, pl.topo, pl.place, res.Cycles, res.Checksum,
 		res.NoCMessages, res.NoCBytes, res.FlitHops, res.LocalFlitHops, res.GlobalFlitHops)
-	for i, ts := range res.PerTile {
-		line += fmt.Sprintf(" t%d=%+v", i, ts)
+	for i, tile := range sys.Tiles {
+		line += fmt.Sprintf(" t%d=%+v", i, tile.Stats)
 	}
 	memLine := func(tag string, l *mem.Local) {
 		line += fmt.Sprintf(" %s=%d/%d/%d", tag, l.CoreReads, l.CoreWrites, l.NoCWrites)

@@ -31,19 +31,17 @@ type Server struct {
 	Work int
 	// Seed drives the arrival schedule and session assignment.
 	Seed uint32
-	// Interval is the time-series window width (cycles).
-	Interval sim.Time
 
 	arrivals []sim.Time
 	reqSess  []int
 	reqDelta []uint32
 	sess     []*rt.Object
-	meters   *svcMeters
+	svc      *stats.Service
 }
 
 // DefaultServer returns the evaluation configuration.
 func DefaultServer() *Server {
-	return &Server{Requests: 160, Load: 4, Servers: 4, Sessions: 12, Work: 120, Seed: 1, Interval: 4096}
+	return &Server{Requests: 160, Load: 4, Servers: 4, Sessions: 12, Work: 120, Seed: 1}
 }
 
 // Name implements App.
@@ -66,7 +64,7 @@ func (a *Server) Setup(r *rt.Runtime, tiles int) {
 	for i := range a.sess {
 		a.sess[i] = r.Alloc(fmt.Sprintf("sess%d", i), 4)
 	}
-	a.meters = newSvcMeters(a.Servers, a.Interval)
+	a.svc = &stats.Service{Offered: uint64(a.Requests)}
 }
 
 // Worker implements App: tiles [0,Servers) each serve their round-robin
@@ -78,14 +76,13 @@ func (a *Server) Worker(c *rt.Ctx, tile, tiles int) {
 	c.SetCodeFootprint(2 * 1024)
 	for i := tile; i < a.Requests; i += a.Servers {
 		c.WaitUntil(a.arrivals[i]) // open loop: never before schedule
-		start := c.Now()
 		s := a.sess[a.reqSess[i]]
 		c.EntryX(s)
 		v := c.Read32(s, 0)
 		c.Compute(a.Work)
 		c.Write32(s, 0, v+a.reqDelta[i])
 		c.ExitX(s)
-		a.meters.record(tile, a.arrivals[i], start, c.Now())
+		a.svc.Record(a.arrivals[i], c.Now())
 	}
 }
 
@@ -101,4 +98,4 @@ func (a *Server) Checksum(r *rt.Runtime) uint32 {
 }
 
 // Service implements ServiceApp.
-func (a *Server) Service() *stats.Service { return a.meters.merged(a.Requests) }
+func (a *Server) Service() *stats.Service { return a.svc }

@@ -4,12 +4,15 @@ import (
 	"math"
 
 	"pmc/internal/sim"
-	"pmc/internal/stats"
 )
 
 // Open-loop service machinery shared by the server, kvstore, and stream
-// workloads: a deterministic Poisson arrival schedule and per-worker
-// service meters.
+// workloads: a deterministic Poisson arrival schedule. Each workload
+// records its completions into one stats.Service; the kernel runs one
+// worker at a time, so the workers share it without synchronization. The
+// Service is allocated apart from the workload, so a Result that keeps it
+// does not keep the workload's objects, and through them the simulated
+// system, alive.
 //
 // Arrivals are open-loop (the schedule does not react to completion
 // times): requests keep arriving at the offered load even when the
@@ -47,45 +50,6 @@ func poissonArrivals(seed uint32, n int, load float64) []sim.Time {
 		at[i] = sim.Time(t)
 	}
 	return at
-}
-
-// svcMeters collects per-worker Service metrics. Each worker records
-// only into its own slot (no cross-worker mutation inside the
-// simulation); merged() folds the slots element-wise, which is
-// order-independent, so the merged Service is identical however the
-// simulation interleaved the workers.
-type svcMeters struct {
-	interval sim.Time
-	per      []*stats.Service
-}
-
-func newSvcMeters(workers int, interval sim.Time) *svcMeters {
-	m := &svcMeters{interval: interval, per: make([]*stats.Service, workers)}
-	for i := range m.per {
-		m.per[i] = stats.NewService(interval)
-	}
-	return m
-}
-
-// record logs one completed request for worker w: scheduled arrival,
-// service start (after queueing), and completion time.
-func (m *svcMeters) record(w int, arrive, start, done sim.Time) {
-	s := m.per[w]
-	s.Completed++
-	s.Latency.Add(uint64(done - arrive))
-	s.Series.RecordDone(done)
-	s.Series.RecordBusy(done, done-start)
-}
-
-// merged folds all worker meters into one Service with the offered count
-// filled in.
-func (m *svcMeters) merged(offered int) *stats.Service {
-	out := stats.NewService(m.interval)
-	out.Offered = uint64(offered)
-	for _, s := range m.per {
-		out.Merge(s)
-	}
-	return out
 }
 
 // SetLoad overrides the offered load (requests per kilocycle) on a service

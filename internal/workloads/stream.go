@@ -33,18 +33,16 @@ type Stream struct {
 	Work int
 	// Seed drives the arrival schedule.
 	Seed uint32
-	// Interval is the time-series window width (cycles).
-	Interval sim.Time
 
 	arrivals []sim.Time
 	fifos    []*Fifo
 	result   *rt.Object
-	meters   *svcMeters
+	svc      *stats.Service
 }
 
 // DefaultStream returns the evaluation configuration.
 func DefaultStream() *Stream {
-	return &Stream{Frames: 96, Load: 3, Stages: 2, FrameWords: 8, Depth: 4, Work: 100, Seed: 3, Interval: 4096}
+	return &Stream{Frames: 96, Load: 3, Stages: 2, FrameWords: 8, Depth: 4, Work: 100, Seed: 3}
 }
 
 // Name implements App.
@@ -64,7 +62,7 @@ func (a *Stream) Setup(r *rt.Runtime, tiles int) {
 		a.fifos[i] = NewFifo(r, fmt.Sprintf("stream%d", i), a.Depth, a.FrameWords, 1)
 	}
 	a.result = r.Alloc("stream-result", 4)
-	a.meters = newSvcMeters(1, a.Interval) // only the sink records
+	a.svc = &stats.Service{Offered: uint64(a.Frames)}
 }
 
 // Worker implements App: tile 0 sources on the arrival schedule, tiles
@@ -96,14 +94,13 @@ func (a *Stream) Worker(c *rt.Ctx, tile, tiles int) {
 		var digest uint32
 		for i := 0; i < a.Frames; i++ {
 			frame := a.fifos[a.Stages].Pop(c, 0)
-			start := c.Now()
 			for _, v := range frame {
 				digest = digest*16777619 + v
 			}
 			c.Compute(a.Work / 2)
 			// The single-reader FIFO chain preserves order, so the i-th
 			// pop is frame i and its scheduled arrival is arrivals[i].
-			a.meters.record(0, a.arrivals[i], start, c.Now())
+			a.svc.Record(a.arrivals[i], c.Now())
 		}
 		c.EntryX(a.result)
 		c.Write32(a.result, 0, digest)
@@ -117,4 +114,4 @@ func (a *Stream) Checksum(r *rt.Runtime) uint32 {
 }
 
 // Service implements ServiceApp.
-func (a *Stream) Service() *stats.Service { return a.meters.merged(a.Frames) }
+func (a *Stream) Service() *stats.Service { return a.svc }

@@ -37,9 +37,9 @@ type App interface {
 }
 
 // ServiceApp is an App that runs open-loop service traffic and measures
-// it: Service returns the merged per-run service metrics (offered and
-// completed request counts, the exact latency histogram, the
-// per-interval time-series). Valid after the run completes.
+// it: Service returns the run's service metrics (offered and completed
+// request counts, the exact latency histogram). Valid after the run
+// completes.
 type ServiceApp interface {
 	App
 	Service() *stats.Service
@@ -52,7 +52,6 @@ type Result struct {
 	Tiles    int
 	Cycles   sim.Time // makespan
 	Total    soc.TileStats
-	PerTile  []soc.TileStats
 	Checksum uint32
 	// NoC traffic, for the DSM discussions.
 	NoCMessages uint64
@@ -191,7 +190,7 @@ func RunPlaced(app App, cfg soc.Config, backendName string, place map[string]str
 }
 
 // RunTraced is Run with an event tracer attached; the trace is returned for
-// CSV or Chrome-trace export.
+// Chrome-trace export.
 func RunTraced(app App, cfg soc.Config, backendName string, limit int) (*Result, *trace.Trace, error) {
 	tr := trace.New(limit)
 	res, err := run(app, cfg, backendName, func(r *rt.Runtime) { r.Tracer = tr })
@@ -243,9 +242,6 @@ func run(app App, cfg soc.Config, backendName string, pre func(*rt.Runtime)) (*R
 		LocalFlitHops:  sys.Net.Stats().LocalFlitHops,
 		GlobalFlitHops: sys.Net.Stats().GlobalFlitHops,
 		Kernel:         sys.K.Counters,
-	}
-	for _, t := range sys.Tiles {
-		res.PerTile = append(res.PerTile, t.Stats)
 	}
 	if sa, ok := app.(ServiceApp); ok {
 		res.Service = sa.Service()

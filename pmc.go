@@ -193,7 +193,7 @@ type (
 	ScopeRO = rt.ScopeRO
 	// ScopeX is the Fig. 10 scoped exclusive helper.
 	ScopeX = rt.ScopeX
-	// Trace records runtime events for CSV/Chrome-trace export.
+	// Trace records runtime events for Chrome-trace export.
 	Trace = trace.Trace
 )
 
