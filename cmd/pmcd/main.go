@@ -28,6 +28,11 @@
 // ("job j1 done cached=true ..."), and with -wait writes the result body
 // to stdout or -out. Usage errors exit 2, runtime failures 1 (the shared
 // pmc command convention).
+//
+// get -job answers only while the server still keeps the job: every
+// queued and running job, and the newest 1024 finished ones. An older job
+// ID is unknown (HTTP 404); its result stays reachable by the fingerprint
+// submit printed, through get -fp, for as long as the store keeps it.
 package main
 
 import (
@@ -258,7 +263,7 @@ func cmdGet(args []string) error {
 	fs := flag.NewFlagSet("pmcd get", flag.ExitOnError)
 	var (
 		addr  = fs.String("addr", defaultAddr, "server base URL")
-		jobID = fs.String("job", "", "job ID to fetch")
+		jobID = fs.String("job", "", "job ID to fetch (the server keeps only its newest 1024 finished jobs; an older ID is unknown, fetch it by -fp)")
 		fp    = fs.String("fp", "", "result fingerprint to fetch (content-addressed)")
 		out   = fs.String("out", "", "write the result body to this file (default stdout)")
 	)
@@ -296,9 +301,9 @@ func cmdStats(args []string) error {
 	fmt.Printf("code version  %s\n", st.CodeVersion)
 	fmt.Printf("jobs          %d submitted, %d done, %d failed\n", st.Submitted, st.Done, st.Failed)
 	fmt.Printf("cache         %d cached, %d deduped, %d simulations\n", st.Cached, st.Deduped, st.Simulations)
-	fmt.Printf("store         %d mem hits, %d disk hits, %d misses, %d entries in memory\n",
-		st.Store.MemHits, st.Store.DiskHits, st.Store.Misses, st.Store.MemEntries)
-	fmt.Printf("pool          %d workers, %d queued\n", st.Workers, st.QueueDepth)
+	fmt.Printf("store         %d mem hits, %d disk hits, %d misses, %d entries in memory, %d corrupt files\n",
+		st.Store.MemHits, st.Store.DiskHits, st.Store.Misses, st.Store.MemEntries, st.Store.Corrupt)
+	fmt.Printf("pool          %d workers, %d queued, %d jobs in the table\n", st.Workers, st.QueueDepth, st.Jobs)
 	return nil
 }
 

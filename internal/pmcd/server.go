@@ -27,6 +27,18 @@ import (
 //
 // Results are served byte-identically to the simulation that produced
 // them: the result endpoint writes the stored body verbatim.
+//
+// The job table keeps every queued and running job but only the newest
+// keepFinished finished ones, so it never holds more than QueueDepth +
+// Workers + keepFinished jobs however long the submission stream runs.
+// An evicted job id answers like one that never existed (404 "unknown
+// job" on status, result and events); its result stays reachable by the
+// fingerprint the submit response returned, GET /v1/results/{fp}, for as
+// long as the store keeps it.
+
+// keepFinished is how many finished (done or failed) jobs the job table
+// keeps; the oldest beyond it are evicted.
+const keepFinished = 1024
 
 // Job states.
 const (
@@ -85,6 +97,9 @@ type Stats struct {
 	QueueDepth  int        `json:"queue_depth"`
 	Workers     int        `json:"workers"`
 	Store       StoreStats `json:"store"`
+	// Jobs is the job table's current size: every queued and running
+	// job plus at most keepFinished finished ones.
+	Jobs int `json:"jobs"`
 }
 
 // job is the server-side job record.
@@ -124,6 +139,10 @@ type Server struct {
 
 	mu   sync.Mutex
 	jobs map[string]*job
+	// finished is a ring of the newest finished jobs; next is the slot
+	// the next one takes, evicting the job it displaces from jobs.
+	finished [keepFinished]*job
+	next     int
 
 	nextID    atomic.Int64
 	submitted atomic.Int64
@@ -223,6 +242,7 @@ func (s *Server) execute(j *job) {
 	}
 	j.mu.Unlock()
 	close(j.done)
+	s.retire(j)
 }
 
 // Submit validates, fingerprints and either answers a job from the store
@@ -257,24 +277,38 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		s.cachedCnt.Add(1)
 		s.doneCount.Add(1)
 		close(j.done)
-		s.register(j)
+		s.retire(j)
 		return j.status(), nil
 	}
+	// Enqueueing under s.mu keeps a worker from retiring the job before
+	// the table holds it.
+	s.mu.Lock()
 	select {
 	case s.queue <- j:
+		s.jobs[j.id] = j
+		s.mu.Unlock()
 	default:
+		s.mu.Unlock()
 		return JobStatus{}, errQueueFull
 	}
 	s.submitted.Add(1)
-	s.register(j)
 	return j.status(), nil
 }
 
 var errQueueFull = fmt.Errorf("pmcd: job queue full")
 
-func (s *Server) register(j *job) {
+// retire gives a finished job the ring's next slot and evicts the job
+// that slot held from the table. A queued job is in the table already; a
+// cached one enters it here, in the same step, so the table never holds
+// a finished job the ring does not.
+func (s *Server) retire(j *job) {
 	s.mu.Lock()
 	s.jobs[j.id] = j
+	if old := s.finished[s.next]; old != nil {
+		delete(s.jobs, old.id)
+	}
+	s.finished[s.next] = j
+	s.next = (s.next + 1) % keepFinished
 	s.mu.Unlock()
 }
 
@@ -287,6 +321,9 @@ func (s *Server) lookup(id string) (*job, bool) {
 
 // Stats snapshots the service counters.
 func (s *Server) Stats() Stats {
+	s.mu.Lock()
+	jobs := len(s.jobs)
+	s.mu.Unlock()
 	return Stats{
 		CodeVersion: s.codeVersion,
 		Submitted:   s.submitted.Load(),
@@ -298,6 +335,7 @@ func (s *Server) Stats() Stats {
 		QueueDepth:  len(s.queue),
 		Workers:     s.cfg.Workers,
 		Store:       s.cache.Store().Stats(),
+		Jobs:        jobs,
 	}
 }
 

@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -341,5 +344,150 @@ func TestServerCodeVersionInvalidates(t *testing.T) {
 	}
 	if srv2.Stats().Simulations != 1 {
 		t.Fatal("new code version did not re-simulate")
+	}
+}
+
+// heapInuse returns the live heap after a full collection.
+func heapInuse() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapInuse
+}
+
+// TestServerJobTableBounded is the job table's soak test: 20 ×
+// keepFinished small litmus jobs, mostly repeats of one hot job, each
+// waited for. The table never holds more than QueueDepth + Workers +
+// keepFinished jobs, the heap stops growing once the finished ring is
+// full, and an evicted job id is unknown while its result still answers
+// by fingerprint.
+func TestServerJobTableBounded(t *testing.T) {
+	const queue, workers = 8, 2
+	srv, c := newTestService(t, Config{Workers: workers, QueueDepth: queue, MemEntries: 16})
+	bound := queue + workers + keepFinished
+	var first, last JobStatus
+	var firstBody []byte
+	var heapFull uint64
+	for i := 0; i < 20*keepFinished; i++ {
+		spec := litmusJob()
+		if i%16 == 15 { // a new job: same program, a budget no job used before
+			spec = JobSpec{Litmus: &LitmusJob{Prog: "sb-drf", MaxStates: 100000 + i}}
+		}
+		st, err := srv.Submit(spec)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		j, ok := srv.lookup(st.ID)
+		if !ok {
+			t.Fatalf("job %d (%s) left the table before it finished", i, st.ID)
+		}
+		<-j.done
+		if n := srv.Stats().Jobs; n > bound {
+			t.Fatalf("after job %d the table holds %d jobs, bound %d", i, n, bound)
+		}
+		if i == 0 {
+			first, firstBody = st, j.body
+		}
+		last = st
+		if i+1 == 2*keepFinished {
+			heapFull = heapInuse()
+		}
+	}
+	if n := srv.Stats().Jobs; n != keepFinished {
+		t.Errorf("with every job finished the table holds %d jobs, want %d", n, keepFinished)
+	}
+	// An unbounded table grows by about 0.5 KB a job: nearly 10 MB over
+	// the jobs after the ring fills.
+	const margin = 2 << 20
+	end := heapInuse()
+	t.Logf("heap in use: %d bytes after %d jobs, %d after %d", heapFull, 2*keepFinished, end, 20*keepFinished)
+	if end > heapFull+margin {
+		t.Errorf("heap grew from %d to %d bytes after the finished ring filled (margin %d)", heapFull, end, margin)
+	}
+
+	ctx := context.Background()
+	newest, err := c.Result(ctx, last.ID, false)
+	if err != nil {
+		t.Fatalf("newest job %s: %v", last.ID, err)
+	}
+	if byFp, ok, err := c.ResultByFingerprint(ctx, last.Fingerprint); err != nil || !ok || !bytes.Equal(byFp, newest) {
+		t.Errorf("newest job's fingerprint: ok=%v err=%v identical=%v", ok, err, bytes.Equal(byFp, newest))
+	}
+	for _, path := range []string{"", "/result", "/events"} {
+		resp, err := http.Get(c.Base + "/v1/jobs/" + first.ID + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("evicted job %s%s answered HTTP %d, want 404", first.ID, path, resp.StatusCode)
+		}
+	}
+	if byFp, ok, err := c.ResultByFingerprint(ctx, first.Fingerprint); err != nil || !ok || !bytes.Equal(byFp, firstBody) {
+		t.Errorf("evicted job's fingerprint: ok=%v err=%v identical=%v", ok, err, bytes.Equal(byFp, firstBody))
+	}
+}
+
+// TestServerRecomputesCorruptStoreFile: a disk file with one flipped
+// byte, or cut short, fails its digest. Get counts it as a corrupt miss
+// and removes it, and a restarted server recomputes byte-identical
+// bytes into a file that verifies again.
+func TestServerRecomputesCorruptStoreFile(t *testing.T) {
+	for name, damage := range map[string]func([]byte) []byte{
+		"flipped byte": func(b []byte) []byte { b[len(b)-2] ^= 0x20; return b },
+		"truncated":    func(b []byte) []byte { return b[:len(b)/2] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, c1 := newTestService(t, Config{CacheDir: dir})
+			st1, body1 := submitAndFetch(t, c1, litmusJob())
+			fp := st1.Fingerprint
+			path := filepath.Join(dir, fp[:2], fp+".json")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			damaged := damage(bytes.Clone(data))
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s, err := Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, err := s.Get(fp); err != nil || ok {
+				t.Fatalf("damaged file served: ok=%v err=%v", ok, err)
+			}
+			if st := s.Stats(); st.Corrupt != 1 || st.Misses != 1 || st.DiskHits != 0 {
+				t.Fatalf("damaged file counted as %+v, want one corrupt miss", st)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("damaged file not removed: %v", err)
+			}
+
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			srv2, c2 := newTestService(t, Config{CacheDir: dir})
+			st2, body2 := submitAndFetch(t, c2, litmusJob())
+			if st2.Cached {
+				t.Fatal("restarted server answered from a damaged file")
+			}
+			if !bytes.Equal(body2, body1) {
+				t.Fatal("recomputed body differs from the original")
+			}
+			if st := srv2.Stats(); st.Simulations != 1 || st.Store.Corrupt != 1 {
+				t.Fatalf("restarted server: %d simulations, %d corrupt files; want 1 and 1", st.Simulations, st.Store.Corrupt)
+			}
+			s3, err := Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ok, err := s3.Get(fp)
+			if err != nil || !ok || !bytes.Equal(got, body1) {
+				t.Fatalf("rewritten file: ok=%v err=%v identical=%v", ok, err, bytes.Equal(got, body1))
+			}
+		})
 	}
 }

@@ -1,7 +1,10 @@
 package pmcd
 
 import (
+	"bytes"
 	"container/list"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,6 +20,10 @@ import (
 // key commits to the full computation and the code version, a stored body
 // never goes stale — eviction is purely a capacity decision, and the
 // disk tier can be persisted across server restarts.
+//
+// A disk file is the hex SHA-256 of the body, a newline, then the body.
+// Get checks the digest, so a flipped or truncated file is a miss that
+// the next computation rewrites, never a wrong result.
 
 // StoreStats are the store's monotonic counters.
 type StoreStats struct {
@@ -28,6 +35,9 @@ type StoreStats struct {
 	// Puts counts stored results; MemEntries is the current LRU size.
 	Puts       int64 `json:"puts"`
 	MemEntries int64 `json:"mem_entries"`
+	// Corrupt counts disk files whose digest did not match (or that were
+	// too short to hold one); each was removed and counted as a miss.
+	Corrupt int64 `json:"corrupt"`
 }
 
 // Store is the two-tier content-addressed result store. The zero value is
@@ -40,7 +50,17 @@ type Store struct {
 	entries map[string]*list.Element
 	cap     int
 
-	memHits, diskHits, misses, puts atomic.Int64
+	memHits, diskHits, misses, puts, corrupt atomic.Int64
+}
+
+// digestLen is the length of a disk file's header: the hex SHA-256 of
+// the body and a newline.
+const digestLen = 2*sha256.Size + 1
+
+// digest returns the disk header for body.
+func digest(body []byte) []byte {
+	sum := sha256.Sum256(body)
+	return append(hex.AppendEncode(make([]byte, 0, digestLen), sum[:]), '\n')
 }
 
 type storeEntry struct {
@@ -83,7 +103,8 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 		s.misses.Add(1)
 		return nil, false, nil
 	}
-	body, err := os.ReadFile(s.path(key))
+	path := s.path(key)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			s.misses.Add(1)
@@ -91,6 +112,15 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 		}
 		return nil, false, fmt.Errorf("pmcd: store read: %w", err)
 	}
+	if len(data) < digestLen || !bytes.Equal(data[:digestLen], digest(data[digestLen:])) {
+		// A failed remove changes nothing: the recompute's Put renames
+		// over the file. A remove racing that Put costs one more compute.
+		os.Remove(path)
+		s.corrupt.Add(1)
+		s.misses.Add(1)
+		return nil, false, nil
+	}
+	body := data[digestLen:]
 	s.diskHits.Add(1)
 	s.promote(key, body)
 	return body, true, nil
@@ -98,7 +128,8 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 
 // Put stores body under key in both tiers. Writes to the disk tier are
 // atomic (temp file + rename), so a crashed or raced server never leaves
-// a torn body behind.
+// a torn body behind; the file carries the body's digest for Get to
+// check.
 func (s *Store) Put(key string, body []byte) error {
 	if err := validKey(key); err != nil {
 		return err
@@ -112,7 +143,7 @@ func (s *Store) Put(key string, body []byte) error {
 		if err != nil {
 			return fmt.Errorf("pmcd: store write: %w", err)
 		}
-		if _, err := tmp.Write(body); err != nil {
+		if _, err := tmp.Write(append(digest(body), body...)); err != nil {
 			tmp.Close()
 			os.Remove(tmp.Name())
 			return fmt.Errorf("pmcd: store write: %w", err)
@@ -249,6 +280,7 @@ func (s *Store) Stats() StoreStats {
 		Puts:     s.puts.Load(),
 
 		MemEntries: n,
+		Corrupt:    s.corrupt.Load(),
 	}
 }
 

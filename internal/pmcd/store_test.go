@@ -133,7 +133,7 @@ func TestStoreGC(t *testing.T) {
 			if err := os.Chtimes(s.path(hexKey(i)), old, old); err != nil {
 				t.Fatal(err)
 			}
-			oldBytes += int64(len(body))
+			oldBytes += int64(digestLen + len(body))
 		}
 	}
 	// A torn temp file from a crashed writer, also old.
