@@ -13,10 +13,12 @@
 //
 // A cache is used in one of two ways, never both. A data cache (the
 // D-cache) moves real bytes through Read32, Write32, the range operations
-// and the fills behind them; its line-data slab is allocated by the first
-// fill, so a cache that never fills costs only its tags. A fetch cache (the
-// I-cache) keeps tags only: Install makes a line resident without moving
-// data, since the simulated cores fetch no instruction bytes.
+// and the fills behind them; its tag array and line-data slab are
+// allocated together by the first fill. A fetch cache (the I-cache) keeps
+// tags only: Install makes a line resident without moving data, since the
+// simulated cores fetch no instruction bytes, and its first Install
+// allocates the tag array. Until then a cache reads a shared array of
+// invalid lines, so a cache its run never touches costs only its header.
 //
 // The cache is a pure data/state machine: methods report what bus traffic an
 // access implies (miss fill, victim writeback) and move data to/from the
@@ -27,6 +29,7 @@ package cache
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"pmc/internal/mem"
 )
@@ -79,7 +82,9 @@ type Stats struct {
 type Cache struct {
 	cfg     Config
 	backing mem.Block
-	// lines holds every way: set i is lines[i*Ways : (i+1)*Ways].
+	// lines holds every way: set i is lines[i*Ways : (i+1)*Ways]. Until
+	// the cache owns its tags (see owns) it is a prefix of the shared
+	// invalid array, which only ever gets read.
 	lines []line
 	// data is the line-data slab, way i's bytes at [i*LineSize,
 	// (i+1)*LineSize). It stays nil until the first fill.
@@ -94,15 +99,34 @@ type Cache struct {
 	setMask  uint32
 }
 
+// invalid is the tag array of every cache that owns none yet: all lines
+// invalid, never written, grown (by replacement, so no reader sees a
+// write) to the largest cache built so far.
+var invalid struct {
+	mu    sync.Mutex
+	lines []line
+}
+
+// invalidLines returns n invalid lines from the shared array.
+func invalidLines(n int) []line {
+	invalid.mu.Lock()
+	defer invalid.mu.Unlock()
+	if len(invalid.lines) < n {
+		invalid.lines = make([]line, n)
+	}
+	return invalid.lines[:n:n]
+}
+
 // New returns an empty cache over the given backing store.
 func New(cfg Config, backing mem.Block) *Cache {
 	if err := cfg.Valid(); err != nil {
 		panic(err)
 	}
-	// One flat tag array for the whole cache and no line data yet: a
-	// system builds two caches per tile, the I-cache never moves data and
-	// most D-caches of a large system never fill, so the data slab is
-	// allocated by the first fill (see slab).
+	// No tags and no line data of its own yet: a system builds two caches
+	// per tile and most caches of a large system are never used, so the
+	// tag array comes with the first fill (slab) or Install. Until then
+	// every lookup misses in the shared invalid lines, and lookup needs
+	// no nil check.
 	setShift := uint32(0)
 	for 1<<setShift < cfg.LineSize {
 		setShift++
@@ -110,7 +134,7 @@ func New(cfg Config, backing mem.Block) *Cache {
 	return &Cache{
 		cfg:      cfg,
 		backing:  backing,
-		lines:    make([]line, cfg.Sets()*cfg.Ways),
+		lines:    invalidLines(cfg.Sets() * cfg.Ways),
 		lineMask: uint32(cfg.LineSize - 1),
 		setShift: setShift,
 		setMask:  uint32(cfg.Sets() - 1),
@@ -151,13 +175,20 @@ func (c *Cache) lookup(addr mem.Addr) int {
 	return -1
 }
 
-// slab returns the line-data slab, allocating it on first use. A cache
-// that has installed tag-only lines holds no data to move.
+// owns reports whether the cache has a tag array of its own. Every path
+// that writes a tag gets there through slab or Install, which allocate
+// it; the shared invalid lines are only read.
+func (c *Cache) owns() bool { return c.data != nil || c.tagOnly }
+
+// slab returns the line-data slab, allocating it and the cache's own tag
+// array on first use. A cache that has installed tag-only lines holds no
+// data to move.
 func (c *Cache) slab() []byte {
 	if c.data == nil {
 		if c.tagOnly {
 			panic("cache: data access on a tag-only cache (Install was used)")
 		}
+		c.lines = make([]line, len(c.lines))
 		c.data = make([]byte, len(c.lines)*c.cfg.LineSize)
 	}
 	return c.data
@@ -274,7 +305,10 @@ func (c *Cache) Install(addr mem.Addr) {
 	if c.data != nil {
 		panic("cache: Install on a cache that holds data")
 	}
-	c.tagOnly = true
+	if !c.tagOnly {
+		c.lines = make([]line, len(c.lines))
+		c.tagOnly = true
+	}
 	i := c.lookup(addr)
 	if i < 0 {
 		c.stats.Misses++
@@ -426,10 +460,10 @@ func (c *Cache) WriteLineFull(addr mem.Addr, src []byte) (tr Traffic) {
 }
 
 // FlushAll flush-invalidates every resident line and returns the number of
-// writebacks performed. A data cache that never filled has no resident
-// line and returns at once.
+// writebacks performed. A cache that owns no tags has no resident line
+// and returns at once.
 func (c *Cache) FlushAll() (writebacks int) {
-	if c.data == nil && !c.tagOnly {
+	if !c.owns() {
 		return 0
 	}
 	for i := range c.lines {

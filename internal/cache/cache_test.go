@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -317,5 +318,73 @@ func BenchmarkAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Read32(mem.Addr(i*4) % (1 << 19))
+	}
+}
+
+// A cache owns a tag array only from its first fill or Install; until
+// then it reads the shared invalid lines, which no operation on any cache
+// may write. The caches run on goroutines of their own, so under the race
+// detector a write to the shared lines also shows as a race.
+func TestUntouchedCachesShareInvalidTags(t *testing.T) {
+	cfgs := []Config{small(), {Size: 4096, Ways: 2, LineSize: 32}, {Size: 8192, Ways: 4, LineSize: 16}}
+	ram := mem.NewRAM(0, 1<<16)
+	if n := testing.AllocsPerRun(100, func() { New(cfgs[2], ram) }); n != 1 {
+		t.Fatalf("New allocates %v times, want 1 (the cache header only)", n)
+	}
+	const caches = 48
+	cs := make([]*Cache, caches)
+	for i := range cs {
+		cs[i] = New(cfgs[i%len(cfgs)], mem.NewRAM(0, 1<<16))
+	}
+	var wg sync.WaitGroup
+	for i, c := range cs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a := mem.Addr(i * 64)
+			ls := c.cfg.LineSize
+			switch i % 6 {
+			case 0: // data paths
+				c.Read32(a)
+				c.Write32(a+4, 1)
+				c.FlushLine(a)
+				c.FlushAll()
+			case 1: // fetch path
+				c.Install(a)
+				c.Install(a + mem.Addr(c.cfg.Size))
+				c.FlushLine(a)
+				c.FlushAll()
+			case 2: // range paths
+				c.WriteLineFull(c.LineBase(a), make([]byte, ls))
+				c.FillRange(a, 4*ls)
+				c.WriteRange32(a, []uint32{1, 2})
+				c.FlushAll()
+			case 3: // control and range paths that find nothing resident
+				c.Probe(a)
+				c.FlushLine(a)
+				c.FlushAll()
+				c.ReadRange32(a, make([]uint32, 2))
+				c.WriteRange32(a, []uint32{1, 2})
+			}
+		}()
+	}
+	wg.Wait()
+	for i, l := range invalid.lines {
+		if l != (line{}) {
+			t.Fatalf("shared invalid line %d was written: %+v", i, l)
+		}
+	}
+	for i, c := range cs {
+		if touched := i%6 < 3; touched != c.owns() {
+			t.Errorf("cache %d: owns a tag array %v, want %v", i, c.owns(), touched)
+		}
+		if i%6 < 3 {
+			continue
+		}
+		for a := mem.Addr(0); a < 1<<16; a += mem.Addr(c.cfg.LineSize) {
+			if res, _ := c.Probe(a); res {
+				t.Fatalf("untouched cache %d reports %#x resident", i, a)
+			}
+		}
 	}
 }

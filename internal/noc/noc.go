@@ -138,8 +138,8 @@ func DefaultConfig() Config {
 }
 
 // Bounds on a sane configuration: per-flow FIFO state is per (src, dst)
-// pair (allocated lazily per source), and the latency arithmetic must stay
-// far from wrapping sim.Time.
+// pair (allocated lazily, one chunk of destinations at a time), and the
+// latency arithmetic must stay far from wrapping sim.Time.
 const (
 	maxTiles = 4096
 	maxLat   = sim.Time(1) << 32
@@ -216,12 +216,12 @@ type Network struct {
 	cfg    Config
 	locals []*mem.Local
 
-	// flows[src][dst] enforces per-flow FIFO delivery. Rows are
-	// allocated on a source's first message: the dense Tiles² array was
-	// 8 MiB per 1024-tile cell and adjacent sweep workers false-shared
-	// it through the allocator; per-source rows keep each flow's state
-	// compact and private to the cells that actually communicate.
-	flows [][]sim.Time
+	// flows[src][dst/flowChunk][dst%flowChunk] enforces per-flow FIFO
+	// delivery. A source's chunk directory is allocated on its first
+	// message and each chunk on the first message into it: most sources
+	// of a large system message only a lock home or two, so a row of
+	// every destination (8 KiB at 1024 tiles) would be mostly unused.
+	flows [][][]sim.Time
 	// meshW is the mesh edge length (flat mesh only).
 	meshW int
 	// clusterMeshW is the backbone mesh edge length (cluster topology
@@ -252,7 +252,7 @@ func New(k *sim.Kernel, cfg Config, locals []*mem.Local) (*Network, error) {
 		k:      k,
 		cfg:    cfg,
 		locals: locals,
-		flows:  make([][]sim.Time, cfg.Tiles),
+		flows:  make([][][]sim.Time, cfg.Tiles),
 	}
 	n.resolve = func(dst int, addr mem.Addr) *mem.Local { return n.locals[dst] }
 	squareUp := func(count int) int {
@@ -366,19 +366,37 @@ func (n *Network) ControlLatency(src, dst, size int) sim.Time {
 	return n.latency(src, dst, size)
 }
 
+// flowChunk is the number of destinations whose flow state is allocated
+// together; a network of flowChunk tiles or fewer has one chunk per
+// source.
+const flowChunk = 64
+
+// flow returns the last delivery time slot of flow src→dst, allocating
+// its chunk on the flow's first message.
+func (n *Network) flow(src, dst int) *sim.Time {
+	dir := n.flows[src]
+	if dir == nil {
+		dir = make([][]sim.Time, (n.cfg.Tiles+flowChunk-1)/flowChunk)
+		n.flows[src] = dir
+	}
+	chunk := dir[dst/flowChunk]
+	if chunk == nil {
+		base := dst / flowChunk * flowChunk
+		chunk = make([]sim.Time, min(flowChunk, n.cfg.Tiles-base))
+		dir[dst/flowChunk] = chunk
+	}
+	return &chunk[dst%flowChunk]
+}
+
 // arrival computes and records the FIFO-respecting delivery time of a new
 // message on flow src→dst injected at base.
 func (n *Network) arrivalAt(base sim.Time, src, dst, size int) sim.Time {
 	at := base + n.latency(src, dst, size)
-	row := n.flows[src]
-	if row == nil {
-		row = make([]sim.Time, n.cfg.Tiles)
-		n.flows[src] = row
+	last := n.flow(src, dst)
+	if at <= *last {
+		at = *last + 1
 	}
-	if at <= row[dst] {
-		at = row[dst] + 1
-	}
-	row[dst] = at
+	*last = at
 	flits := (size + n.cfg.FlitSize - 1) / n.cfg.FlitSize
 	if flits == 0 {
 		flits = 1

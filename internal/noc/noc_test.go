@@ -2,6 +2,7 @@ package noc
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -331,5 +332,29 @@ func TestMeshShortensWorstCase(t *testing.T) {
 	}
 	if wr, wm := worst(ring), worst(mesh); wm >= wr {
 		t.Fatalf("mesh worst-case hops %d not below ring %d at 32 tiles", wm, wr)
+	}
+}
+
+// Flow state is allocated one chunk of destinations at a time: one message
+// on a 1024-tile network costs its source's chunk directory and one chunk,
+// not a slot for every destination. The last chunk of a tile count that is
+// not a multiple of the chunk is only as long as the tiles it covers.
+func TestFlowStateLazy(t *testing.T) {
+	_, n, _ := build(1024)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n.arrivalAt(0, 5, 700, 4)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1024 {
+		t.Fatalf("one message on 1024 tiles allocated %d B of flow state, want < 1024", got)
+	}
+
+	_, n, _ = build(100)
+	first := n.arrivalAt(0, 5, 99, 4)
+	if second := n.arrivalAt(0, 5, 99, 4); second <= first {
+		t.Fatalf("flow 5->99: second message arrives at %d, first at %d", second, first)
+	}
+	if got := len(n.flows[5][1]); got != 100-flowChunk {
+		t.Fatalf("last chunk of 100 tiles holds %d slots, want %d", got, 100-flowChunk)
 	}
 }

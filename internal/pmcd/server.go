@@ -266,8 +266,9 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		done:        make(chan struct{}),
 	}
 	// Fast path: the store already holds this fingerprint — the job is
-	// done before it ever queues, and costs no simulation.
-	if body, ok, err := s.cache.Store().Get(fp); err != nil {
+	// done before it ever queues, and costs no simulation. A miss here is
+	// counted by the worker's Cache.Do.
+	if body, ok, err := s.cache.Store().lookup(fp); err != nil {
 		return JobStatus{}, err
 	} else if ok {
 		j.state = StateDone

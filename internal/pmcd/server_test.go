@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -425,6 +426,33 @@ func TestServerJobTableBounded(t *testing.T) {
 	}
 	if byFp, ok, err := c.ResultByFingerprint(ctx, first.Fingerprint); err != nil || !ok || !bytes.Equal(byFp, firstBody) {
 		t.Errorf("evicted job's fingerprint: ok=%v err=%v identical=%v", ok, err, bytes.Equal(byFp, firstBody))
+	}
+}
+
+// TestServerCountsOneMissPerMissingResult: a cold job's result is looked
+// for three times (Submit's fast path, Cache.Do's lookup and its re-check
+// under the flight lock) but is missing once, so it counts one miss; a
+// repeat is a hit that counts none, and a fingerprint lookup that 404s
+// counts one.
+func TestServerCountsOneMissPerMissingResult(t *testing.T) {
+	for name, dir := range map[string]string{"memory": "", "disk": t.TempDir()} {
+		t.Run(name, func(t *testing.T) {
+			s, c := newTestService(t, Config{CacheDir: dir})
+			submitAndFetch(t, c, litmusJob())
+			if st := s.Stats(); st.Simulations != 1 || st.Store.Misses != 1 {
+				t.Fatalf("one cold job: %d simulations, %d misses; want 1 and 1", st.Simulations, st.Store.Misses)
+			}
+			if st, _ := submitAndFetch(t, c, litmusJob()); !st.Cached {
+				t.Fatal("repeated job not answered from the store")
+			}
+			if _, ok, err := c.ResultByFingerprint(context.Background(), strings.Repeat("0", 64)); err != nil || ok {
+				t.Fatalf("unknown fingerprint: ok=%v err=%v", ok, err)
+			}
+			if st := s.Stats(); st.Simulations != 1 || st.Store.Misses != 2 || st.Store.MemHits != 1 {
+				t.Fatalf("after a hit and a 404: %d simulations, %d misses, %d mem hits; want 1, 2 and 1",
+					st.Simulations, st.Store.Misses, st.Store.MemHits)
+			}
+		})
 	}
 }
 

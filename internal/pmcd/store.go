@@ -28,7 +28,9 @@ import (
 // StoreStats are the store's monotonic counters.
 type StoreStats struct {
 	// MemHits served from the LRU tier, DiskHits from the disk tier
-	// (promoting to memory), Misses found in neither.
+	// (promoting to memory), Misses found in neither. A miss counts a
+	// result that was looked for and missing, once: the lookups a
+	// computation makes before and after it claims the key count none.
 	MemHits  int64 `json:"mem_hits"`
 	DiskHits int64 `json:"disk_hits"`
 	Misses   int64 `json:"misses"`
@@ -87,9 +89,20 @@ func Open(dir string, memEntries int) (*Store, error) {
 	}, nil
 }
 
-// Get returns the stored body for key. The returned slice is shared —
-// callers must not modify it.
+// Get returns the stored body for key, counting a miss when there is
+// none. The returned slice is shared — callers must not modify it.
 func (s *Store) Get(key string) ([]byte, bool, error) {
+	body, ok, err := s.lookup(key)
+	if err == nil && !ok {
+		s.misses.Add(1)
+	}
+	return body, ok, err
+}
+
+// lookup is Get without counting a miss, for a check whose miss another
+// Get of the same key counts: Submit's fast path before the worker's
+// Cache.Do, and Do's re-check after its first Get.
+func (s *Store) lookup(key string) ([]byte, bool, error) {
 	s.mu.Lock()
 	if el, ok := s.entries[key]; ok {
 		s.lru.MoveToFront(el)
@@ -100,14 +113,12 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	}
 	s.mu.Unlock()
 	if s.dir == "" {
-		s.misses.Add(1)
 		return nil, false, nil
 	}
 	path := s.path(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			s.misses.Add(1)
 			return nil, false, nil
 		}
 		return nil, false, fmt.Errorf("pmcd: store read: %w", err)
@@ -117,7 +128,6 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 		// over the file. A remove racing that Put costs one more compute.
 		os.Remove(path)
 		s.corrupt.Add(1)
-		s.misses.Add(1)
 		return nil, false, nil
 	}
 	body := data[digestLen:]
@@ -367,8 +377,8 @@ func (c *Cache) Do(key string, compute func() ([]byte, error)) (body []byte, hit
 	}
 	// A leader may have stored its body and retired its flight between the
 	// lookup above and taking the lock; electing a second leader then
-	// would compute the same key twice.
-	if body, ok, err := c.store.Get(key); err != nil || ok {
+	// would compute the same key twice. The Get above counted the miss.
+	if body, ok, err := c.store.lookup(key); err != nil || ok {
 		c.mu.Unlock()
 		return body, ok, err
 	}

@@ -297,8 +297,9 @@ func config1024(tb testing.TB) Config {
 }
 
 // TestNewLean1024 guards construction cost at scale: New allocates only
-// the state a run can use — tags for both caches, no I-cache data, D-cache
-// data on first fill, memories on first write.
+// the state a run can use — cache tags and D-cache data on first fill or
+// Install, NoC flow state on first message, memories on first write. Tags
+// allocated up front alone (6 KiB per tile) would exceed the bound.
 func TestNewLean1024(t *testing.T) {
 	cfg := config1024(t)
 	var before, after runtime.MemStats
@@ -308,7 +309,7 @@ func TestNewLean1024(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const limit = 12 << 20
+	const limit = 2 << 20
 	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
 		t.Fatalf("New(1024 tiles) allocated %.1f MiB, want < %d MiB", float64(got)/(1<<20), limit>>20)
 	}
@@ -327,11 +328,13 @@ func BenchmarkNew1024(b *testing.B) {
 
 // TestNewLitmusAllocs guards construction cost at litmus size, where
 // fuzz campaigns build thousands of systems: a 3-tile system pays for the
-// tiles it has, not for the 32 MiB of SDRAM it declares. An eagerly sized
-// chunk directory alone (8,192 entries) would exceed the bound.
+// tiles it has, not for the 32 MiB of SDRAM it declares nor for cache
+// tags before their first use. An eagerly sized chunk directory alone
+// (8,192 entries) would exceed the bound, and so would tags allocated up
+// front (6 KiB per tile).
 func TestNewLitmusAllocs(t *testing.T) {
 	cfg := testConfig(3)
-	const calls, limit = 100, 40_000
+	const calls, limit = 100, 20_000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range calls {
