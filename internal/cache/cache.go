@@ -32,6 +32,7 @@ import (
 	"sync"
 
 	"pmc/internal/mem"
+	"pmc/internal/recycle"
 )
 
 // Config describes a cache's geometry.
@@ -91,8 +92,11 @@ type Cache struct {
 	data []byte
 	// tagOnly is set by the first Install; such a cache never moves data.
 	tagOnly bool
-	tick    uint64
-	stats   Stats
+	// recycled is set by Recycle: the cache reads the shared invalid
+	// lines again, and every path that would own tags panics.
+	recycled bool
+	tick     uint64
+	stats    Stats
 
 	lineMask uint32
 	setShift uint32
@@ -115,6 +119,53 @@ func invalidLines(n int) []line {
 		invalid.lines = make([]line, n)
 	}
 	return invalid.lines[:n:n]
+}
+
+// maxFreeArrays bounds each free list of tag arrays and data slabs that
+// recycled caches hand to later ones, per array length (the I-cache's
+// and the D-cache's tag arrays differ in length).
+const maxFreeArrays = 16
+
+var (
+	freeTags  = recycle.New[[]line](maxFreeArrays)
+	freeSlabs = recycle.New[[]byte](maxFreeArrays)
+)
+
+// ownLines returns n invalid lines the cache owns: a recycled tag array,
+// cleared, or a new one.
+func ownLines(n int) []line {
+	if l, ok := freeTags.Get(n); ok {
+		clear(l)
+		return l
+	}
+	return make([]line, n)
+}
+
+// newSlab returns n zero bytes of line data: a recycled slab, cleared,
+// or a new one.
+func newSlab(n int) []byte {
+	if d, ok := freeSlabs.Get(n); ok {
+		clear(d)
+		return d
+	}
+	return make([]byte, n)
+}
+
+// Recycle hands the cache's tag array and data slab to the caches made
+// after it. The cache must not be used again: a data access, Install or
+// FlushAll panics. Recycling it again does nothing, since it no longer
+// owns tags or data.
+func (c *Cache) Recycle() {
+	if c.owns() {
+		freeTags.Put(len(c.lines), c.lines)
+		c.lines = invalidLines(len(c.lines))
+	}
+	if c.data != nil {
+		freeSlabs.Put(len(c.data), c.data)
+		c.data = nil
+	}
+	c.tagOnly = false
+	c.recycled = true
 }
 
 // New returns an empty cache over the given backing store.
@@ -188,10 +239,18 @@ func (c *Cache) slab() []byte {
 		if c.tagOnly {
 			panic("cache: data access on a tag-only cache (Install was used)")
 		}
-		c.lines = make([]line, len(c.lines))
-		c.data = make([]byte, len(c.lines)*c.cfg.LineSize)
+		c.checkLive()
+		c.lines = ownLines(len(c.lines))
+		c.data = newSlab(len(c.lines) * c.cfg.LineSize)
 	}
 	return c.data
+}
+
+// checkLive panics on a recycled cache.
+func (c *Cache) checkLive() {
+	if c.recycled {
+		panic("cache: use of a recycled cache")
+	}
 }
 
 // lineData returns way i's bytes.
@@ -306,7 +365,8 @@ func (c *Cache) Install(addr mem.Addr) {
 		panic("cache: Install on a cache that holds data")
 	}
 	if !c.tagOnly {
-		c.lines = make([]line, len(c.lines))
+		c.checkLive()
+		c.lines = ownLines(len(c.lines))
 		c.tagOnly = true
 	}
 	i := c.lookup(addr)
@@ -463,6 +523,7 @@ func (c *Cache) WriteLineFull(addr mem.Addr, src []byte) (tr Traffic) {
 // writebacks performed. A cache that owns no tags has no resident line
 // and returns at once.
 func (c *Cache) FlushAll() (writebacks int) {
+	c.checkLive()
 	if !c.owns() {
 		return 0
 	}

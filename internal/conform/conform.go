@@ -155,7 +155,9 @@ type Options struct {
 	// costs no simulated time, and checks the recorded execution of each
 	// run whose reads the recorder accepted. Each problem it returns
 	// becomes an "edge" finding. The spec checker and the spec-checking
-	// fuzzer pass spec.CheckTrace here.
+	// fuzzer pass spec.CheckTrace here. The execution, and every op and
+	// edge list read from it, is valid only during the call: CheckOpts
+	// then recycles it for the next run's recorder.
 	Trace func(*core.Execution) []string
 }
 
@@ -227,6 +229,9 @@ func CheckOpts(prog litmus.Program, backend string, opt Options) (*Report, error
 			if first == nil {
 				first = fmt.Errorf("conform %s on %s seed %d: %w", prog.Name, backend, seed, err)
 			}
+			if exec != nil {
+				exec.Recycle()
+			}
 			continue
 		}
 		rep.Observed[outcome]++
@@ -240,6 +245,7 @@ func CheckOpts(prog litmus.Program, backend string, opt Options) (*Report, error
 			for _, prob := range opt.Trace(exec) {
 				rep.Findings = append(rep.Findings, Finding{Seed: seed, Kind: "edge", Detail: prob})
 			}
+			exec.Recycle()
 		}
 	}
 	return rep, first
@@ -475,7 +481,11 @@ func run(prog litmus.Program, backend string, opt Options, seed uint32, record b
 			}
 		})
 	}
-	if err := r.Run(); err != nil {
+	err = r.Run()
+	// The outcome lives in regs and the execution in the recorder, so the
+	// system's buffers can serve the next run, failed or not.
+	sys.Recycle()
+	if err != nil {
 		return "", nil, err
 	}
 	outcome := canonical(regs)

@@ -1,8 +1,10 @@
 package conform
 
 import (
+	"runtime"
 	"testing"
 
+	"pmc/internal/core"
 	"pmc/internal/litmus"
 	"pmc/internal/rt"
 )
@@ -262,5 +264,37 @@ func TestFindingString(t *testing.T) {
 		if got := c.f.String(); got != c.want {
 			t.Errorf("%s finding renders\n%s\nwant\n%s", c.f.Kind, got, c.want)
 		}
+	}
+}
+
+// TestCheckedPairBytes bounds the bytes one checked pair allocates once
+// the free lists are warm: sb-drf on swcc, three recorded runs on three
+// tiles. Each run builds a system and a recorder; recycling hands the
+// previous run's memory chunks, cache arrays, timing wheel and execution
+// buffers to the next, so a pair costs about 60 KB where building each
+// run from fresh allocations cost about 210 KB.
+func TestCheckedPairBytes(t *testing.T) {
+	const pairs, limit = 50, 100_000
+	prog, ok := litmus.ByName("sb-drf")
+	if !ok {
+		t.Fatal("sb-drf missing")
+	}
+	opt := Options{Tiles: 3, Runs: 3, Trace: func(*core.Execution) []string { return nil }}
+	check := func() {
+		if _, err := CheckOpts(prog, "swcc", opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 10 {
+		check()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range pairs {
+		check()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / pairs; got > limit {
+		t.Fatalf("a checked pair allocated %d B, want at most %d", got, limit)
 	}
 }

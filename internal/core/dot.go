@@ -43,6 +43,7 @@ func (e *Execution) redundant(ed Edge) bool {
 // ReducedEdges returns the transitive reduction of the dependency graph,
 // respecting edge visibility.
 func (e *Execution) ReducedEdges() []Edge {
+	e.checkLive()
 	var out []Edge
 	for _, es := range e.out {
 		for _, ed := range es {
@@ -66,6 +67,7 @@ func (e *Execution) ReducedEdges() []Edge {
 // the implicit initial writes omitted unless they carry a non-redundant
 // edge.
 func (e *Execution) DOT(title string) string {
+	e.checkLive()
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n", title)
 	b.WriteString("  rankdir=TB;\n  node [shape=box, fontsize=10];\n")

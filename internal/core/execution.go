@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"pmc/internal/recycle"
+)
 
 // Execution is the model of a program's state at one moment in time
 // (Definition 1): E = (P, V, O, ≺). P and V grow implicitly as operations
@@ -13,6 +17,10 @@ import "fmt"
 // search scratch kept in the Execution, so a query writes to it: one
 // Execution must not be used from two goroutines at once, not even for
 // queries alone.
+//
+// A finished execution can hand its buffers to the next one (Recycle):
+// its ops, edge lists, pattern lists and search scratch keep their
+// capacity, and NewExecution draws them back.
 type Execution struct {
 	ops []*Op
 	out [][]Edge
@@ -36,6 +44,9 @@ type Execution struct {
 	stamp uint32
 	queue []int
 	found []int
+
+	// recycled is set by Recycle; every later use panics.
+	recycled bool
 }
 
 // patterns holds one scope's pattern-index lists, one per kind. In a
@@ -51,16 +62,56 @@ type procIndex struct {
 	locs []patterns
 }
 
-// NewExecution returns an initialized, empty execution.
-func NewExecution() *Execution { return &Execution{} }
+// maxFreeExecutions bounds the free list of recycled executions' buffers.
+const maxFreeExecutions = 8
+
+var freeExecutions = recycle.New[Execution](maxFreeExecutions)
+
+// NewExecution returns an initialized, empty execution, on the buffers of
+// a recycled one when the free list has one.
+func NewExecution() *Execution {
+	e := &Execution{}
+	if old, ok := freeExecutions.Get(0); ok {
+		*e = old
+		e.ops = e.ops[:0] // the retired *Ops stay beyond the length for reuse
+		e.out = e.out[:0]
+		e.in = e.in[:0]
+		e.procs = e.procs[:0]
+		e.byProc = e.byProc[:0]
+		e.releasesL = e.releasesL[:0]
+		e.initOf = e.initOf[:0]
+	}
+	return e
+}
+
+// Recycle hands the execution's buffers to the executions NewExecution
+// makes after it. Every *Op and edge list read from it may then be
+// overwritten by another execution. The execution must not be used
+// again: every method panics. Recycling it again does nothing.
+func (e *Execution) Recycle() {
+	if e.recycled {
+		return
+	}
+	freeExecutions.Put(0, *e)
+	*e = Execution{recycled: true}
+}
+
+// checkLive panics on a recycled execution.
+func (e *Execution) checkLive() {
+	if e.recycled {
+		panic("core: use of a recycled Execution")
+	}
+}
 
 // AddLoc introduces a shared location with the given display name and
 // issues its initial operation, which behaves like a write and release by
 // the pseudo-process ⊥ (Definition 3), so reads and acquires always have a
 // predecessor.
 func (e *Execution) AddLoc(name string) Loc {
+	e.checkLive()
 	v := Loc(len(e.initOf))
-	op := &Op{
+	op := e.nextOp()
+	*op = Op{
 		ID:     len(e.ops),
 		Kind:   KWrite, // representative kind; IsInit widens the matching
 		Proc:   InitProc,
@@ -69,28 +120,41 @@ func (e *Execution) AddLoc(name string) Loc {
 		Label:  fmt.Sprintf("init: %s=⊥", name),
 	}
 	e.ops = append(e.ops, op)
-	e.out = growEdgeLists(e.out)
-	e.in = growEdgeLists(e.in)
+	e.out = grow(e.out)
+	e.in = grow(e.in)
 	e.initOf = append(e.initOf, op.ID)
 	// The init op participates in the write and release patterns for
 	// every process; record it in the per-location list consulted with
 	// any-proc scope, and treat per-proc matching specially (eachEarlier).
-	e.releasesL = append(e.releasesL, []int{op.ID})
+	e.releasesL = grow(e.releasesL)
+	e.releasesL[v] = append(e.releasesL[v], op.ID)
 	return v
 }
 
 // Ops returns the operations in issue order. The slice is shared; treat it
 // as read-only.
-func (e *Execution) Ops() []*Op { return e.ops }
+func (e *Execution) Ops() []*Op {
+	e.checkLive()
+	return e.ops
+}
 
 // Op returns the operation with the given ID.
-func (e *Execution) Op(id int) *Op { return e.ops[id] }
+func (e *Execution) Op(id int) *Op {
+	e.checkLive()
+	return e.ops[id]
+}
 
 // In returns the in-edges of op id.
-func (e *Execution) In(id int) []Edge { return e.in[id] }
+func (e *Execution) In(id int) []Edge {
+	e.checkLive()
+	return e.in[id]
+}
 
 // Out returns the out-edges of op id.
-func (e *Execution) Out(id int) []Edge { return e.out[id] }
+func (e *Execution) Out(id int) []Edge {
+	e.checkLive()
+	return e.out[id]
+}
 
 func (e *Execution) addEdge(from, to int, ord Ord) {
 	ed := Edge{From: from, To: to, Ord: ord}
@@ -108,9 +172,10 @@ func (e *Execution) nextOp() *Op {
 	return new(Op)
 }
 
-// growEdgeLists extends lists by one empty edge list for a newly issued
-// op, reusing the backing array an Undo left beyond the length.
-func growEdgeLists(lists [][]Edge) [][]Edge {
+// grow extends lists by one empty list, for a newly issued op or location,
+// reusing the backing array an Undo or a recycled execution left beyond
+// the length.
+func grow[T any](lists [][]T) [][]T {
 	n := len(lists)
 	if n == cap(lists) {
 		return append(lists, nil)
@@ -200,6 +265,7 @@ func (ps *patterns) of(k Kind) []int {
 // all other kinds need a valid location. The returned *Op stays valid
 // until its operation is undone: Exec reuses the Op an Undo retired.
 func (e *Execution) Exec(k Kind, p ProcID, v Loc, val Value, label string) *Op {
+	e.checkLive()
 	// Fences may carry NoLoc (span all locations, the paper's default)
 	// or a location (the Section IV-D scoped-fence extension).
 	if v != NoLoc && int(v) >= len(e.initOf) {
@@ -214,8 +280,8 @@ func (e *Execution) Exec(k Kind, p ProcID, v Loc, val Value, label string) *Op {
 	op := e.nextOp()
 	*op = Op{ID: len(e.ops), Kind: k, Proc: p, Loc: v, Val: val, Label: label}
 	e.ops = append(e.ops, op)
-	e.out = growEdgeLists(e.out)
-	e.in = growEdgeLists(e.in)
+	e.out = grow(e.out)
+	e.in = grow(e.in)
 
 	for _, r := range RulesFor(k) {
 		e.eachEarlier(r, p, v, func(from int) {
@@ -243,6 +309,7 @@ func (e *Execution) Exec(k Kind, p ProcID, v Loc, val Value, label string) *Op {
 // a later Exec. Undo panics when only the locations' initial operations
 // remain.
 func (e *Execution) Undo() {
+	e.checkLive()
 	id := len(e.ops) - 1
 	if id < 0 || e.ops[id].IsInit {
 		panic("core: Undo with no issued operation")
@@ -268,17 +335,36 @@ func (e *Execution) index(op *Op, undo bool) {
 	if s < 0 {
 		s = len(e.procs)
 		e.procs = append(e.procs, op.Proc)
-		e.byProc = append(e.byProc, procIndex{})
+		if s < cap(e.byProc) {
+			e.byProc = e.byProc[:s+1]
+			e.byProc[s].reset()
+			e.byProc[s].locs = e.byProc[s].locs[:0]
+		} else {
+			e.byProc = append(e.byProc, procIndex{})
+		}
 	}
 	pi := &e.byProc[s]
 	if op.Kind != KFence || op.Loc == NoLoc {
 		update(&pi.patterns[op.Kind], op.ID, undo)
 	}
 	if op.Loc != NoLoc {
-		if n := int(op.Loc) + 1; len(pi.locs) < n {
-			pi.locs = append(pi.locs, make([]patterns, n-len(pi.locs))...)
+		for n := int(op.Loc) + 1; len(pi.locs) < n; {
+			if m := len(pi.locs); m < cap(pi.locs) {
+				pi.locs = pi.locs[:m+1]
+				pi.locs[m].reset()
+			} else {
+				pi.locs = append(pi.locs, make([]patterns, n-m)...)
+			}
 		}
 		update(&pi.locs[op.Loc][op.Kind], op.ID, undo)
+	}
+}
+
+// reset empties every list of the scope, keeping its capacity for a
+// recycled execution's next use.
+func (ps *patterns) reset() {
+	for k := range ps {
+		ps[k] = ps[k][:0]
 	}
 }
 

@@ -19,12 +19,14 @@ func (e *Execution) visible(ed Edge, viewer ProcID) bool {
 // ReachableG reports from ≺G to: a path of globally visible edges
 // (Definition 9). Reflexive: ReachableG(o, o) holds for every o.
 func (e *Execution) ReachableG(from, to int) bool {
+	e.checkLive()
 	return e.reachable(from, to, InitProc)
 }
 
 // ReachableP reports from p≺ to for viewer p: a path mixing global edges
 // and p's own local edges (Definition 10). Reflexive like ReachableG.
 func (e *Execution) ReachableP(p ProcID, from, to int) bool {
+	e.checkLive()
 	return e.reachable(from, to, p)
 }
 
@@ -176,6 +178,7 @@ func (e *Execution) lastWritesAt(p ProcID, v Loc) []int {
 // concrete moment in time (the litmus explorer) intersect with the
 // already-issued set and apply per-process read monotonicity.
 func (e *Execution) ReadableFrom(o int) []int {
+	e.checkLive()
 	op := e.ops[o]
 	return e.readableFromW(e.lastWrites(o), op.Loc, op.Proc, o)
 }
@@ -186,6 +189,7 @@ func (e *Execution) ReadableFrom(o int) []int {
 // the litmus explorer uses it to enumerate read candidates on the live
 // graph before it applies any of them.
 func (e *Execution) ReadableAt(p ProcID, v Loc) []int {
+	e.checkLive()
 	return e.readableFromW(e.lastWritesAt(p, v), v, p, -1)
 }
 

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"pmc/internal/recycle"
 	"pmc/internal/sim"
 )
 
@@ -33,6 +34,12 @@ const (
 	chunkMask = chunkSize - 1
 )
 
+// maxFreeChunks bounds the free list of chunks that recycled RAMs hand
+// to later ones: a checked litmus run writes a few dozen chunks at most.
+const maxFreeChunks = 64
+
+var freeChunks = recycle.New[[]byte](maxFreeChunks)
+
 // RAM is a byte-addressable backing store covering [Base, Base+Size).
 // Never-written bytes read as zero, exactly as an eagerly zeroed array
 // would — or, for a RAM made by Seed.NewRAM, as the seed image's bytes.
@@ -45,6 +52,8 @@ type RAM struct {
 	chunks [][]byte
 	// seed is the image a never-written chunk reads from (nil: zeros).
 	seed *RAM
+	// recycled is set by Recycle; every later access panics.
+	recycled bool
 }
 
 // NewRAM returns a RAM of the given size starting at base.
@@ -60,6 +69,9 @@ func (r *RAM) Contains(addr Addr, n int) bool {
 
 func (r *RAM) index(addr Addr, n int) int {
 	if !r.Contains(addr, n) {
+		if r.recycled {
+			panic(fmt.Sprintf("mem: access to %#x in a recycled RAM", addr))
+		}
 		panic(fmt.Sprintf("mem: access [%#x,+%d) outside RAM [%#x,+%d)", addr, n, r.base, r.size))
 	}
 	return int(addr - r.base)
@@ -74,11 +86,37 @@ func (r *RAM) writable(off int) []byte {
 	}
 	c := r.chunks[ci]
 	if c == nil {
-		c = make([]byte, chunkSize)
-		copy(c, r.seedChunk(ci))
+		c = newChunk(r.seedChunk(ci))
 		r.chunks[ci] = c
 	}
 	return c
+}
+
+// newChunk returns a chunk holding a copy of seed, or zeros for a nil
+// seed: a recycled chunk when the free list has one, else a new one.
+func newChunk(seed []byte) []byte {
+	c, ok := freeChunks.Get(0)
+	if !ok {
+		c = make([]byte, chunkSize)
+	} else if seed == nil {
+		clear(c)
+	}
+	copy(c, seed)
+	return c
+}
+
+// Recycle hands the RAM's chunks to the RAMs made after it. The RAM must
+// not be used again: every later access panics. Recycling it again does
+// nothing, since it no longer holds a chunk.
+func (r *RAM) Recycle() {
+	for _, c := range r.chunks {
+		if c != nil {
+			freeChunks.Put(0, c)
+		}
+	}
+	r.chunks, r.seed = nil, nil
+	r.size = 0
+	r.recycled = true
 }
 
 // chunk returns the RAM's own chunk ci, or nil if it was never written.
@@ -222,6 +260,15 @@ func (s *Seed) WriteBlock(off Addr, src []byte) {
 	s.img.write(o, src)
 	for _, r := range s.rams {
 		r.writeOwned(o, src)
+	}
+}
+
+// Recycle recycles the seed's image and every RAM made from it (see
+// RAM.Recycle).
+func (s *Seed) Recycle() {
+	s.img.Recycle()
+	for _, r := range s.rams {
+		r.Recycle()
 	}
 }
 

@@ -339,17 +339,27 @@ func TestMeshShortensWorstCase(t *testing.T) {
 // on a 1024-tile network costs its source's chunk directory and one chunk,
 // not a slot for every destination. The last chunk of a tile count that is
 // not a multiple of the chunk is only as long as the tiles it covers.
+//
+// TotalAlloc counts the whole process, and under load the runtime may
+// start an OS thread inside the window (its m, g0, gsignal and profiling
+// stacks add 5,248 B). The flow state's own bytes are the same on every
+// network, so the least of three fresh measurements is the message's
+// cost.
 func TestFlowStateLazy(t *testing.T) {
-	_, n, _ := build(1024)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	n.arrivalAt(0, 5, 700, 4)
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1024 {
+	got := uint64(1 << 62)
+	for range 3 {
+		_, n, _ := build(1024)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n.arrivalAt(0, 5, 700, 4)
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	if got >= 1024 {
 		t.Fatalf("one message on 1024 tiles allocated %d B of flow state, want < 1024", got)
 	}
 
-	_, n, _ = build(100)
+	_, n, _ := build(100)
 	first := n.arrivalAt(0, 5, 99, 4)
 	if second := n.arrivalAt(0, 5, 99, 4); second <= first {
 		t.Fatalf("flow 5->99: second message arrives at %d, first at %d", second, first)

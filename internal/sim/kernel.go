@@ -22,6 +22,18 @@
 // the chain ends. The kernel's Counters report events dispatched,
 // coroutine resumes, fast-path waits and chain steps, all exact.
 //
+// Two free lists keep a simulation's own buffers out of the garbage
+// collector. Within a run, dispatched event structs are reused by later
+// waits. Across runs, a kernel's timing wheel goes back to a bounded
+// package-level list when its system is recycled (Kernel.Recycle), and
+// New draws from that list, so a process of many short runs, like a
+// conformance check, builds the wheel's slot arrays only a few times.
+//
+// However a run ends short (watchdog, deadlock, or a panic out of a
+// process or event), Run stops every unfinished process on its way out:
+// a stopped process unwinds its body without simulating anything more,
+// and leaves no goroutine behind.
+//
 // The kernel is the substrate for the SoC model in internal/soc; it knows
 // nothing about memories, caches or networks.
 package sim
@@ -29,6 +41,8 @@ package sim
 import (
 	"fmt"
 	"sort"
+
+	"pmc/internal/recycle"
 )
 
 // Time is a point in simulated time, measured in cycles.
@@ -85,9 +99,34 @@ type Counters struct {
 	ChainSteps uint64 // chain steps run as kernel events (see Proc.Steps)
 }
 
+// maxFreeWheels bounds the free list of timing wheels that recycled
+// kernels hand to later ones.
+const maxFreeWheels = 8
+
+var freeWheels = recycle.New[*wheelQueue](maxFreeWheels)
+
 // New returns a ready-to-run kernel.
 func New() *Kernel {
-	return &Kernel{wheel: &wheelQueue{}}
+	w, ok := freeWheels.Get(0)
+	if !ok {
+		w = &wheelQueue{}
+	}
+	return &Kernel{wheel: w}
+}
+
+// Recycle hands the kernel's timing wheel, emptied to its zero value, to
+// the kernels New makes after it. Call it once Run has returned. The
+// kernel must not be used again: Run, Spawn and ScheduleAt panic.
+// Recycling it again does nothing.
+func (k *Kernel) Recycle() {
+	if k.wheel == nil {
+		return
+	}
+	*k.wheel = wheelQueue{} // drops any event a failed run left queued
+	freeWheels.Put(0, k.wheel)
+	k.wheel = nil
+	// Every time is in the past now, so ScheduleAt takes its panic path.
+	k.now = Forever
 }
 
 // skipTo is the wait fast path, shared by WaitUntil and step chains. If
@@ -116,6 +155,7 @@ func (k *Kernel) Now() Time { return k.now }
 // Events scheduled for the same cycle run in the order they were scheduled.
 func (k *Kernel) ScheduleAt(t Time, fn func()) {
 	if t < k.now {
+		k.checkLive()
 		panic(fmt.Sprintf("sim: ScheduleAt(%d) in the past (now %d)", t, k.now))
 	}
 	k.seq++
@@ -135,6 +175,7 @@ func (k *Kernel) ScheduleAt(t Time, fn func()) {
 // this cycle. Spawn may be called before Run or from inside a running
 // process or event.
 func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
+	k.checkLive()
 	p := &Proc{
 		k:    k,
 		name: name,
@@ -149,8 +190,11 @@ func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 
 // Run dispatches events until the event queue is empty. It returns an
 // error on deadlock: the queue drained while unfinished processes remain
-// parked.
+// parked. However Run ends (error, or a panic from a process or event),
+// it stops every unfinished process first.
 func (k *Kernel) Run() error {
+	k.checkLive()
+	defer k.stopAll()
 	for k.wheel.len() > 0 {
 		e := k.wheel.pop()
 		if k.MaxTime != 0 && e.at > k.MaxTime {
@@ -168,6 +212,32 @@ func (k *Kernel) Run() error {
 			k.now, k.live, k.blockedNames())
 	}
 	return nil
+}
+
+// checkLive panics on a recycled kernel.
+func (k *Kernel) checkLive() {
+	if k.wheel == nil {
+		panic("sim: use of a recycled kernel")
+	}
+}
+
+// stopAll retires every unfinished process of a failed run (a finished
+// run has none). A started process's coroutine is stopped: its pending
+// suspend panics with errStopped, which unwinds the body back to start,
+// so it runs no more simulation and its goroutine exits instead of
+// blocking forever (and pinning its whole system). A process whose body
+// panicked has already finished its coroutine; stopping it does nothing.
+func (k *Kernel) stopAll() {
+	for _, p := range k.procs {
+		if p.done {
+			continue
+		}
+		p.done = true
+		k.live--
+		if p.stop != nil {
+			p.stop()
+		}
+	}
 }
 
 func (k *Kernel) blockedNames() string {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"iter"
 )
@@ -24,9 +25,11 @@ type Proc struct {
 	name string
 
 	// next resumes the coroutine until its next yield (kernel side);
-	// yield hands the token back to the kernel (process side).
+	// yield hands the token back to the kernel (process side); stop ends
+	// a suspended coroutine (Kernel.stopAll).
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
+	stop  func()
 	// resumeFn is the proc's reusable wake-up event body (one closure per
 	// process instead of one per wait); chainFn is its reusable
 	// chain-step event body, and step the chain it runs (see Steps).
@@ -47,17 +50,33 @@ func (p *Proc) Now() Time { return p.k.now }
 // start runs the body with the handshake protocol. Called by the kernel in
 // an event context.
 func (p *Proc) start(body func(*Proc)) {
-	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
+		defer func() {
+			// Only stopAll marks a process done before its body
+			// returns; then the body is unwinding from suspend's
+			// errStopped. Any other panic propagates untouched.
+			if p.done {
+				if r := recover(); r != nil && r != errStopped {
+					panic(r)
+				}
+			}
+		}()
 		body(p)
 	})
 	p.k.resume(p)
 }
 
+// errStopped is the panic that unwinds a stopped process's body.
+var errStopped = errors.New("sim: process stopped")
+
 // suspend schedules nothing; it just gives the token back and blocks until
-// the kernel resumes this process.
+// the kernel resumes this process. When the kernel stops the process
+// instead (stopAll), suspend panics with errStopped.
 func (p *Proc) suspend() {
-	p.yield(struct{}{})
+	if !p.yield(struct{}{}) {
+		panic(errStopped)
+	}
 }
 
 // Wait advances this process's view of time by d cycles. Wait(0) yields the

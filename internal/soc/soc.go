@@ -308,6 +308,24 @@ func ClusterOffset(a mem.Addr) (cluster int, off mem.Addr) {
 // Run executes the simulation to completion.
 func (s *System) Run() error { return s.K.Run() }
 
+// Recycle hands the system's large buffers to the systems New builds
+// after it: every memory chunk, every cache's tag array and data slab,
+// and the kernel's timing wheel (see package recycle). Call it once Run
+// has returned and every result has been read from the system. The
+// system must not be used again: running it, or touching its memories or
+// caches, panics. Recycling it again does nothing.
+func (s *System) Recycle() {
+	s.K.Recycle()
+	s.SDRAM.Recycle()
+	for _, sd := range s.seeds {
+		sd.Recycle()
+	}
+	for _, t := range s.Tiles {
+		t.IC.Recycle()
+		t.DC.Recycle()
+	}
+}
+
 // TotalStats sums all tile stats.
 func (s *System) TotalStats() TileStats {
 	var t TileStats

@@ -226,6 +226,7 @@ func run(app App, cfg soc.Config, backendName string, pre func(*rt.Runtime)) (*R
 		})
 	}
 	if err := r.Run(); err != nil {
+		sys.Recycle()
 		return nil, fmt.Errorf("%s on %s: %w", app.Name(), backendName, err)
 	}
 	res := &Result{
@@ -246,6 +247,9 @@ func run(app App, cfg soc.Config, backendName string, pre func(*rt.Runtime)) (*R
 	if sa, ok := app.(ServiceApp); ok {
 		res.Service = sa.Service()
 	}
+	// Everything the result needs has been read: the system's buffers
+	// can serve the next run.
+	sys.Recycle()
 	return res, nil
 }
 
