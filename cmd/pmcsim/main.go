@@ -43,7 +43,6 @@ func main() {
 		load     = flag.Float64("load", 0, "with -run: offered load in requests per kilocycle for the open-loop service workloads (0 = workload default)")
 		traceOut = flag.String("trace", "", "with -run: write a Chrome-trace JSON of the run to this file")
 		counters = flag.Bool("counters", false, "with -run: print the event kernel's work counters after the run")
-		clusters = flag.Int("clusters", 0, "with -run or -sweep: cluster count (0 = derived from the topology, 1 = flat)")
 
 		sweepApps = flag.String("sweep", "", `comma-separated workloads to sweep ("splash" = radiosity,raytrace,volrend; "all" = every workload)`)
 		backends  = flag.String("backends", "nocc,swcc,dsm,spm", "with -sweep: comma-separated backend axis")
@@ -59,9 +58,6 @@ func main() {
 	// spins up: a bad value is a usage error (exit 2), not a run failure.
 	if *tiles < 0 {
 		fail(usagef("-tiles must be non-negative, got %d", *tiles))
-	}
-	if err := checkClusters(*clusters, *tiles); err != nil {
-		fail(err)
 	}
 	placement, err := parsePlacement(*place)
 	if err != nil {
@@ -80,12 +76,12 @@ func main() {
 		}
 		return
 	case *sweepApps != "":
-		if err := runSweep(*sweepApps, *backends, *tileList, *topo, *scale, *clusters, *parallel, *jsonOut, *csvOut); err != nil {
+		if err := runSweep(*sweepApps, *backends, *tileList, *topo, *scale, *parallel, *jsonOut, *csvOut); err != nil {
 			fail(err)
 		}
 		return
 	case *runApp != "":
-		if err := runWorkload(*runApp, *backend, *tiles, *topo, *clusters, *load, *traceOut, *counters, placement); err != nil {
+		if err := runWorkload(*runApp, *backend, *tiles, *topo, *load, *traceOut, *counters, placement); err != nil {
 			fail(err)
 		}
 		return
@@ -115,21 +111,6 @@ func main() {
 	os.Exit(2)
 }
 
-// checkClusters validates the -clusters flag value against -tiles, at
-// flag-parse time: the address map bounds the cluster count, and tiles must
-// divide evenly into clusters.
-func checkClusters(clusters, tiles int) error {
-	switch {
-	case clusters < 0:
-		return usagef("-clusters must be non-negative, got %d", clusters)
-	case clusters > pmc.MaxClusters:
-		return usagef("-clusters %d exceeds the address map's maximum %d", clusters, pmc.MaxClusters)
-	case clusters > 1 && tiles > 0 && tiles%clusters != 0:
-		return usagef("-tiles %d does not divide evenly into %d clusters", tiles, clusters)
-	}
-	return nil
-}
-
 // checkScale validates the -scale flag value.
 func checkScale(scale string) error {
 	switch scale {
@@ -151,7 +132,7 @@ func knownExperiment(id string) bool {
 
 // runSweep expands the flag grid into a SweepSpec, runs it, and emits the
 // requested tables.
-func runSweep(apps, backends, tileList, topo, scale string, clusters, parallel int, jsonOut, csvOut string) error {
+func runSweep(apps, backends, tileList, topo, scale string, parallel int, jsonOut, csvOut string) error {
 	if err := checkScale(scale); err != nil {
 		return err
 	}
@@ -190,9 +171,6 @@ func runSweep(apps, backends, tileList, topo, scale string, clusters, parallel i
 		if err != nil {
 			return usagef("bad -tilelist entry %q: %v", s, err)
 		}
-		if clusters > 1 && t%clusters != 0 {
-			return usagef("-tilelist entry %d does not divide evenly into %d clusters", t, clusters)
-		}
 		spec.Tiles = append(spec.Tiles, t)
 	}
 	switch topo {
@@ -205,9 +183,6 @@ func runSweep(apps, backends, tileList, topo, scale string, clusters, parallel i
 		}
 		spec.Topos = []pmc.NoCTopology{tp}
 	}
-	base := pmc.DefaultConfig()
-	base.Clusters = clusters
-	spec.Base = &base
 
 	// A failed cell does not void the batch: Sweep still returns every
 	// completed row (failures carry a per-row err), so emit what ran and
@@ -298,7 +273,7 @@ func parsePlacement(s string) (map[string]string, error) {
 
 // runWorkload executes one workload, optionally exporting a Chrome trace
 // and printing the kernel counters.
-func runWorkload(name, backend string, tiles int, topo string, clusters int, load float64, traceOut string, counters bool, place map[string]string) error {
+func runWorkload(name, backend string, tiles int, topo string, load float64, traceOut string, counters bool, place map[string]string) error {
 	app, ok := pmc.AppByName(name)
 	if !ok {
 		return usagef("unknown workload %q (have %s)", name, strings.Join(pmc.AppNames(), ", "))
@@ -326,11 +301,10 @@ func runWorkload(name, backend string, tiles int, topo string, clusters int, loa
 		return usagef(`bad -topo %q (valid with -run: ring, mesh, cluster:<local>x<global>)`, topo)
 	}
 	cfg.NoC.Topology = tp
-	cfg.Clusters = clusters
 	var res *pmc.Result
 	if traceOut != "" {
 		var tr *pmc.Trace
-		res, tr, err = pmc.RunAppTraced(app, cfg, backend, 0)
+		res, tr, err = pmc.RunAppTraced(app, cfg, backend)
 		if err != nil {
 			return err
 		}

@@ -41,18 +41,6 @@ import (
 	"pmc/internal/soc"
 )
 
-// Violation is one observed outcome the model forbids, together with the
-// perturbation seed of the first run that produced it — rerunning the
-// program with that seed on the same backend reproduces the outcome.
-type Violation struct {
-	Outcome string
-	Seed    int64
-}
-
-func (v Violation) String() string {
-	return fmt.Sprintf("%q (seed %d)", v.Outcome, v.Seed)
-}
-
 // Report is the result of checking one program on one backend.
 type Report struct {
 	Program string
@@ -66,10 +54,9 @@ type Report struct {
 	// Observed maps each outcome seen on the simulator to the number of
 	// perturbed runs that produced it.
 	Observed map[string]int
-	// Violations lists observed outcomes the model forbids (must be
-	// empty for a conforming implementation).
-	Violations []Violation
 	// Findings lists every verdict against a single run, in run order.
+	// Its "outcome" findings are the observed outcomes the model forbids
+	// (none for a conforming implementation).
 	Findings []Finding
 	Runs     int
 }
@@ -107,16 +94,34 @@ func (f Finding) String() string {
 	return f.Detail
 }
 
-// Ok reports conformance.
-func (r *Report) Ok() bool { return len(r.Violations) == 0 }
+// isOutcome reports a model-forbidden outcome finding.
+func isOutcome(f Finding) bool { return f.Kind == "outcome" }
 
-// String renders the report compactly.
+// Ok reports conformance: no run produced a model-forbidden outcome.
+func (r *Report) Ok() bool { return !slices.ContainsFunc(r.Findings, isOutcome) }
+
+// String renders the report compactly. Each forbidden outcome is listed
+// once, with the seed of the first run that produced it: rerunning the
+// program with that seed on the same backend reproduces the outcome.
 func (r *Report) String() string {
+	var forbidden []Finding
+	for _, f := range r.Findings {
+		if isOutcome(f) && !slices.ContainsFunc(forbidden, func(g Finding) bool { return g.Detail == f.Detail }) {
+			forbidden = append(forbidden, f)
+		}
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s on %s: %d runs (base seed %d), %d/%d allowed outcomes observed",
-		r.Program, r.Backend, r.Runs, r.Seed, len(r.Observed)-len(r.Violations), len(r.Allowed))
-	if !r.Ok() {
-		fmt.Fprintf(&b, "; VIOLATIONS: %v", r.Violations)
+		r.Program, r.Backend, r.Runs, r.Seed, len(r.Observed)-len(forbidden), len(r.Allowed))
+	if len(forbidden) > 0 {
+		b.WriteString("; VIOLATIONS: [")
+		for i, f := range forbidden {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%q (seed %d)", f.Detail, f.Seed)
+		}
+		b.WriteByte(']')
 	}
 	return b.String()
 }
@@ -237,9 +242,6 @@ func CheckOpts(prog litmus.Program, backend string, opt Options) (*Report, error
 		rep.Observed[outcome]++
 		if !allowed[outcome] {
 			rep.Findings = append(rep.Findings, Finding{Seed: seed, Kind: "outcome", Detail: outcome})
-			if !slices.ContainsFunc(rep.Violations, func(v Violation) bool { return v.Outcome == outcome }) {
-				rep.Violations = append(rep.Violations, Violation{Outcome: outcome, Seed: seed})
-			}
 		}
 		if opt.Trace != nil {
 			for _, prob := range opt.Trace(exec) {

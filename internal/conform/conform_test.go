@@ -267,6 +267,33 @@ func TestFindingString(t *testing.T) {
 	}
 }
 
+// TestReportString: a report lists each forbidden outcome once, with the
+// seed of the first run that produced it, and only outcome findings make
+// it fail.
+func TestReportString(t *testing.T) {
+	rep := &Report{
+		Program: "sb", Backend: "nocc", Runs: 4, Seed: 7,
+		Allowed:  []string{"r0=1"},
+		Observed: map[string]int{"r0=1": 1, "r0=0": 2, "r0=2": 1},
+		Findings: []Finding{
+			{Seed: 7, Kind: "outcome", Detail: "r0=0"},
+			{Seed: 8, Kind: "read", Detail: "rt: stale read"},
+			{Seed: 9, Kind: "outcome", Detail: "r0=0"},
+			{Seed: 10, Kind: "outcome", Detail: "r0=2"},
+		},
+	}
+	want := `sb on nocc: 4 runs (base seed 7), 1/1 allowed outcomes observed; VIOLATIONS: ["r0=0" (seed 7) "r0=2" (seed 10)]`
+	if got := rep.String(); got != want || rep.Ok() {
+		t.Errorf("report renders (ok=%v)\n%s\nwant\n%s", rep.Ok(), got, want)
+	}
+	rep.Findings = []Finding{{Seed: 8, Kind: "read", Detail: "rt: stale read"}, {Seed: 9, Kind: "edge", Detail: "edge"}}
+	rep.Observed = map[string]int{"r0=1": 1}
+	want = "sb on nocc: 4 runs (base seed 7), 1/1 allowed outcomes observed"
+	if got := rep.String(); got != want || !rep.Ok() {
+		t.Errorf("report without forbidden outcomes renders (ok=%v)\n%s\nwant\n%s", rep.Ok(), got, want)
+	}
+}
+
 // TestCheckedPairBytes bounds the bytes one checked pair allocates once
 // the free lists are warm: sb-drf on swcc, three recorded runs on three
 // tiles. Each run builds a system and a recorder; recycling hands the

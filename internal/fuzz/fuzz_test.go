@@ -392,7 +392,7 @@ func TestCampaignShrinksRejectedRead(t *testing.T) {
 // TestRecordingIsInvisible is the oracle behind recording every perturbed
 // run: the recorder costs no simulated time, so over generated
 // mixed-mode programs on every campaign backend a traced check observes
-// exactly the outcomes and violations of an untraced one.
+// exactly the outcomes and findings of an untraced one.
 func TestRecordingIsInvisible(t *testing.T) {
 	cfg := Config{
 		Seed: 101, Gen: GenConfig{Mode: ModeMixed},
@@ -426,9 +426,9 @@ func TestRecordingIsInvisible(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d on %s, traced: %v", seed, backend, err)
 			}
-			if !reflect.DeepEqual(got.Observed, want.Observed) || !reflect.DeepEqual(got.Violations, want.Violations) {
+			if !reflect.DeepEqual(got.Observed, want.Observed) || !reflect.DeepEqual(got.Findings, want.Findings) {
 				t.Fatalf("seed %d on %s: recording changed the run:\ntraced   %v %v\nuntraced %v %v",
-					seed, backend, got.Observed, got.Violations, want.Observed, want.Violations)
+					seed, backend, got.Observed, got.Findings, want.Observed, want.Findings)
 			}
 		}
 	}

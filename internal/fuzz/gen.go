@@ -67,15 +67,17 @@ func ParseMode(s string) (Mode, error) {
 	return 0, fmt.Errorf("fuzz: unknown mode %q (drf, racy, mixed)", s)
 }
 
+// Bounds on every generated program: data locations (flag locations used
+// by publish/await pairs come on top) and instructions per thread.
+const (
+	maxLocs   = 2
+	maxInstrs = 8
+)
+
 // GenConfig bounds the generator. The zero value selects the defaults.
 type GenConfig struct {
 	// MaxThreads caps the thread count (min 2; default 3).
 	MaxThreads int
-	// MaxLocs caps the number of data locations (default 2); flag
-	// locations used by publish/await pairs come on top.
-	MaxLocs int
-	// MaxInstrs caps each thread's instruction count (default 8).
-	MaxInstrs int
 	// Mode selects the annotation discipline (default ModeMixed).
 	Mode Mode
 	// MaxBlockWords caps the width of multi-word data locations; wide
@@ -94,12 +96,6 @@ type GenConfig struct {
 func (g GenConfig) withDefaults() GenConfig {
 	if g.MaxThreads < 2 {
 		g.MaxThreads = 3
-	}
-	if g.MaxLocs < 1 {
-		g.MaxLocs = 2
-	}
-	if g.MaxInstrs < 4 {
-		g.MaxInstrs = 8
 	}
 	if g.MaxBlockWords == 0 {
 		g.MaxBlockWords = 4
@@ -170,7 +166,7 @@ func Generate(seed int64, cfg GenConfig) litmus.Program {
 		nextVal: make(map[string]core.Value),
 	}
 	g.nThreads = 2 + g.rng.Intn(cfg.MaxThreads-1)
-	nData := 1 + g.rng.Intn(cfg.MaxLocs)
+	nData := 1 + g.rng.Intn(maxLocs)
 	for i := 0; i < nData; i++ {
 		loc := fmt.Sprintf("X%d", i)
 		g.dataLocs = append(g.dataLocs, loc)
@@ -257,7 +253,7 @@ func (g *genState) thread(ti int) litmus.Thread {
 	awaits := 0
 	// The attempt bound keeps generation total even if every remaining
 	// pick is unplaceable (e.g. awaits with no awaitable flag).
-	for attempts := 0; len(th) < g.cfg.MaxInstrs && attempts < 4*g.cfg.MaxInstrs; attempts++ {
+	for attempts := 0; len(th) < maxInstrs && attempts < 4*maxInstrs; attempts++ {
 		// Snapshot the flag pool: a discarded action must not leave a
 		// registered-but-never-written flag behind for later threads to
 		// await (that await could never be satisfied).
@@ -309,7 +305,7 @@ func (g *genState) thread(ti int) litmus.Thread {
 			// action rather than ending the thread early.
 			continue
 		}
-		if len(th)+len(act) > g.cfg.MaxInstrs {
+		if len(th)+len(act) > maxInstrs {
 			g.flags = g.flags[:nFlags]
 			g.nextFlag = nextFlag
 			break

@@ -73,17 +73,12 @@ type lockState struct {
 }
 
 // Distributed is the asymmetric distributed lock manager. Locks are
-// identified by small integers; lock i is homed on tile (i mod tiles)
-// unless a HomePolicy overrides it.
+// identified by small integers; lock i is homed on tile (i mod tiles).
 type Distributed struct {
 	k     *sim.Kernel
 	net   *noc.Network
 	tiles int
 	locks map[int]*lockState
-
-	// HomePolicy maps a lock ID to its home tile. The default spreads
-	// locks round-robin.
-	HomePolicy func(lockID int) int
 
 	// OnTransfer, if set, is called during cross-tile handoffs.
 	OnTransfer TransferHook
@@ -93,21 +88,19 @@ type Distributed struct {
 
 // NewDistributed returns a distributed lock manager over the network.
 func NewDistributed(k *sim.Kernel, net *noc.Network) *Distributed {
-	d := &Distributed{
+	return &Distributed{
 		k:     k,
 		net:   net,
 		tiles: net.Config().Tiles,
 		locks: make(map[int]*lockState),
 	}
-	d.HomePolicy = func(id int) int { return id % d.tiles }
-	return d
 }
 
 // Stats returns a copy of the counters.
 func (d *Distributed) Stats() Stats { return d.stats }
 
-// Home returns the home tile of lockID.
-func (d *Distributed) Home(lockID int) int { return d.HomePolicy(lockID) }
+// Home returns the home tile of lockID: locks spread round-robin.
+func (d *Distributed) Home(lockID int) int { return lockID % d.tiles }
 
 func (d *Distributed) state(lockID int) *lockState {
 	s, ok := d.locks[lockID]
@@ -199,15 +192,15 @@ func (d *Distributed) grant(lockID int, s *lockState, w waiter) {
 	}
 }
 
+// tasBackoff is the idle time between failed TAS attempts.
+const tasBackoff sim.Time = 16
+
 // Centralized is the baseline: a test-and-set spin lock on an uncached
 // SDRAM word per lock. Spinning occupies the shared bus.
 type Centralized struct {
 	sdram *mem.SDRAM
 	base  mem.Addr // word array indexed by lockID
 	nmax  int
-
-	// Backoff is the idle time between failed TAS attempts.
-	Backoff sim.Time
 
 	holders map[int]int // lockID -> tile, bookkeeping for prevHolder
 	prev    map[int]int
@@ -222,7 +215,6 @@ func NewCentralized(sdram *mem.SDRAM, base mem.Addr, nmax int) *Centralized {
 		sdram:   sdram,
 		base:    base,
 		nmax:    nmax,
-		Backoff: 16,
 		holders: make(map[int]int),
 		prev:    make(map[int]int),
 	}
@@ -247,7 +239,7 @@ func (c *Centralized) Acquire(p *sim.Proc, tile, lockID int) (wait sim.Time, pre
 		if old == 0 {
 			break
 		}
-		p.Wait(c.Backoff)
+		p.Wait(tasBackoff)
 	}
 	c.stats.Acquires++
 	prev, ok := c.prev[lockID]

@@ -71,7 +71,6 @@ func TestClusterValidate(t *testing.T) {
 		{func(c *Config) { c.Topology = ClusterTopo(5, KindRing) }, "do not divide into clusters of 5"},
 		{func(c *Config) { c.Topology = Topology{Kind: KindCluster} }, "positive tiles-per-cluster"},
 		{func(c *Config) { c.Topology = Topology{Kind: KindCluster, Local: 8, Global: KindCluster} }, "backbone must be ring or mesh"},
-		{func(c *Config) { c.Topology = TopoMesh; c.MeshW = 5 }, "mesh width 5 does not tile 32 tiles"},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -89,12 +88,6 @@ func TestClusterValidate(t *testing.T) {
 	ok.Topology = ClusterTopo(8, KindMesh)
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid cluster config rejected: %v", err)
-	}
-	ok = base
-	ok.Topology = TopoMesh
-	ok.MeshW = 8 // 8x4 mesh: non-square but tiles the count
-	if err := ok.Validate(); err != nil {
-		t.Errorf("valid mesh width rejected: %v", err)
 	}
 }
 
@@ -143,24 +136,18 @@ func TestClusterFlitHopSplit(t *testing.T) {
 	}
 }
 
-// TestGlobalHopLat: backbone hops can be clocked slower than local hops.
-func TestGlobalHopLat(t *testing.T) {
-	k := sim.New()
-	locals := make([]*mem.Local, 32)
-	for i := range locals {
-		locals[i] = &mem.Local{RAM: mem.NewRAM(0, 4096), Tile: i}
+// TestClusterLatency: backbone hops cost HopLat, like local hops.
+func TestClusterLatency(t *testing.T) {
+	_, n := buildTopo(32, ClusterTopo(8, KindRing))
+	// 0 -> 8: inj 2 + (2 local + 1 global) hops x 2 = 8.
+	if got := n.ControlLatency(0, 8, 4); got != 8 {
+		t.Errorf("cross-cluster latency = %d, want 8", got)
 	}
-	cfg := Config{Tiles: 32, HopLat: 2, FlitSize: 4, InjLat: 2,
-		Topology: ClusterTopo(8, KindRing), GlobalHopLat: 10}
-	n, err := New(k, cfg, locals)
-	if err != nil {
-		t.Fatal(err)
+	// 0 -> 16: inj 2 + (2 local + 2 global) hops x 2 = 10.
+	if got := n.ControlLatency(0, 16, 4); got != 10 {
+		t.Errorf("two-cluster latency = %d, want 10", got)
 	}
-	// 0 -> 8: inj 2 + 2 local hops x 2 + 1 global hop x 10 = 16.
-	if got := n.ControlLatency(0, 8, 4); got != 16 {
-		t.Errorf("cross-cluster latency = %d, want 16", got)
-	}
-	// 0 -> 1: inj 2 + 1 local hop x 2 = 4 (GlobalHopLat unused).
+	// 0 -> 1: inj 2 + 1 local hop x 2 = 4.
 	if got := n.ControlLatency(0, 1, 4); got != 4 {
 		t.Errorf("intra-cluster latency = %d, want 4", got)
 	}

@@ -62,8 +62,8 @@ type Topology struct {
 var (
 	// TopoRing is the flat bidirectional ring (the default).
 	TopoRing = Topology{Kind: KindRing}
-	// TopoMesh is the flat 2-D mesh; by default the mesh is the smallest
-	// square that fits the tile count (see Config.MeshW).
+	// TopoMesh is the flat 2-D mesh, the smallest square that fits the
+	// tile count.
 	TopoMesh = Topology{Kind: KindMesh}
 )
 
@@ -118,18 +118,10 @@ func ParseTopology(s string) (Topology, error) {
 // Config sets the network's size and timing.
 type Config struct {
 	Tiles    int      // number of tiles
-	HopLat   sim.Time // cycles per hop (intra-cluster and flat links)
+	HopLat   sim.Time // cycles per hop, on every link
 	FlitSize int      // payload bytes carried per flit cycle
 	InjLat   sim.Time // fixed injection (network-interface) latency
 	Topology Topology // ring (default), mesh, or cluster
-	// GlobalHopLat is the cycles per hop on the inter-cluster backbone
-	// (KindCluster only); 0 means HopLat. Backbone links are longer
-	// wires, so real designs clock them slower.
-	GlobalHopLat sim.Time
-	// MeshW is the mesh width (KindMesh only); 0 picks the smallest
-	// square that fits the tile count. A non-zero width must tile the
-	// count exactly.
-	MeshW int
 }
 
 // DefaultConfig matches the 32-tile system of the paper.
@@ -173,15 +165,7 @@ func (c Config) Validate() error {
 	if c.InjLat > maxLat {
 		return fmt.Errorf("noc: injection latency %d unreasonably large", c.InjLat)
 	}
-	if c.GlobalHopLat > maxLat {
-		return fmt.Errorf("noc: global hop latency %d unreasonably large", c.GlobalHopLat)
-	}
-	switch c.Topology.Kind {
-	case KindMesh:
-		if c.MeshW > 0 && c.Tiles%c.MeshW != 0 {
-			return fmt.Errorf("noc: mesh width %d does not tile %d tiles", c.MeshW, c.Tiles)
-		}
-	case KindCluster:
+	if c.Topology.Kind == KindCluster {
 		t := c.Topology
 		if t.Local <= 0 {
 			return fmt.Errorf("noc: cluster topology needs a positive tiles-per-cluster count, got %d", t.Local)
@@ -264,11 +248,7 @@ func New(k *sim.Kernel, cfg Config, locals []*mem.Local) (*Network, error) {
 	}
 	switch cfg.Topology.Kind {
 	case KindMesh:
-		if cfg.MeshW > 0 {
-			n.meshW = cfg.MeshW
-		} else {
-			n.meshW = squareUp(cfg.Tiles)
-		}
+		n.meshW = squareUp(cfg.Tiles)
 	case KindCluster:
 		if cfg.Topology.Global == KindMesh {
 			n.clusterMeshW = squareUp(cfg.Tiles / cfg.Topology.Local)
@@ -337,14 +317,6 @@ func abs(x int) int {
 	return x
 }
 
-// globalHopLat is the per-hop latency of backbone links.
-func (n *Network) globalHopLat() sim.Time {
-	if n.cfg.GlobalHopLat != 0 {
-		return n.cfg.GlobalHopLat
-	}
-	return n.cfg.HopLat
-}
-
 // latency returns the head-arrival latency for a payload of size bytes.
 func (n *Network) latency(src, dst, size int) sim.Time {
 	flits := (size + n.cfg.FlitSize - 1) / n.cfg.FlitSize
@@ -352,8 +324,7 @@ func (n *Network) latency(src, dst, size int) sim.Time {
 		flits = 1
 	}
 	local, global := n.route(src, dst)
-	return n.cfg.InjLat + sim.Time(local)*n.cfg.HopLat +
-		sim.Time(global)*n.globalHopLat() + sim.Time(flits-1)
+	return n.cfg.InjLat + sim.Time(local+global)*n.cfg.HopLat + sim.Time(flits-1)
 }
 
 // ControlLatency returns the head-arrival latency of a control message of

@@ -241,8 +241,10 @@ func (s *Server) execute(j *job) {
 		}
 	}
 	j.mu.Unlock()
-	close(j.done)
+	// Retire before waking the waiters: a woken client must find the job
+	// among the finished ones, not still counted as running.
 	s.retire(j)
+	close(j.done)
 }
 
 // Submit validates, fingerprints and either answers a job from the store
@@ -277,8 +279,8 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		s.submitted.Add(1)
 		s.cachedCnt.Add(1)
 		s.doneCount.Add(1)
-		close(j.done)
 		s.retire(j)
+		close(j.done)
 		return j.status(), nil
 	}
 	// Enqueueing under s.mu keeps a worker from retiring the job before

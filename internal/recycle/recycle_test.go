@@ -65,7 +65,7 @@ func (p pair) check(drain bool) string {
 				return nil
 			},
 		})
-		fmt.Fprintf(&b, "run %d: %v %v %v err=%v\n", r, rep.Observed, rep.Violations, rep.Findings, err)
+		fmt.Fprintf(&b, "run %d: %v %v err=%v\n", r, rep.Observed, rep.Findings, err)
 	}
 	return b.String()
 }

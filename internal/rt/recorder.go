@@ -16,8 +16,9 @@ import (
 // Granularity: each 32-bit word of an annotated object is one model
 // location, and entry_x/exit_x issue an acquire/release per word — the
 // model's treatment of multi-byte objects protected by one mutex
-// (Section V-A). Objects larger than MaxWords are not recorded (the model
-// is O(n²); the recorder is a test tool for small configurations).
+// (Section V-A). Objects larger than maxRecordedWords are not recorded
+// (the model is O(n²); the recorder is a test tool for small
+// configurations).
 //
 // For the staging backends (spm, cspm), in-scope reads and writes touch
 // the staged copy, so the recorder maps the staging copy-in to model reads
@@ -25,8 +26,6 @@ import (
 // recordStage/recordUnstage).
 type Recorder struct {
 	Exec *core.Execution
-	// MaxWords bounds recorded object size.
-	MaxWords int
 	// Errors collects model violations (reads returning values the
 	// model forbids).
 	Errors []string
@@ -39,20 +38,22 @@ type Recorder struct {
 // objects.
 func NewRecorder(rt *Runtime) *Recorder {
 	r := &Recorder{
-		Exec:     core.NewExecution(),
-		MaxWords: 64,
-		locs:     make(map[int][]core.Loc),
-		rt:       rt,
+		Exec: core.NewExecution(),
+		locs: make(map[int][]core.Loc),
+		rt:   rt,
 	}
 	rt.Recorder = r
 	return r
 }
 
+// maxRecordedWords bounds recorded object size.
+const maxRecordedWords = 64
+
 // setupProc is the model process used for InitObject pre-loading.
 const setupProc core.ProcID = 1 << 20
 
 func (r *Recorder) addObject(o *Object) {
-	if o.WordCount() > r.MaxWords {
+	if o.WordCount() > maxRecordedWords {
 		return
 	}
 	ls := make([]core.Loc, o.WordCount())

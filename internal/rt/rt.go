@@ -257,8 +257,7 @@ type Runtime struct {
 	// Chrome-trace export (internal/trace).
 	Tracer *trace.Trace
 
-	// Strict makes discipline violations panic instead of accumulate.
-	Strict     bool
+	// violations accumulate the discipline violations Run reports.
 	violations []Violation
 
 	workers []*Ctx
@@ -583,9 +582,5 @@ func (rt *Runtime) violate(c *Ctx, op string, o *Object, msg string) {
 	if o != nil {
 		name = o.Name
 	}
-	v := Violation{Tile: c.T.ID, Op: op, Obj: name, Msg: msg}
-	if rt.Strict {
-		panic(v.Error())
-	}
-	rt.violations = append(rt.violations, v)
+	rt.violations = append(rt.violations, Violation{Tile: c.T.ID, Op: op, Obj: name, Msg: msg})
 }

@@ -568,7 +568,7 @@ func TestCodeFootprintChangesIStalls(t *testing.T) {
 func TestTracerRecordsScopes(t *testing.T) {
 	sys := testSys(t, 2)
 	r := New(sys, SWCC())
-	r.Tracer = trace.New(0)
+	r.Tracer = &trace.Trace{}
 	x := r.Alloc("X", 4)
 	f := r.Alloc("f", 4)
 	r.Spawn(0, "writer", func(c *Ctx) {

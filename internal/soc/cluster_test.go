@@ -28,32 +28,22 @@ func TestFlatIsOneCluster(t *testing.T) {
 	}
 }
 
-// TestClusterWiring: explicit clusters partition the tiles in order, and a
-// cluster NoC topology implies the cluster count without a second knob.
+// TestClusterWiring: a cluster NoC topology sets the cluster count, and
+// the clusters partition the tiles in order.
 func TestClusterWiring(t *testing.T) {
 	cfg := testConfig(32)
-	cfg.Clusters = 4
+	cfg.NoC.Topology, _ = noc.ParseTopology("cluster:8xring")
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(s.Clusters) != 4 || len(s.Clusters[0].Tiles) != 8 {
-		t.Fatalf("got %d clusters of %d tiles, want 4 of 8", len(s.Clusters), len(s.Clusters[0].Tiles))
+		t.Fatalf("cluster:8xring over 32 tiles gave %d clusters of %d tiles, want 4 of 8", len(s.Clusters), len(s.Clusters[0].Tiles))
 	}
 	for i, tl := range s.Tiles {
 		if want := s.Clusters[i/8]; tl.Cluster != want {
 			t.Fatalf("tile %d in cluster %d, want %d", i, tl.Cluster.ID, want.ID)
 		}
-	}
-
-	topoCfg := testConfig(32)
-	topoCfg.NoC.Topology, _ = noc.ParseTopology("cluster:8xring")
-	s2, err := New(topoCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s2.Clusters) != 4 {
-		t.Fatalf("cluster:8xring over 32 tiles implies %d clusters, want 4", len(s2.Clusters))
 	}
 }
 
@@ -87,15 +77,9 @@ func TestClusterValidate(t *testing.T) {
 	}{
 		{func(c *Config) { c.Tiles = 2048 }, ""},
 		{func(c *Config) { c.Tiles = 2049 }, "2049 tiles exceeds the address map's maximum 2048"},
-		{func(c *Config) { c.Clusters = 1024; c.Tiles = 2048 }, ""},
-		{func(c *Config) { c.Clusters = -1 }, "clusters"},
-		{func(c *Config) { c.Clusters = 5 }, "do not divide evenly into 5 clusters"},
-		{func(c *Config) { c.Clusters = 2048; c.Tiles = 2048 }, "exceeds the address map's maximum"},
-		{func(c *Config) { c.ClusterBytes = 2 << 20 }, "cluster memory 2097152 exceeds stride"},
-		{func(c *Config) {
-			c.Clusters = 4
-			c.NoC.Topology, _ = noc.ParseTopology("cluster:16xring")
-		}, "but 32 tiles / 4 clusters = 8"},
+		{func(c *Config) { c.Tiles = 2048; c.NoC.Topology = noc.ClusterTopo(2, noc.KindRing) }, ""},
+		{func(c *Config) { c.Tiles = 2048; c.NoC.Topology = noc.ClusterTopo(1, noc.KindRing) },
+			"2048 clusters exceeds the address map's maximum 1024"},
 		{func(c *Config) {
 			c.NoC.Topology, _ = noc.ParseTopology("cluster:5xring")
 		}, "do not divide into clusters of 5"},

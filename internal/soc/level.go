@@ -94,7 +94,7 @@ func (s *System) Gateway(l Level, u int) int {
 // MemBytes returns the capacity of one unit's memory at level l.
 func (s *System) MemBytes(l Level) int {
 	if l == LevelCluster {
-		return s.Cfg.clusterBytes()
+		return clusterBytes
 	}
 	return s.Cfg.LocalBytes
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pmc/internal/mem"
+	"pmc/internal/noc"
 	"pmc/internal/sim"
 )
 
@@ -23,7 +24,7 @@ func TestLevelWordAccess(t *testing.T) {
 	for _, lc := range levelCases {
 		t.Run(lc.name, func(t *testing.T) {
 			cfg := testConfig(8)
-			cfg.Clusters = 2
+			cfg.NoC.Topology = noc.ClusterTopo(4, noc.KindRing) // 2 clusters
 			s, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -82,7 +83,7 @@ func TestLevelCopies(t *testing.T) {
 	for _, lc := range levelCases {
 		t.Run(lc.name, func(t *testing.T) {
 			cfg := testConfig(4)
-			cfg.Clusters = 2
+			cfg.NoC.Topology = noc.ClusterTopo(2, noc.KindRing) // 2 clusters
 			s, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

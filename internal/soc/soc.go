@@ -33,8 +33,18 @@ const (
 	LocalStride   = mem.Addr(0x0010_0000)
 )
 
-// MaxClusters keeps the cluster scratch windows below LocalBase.
+// MaxClusters keeps the cluster scratch windows below LocalBase: a
+// cluster topology with more clusters than this is rejected.
 const MaxClusters = int((LocalBase - ClusterBase) / ClusterStride)
+
+// clusterBytes is each cluster scratch memory's size. The blank constant
+// fails to compile (unsigned overflow) if it outgrows ClusterStride.
+const clusterBytes = 256 * 1024
+
+const _ = ClusterStride - clusterBytes
+
+// centralLockWords is the capacity of the centralized lock table.
+const centralLockWords = 4096
 
 // maxTiles keeps the tile-local windows inside the 32-bit address space:
 // past it, LocalAddr wraps onto SDRAM.
@@ -70,52 +80,31 @@ type Config struct {
 	Locks      LockKind
 	// MaxCycles aborts runaway simulations (0 = no limit).
 	MaxCycles sim.Time
-	// CentralLockWords is the capacity of the centralized lock table.
-	CentralLockWords int
-	// Clusters groups the tiles into that many equal clusters, each with
-	// its own scratch memory. 0 or 1 means the flat single-cluster
-	// system — the exact configuration of the paper; every flat metric
-	// is reproduced bit-for-bit as the 1-cluster special case.
-	Clusters int
-	// ClusterBytes is each cluster scratch memory's size (0 = 256 KiB).
-	ClusterBytes int
 }
 
-// clusters returns the normalized cluster count: an explicit Clusters
-// wins; otherwise a cluster NoC topology implies Tiles/Local clusters (so
-// sweeping a "cluster:16xmesh" topology needs no second knob); otherwise
-// the system is one flat cluster.
+// clusters returns the cluster count of a validated configuration: a
+// cluster NoC topology groups the tiles into Tiles/Local clusters, each
+// with its own scratch memory; any other topology is the flat
+// single-cluster system, the exact configuration of the paper.
 func (c Config) clusters() int {
-	if c.Clusters > 1 {
-		return c.Clusters
-	}
-	if t := c.NoC.Topology; t.Kind == noc.KindCluster && t.Local > 0 && c.Tiles >= t.Local && c.Tiles%t.Local == 0 {
+	if t := c.NoC.Topology; t.Kind == noc.KindCluster {
 		return c.Tiles / t.Local
 	}
 	return 1
 }
 
-// clusterBytes returns the normalized per-cluster scratch size.
-func (c Config) clusterBytes() int {
-	if c.ClusterBytes == 0 {
-		return 256 * 1024
-	}
-	return c.ClusterBytes
-}
-
 // DefaultConfig is the 32-tile system used throughout the evaluation.
 func DefaultConfig() Config {
 	return Config{
-		Tiles:            32,
-		ICache:           cache.Config{Size: 4096, Ways: 2, LineSize: 32},
-		DCache:           cache.Config{Size: 8192, Ways: 2, LineSize: 32},
-		LocalBytes:       64 * 1024,
-		SDRAMBytes:       32 << 20,
-		SDRAM:            mem.DefaultSDRAMConfig(),
-		NoC:              noc.DefaultConfig(),
-		Locks:            LockDistributed,
-		MaxCycles:        2_000_000_000,
-		CentralLockWords: 4096,
+		Tiles:      32,
+		ICache:     cache.Config{Size: 4096, Ways: 2, LineSize: 32},
+		DCache:     cache.Config{Size: 8192, Ways: 2, LineSize: 32},
+		LocalBytes: 64 * 1024,
+		SDRAMBytes: 32 << 20,
+		SDRAM:      mem.DefaultSDRAMConfig(),
+		NoC:        noc.DefaultConfig(),
+		Locks:      LockDistributed,
+		MaxCycles:  2_000_000_000,
 	}
 }
 
@@ -139,12 +128,8 @@ func (c Config) Validate() error {
 	if int(LocalStride) < c.LocalBytes {
 		return fmt.Errorf("soc: local memory %d exceeds stride", c.LocalBytes)
 	}
-	if c.Clusters < 0 {
-		return fmt.Errorf("soc: %d clusters", c.Clusters)
-	}
-	// Surface NoC shape errors (mesh width, cluster divisibility) before
-	// the derived cluster checks below, so an indivisible cluster
-	// topology reports the precise NoC message.
+	// NoC shape errors (cluster divisibility) come first: the cluster
+	// count below is only defined for a valid topology.
 	nocCfg := c.NoC.WithDefaults()
 	nocCfg.Tiles = c.Tiles
 	if err := nocCfg.Validate(); err != nil {
@@ -153,16 +138,6 @@ func (c Config) Validate() error {
 	cl := c.clusters()
 	if cl > MaxClusters {
 		return fmt.Errorf("soc: %d clusters exceeds the address map's maximum %d", cl, MaxClusters)
-	}
-	if c.Tiles%cl != 0 {
-		return fmt.Errorf("soc: %d tiles do not divide evenly into %d clusters", c.Tiles, cl)
-	}
-	if int(ClusterStride) < c.clusterBytes() {
-		return fmt.Errorf("soc: cluster memory %d exceeds stride", c.clusterBytes())
-	}
-	if topo := c.NoC.Topology; topo.Kind == noc.KindCluster && topo.Local != 0 && topo.Local != c.Tiles/cl {
-		return fmt.Errorf("soc: NoC cluster topology has %d tiles per cluster, but %d tiles / %d clusters = %d",
-			topo.Local, c.Tiles, cl, c.Tiles/cl)
 	}
 	return nil
 }
@@ -217,7 +192,7 @@ func New(cfg Config) (*System, error) {
 	s := &System{K: k, Cfg: cfg}
 	s.SDRAM = mem.NewSDRAM(SDRAMBase, cfg.SDRAMBytes, cfg.SDRAM)
 	s.seeds[LevelLocal] = mem.NewSeed(cfg.LocalBytes)
-	s.seeds[LevelCluster] = mem.NewSeed(cfg.clusterBytes())
+	s.seeds[LevelCluster] = mem.NewSeed(clusterBytes)
 	s.Locals = make([]*mem.Local, cfg.Tiles)
 	for i := range s.Locals {
 		s.Locals[i] = &mem.Local{RAM: s.seeds[LevelLocal].NewRAM(LocalAddr(i, 0)), Tile: i}
@@ -234,9 +209,6 @@ func New(cfg Config) (*System, error) {
 	}
 	nocCfg := cfg.NoC
 	nocCfg.Tiles = cfg.Tiles
-	if nocCfg.Topology.Kind == noc.KindCluster && nocCfg.Topology.Local == 0 {
-		nocCfg.Topology.Local = tilesPer
-	}
 	net, err := noc.New(k, nocCfg, s.Locals)
 	if err != nil {
 		return nil, err
@@ -256,8 +228,8 @@ func New(cfg Config) (*System, error) {
 	switch cfg.Locks {
 	case LockCentralized:
 		// The lock table sits at the top of SDRAM, away from data.
-		s.centralLockBase = SDRAMBase + mem.Addr(cfg.SDRAMBytes-cfg.CentralLockWords*4)
-		s.CLock = lock.NewCentralized(s.SDRAM, s.centralLockBase, cfg.CentralLockWords)
+		s.centralLockBase = SDRAMBase + mem.Addr(cfg.SDRAMBytes-centralLockWords*4)
+		s.CLock = lock.NewCentralized(s.SDRAM, s.centralLockBase, centralLockWords)
 		s.Locks = s.CLock
 	default:
 		s.DLock = lock.NewDistributed(k, s.Net)

@@ -36,25 +36,19 @@ type Event struct {
 	Arg uint64
 }
 
-// Trace is a bounded in-memory event recorder. The zero value is unusable;
-// use New.
+// Trace is a bounded in-memory event recorder: it keeps the first
+// maxEvents events. The zero value is an empty trace.
 type Trace struct {
 	events  []Event
-	limit   int
 	Dropped int
 }
 
-// New returns a trace that keeps at most limit events (0 = 1M default).
-func New(limit int) *Trace {
-	if limit <= 0 {
-		limit = 1 << 20
-	}
-	return &Trace{limit: limit}
-}
+// maxEvents bounds the events a trace keeps.
+const maxEvents = 1 << 20
 
-// Emit records an event; beyond the limit events are counted as dropped.
+// Emit records an event; beyond maxEvents events are counted as dropped.
 func (t *Trace) Emit(e Event) {
-	if len(t.events) >= t.limit {
+	if len(t.events) >= maxEvents {
 		t.Dropped++
 		return
 	}

@@ -10,17 +10,19 @@ import (
 )
 
 func TestEmitAndLimit(t *testing.T) {
-	tr := New(3)
+	// Start 3 events short of the bound; the untouched backing pages
+	// stay unmapped.
+	tr := &Trace{events: make([]Event, maxEvents-3, maxEvents)}
 	for i := 0; i < 5; i++ {
 		tr.Emit(Event{Time: sim.Time(i), Tile: 0, Phase: Instant, Name: "e"})
 	}
-	if tr.Len() != 3 || tr.Dropped != 2 {
-		t.Fatalf("len=%d dropped=%d, want 3,2", tr.Len(), tr.Dropped)
+	if tr.Len() != maxEvents || tr.Dropped != 2 {
+		t.Fatalf("len=%d dropped=%d, want %d,2", tr.Len(), tr.Dropped, maxEvents)
 	}
 }
 
 func TestWriteChromeIsValidJSON(t *testing.T) {
-	tr := New(0)
+	tr := &Trace{}
 	tr.Emit(Event{Time: 5, Tile: 2, Phase: Begin, Name: "ro:cell"})
 	tr.Emit(Event{Time: 9, Tile: 2, Phase: Instant, Name: "fence"})
 	tr.Emit(Event{Time: 12, Tile: 2, Phase: End, Name: "ro:cell", Arg: 7})

@@ -191,8 +191,8 @@ func RunPlaced(app App, cfg soc.Config, backendName string, place map[string]str
 
 // RunTraced is Run with an event tracer attached; the trace is returned for
 // Chrome-trace export.
-func RunTraced(app App, cfg soc.Config, backendName string, limit int) (*Result, *trace.Trace, error) {
-	tr := trace.New(limit)
+func RunTraced(app App, cfg soc.Config, backendName string) (*Result, *trace.Trace, error) {
+	tr := &trace.Trace{}
 	res, err := run(app, cfg, backendName, func(r *rt.Runtime) { r.Tracer = tr })
 	return res, tr, err
 }

@@ -154,16 +154,16 @@ func SpecCheckBackend(s OrderingSpec, opt SpecCheckOptions) (*SpecResult, error)
 // ---- Simulated system (Section V-B) ----
 
 type (
-	// Config describes the simulated SoC.
+	// Config describes the simulated SoC. A cluster NoC topology
+	// (ParseTopology's "cluster:<local>x<global>") groups its tiles into
+	// Tiles/<local> clusters, at most 1,024; any other topology is one
+	// flat cluster.
 	Config = soc.Config
 	// System is an assembled simulated SoC.
 	System = soc.System
 	// Time is simulated cycles.
 	Time = sim.Time
 )
-
-// MaxClusters is the largest cluster count the address map supports.
-const MaxClusters = soc.MaxClusters
 
 // DefaultConfig is the paper's 32-tile system.
 func DefaultConfig() Config { return soc.DefaultConfig() }
@@ -258,9 +258,10 @@ func RunAppPlaced(app App, cfg Config, backend string, place map[string]string) 
 	return workloads.RunPlaced(app, cfg, backend, place)
 }
 
-// RunAppTraced is RunApp with an event tracer attached.
-func RunAppTraced(app App, cfg Config, backend string, limit int) (*Result, *Trace, error) {
-	return workloads.RunTraced(app, cfg, backend, limit)
+// RunAppTraced is RunApp with an event tracer attached. The trace keeps
+// the first 1M events and counts the rest in Trace.Dropped.
+func RunAppTraced(app App, cfg Config, backend string) (*Result, *Trace, error) {
+	return workloads.RunTraced(app, cfg, backend)
 }
 
 // AppByName returns a fresh workload instance by name (see AppNames).
