@@ -6,6 +6,7 @@ import (
 
 	"pmc/internal/noc"
 	"pmc/internal/rt"
+	"pmc/internal/sim"
 	"pmc/internal/soc"
 	"pmc/internal/stats"
 	"pmc/internal/sweep"
@@ -104,21 +105,11 @@ func runAblationLocks(w io.Writer, o Options) error {
 		app := workloads.DefaultReacquire()
 		app.Iters = iters
 		app.CrossEvery = 4 // heavy cross-tile contention
-		sys, err := soc.New(cfg)
+		res, err := workloads.Run(app, cfg, "swcc")
 		if err != nil {
 			return err
 		}
-		r := rt.New(sys, rt.SWCC())
-		app.Setup(r, tiles)
-		for t := 0; t < tiles; t++ {
-			t := t
-			r.Spawn(t, "w", func(c *rt.Ctx) { app.Worker(c, t, tiles) })
-		}
-		if err := r.Run(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%-13s %10d %12d %12d\n",
-			kind, sys.K.Now(), sys.SDRAM.Grants(), sys.Net.Stats().Messages)
+		fmt.Fprintf(w, "%-13s %10d %12d %12d\n", kind, res.Cycles, res.SDRAMGrants, res.NoCMessages)
 	}
 	fmt.Fprintln(w, "\ncentralized TAS spinning occupies the shared bus that all data accesses need;")
 	fmt.Fprintln(w, "the distributed lock keeps waiting local and pays only per-handoff messages.")
@@ -134,7 +125,7 @@ func runAblationDCache(w io.Writer, o Options) error {
 	fmt.Fprintf(w, "%-22s %10s\n", "configuration", "cycles")
 	for _, kib := range []int{2, 8, 32} {
 		cfg := sysConfig(tiles)
-		cfg.DCache.Size = kib * 1024
+		cfg.DCacheBytes = kib * 1024
 		m := *me
 		res, err := workloads.Run(&m, cfg, "swcc")
 		if err != nil {
@@ -220,6 +211,55 @@ func bulkAblation(o Options) grid {
 	}
 }
 
+// granularity is the ablation-granularity workload: every tile increments
+// its own array of words iters times, inside one scope per batch or, when
+// fine, one scope per word.
+type granularity struct {
+	words, iters int
+	fine         bool
+	objs         []*rt.Object
+}
+
+func (a *granularity) Name() string { return "granularity" }
+
+func (a *granularity) Setup(r *rt.Runtime, tiles int) {
+	a.objs = make([]*rt.Object, tiles)
+	for i := range a.objs {
+		a.objs[i] = r.Alloc(fmt.Sprintf("arr%d", i), a.words*4)
+	}
+}
+
+func (a *granularity) Worker(c *rt.Ctx, tile, tiles int) {
+	c.SetCodeFootprint(1024)
+	o := a.objs[tile]
+	for i := 0; i < a.iters; i++ {
+		if a.fine {
+			for wd := 0; wd < a.words; wd++ {
+				c.EntryX(o)
+				c.Write32(o, 4*wd, c.Read32(o, 4*wd)+1)
+				c.ExitX(o)
+			}
+		} else {
+			c.EntryX(o)
+			for wd := 0; wd < a.words; wd++ {
+				c.Write32(o, 4*wd, c.Read32(o, 4*wd)+1)
+			}
+			c.ExitX(o)
+		}
+		c.Compute(30)
+	}
+}
+
+func (a *granularity) Checksum(r *rt.Runtime) uint32 {
+	var sum uint32
+	for _, o := range a.objs {
+		for wd := 0; wd < a.words; wd++ {
+			sum += r.ReadObjectWord(o, wd)
+		}
+	}
+	return sum
+}
+
 // runAblationGranularity compares one entry/exit pair around a batch of
 // updates against one pair per word.
 func runAblationGranularity(w io.Writer, o Options) error {
@@ -229,52 +269,15 @@ func runAblationGranularity(w io.Writer, o Options) error {
 	if o.full() {
 		iters = 96
 	}
-	run := func(fine bool) (uint64, error) {
-		sys, err := soc.New(sysConfig(tiles))
+	var cycles [2]sim.Time
+	for i, fine := range []bool{false, true} {
+		res, err := workloads.Run(&granularity{words: words, iters: iters, fine: fine}, sysConfig(tiles), "swcc")
 		if err != nil {
-			return 0, err
+			return err
 		}
-		r := rt.New(sys, rt.SWCC())
-		objs := make([]*rt.Object, tiles)
-		for i := range objs {
-			objs[i] = r.Alloc(fmt.Sprintf("arr%d", i), words*4)
-		}
-		for t := 0; t < tiles; t++ {
-			t := t
-			r.Spawn(t, "w", func(c *rt.Ctx) {
-				c.SetCodeFootprint(1024)
-				o := objs[t]
-				for i := 0; i < iters; i++ {
-					if fine {
-						for wd := 0; wd < words; wd++ {
-							c.EntryX(o)
-							c.Write32(o, 4*wd, c.Read32(o, 4*wd)+1)
-							c.ExitX(o)
-						}
-					} else {
-						c.EntryX(o)
-						for wd := 0; wd < words; wd++ {
-							c.Write32(o, 4*wd, c.Read32(o, 4*wd)+1)
-						}
-						c.ExitX(o)
-					}
-					c.Compute(30)
-				}
-			})
-		}
-		if err := r.Run(); err != nil {
-			return 0, err
-		}
-		return uint64(sys.K.Now()), nil
+		cycles[i] = res.Cycles
 	}
-	coarse, err := run(false)
-	if err != nil {
-		return err
-	}
-	fine, err := run(true)
-	if err != nil {
-		return err
-	}
+	coarse, fine := cycles[0], cycles[1]
 	fmt.Fprintf(w, "one scope per batch of %d words: %10d cycles\n", words, coarse)
 	fmt.Fprintf(w, "one scope per word:             %10d cycles (%.1fx)\n", fine, float64(fine)/float64(coarse))
 	fmt.Fprintln(w, "\nscopes amortize the lock round-trip and the exit flush over many accesses —")

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"io"
 
+	"pmc/internal/mem"
+	"pmc/internal/noc"
 	"pmc/internal/rt"
+	"pmc/internal/soc"
 	"pmc/internal/stats"
 	"pmc/internal/sweep"
 	"pmc/internal/workloads"
@@ -141,15 +144,14 @@ measured effects of the same annotated program on each backend:`)
 func runFig7(w io.Writer, o Options) error {
 	cfg := sysConfig(o.tiles(32))
 	fmt.Fprintf(w, "tiles: %d, each with:\n", cfg.Tiles)
-	fmt.Fprintf(w, "  I-cache: %d B, %d-way, %d B lines\n", cfg.ICache.Size, cfg.ICache.Ways, cfg.ICache.LineSize)
+	fmt.Fprintf(w, "  I-cache: %d B, %d-way, %d B lines\n", soc.ICacheBytes, soc.CacheWays, mem.LineSize)
 	fmt.Fprintf(w, "  D-cache: %d B, %d-way, %d B lines (write-back, non-coherent; control ops: invalidate, flush+invalidate)\n",
-		cfg.DCache.Size, cfg.DCache.Ways, cfg.DCache.LineSize)
-	fmt.Fprintf(w, "  local dual-port memory: %d KiB (1-cycle core port, NoC write port)\n", cfg.LocalBytes/1024)
+		cfg.DCacheBytes, soc.CacheWays, mem.LineSize)
+	fmt.Fprintf(w, "  local dual-port memory: %d KiB (1-cycle core port, NoC write port)\n", soc.LocalBytes/1024)
 	fmt.Fprintf(w, "shared SDRAM: %d MiB, %d-bank pipelined controller (word %d cy, line burst %d cy, channel %d/%d cy)\n",
-		cfg.SDRAMBytes>>20, cfg.SDRAM.Banks, cfg.SDRAM.WordLat, cfg.SDRAM.LineLat,
-		cfg.SDRAM.ChannelWordLat, cfg.SDRAM.ChannelLineLat)
+		cfg.SDRAMBytes>>20, mem.Banks, mem.WordLat, mem.LineLat, mem.ChannelWordLat, mem.ChannelLineLat)
 	fmt.Fprintf(w, "NoC: write-only bidirectional ring, %d cy/hop, %d B/flit, injection %d cy\n",
-		cfg.NoC.HopLat, cfg.NoC.FlitSize, cfg.NoC.InjLat)
+		noc.HopLat, noc.FlitSize, noc.InjLat)
 	fmt.Fprintf(w, "locks: %s (asymmetric, spin on local memory; ref [15])\n", cfg.Locks)
 	return nil
 }

@@ -2,10 +2,23 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 )
+
+var updateExperiments = flag.Bool("update-experiments", false, "rewrite "+goldenPath+" from the experiments' small-scale reports")
+
+// goldenPath holds one SHA-256 per experiment of its memoized small-scale
+// report, in the order of cases. Refresh it deliberately with
+//
+//	go test ./internal/exp -run TestExperiments -update-experiments
+const goldenPath = "testdata/experiments.sha256"
 
 // cases is the experiment table: one row per registered ID, with the
 // substrings its small-scale report must and must not contain. Every
@@ -118,14 +131,52 @@ func checkExperiments(t *testing.T, ids ...string) {
 }
 
 // TestExperiments runs every registered experiment at small scale and
-// checks its report against its row of cases; TestRegistryComplete checks
-// that every registered ID has a row.
+// checks its report against its row of cases and every report's digest
+// against goldenPath; TestRegistryComplete checks that every registered
+// ID has a row.
 func TestExperiments(t *testing.T) {
 	var ids []string
 	for _, c := range cases {
 		ids = append(ids, c.id)
 	}
 	checkExperiments(t, ids...)
+	t.Run("golden", func(t *testing.T) { checkGolden(t, ids) })
+}
+
+// checkGolden compares the digest of each experiment's report with its
+// line of goldenPath, or rewrites the file under -update-experiments.
+func checkGolden(t *testing.T, ids []string) {
+	var fresh strings.Builder
+	for _, id := range ids {
+		out, err := report(id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		sum := sha256.Sum256([]byte(out))
+		fmt.Fprintf(&fresh, "%s  %s\n", hex.EncodeToString(sum[:]), id)
+	}
+	if *updateExperiments {
+		if err := os.WriteFile(goldenPath, []byte(fresh.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	old, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (create it with -update-experiments)", err)
+	}
+	got, want := strings.Split(fresh.String(), "\n"), strings.Split(string(old), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%s has %d lines for %d experiments", goldenPath, len(want)-1, len(ids))
+	}
+	for i, id := range ids {
+		if got[i] != want[i] {
+			t.Errorf("%s: report digest moved: got %.16s…, golden %.16s…", id, got[i], want[i])
+		}
+	}
+	if t.Failed() {
+		t.Log("a report changed; after an intended change run: go test ./internal/exp -run TestExperiments -update-experiments")
+	}
 }
 
 // The per-artifact tests below check their rows against the same

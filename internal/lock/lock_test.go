@@ -15,7 +15,7 @@ func rig(tiles int) (*sim.Kernel, *noc.Network, *Distributed) {
 	for i := range locals {
 		locals[i] = &mem.Local{RAM: mem.NewRAM(0, 4096), Tile: i}
 	}
-	net, err := noc.New(k, noc.Config{Tiles: tiles, HopLat: 2, FlitSize: 4, InjLat: 2}, locals)
+	net, err := noc.New(k, noc.Config{Tiles: tiles}, locals)
 	if err != nil {
 		panic(err)
 	}
@@ -197,7 +197,7 @@ func TestReleaseByNonHolderPanics(t *testing.T) {
 
 func TestCentralizedMutualExclusion(t *testing.T) {
 	k := sim.New()
-	sdram := mem.NewSDRAM(0, 1<<16, mem.DefaultSDRAMConfig())
+	sdram := mem.NewSDRAM(0, 1<<16)
 	c := NewCentralized(sdram, 0x100, 16)
 	order := exercise(t, k, c, 6, 4)
 	if len(order) != 24 {
@@ -208,7 +208,7 @@ func TestCentralizedMutualExclusion(t *testing.T) {
 func TestCentralizedBusLoadExceedsDistributed(t *testing.T) {
 	// The ablation's point: centralized spinning hammers the SDRAM bus.
 	k := sim.New()
-	sdram := mem.NewSDRAM(0, 1<<16, mem.DefaultSDRAMConfig())
+	sdram := mem.NewSDRAM(0, 1<<16)
 	c := NewCentralized(sdram, 0x100, 4)
 	exercise(t, k, c, 8, 3)
 	if sdram.Grants() < 24*2 {

@@ -279,48 +279,13 @@ type Block interface {
 	WriteBlock(addr Addr, src []byte)
 }
 
-// SDRAMConfig sets the timing of the shared memory. The model is a
-// pipelined controller: Banks independent banks each serve one access at a
-// time for the access latency (WordLat / LineLat), and a single data
-// channel serializes the transfers (ChannelWordLat / ChannelLineLat). One
-// bank with zero channel latency degenerates to a simple arbitrated bus.
-type SDRAMConfig struct {
-	// WordLat is the bank occupancy of a single-word (4 B) access.
-	WordLat sim.Time
-	// LineLat is the bank occupancy of a cache-line burst of LineSize
-	// bytes.
-	LineLat sim.Time
-	// LineSize is the burst length in bytes used by LineLat.
-	LineSize int
-	// Banks is the number of independent banks (>= 1).
-	Banks int
-	// ChannelWordLat is the shared-channel transfer time of one word.
-	ChannelWordLat sim.Time
-	// ChannelLineLat is the shared-channel transfer time of one line.
-	ChannelLineLat sim.Time
-}
-
-// DefaultSDRAMConfig mirrors the latency regime of the paper's platform: a
-// DDR controller with deep banking, tens-of-cycles access latency, and a
-// data channel that streams one line burst in a few cycles.
-func DefaultSDRAMConfig() SDRAMConfig {
-	return SDRAMConfig{
-		// A single word pays nearly the full row-access latency; a
-		// line burst amortizes it over eight words — the asymmetry
-		// that makes uncached shared data expensive (Fig. 8).
-		WordLat: 14, LineLat: 28, LineSize: 32,
-		Banks: 16, ChannelWordLat: 2, ChannelLineLat: 8,
-	}
-}
-
 // SDRAM is the shared background memory: a RAM behind a banked, pipelined
 // controller. Bank and channel queueing show up as stall time for the
 // requesting core.
 type SDRAM struct {
 	*RAM
-	Cfg     SDRAMConfig
-	Channel *sim.Resource
-	banks   []*sim.Resource
+	channel sim.Resource
+	banks   [Banks]sim.Resource
 
 	// Stats.
 	WordReads  uint64
@@ -330,19 +295,8 @@ type SDRAM struct {
 }
 
 // NewSDRAM returns an SDRAM of the given size at base address base.
-func NewSDRAM(base Addr, size int, cfg SDRAMConfig) *SDRAM {
-	if cfg.Banks < 1 {
-		cfg.Banks = 1
-	}
-	s := &SDRAM{
-		RAM:     NewRAM(base, size),
-		Cfg:     cfg,
-		Channel: &sim.Resource{},
-	}
-	for i := 0; i < cfg.Banks; i++ {
-		s.banks = append(s.banks, &sim.Resource{})
-	}
-	return s
+func NewSDRAM(base Addr, size int) *SDRAM {
+	return &SDRAM{RAM: NewRAM(base, size)}
 }
 
 // ReadWord performs a timed uncached word read on behalf of p, blocking for

@@ -116,19 +116,25 @@ func TestRAMOutOfBoundsPanics(t *testing.T) {
 	}
 }
 
+// The SDRAM tests below pin the platform's timing: a word access holds
+// its bank for WordLat (14) and then the shared channel for
+// ChannelWordLat (2); a line burst holds its bank for LineLat (28) and
+// the channel for ChannelLineLat (8) per line. Banks interleave at line
+// granularity.
+
 func TestSDRAMTimingUncontended(t *testing.T) {
 	k := sim.New()
-	s := NewSDRAM(0, 4096, SDRAMConfig{WordLat: 8, LineLat: 24, LineSize: 32})
+	s := NewSDRAM(0, 4096)
 	k.Spawn("a", func(p *sim.Proc) {
-		if stall := s.WriteWord(p, 0, 42); stall != 8 {
-			t.Errorf("uncontended write stall = %d, want 8", stall)
+		if stall := s.WriteWord(p, 0, 42); stall != 16 {
+			t.Errorf("uncontended write stall = %d, want 16 (14 bank + 2 channel)", stall)
 		}
 		v, stall := s.ReadWord(p, 0)
 		if v != 42 {
 			t.Errorf("read = %d, want 42", v)
 		}
-		if stall != 8 {
-			t.Errorf("uncontended read stall = %d, want 8", stall)
+		if stall != 16 {
+			t.Errorf("uncontended read stall = %d, want 16", stall)
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -138,41 +144,81 @@ func TestSDRAMTimingUncontended(t *testing.T) {
 
 func TestSDRAMTimingContended(t *testing.T) {
 	k := sim.New()
-	s := NewSDRAM(0, 4096, SDRAMConfig{WordLat: 8, LineLat: 24, LineSize: 32})
+	s := NewSDRAM(0, 4096)
 	var stallA2, stallB sim.Time
 	k.Spawn("a", func(p *sim.Proc) {
-		s.WriteWord(p, 0, 42) // bus slot [0,8)
+		s.WriteWord(p, 0, 42) // bank 0 [0,14), channel [14,16)
+		// Requested at 16, behind b on bank 0: bank [28,42), channel
+		// [42,44).
 		_, stallA2 = s.ReadWord(p, 0)
 	})
 	k.Spawn("b", func(p *sim.Proc) {
-		// Requested at cycle 0 while a's write occupies the bus:
-		// FIFO grants b the slot [8,16), so a's second access gets
-		// [16,24).
+		// Requested at cycle 0 in the same line, so the same bank, while
+		// a's write occupies it: FIFO grants b the bank at [14,28) and
+		// the channel at [28,30).
 		_, stallB = s.ReadWord(p, 4)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if stallB != 16 {
-		t.Fatalf("contended stall (b) = %d, want 16 (8 queued + 8 service)", stallB)
+	if stallB != 30 {
+		t.Fatalf("same-bank queued stall (b) = %d, want 30 (14 queued + 14 bank + 2 channel)", stallB)
 	}
-	if stallA2 != 16 {
-		t.Fatalf("contended stall (a, 2nd access) = %d, want 16", stallA2)
+	if stallA2 != 28 {
+		t.Fatalf("same-bank queued stall (a, 2nd access) = %d, want 28", stallA2)
 	}
 	if s.WordReads != 2 || s.WordWrites != 1 {
 		t.Fatalf("counters: reads=%d writes=%d", s.WordReads, s.WordWrites)
 	}
 }
 
-func TestReserveLineAtReservesBank(t *testing.T) {
-	s := NewSDRAM(0, 1024, SDRAMConfig{WordLat: 8, LineLat: 24, LineSize: 32})
-	end := s.ReserveLineAt(100, 0)
-	if end != 124 {
-		t.Fatalf("end = %d, want 124", end)
+// TestSDRAMBanksOverlap: two accesses to consecutive lines use two banks,
+// whose row accesses overlap, while the one channel serializes their
+// transfers.
+func TestSDRAMBanksOverlap(t *testing.T) {
+	k := sim.New()
+	s := NewSDRAM(0, 4096)
+	var stallA, stallB sim.Time
+	k.Spawn("a", func(p *sim.Proc) { _, stallA = s.ReadWord(p, 0) })
+	k.Spawn("b", func(p *sim.Proc) { _, stallB = s.ReadWord(p, LineSize) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
 	}
-	// A later access to the same (single) bank must queue behind it.
-	if got := s.ReserveWordAt(110, 4); got != 132 {
-		t.Fatalf("queued word completes at %d, want 132", got)
+	// Both banks busy [0,14); the channel carries a at [14,16), b at
+	// [16,18).
+	if stallA != 16 || stallB != 18 {
+		t.Fatalf("two-bank stalls = %d, %d, want 16, 18", stallA, stallB)
+	}
+	if g := s.Grants(); g != 2 {
+		t.Fatalf("grants = %d, want 2", g)
+	}
+}
+
+// TestSDRAMMultiLineBurst: AccessLines pays one row access, then streams
+// every line over the channel back to back.
+func TestSDRAMMultiLineBurst(t *testing.T) {
+	k := sim.New()
+	s := NewSDRAM(0, 4096)
+	var stall sim.Time
+	k.Spawn("a", func(p *sim.Proc) { stall = s.AccessLines(p, 0, 4) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if stall != 60 {
+		t.Fatalf("4-line burst stall = %d, want 60 (28 bank + 4×8 channel)", stall)
+	}
+}
+
+func TestReserveLineAtReservesBank(t *testing.T) {
+	s := NewSDRAM(0, 1024)
+	// Bank 0 [100,128), channel [128,136).
+	if end := s.ReserveLineAt(100, 0); end != 136 {
+		t.Fatalf("end = %d, want 136", end)
+	}
+	// A later access to the same line's bank queues behind it: bank
+	// [128,142), channel [142,144).
+	if got := s.ReserveWordAt(110, 4); got != 144 {
+		t.Fatalf("queued word completes at %d, want 144", got)
 	}
 }
 

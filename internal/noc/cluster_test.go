@@ -14,7 +14,7 @@ func buildTopo(tiles int, topo Topology) (*sim.Kernel, *Network) {
 	for i := range locals {
 		locals[i] = &mem.Local{RAM: mem.NewRAM(0, 4096), Tile: i}
 	}
-	n, err := New(k, Config{Tiles: tiles, HopLat: 2, FlitSize: 4, InjLat: 2, Topology: topo}, locals)
+	n, err := New(k, Config{Tiles: tiles, Topology: topo}, locals)
 	if err != nil {
 		panic(err)
 	}
@@ -63,7 +63,7 @@ func TestParseTopologyCluster(t *testing.T) {
 }
 
 func TestClusterValidate(t *testing.T) {
-	base := Config{Tiles: 32, HopLat: 2, FlitSize: 4, InjLat: 2}
+	base := Config{Tiles: 32}
 	cases := []struct {
 		mutate func(*Config)
 		hint   string

@@ -8,7 +8,7 @@
 //
 // The topology is a bidirectional ring by default (hop count = shortest ring
 // distance), matching the modest many-core NoCs the paper targets; the hop
-// latency and per-flit serialization are configurable.
+// latency, flit width and injection latency are the platform's constants.
 package noc
 
 import (
@@ -115,55 +115,32 @@ func ParseTopology(s string) (Topology, error) {
 	return Topology{}, fmt.Errorf("noc: unknown topology %q (valid: ring, mesh, cluster:<local>x<global>)", s)
 }
 
-// Config sets the network's size and timing.
+// The NoC timing of the paper's platform. A message's head arrives
+// InjLat + hops×HopLat cycles after injection, and each flit of FlitSize
+// payload bytes after the first adds one cycle of serialization.
+const (
+	HopLat   sim.Time = 2 // cycles per hop, on every link
+	FlitSize          = 4 // payload bytes carried per flit cycle
+	InjLat   sim.Time = 2 // fixed injection (network-interface) latency
+)
+
+// Config sets the network's size and shape.
 type Config struct {
 	Tiles    int      // number of tiles
-	HopLat   sim.Time // cycles per hop, on every link
-	FlitSize int      // payload bytes carried per flit cycle
-	InjLat   sim.Time // fixed injection (network-interface) latency
 	Topology Topology // ring (default), mesh, or cluster
 }
 
-// DefaultConfig matches the 32-tile system of the paper.
-func DefaultConfig() Config {
-	return Config{Tiles: 32, HopLat: 2, FlitSize: 4, InjLat: 2}
-}
+// maxTiles bounds a sane configuration: per-flow FIFO state is per (src,
+// dst) pair (allocated lazily, one chunk of destinations at a time).
+const maxTiles = 4096
 
-// Bounds on a sane configuration: per-flow FIFO state is per (src, dst)
-// pair (allocated lazily, one chunk of destinations at a time), and the
-// latency arithmetic must stay far from wrapping sim.Time.
-const (
-	maxTiles = 4096
-	maxLat   = sim.Time(1) << 32
-)
-
-// WithDefaults fills unset fields: a zero FlitSize becomes the default
-// flit width (hand-built configs routinely skip it, and a zero value would
-// otherwise divide by zero in the latency model).
-func (c Config) WithDefaults() Config {
-	if c.FlitSize == 0 {
-		c.FlitSize = DefaultConfig().FlitSize
-	}
-	return c
-}
-
-// Validate reports configuration errors. Apply WithDefaults first if zero
-// fields should be filled rather than rejected.
+// Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Tiles <= 0 {
 		return fmt.Errorf("noc: %d tiles", c.Tiles)
 	}
 	if c.Tiles > maxTiles {
 		return fmt.Errorf("noc: %d tiles exceeds the supported maximum %d", c.Tiles, maxTiles)
-	}
-	if c.FlitSize <= 0 {
-		return fmt.Errorf("noc: flit size %d must be positive", c.FlitSize)
-	}
-	if c.HopLat > maxLat {
-		return fmt.Errorf("noc: hop latency %d unreasonably large", c.HopLat)
-	}
-	if c.InjLat > maxLat {
-		return fmt.Errorf("noc: injection latency %d unreasonably large", c.InjLat)
 	}
 	if c.Topology.Kind == KindCluster {
 		t := c.Topology
@@ -222,10 +199,9 @@ type Network struct {
 }
 
 // New returns a network over the given per-tile local memories. locals[i]
-// is tile i's memory; len(locals) must equal cfg.Tiles. A zero FlitSize is
-// defaulted (WithDefaults); other invalid fields are rejected (Validate).
+// is tile i's memory; len(locals) must equal cfg.Tiles. An invalid
+// configuration is rejected (Validate).
 func New(k *sim.Kernel, cfg Config, locals []*mem.Local) (*Network, error) {
-	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -317,14 +293,16 @@ func abs(x int) int {
 	return x
 }
 
-// latency returns the head-arrival latency for a payload of size bytes.
-func (n *Network) latency(src, dst, size int) sim.Time {
-	flits := (size + n.cfg.FlitSize - 1) / n.cfg.FlitSize
-	if flits == 0 {
-		flits = 1
-	}
-	local, global := n.route(src, dst)
-	return n.cfg.InjLat + sim.Time(local+global)*n.cfg.HopLat + sim.Time(flits-1)
+// flitCount returns the flit count of a payload of size bytes: at least one,
+// for the header of an empty message.
+func flitCount(size int) int {
+	return max(1, (size+FlitSize-1)/FlitSize)
+}
+
+// latency returns the head-arrival latency of a message of the given
+// flit count over the given hops.
+func latency(hops, flits int) sim.Time {
+	return InjLat + sim.Time(hops)*HopLat + sim.Time(flits-1)
 }
 
 // ControlLatency returns the head-arrival latency of a control message of
@@ -332,9 +310,10 @@ func (n *Network) latency(src, dst, size int) sim.Time {
 // it to compute multi-hop handoff schedules.
 func (n *Network) ControlLatency(src, dst, size int) sim.Time {
 	if src == dst {
-		return n.cfg.InjLat
+		return InjLat
 	}
-	return n.latency(src, dst, size)
+	local, global := n.route(src, dst)
+	return latency(local+global, flitCount(size))
 }
 
 // flowChunk is the number of destinations whose flow state is allocated
@@ -362,17 +341,14 @@ func (n *Network) flow(src, dst int) *sim.Time {
 // arrival computes and records the FIFO-respecting delivery time of a new
 // message on flow src→dst injected at base.
 func (n *Network) arrivalAt(base sim.Time, src, dst, size int) sim.Time {
-	at := base + n.latency(src, dst, size)
+	local, global := n.route(src, dst)
+	flits := flitCount(size)
+	at := base + latency(local+global, flits)
 	last := n.flow(src, dst)
 	if at <= *last {
 		at = *last + 1
 	}
 	*last = at
-	flits := (size + n.cfg.FlitSize - 1) / n.cfg.FlitSize
-	if flits == 0 {
-		flits = 1
-	}
-	local, global := n.route(src, dst)
 	n.stats.Messages++
 	n.stats.Bytes += uint64(size)
 	n.stats.FlitHops += uint64(flits * (local + global))
@@ -420,10 +396,7 @@ func (n *Network) PostWriteFan(src int, dsts []int, addrOf func(dst int) mem.Add
 	if len(dsts) == 0 {
 		return n.k.Now()
 	}
-	flits := (len(data) + n.cfg.FlitSize - 1) / n.cfg.FlitSize
-	if flits == 0 {
-		flits = 1
-	}
+	flits := flitCount(len(data))
 	buf := append([]byte(nil), data...) // one snapshot shared by all copies
 	base := n.k.Now()
 	for i, dst := range dsts {
@@ -452,7 +425,7 @@ func (n *Network) PostControl(src, dst, size int, fn func()) (deliveredAt sim.Ti
 	if src == dst {
 		// Local control messages skip the network but still take the
 		// injection latency (network-interface turnaround).
-		at = n.k.Now() + n.cfg.InjLat
+		at = n.k.Now() + InjLat
 		n.stats.Messages++
 	} else {
 		at = n.arrival(src, dst, size)

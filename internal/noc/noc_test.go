@@ -16,7 +16,7 @@ func build(tiles int) (*sim.Kernel, *Network, []*mem.Local) {
 	for i := range locals {
 		locals[i] = &mem.Local{RAM: mem.NewRAM(0, 4096), Tile: i}
 	}
-	n, err := New(k, Config{Tiles: tiles, HopLat: 2, FlitSize: 4, InjLat: 2}, locals)
+	n, err := New(k, Config{Tiles: tiles}, locals)
 	if err != nil {
 		panic(err)
 	}
@@ -139,8 +139,8 @@ func TestLocalControlSkipsNetwork(t *testing.T) {
 
 func TestBlockLatencyScalesWithSize(t *testing.T) {
 	_, n, _ := build(4)
-	small := n.latency(0, 1, 4)
-	big := n.latency(0, 1, 64)
+	small := n.ControlLatency(0, 1, 4)
+	big := n.ControlLatency(0, 1, 64)
 	if big <= small {
 		t.Fatalf("64B latency %d not greater than 4B latency %d", big, small)
 	}
@@ -215,7 +215,7 @@ func TestHopsMesh(t *testing.T) {
 	for i := range locals {
 		locals[i] = &mem.Local{RAM: mem.NewRAM(0, 1024), Tile: i}
 	}
-	n, err := New(k, Config{Tiles: 16, HopLat: 2, FlitSize: 4, InjLat: 2, Topology: TopoMesh}, locals)
+	n, err := New(k, Config{Tiles: 16, Topology: TopoMesh}, locals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,46 +233,15 @@ func TestHopsMesh(t *testing.T) {
 	}
 }
 
-// TestZeroFlitSizeDefaults is the regression test for the division-by-zero
-// panic: a hand-built Config that skips DefaultConfig leaves FlitSize at 0,
-// which used to panic inside latency at (size+FlitSize-1)/FlitSize.
-func TestZeroFlitSizeDefaults(t *testing.T) {
-	k := sim.New()
-	locals := make([]*mem.Local, 2)
-	for i := range locals {
-		locals[i] = &mem.Local{RAM: mem.NewRAM(0, 1024), Tile: i}
-	}
-	n, err := New(k, Config{Tiles: 2, HopLat: 1, InjLat: 1}, locals) // FlitSize omitted
-	if err != nil {
-		t.Fatalf("zero FlitSize must be defaulted, got error: %v", err)
-	}
-	if got, want := n.Config().FlitSize, DefaultConfig().FlitSize; got != want {
-		t.Fatalf("FlitSize defaulted to %d, want %d", got, want)
-	}
-	k.Spawn("src", func(p *sim.Proc) {
-		n.PostWriteDelayed(0, 1, 0, word(7), 0) // would have panicked before the fix
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if locals[1].Read32(0) != 7 {
-		t.Fatal("write not delivered")
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
-	valid := Config{Tiles: 4, HopLat: 2, FlitSize: 4, InjLat: 2}
+	valid := Config{Tiles: 4}
 	if err := valid.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	bad := []Config{
-		{Tiles: 0, FlitSize: 4},
-		{Tiles: -3, FlitSize: 4},
-		{Tiles: maxTiles + 1, FlitSize: 4},
-		{Tiles: 4, FlitSize: 0},
-		{Tiles: 4, FlitSize: -1},
-		{Tiles: 4, FlitSize: 4, HopLat: maxLat + 1},
-		{Tiles: 4, FlitSize: 4, InjLat: maxLat + 1},
+		{Tiles: 0},
+		{Tiles: -3},
+		{Tiles: maxTiles + 1},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -283,10 +252,10 @@ func TestConfigValidate(t *testing.T) {
 
 func TestNewRejectsBadConfig(t *testing.T) {
 	k := sim.New()
-	if _, err := New(k, Config{Tiles: 2, FlitSize: -1}, make([]*mem.Local, 2)); err == nil {
-		t.Error("negative FlitSize accepted")
+	if _, err := New(k, Config{Tiles: 0}, nil); err == nil {
+		t.Error("zero tiles accepted")
 	}
-	if _, err := New(k, Config{Tiles: 3, FlitSize: 4}, make([]*mem.Local, 2)); err == nil {
+	if _, err := New(k, Config{Tiles: 3}, make([]*mem.Local, 2)); err == nil {
 		t.Error("locals/tiles mismatch accepted")
 	}
 }
@@ -310,9 +279,7 @@ func TestMeshShortensWorstCase(t *testing.T) {
 		for i := range locals {
 			locals[i] = &mem.Local{RAM: mem.NewRAM(0, 1024), Tile: i}
 		}
-		cfg := DefaultConfig()
-		cfg.Topology = topo
-		n, err := New(k, cfg, locals)
+		n, err := New(k, Config{Tiles: 32, Topology: topo}, locals)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,8 +55,7 @@ func (b *swccBackend) lockTransfer(rt *Runtime, o *Object, from, to int, t sim.T
 	}
 	dc := rt.Sys.Tiles[from].DC
 	end := t
-	ls := rt.Sys.Cfg.DCache.LineSize
-	for a := dc.LineBase(o.Addr); a < o.Addr+mem.Addr(o.Size); a += mem.Addr(ls) {
+	for a := dc.LineBase(o.Addr); a < o.Addr+mem.Addr(o.Size); a += mem.LineSize {
 		if tr := dc.FlushLine(a); tr.Writeback {
 			end = rt.Sys.SDRAM.ReserveLineWB(end, a)
 		}

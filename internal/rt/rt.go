@@ -458,7 +458,7 @@ func (rt *Runtime) allocRoute(name string, size int, route Backend) *Object {
 	if prev, dup := rt.objByName[name]; dup {
 		panic(fmt.Sprintf("rt: Alloc(%q): duplicate object name (already allocated with %d bytes)", name, prev.Size))
 	}
-	line := mem.Addr(rt.Sys.Cfg.DCache.LineSize)
+	const line = mem.LineSize
 	addr := (rt.heapNext + line - 1) &^ (line - 1)
 	o := &Object{
 		ID:     len(rt.objects),
@@ -468,7 +468,7 @@ func (rt *Runtime) allocRoute(name string, size int, route Backend) *Object {
 		LockID: len(rt.objects),
 		route:  route,
 	}
-	rt.heapNext = addr + mem.Addr((size+int(line)-1)/int(line))*line
+	rt.heapNext = addr + mem.Addr((size+line-1)/line*line)
 	// The replica-capacity bound applies whenever any registered route
 	// keeps full-heap replicas: replicas span the whole shared heap, so
 	// every allocation counts against the tightest registered limit.

@@ -418,7 +418,7 @@ func TestDSMHeapLimitEnforced(t *testing.T) {
 			t.Fatal("allocating beyond local-memory capacity must panic for DSM")
 		}
 	}()
-	r.Alloc("huge", sys.Cfg.LocalBytes+4096)
+	r.Alloc("huge", soc.LocalBytes+4096)
 }
 
 // TestInitObjectVisibleEverywhere pre-loads an object on every backend of a

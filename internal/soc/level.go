@@ -96,7 +96,7 @@ func (s *System) MemBytes(l Level) int {
 	if l == LevelCluster {
 		return clusterBytes
 	}
-	return s.Cfg.LocalBytes
+	return LocalBytes
 }
 
 // SeedLevel writes image at offset off of every unit memory at level l,

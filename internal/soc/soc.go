@@ -1,8 +1,9 @@
 // Package soc assembles the simulated many-core system of the paper's
 // Fig. 7: n tiles, each with an in-order MicroBlaze-like core, a private
 // I-cache and non-coherent write-back D-cache, and a dual-port local
-// memory; a shared SDRAM behind one arbitrated bus; a write-only NoC
-// between the tiles; and per-tile lock units (internal/lock).
+// memory; a shared SDRAM behind a banked, pipelined controller; a
+// write-only NoC between the tiles; and per-tile lock units
+// (internal/lock).
 //
 // The tile exposes exactly the micro-architectural event counters the
 // paper's platform measures (Section V-B: "It contains support to measure
@@ -46,6 +47,20 @@ const _ = ClusterStride - clusterBytes
 // centralLockWords is the capacity of the centralized lock table.
 const centralLockWords = 4096
 
+// The tile geometry of the paper's platform (Fig. 7). Both caches have
+// mem.LineSize-byte lines; only the D-cache capacity is a Config value.
+// The blank constant fails to compile if LocalBytes outgrows LocalStride.
+const (
+	ICacheBytes = 4096      // I-cache capacity
+	CacheWays   = 2         // associativity of both caches
+	LocalBytes  = 64 * 1024 // dual-port local memory per tile
+)
+
+const _ = LocalStride - LocalBytes
+
+// icache is the I-cache geometry of every tile.
+var icache = cache.Config{Size: ICacheBytes, Ways: CacheWays, LineSize: mem.LineSize}
+
 // maxTiles keeps the tile-local windows inside the 32-bit address space:
 // past it, LocalAddr wraps onto SDRAM.
 const maxTiles = int((1<<32 - uint64(LocalBase)) / uint64(LocalStride))
@@ -67,19 +82,25 @@ func (lk LockKind) String() string {
 	return "distributed"
 }
 
-// Config describes a system. The zero value is not useful; start from
-// DefaultConfig.
+// Config describes a system: its size and shape, the D-cache capacity
+// and the lock kind. The rest of the platform, its timing and the other
+// geometry, is constant (see above and the mem and noc packages). The
+// zero value is not useful; start from DefaultConfig.
 type Config struct {
-	Tiles      int
-	ICache     cache.Config
-	DCache     cache.Config
-	LocalBytes int
-	SDRAMBytes int
-	SDRAM      mem.SDRAMConfig
-	NoC        noc.Config // Tiles field is overwritten from Config.Tiles
-	Locks      LockKind
+	Tiles int
+	// DCacheBytes is the D-cache capacity: a power-of-two multiple of
+	// CacheWays lines.
+	DCacheBytes int
+	SDRAMBytes  int
+	NoC         noc.Config // Tiles field is overwritten from Config.Tiles
+	Locks       LockKind
 	// MaxCycles aborts runaway simulations (0 = no limit).
 	MaxCycles sim.Time
+}
+
+// dcache returns the D-cache geometry.
+func (c Config) dcache() cache.Config {
+	return cache.Config{Size: c.DCacheBytes, Ways: CacheWays, LineSize: mem.LineSize}
 }
 
 // clusters returns the cluster count of a validated configuration: a
@@ -96,15 +117,12 @@ func (c Config) clusters() int {
 // DefaultConfig is the 32-tile system used throughout the evaluation.
 func DefaultConfig() Config {
 	return Config{
-		Tiles:      32,
-		ICache:     cache.Config{Size: 4096, Ways: 2, LineSize: 32},
-		DCache:     cache.Config{Size: 8192, Ways: 2, LineSize: 32},
-		LocalBytes: 64 * 1024,
-		SDRAMBytes: 32 << 20,
-		SDRAM:      mem.DefaultSDRAMConfig(),
-		NoC:        noc.DefaultConfig(),
-		Locks:      LockDistributed,
-		MaxCycles:  2_000_000_000,
+		Tiles:       32,
+		DCacheBytes: 8192,
+		SDRAMBytes:  32 << 20,
+		NoC:         noc.Config{Tiles: 32},
+		Locks:       LockDistributed,
+		MaxCycles:   2_000_000_000,
 	}
 }
 
@@ -116,21 +134,12 @@ func (c Config) Validate() error {
 	if c.Tiles > maxTiles {
 		return fmt.Errorf("soc: %d tiles exceeds the address map's maximum %d", c.Tiles, maxTiles)
 	}
-	if err := c.ICache.Valid(); err != nil {
+	if err := c.dcache().Valid(); err != nil {
 		return err
-	}
-	if err := c.DCache.Valid(); err != nil {
-		return err
-	}
-	if c.SDRAM.LineSize != c.DCache.LineSize {
-		return fmt.Errorf("soc: SDRAM burst %d != D-cache line %d", c.SDRAM.LineSize, c.DCache.LineSize)
-	}
-	if int(LocalStride) < c.LocalBytes {
-		return fmt.Errorf("soc: local memory %d exceeds stride", c.LocalBytes)
 	}
 	// NoC shape errors (cluster divisibility) come first: the cluster
 	// count below is only defined for a valid topology.
-	nocCfg := c.NoC.WithDefaults()
+	nocCfg := c.NoC
 	nocCfg.Tiles = c.Tiles
 	if err := nocCfg.Validate(); err != nil {
 		return err
@@ -190,8 +199,8 @@ func New(cfg Config) (*System, error) {
 	k := sim.New()
 	k.MaxTime = cfg.MaxCycles
 	s := &System{K: k, Cfg: cfg}
-	s.SDRAM = mem.NewSDRAM(SDRAMBase, cfg.SDRAMBytes, cfg.SDRAM)
-	s.seeds[LevelLocal] = mem.NewSeed(cfg.LocalBytes)
+	s.SDRAM = mem.NewSDRAM(SDRAMBase, cfg.SDRAMBytes)
+	s.seeds[LevelLocal] = mem.NewSeed(LocalBytes)
 	s.seeds[LevelCluster] = mem.NewSeed(clusterBytes)
 	s.Locals = make([]*mem.Local, cfg.Tiles)
 	for i := range s.Locals {

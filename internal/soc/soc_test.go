@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"pmc/internal/cache"
 	"pmc/internal/mem"
 	"pmc/internal/noc"
 	"pmc/internal/sim"
@@ -20,17 +19,14 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	bad := DefaultConfig()
-	bad.SDRAM.LineSize = 16 // mismatch with D-cache line
-	if err := bad.Validate(); err == nil {
-		t.Fatal("line-size mismatch not rejected")
-	}
-	// A line shorter than one instruction word holds no instruction:
-	// the fetch walker would divide by zero on the first Exec.
-	short := DefaultConfig()
-	short.ICache.LineSize = 2
-	if err := short.Validate(); err == nil {
-		t.Fatal("2-byte I-cache line not rejected")
+	// The D-cache capacity must hold a power-of-two number of sets of
+	// CacheWays lines.
+	for _, size := range []int{0, -64, 96, 3 * 2 * mem.LineSize} {
+		bad := DefaultConfig()
+		bad.DCacheBytes = size
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%d-byte D-cache not rejected", size)
+		}
 	}
 }
 
@@ -120,8 +116,8 @@ func TestUncachedSharedReadCostsBusAccess(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if tile.Stats.SharedReadStall < s.Cfg.SDRAM.WordLat {
-		t.Fatalf("shared read stall %d < word latency %d", tile.Stats.SharedReadStall, s.Cfg.SDRAM.WordLat)
+	if tile.Stats.SharedReadStall < mem.WordLat {
+		t.Fatalf("shared read stall %d < word latency %d", tile.Stats.SharedReadStall, mem.WordLat)
 	}
 	if tile.Stats.SharedReads != 1 {
 		t.Fatalf("SharedReads = %d", tile.Stats.SharedReads)
@@ -178,8 +174,8 @@ func TestPostedUncachedWriteDoesNotBlockCore(t *testing.T) {
 	}
 	// 4 posted writes: ~2 cycles each (fetch+exec, store buffer), far
 	// below 4 full bus transactions (32 cycles).
-	if elapsed >= 4*s.Cfg.SDRAM.WordLat {
-		t.Fatalf("posted writes took %d cycles, expected well under %d", elapsed, 4*s.Cfg.SDRAM.WordLat)
+	if elapsed >= 4*mem.WordLat {
+		t.Fatalf("posted writes took %d cycles, expected well under %d", elapsed, 4*mem.WordLat)
 	}
 	// But the data still lands.
 	if got := s.SDRAM.Read32(0x400c); got != 3 {
@@ -209,6 +205,30 @@ func TestFlushSharedWritesBackAndCharges(t *testing.T) {
 	}
 	if tile.Stats.FlushStall == 0 {
 		t.Fatal("dirty flush must cost bus time")
+	}
+}
+
+// TestWriteRangeCachedAllocs: a warm range write of whole lines, the block
+// write every swcc exit makes, installs its lines from a stack buffer and
+// allocates nothing.
+func TestWriteRangeCachedAllocs(t *testing.T) {
+	s, err := New(testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tile := s.Tiles[0]
+	src := make([]uint32, 4*mem.LineSize/4)
+	var allocs float64
+	s.K.Spawn("core", func(p *sim.Proc) {
+		write := func() { tile.WriteSharedRangeCached(p, 0x4000, src) }
+		write() // warm the I-cache and the D-cache lines
+		allocs = testing.AllocsPerRun(100, write)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("warm full-line range write allocated %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -274,11 +294,10 @@ func TestStatsTotalIncludesAllCategories(t *testing.T) {
 }
 
 func TestDefaultICacheGeometry(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.ICache.Sets()*cfg.ICache.LineSize*cfg.ICache.Ways != cfg.ICache.Size {
+	if icache.Sets()*icache.LineSize*icache.Ways != icache.Size {
 		t.Fatal("I-cache geometry inconsistent")
 	}
-	if err := (cache.Config{Size: cfg.ICache.Size, Ways: cfg.ICache.Ways, LineSize: cfg.ICache.LineSize}).Valid(); err != nil {
+	if err := icache.Valid(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -87,8 +87,8 @@ func newTile(s *System, id int) *Tile {
 	t := &Tile{
 		ID:    id,
 		Sys:   s,
-		IC:    cache.New(s.Cfg.ICache, s.SDRAM.RAM),
-		DC:    cache.New(s.Cfg.DCache, s.SDRAM.RAM),
+		IC:    cache.New(icache, s.SDRAM.RAM),
+		DC:    cache.New(s.Cfg.dcache(), s.SDRAM.RAM),
 		Local: s.Locals[id],
 	}
 	// Until a workload declares its footprint, fetch from a tiny
@@ -112,12 +112,8 @@ func (t *Tile) SetCodeFootprint(base mem.Addr, size int) {
 // colder control code around them; the ratio of the regions and the pass
 // count set the steady-state I-miss rate.
 func (t *Tile) SetCodeLoop(base mem.Addr, hotBytes, coldBytes, innerPasses int) {
-	ls := t.Sys.Cfg.ICache.LineSize
 	round := func(b int) int {
-		if b < ls {
-			b = ls
-		}
-		return (b / ls) * ls
+		return max(b, mem.LineSize) / mem.LineSize * mem.LineSize
 	}
 	t.codeBase = base
 	t.hotSize = round(hotBytes)
@@ -134,9 +130,6 @@ func (t *Tile) SetCodeLoop(base mem.Addr, hotBytes, coldBytes, innerPasses int) 
 	t.inCold = false
 	t.passesDone = 0
 }
-
-// instrsPerLine is fixed by the 32-bit MicroBlaze ISA.
-func (t *Tile) instrsPerLine() int { return t.Sys.Cfg.ICache.LineSize / 4 }
 
 // fetchAndExec walks n instructions through the I-cache, charging fill
 // stalls, and advances simulated time for the execute cycles (1 per
@@ -226,15 +219,14 @@ func (c *execCall) next() (sim.Time, bool) {
 		}
 	}
 	// Probe the next line.
-	lineBytes := t.instrsPerLine() * 4
 	c.regionSize = t.hotSize
 	regionOff := 0
 	if t.inCold {
 		c.regionSize = t.coldSize
 		regionOff = t.hotSize
 	}
-	lineOff := t.pc % lineBytes
-	c.inLine = min((lineBytes-lineOff)/4, c.left)
+	lineOff := t.pc % mem.LineSize
+	c.inLine = min((mem.LineSize-lineOff)/4, c.left)
 	c.lineAddr = t.codeBase + mem.Addr(regionOff+t.pc-lineOff)
 	if res, _ := t.IC.Probe(c.lineAddr); !res {
 		// Miss: fill from SDRAM.
@@ -434,21 +426,21 @@ func (t *Tile) WriteSharedRangeCached(p *sim.Proc, addr mem.Addr, src []uint32) 
 		return
 	}
 	t.Stats.SharedWrites += uint64(len(src))
-	ls := t.Sys.Cfg.DCache.LineSize
+	const ls = mem.LineSize
 	end := addr + mem.Addr(len(src)*4)
 	first := t.DC.LineBase(addr)
 	last := t.DC.LineBase(end - 1)
 	partialFills := 0
-	lineBuf := make([]byte, ls)
-	for a := first; ; a += mem.Addr(ls) {
-		if a >= addr && a+mem.Addr(ls) <= end {
+	var lineBuf [ls]byte
+	for a := first; ; a += ls {
+		if a >= addr && a+ls <= end {
 			// Whole line overwritten from the source buffer: install it
 			// dirty, skipping the write-allocate fill.
 			base := int(a-addr) / 4
 			for i := 0; i < ls/4; i++ {
 				binary.LittleEndian.PutUint32(lineBuf[4*i:], src[base+i])
 			}
-			if tr := t.DC.WriteLineFull(a, lineBuf); tr.Writeback {
+			if tr := t.DC.WriteLineFull(a, lineBuf[:]); tr.Writeback {
 				t.Stats.WriteStall += t.Sys.SDRAM.AccessLine(p, tr.WritebackAddr)
 				t.Sys.SDRAM.LineWBs++
 			}
@@ -475,7 +467,7 @@ func (t *Tile) WriteSharedRangeCached(p *sim.Proc, addr mem.Addr, src []uint32) 
 	// them); full lines already hold their data.
 	for i, v := range src {
 		a := addr + mem.Addr(4*i)
-		if lb := t.DC.LineBase(a); lb >= addr && lb+mem.Addr(ls) <= end {
+		if lb := t.DC.LineBase(a); lb >= addr && lb+ls <= end {
 			continue // full line, installed above
 		}
 		if !t.DC.WriteRange32(a, src[i:i+1]) {
@@ -513,10 +505,9 @@ func (t *Tile) FlushShared(p *sim.Proc, addr mem.Addr, size int) {
 	if size <= 0 {
 		return
 	}
-	ls := t.Sys.Cfg.DCache.LineSize
 	first := t.DC.LineBase(addr)
 	last := t.DC.LineBase(addr + mem.Addr(size-1))
-	for a := first; ; a += mem.Addr(ls) {
+	for a := first; ; a += mem.LineSize {
 		t.fetchAndExec(p, 1)
 		t.Stats.FlushInstrs++
 		tr := t.DC.FlushLine(a)
@@ -540,8 +531,7 @@ func (t *Tile) CopyToLevel(p *sim.Proc, l Level, src mem.Addr, dst mem.Addr, siz
 		return
 	}
 	t0 := p.Now()
-	ls := t.Sys.Cfg.SDRAM.LineSize
-	lines := (size + ls - 1) / ls
+	lines := (size + mem.LineSize - 1) / mem.LineSize
 	t.Sys.SDRAM.AccessLines(p, src, lines)
 	t.Sys.SDRAM.LineFills += uint64(lines)
 	buf := make([]byte, size)
@@ -557,8 +547,7 @@ func (t *Tile) CopyFromLevel(p *sim.Proc, l Level, src mem.Addr, dst mem.Addr, s
 		return
 	}
 	t0 := p.Now()
-	ls := t.Sys.Cfg.SDRAM.LineSize
-	lines := (size + ls - 1) / ls
+	lines := (size + mem.LineSize - 1) / mem.LineSize
 	buf := make([]byte, size)
 	t.Mem(l).ReadBlock(src, buf)
 	t.Sys.SDRAM.AccessLines(p, dst, lines)

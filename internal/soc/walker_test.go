@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pmc/internal/mem"
 	"pmc/internal/sim"
 )
 
@@ -54,7 +55,7 @@ func TestCodeLoopColdSectionMissesEachVisit(t *testing.T) {
 		}
 		// Expect roughly one fill per cold line (256 lines); allow the
 		// hot region to suffer some collateral eviction.
-		fills := int(dIStall) / int(s.Cfg.SDRAM.LineLat)
+		fills := int(dIStall / mem.LineLat)
 		if fills < 200 || fills > 512 {
 			t.Errorf("steady-state fills per cycle = %d, want ~256", fills)
 		}

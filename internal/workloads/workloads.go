@@ -62,6 +62,9 @@ type Result struct {
 	// every hop counts as local and GlobalFlitHops stays zero.
 	LocalFlitHops  uint64
 	GlobalFlitHops uint64
+	// SDRAMGrants counts the SDRAM bank reservations, the bus contention
+	// the lock ablation reports.
+	SDRAMGrants uint64
 	// Service holds the open-loop service metrics for ServiceApp
 	// workloads; nil for single-shot kernels.
 	Service *stats.Service
@@ -242,6 +245,7 @@ func run(app App, cfg soc.Config, backendName string, pre func(*rt.Runtime)) (*R
 
 		LocalFlitHops:  sys.Net.Stats().LocalFlitHops,
 		GlobalFlitHops: sys.Net.Stats().GlobalFlitHops,
+		SDRAMGrants:    sys.SDRAM.Grants(),
 		Kernel:         sys.K.Counters,
 	}
 	if sa, ok := app.(ServiceApp); ok {
